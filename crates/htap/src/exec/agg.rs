@@ -6,14 +6,16 @@
 //! values substituted in.
 
 use super::guard::ExecGuard;
+use super::typed::{each_row, with_numeric, ExprCol, Num};
 use super::{ExecError, Row, WorkCounters, GUARD_CHECK_ROWS};
 use crate::eval::{eval, truthy, EvalError, Schema};
 use crate::plan::AggSpec;
-use crate::storage::col_store::{ColumnData, DictColumn};
+use crate::storage::col_store::ColumnData;
 use qpe_sql::ast::AggFunc;
 use qpe_sql::binder::BoundExpr;
 use qpe_sql::value::Value;
-use std::collections::{BTreeMap, HashSet};
+use std::cmp::Ordering;
+use std::collections::{BTreeMap, HashMap, HashSet};
 
 /// A distinct aggregate call appearing in the outputs / HAVING clause.
 #[derive(Debug, Clone, PartialEq)]
@@ -287,263 +289,224 @@ pub fn aggregate(
     finish_groups(groups, &leaves, group_by, outputs, having)
 }
 
-/// Vectorized aggregation: same grouping/folding/finishing machinery as
-/// [`aggregate`], but driven by pre-computed key and argument columns
-/// (dense, aligned with the selection) instead of per-row expression
-/// evaluation. `len` is the dense input length. Counters and output are
-/// identical to the row path by construction.
+/// Vectorized aggregation, one path for every key and argument shape:
+///
+/// 1. each row gets a dense `u32` group id ([`assign_groups`]);
+/// 2. each aggregate leaf folds **column-at-a-time** into per-group state
+///    ([`fold_leaf`]), rows in ascending dense order — so float sums, ties
+///    and DISTINCT sets are bit-identical to the row interpreter at any
+///    thread count (the fold itself is serial; what feeds it evaluates
+///    morsel-parallel upstream);
+/// 3. groups finish in key order through [`finish_groups`], shared with
+///    [`aggregate`].
+///
+/// `n` is the dense input length and `sel` the batch selection that
+/// [`ExprCol::Stored`] columns are read through. Counters are charged from
+/// `n` by the row path's formulas.
 #[allow(clippy::too_many_arguments)]
-pub fn aggregate_cols(
+pub(crate) fn aggregate_cols(
     counters: &mut WorkCounters,
-    len: usize,
-    key_cols: &[ColumnData],
-    arg_cols: &[Option<ColumnData>],
+    guard: &ExecGuard,
+    n: usize,
+    sel: Option<&[u32]>,
+    key_cols: &[ExprCol<'_>],
+    arg_cols: &[Option<ExprCol<'_>>],
     group_by: &[BoundExpr],
     leaves: &[AggLeaf],
     outputs: &[AggSpec],
     having: Option<&BoundExpr>,
     hash: bool,
-    guard: &ExecGuard,
 ) -> Result<Vec<Row>, ExecError> {
     debug_assert_eq!(leaves.len(), arg_cols.len());
+    // Discards key/argument columns a tripped guard left truncated before
+    // anything indexes them.
     guard.check()?;
-    // Dictionary-code grouping: a single dict-encoded key groups by `u32`
-    // code into a dense per-code state table — no string materialization,
-    // hashing, or tree comparisons per row. Rows fold in the same dense
-    // order as the generic loop and group strings materialize once at the
-    // end, so output, association order, and counters are identical.
-    if let [ColumnData::Dict(d)] = key_cols {
-        counters.agg_rows += len as u64;
-        if !hash {
-            counters.sort_comparisons += len as u64;
-        }
-        let per_code = fold_dict_groups(d, leaves, arg_cols, 0..len, guard);
-        guard.check()?;
-        return finish_groups(
-            dict_groups_to_btree(d, per_code),
-            leaves,
-            group_by,
-            outputs,
-            having,
-        );
-    }
-    let mut groups: BTreeMap<Vec<KeyWrap>, Vec<AggState>> = BTreeMap::new();
-    for j in 0..len {
-        if j % GUARD_CHECK_ROWS == 0 {
-            guard.check()?;
-        }
-        counters.agg_rows += 1;
-        if !hash {
-            counters.sort_comparisons += 1;
-        }
-        let key: Vec<KeyWrap> = key_cols.iter().map(|c| KeyWrap(c.get(j))).collect();
-        let states = groups
-            .entry(key)
-            .or_insert_with(|| leaves.iter().map(|_| AggState::new()).collect());
-        for (leaf, (arg, state)) in leaves.iter().zip(arg_cols.iter().zip(states.iter_mut())) {
-            state.update(leaf, arg.as_ref().map(|c| c.get(j)));
-        }
-    }
-    finish_groups(groups, leaves, group_by, outputs, having)
-}
-
-/// Morsel-parallel variant of [`aggregate_cols`]: partitions *groups* (not
-/// rows) by a key hash consistent with the grouping order, so each group's
-/// state folds on exactly one worker over the global dense order — float
-/// sums, DISTINCT sets and min/max ties all accumulate in the serial
-/// association order, making the result bit-identical to the serial fold.
-///
-/// Scalar aggregation (no GROUP BY) has a single group and therefore no
-/// group parallelism; it falls back to the serial fold (its inputs — the
-/// key/argument columns — were already evaluated in parallel upstream).
-#[allow(clippy::too_many_arguments)]
-pub fn aggregate_cols_partitioned(
-    counters: &mut WorkCounters,
-    cfg: &super::parallel::ExecConfig,
-    len: usize,
-    key_cols: &[ColumnData],
-    arg_cols: &[Option<ColumnData>],
-    group_by: &[BoundExpr],
-    leaves: &[AggLeaf],
-    outputs: &[AggSpec],
-    having: Option<&BoundExpr>,
-    hash: bool,
-) -> Result<Vec<Row>, ExecError> {
-    use super::parallel::{morsel_ranges, run_tasks};
-    let guard = cfg.guard();
-    if group_by.is_empty() || !cfg.parallel_for(len) {
-        return aggregate_cols(
-            counters, len, key_cols, arg_cols, group_by, leaves, outputs, having, hash, guard,
-        );
-    }
-    guard.check()?;
-    // Same counter totals as the serial per-row loop.
-    counters.agg_rows += len as u64;
+    counters.agg_rows += n as u64;
     if !hash {
-        counters.sort_comparisons += len as u64;
+        // sort-based grouping pays comparison costs
+        counters.sort_comparisons += n as u64;
     }
-    let n_parts = cfg.threads.clamp(2, 255);
-    // Dictionary-code grouping, partitioned: the per-code partition
-    // assignment is computed once over the (small) value table with the same
-    // key hash as the generic path, so group→partition placement is
-    // unchanged; each partition then folds its rows through the dense
-    // per-code table in ascending dense order — bit-identical to the serial
-    // dict fold, which is bit-identical to the generic fold.
-    if let [ColumnData::Dict(d)] = key_cols {
-        let part_of: Vec<usize> = d
-            .values
-            .iter()
-            .map(|s| {
-                let mut h = std::collections::hash_map::DefaultHasher::new();
-                hash_group_value(&Value::Str(s.clone()), &mut h);
-                (std::hash::Hasher::finish(&h) % n_parts as u64) as usize
-            })
-            .collect();
-        let ranges = morsel_ranges(len, cfg.morsel_rows, &[]);
-        let pieces = run_tasks(cfg.threads, ranges.len(), |i| {
-            let mut lists: Vec<Vec<u32>> = vec![Vec::new(); n_parts];
-            if guard.poll() {
-                return lists;
-            }
-            for j in ranges[i].clone() {
-                lists[part_of[d.codes[j] as usize]].push(j as u32);
-            }
-            lists
-        });
-        let mut by_part: Vec<Vec<u32>> = vec![Vec::new(); n_parts];
-        for lists in pieces {
-            for (p, l) in lists.into_iter().enumerate() {
-                by_part[p].extend(l);
-            }
-        }
-        let folded = run_tasks(cfg.threads, n_parts, |p| {
-            if guard.poll() {
-                return BTreeMap::new();
-            }
-            let rows = by_part[p].iter().map(|&j| j as usize);
-            dict_groups_to_btree(d, fold_dict_groups(d, leaves, arg_cols, rows, guard))
-        });
-        guard.check()?;
-        let mut groups: BTreeMap<Vec<KeyWrap>, Vec<AggState>> = BTreeMap::new();
-        for g in folded {
-            groups.extend(g);
-        }
-        return finish_groups(groups, leaves, group_by, outputs, having);
+    let (gids, keys) = assign_groups(key_cols, n, sel, guard);
+    let rows = FoldRows { n, sel, gids, groups: keys.len() };
+    let mut states: Vec<Vec<AggState>> = vec![Vec::new(); keys.len()];
+    for (leaf, arg) in leaves.iter().zip(arg_cols) {
+        let folded = fold_leaf(leaf, arg.as_ref(), &rows, guard);
+        states.iter_mut().zip(folded).for_each(|(group, state)| group.push(state));
     }
-    // Pass 1, parallel over morsels: bucket row indices by the partition of
-    // their key. Concatenating morsel buckets in morsel order keeps every
-    // partition's index list in ascending dense order.
-    let ranges = morsel_ranges(len, cfg.morsel_rows, &[]);
-    let pieces = run_tasks(cfg.threads, ranges.len(), |i| {
-        let mut lists: Vec<Vec<u32>> = vec![Vec::new(); n_parts];
-        if guard.poll() {
-            return lists;
-        }
-        for j in ranges[i].clone() {
-            let mut h = std::collections::hash_map::DefaultHasher::new();
-            for c in key_cols {
-                hash_group_value(&c.get(j), &mut h);
-            }
-            let p = (std::hash::Hasher::finish(&h) % n_parts as u64) as usize;
-            lists[p].push(j as u32);
-        }
-        lists
-    });
-    let mut by_part: Vec<Vec<u32>> = vec![Vec::new(); n_parts];
-    for lists in pieces {
-        for (p, l) in lists.into_iter().enumerate() {
-            by_part[p].extend(l);
-        }
-    }
-    // Pass 2, parallel over partitions: fold each partition's groups,
-    // touching only its own rows, in global dense order.
-    let folded = run_tasks(cfg.threads, n_parts, |p| {
-        let mut groups: BTreeMap<Vec<KeyWrap>, Vec<AggState>> = BTreeMap::new();
-        if guard.poll() {
-            return groups;
-        }
-        for &j in &by_part[p] {
-            let j = j as usize;
-            let key: Vec<KeyWrap> = key_cols.iter().map(|c| KeyWrap(c.get(j))).collect();
-            let states = groups
-                .entry(key)
-                .or_insert_with(|| leaves.iter().map(|_| AggState::new()).collect());
-            for (leaf, (arg, state)) in leaves.iter().zip(arg_cols.iter().zip(states.iter_mut()))
-            {
-                state.update(leaf, arg.as_ref().map(|c| c.get(j)));
-            }
-        }
-        groups
-    });
-    // Partitions hold disjoint key sets, so extending reproduces the exact
-    // serial BTreeMap.
     guard.check()?;
-    let mut groups: BTreeMap<Vec<KeyWrap>, Vec<AggState>> = BTreeMap::new();
-    for g in folded {
-        groups.extend(g);
-    }
+    // Dictionary codes no row carried have no key and drop out here.
+    let groups = keys.into_iter().zip(states).filter_map(|(k, s)| Some((k?, s))).collect();
     finish_groups(groups, leaves, group_by, outputs, having)
 }
 
-/// Folds aggregate states into a dense per-dictionary-code table over the
-/// given rows (ascending dense order). Codes never seen stay `None`, so only
-/// groups that actually occur materialize — matching the generic fold.
-/// Abandons the fold (returning a truncated table) once the guard trips; the
-/// caller's next `check` discards the partial result.
-fn fold_dict_groups<I: Iterator<Item = usize>>(
-    d: &DictColumn,
-    leaves: &[AggLeaf],
-    arg_cols: &[Option<ColumnData>],
-    rows: I,
-    guard: &ExecGuard,
-) -> Vec<Option<Vec<AggState>>> {
-    let mut per_code: Vec<Option<Vec<AggState>>> = vec![None; d.values.len()];
-    for (i, j) in rows.enumerate() {
-        if i % GUARD_CHECK_ROWS == 0 && guard.poll() {
-            return per_code;
-        }
-        let states = per_code[d.codes[j] as usize]
-            .get_or_insert_with(|| leaves.iter().map(|_| AggState::new()).collect());
-        for (leaf, (arg, state)) in leaves.iter().zip(arg_cols.iter().zip(states.iter_mut())) {
-            state.update(leaf, arg.as_ref().map(|c| c.get(j)));
-        }
-    }
-    per_code
+/// Group id of each dense position.
+enum Gids<'a> {
+    /// No GROUP BY: every row is group 0.
+    One,
+    /// A dictionary key's codes, used as they are and addressed like the
+    /// key column's cells.
+    Codes(&'a [u32], &'a ExprCol<'a>),
+    /// Ids assigned in first-appearance order, by dense position.
+    Assigned(Vec<u32>),
 }
 
-/// Materializes dict-code groups into the key-sorted map `finish_groups`
-/// consumes — one string clone per *group*, not per row.
-fn dict_groups_to_btree(
-    d: &DictColumn,
-    per_code: Vec<Option<Vec<AggState>>>,
-) -> BTreeMap<Vec<KeyWrap>, Vec<AggState>> {
-    per_code
-        .into_iter()
-        .enumerate()
-        .filter_map(|(code, states)| {
-            states.map(|s| (vec![KeyWrap(Value::Str(d.values[code].clone()))], s))
+/// The input of one aggregation as every leaf's fold sees it.
+struct FoldRows<'a> {
+    n: usize,
+    sel: Option<&'a [u32]>,
+    gids: Gids<'a>,
+    /// Number of group ids (the length of every per-group array).
+    groups: usize,
+}
+
+impl FoldRows<'_> {
+    #[inline]
+    fn gid(&self, j: usize) -> usize {
+        match &self.gids {
+            Gids::One => 0,
+            Gids::Codes(codes, key) => codes[key.index(self.sel, j)] as usize,
+            Gids::Assigned(ids) => ids[j] as usize,
+        }
+    }
+}
+
+/// Assigns every row a dense group id and returns the key values of each id
+/// (`None` for a dictionary code no selected row carries). A single
+/// dictionary key groups by its codes without touching a string per row; a
+/// single numeric key hashes its raw `i64`; multi-column, string and mixed
+/// keys go through the ordered [`KeyWrap`] map.
+fn assign_groups<'a>(
+    key_cols: &'a [ExprCol<'a>],
+    n: usize,
+    sel: Option<&[u32]>,
+    guard: &ExecGuard,
+) -> (Gids<'a>, Vec<Option<Vec<KeyWrap>>>) {
+    if key_cols.is_empty() {
+        return (Gids::One, vec![Some(Vec::new())]);
+    }
+    if let [k] = key_cols {
+        if let ColumnData::Dict(d) = k.data() {
+            let mut seen = vec![false; d.values.len()];
+            each_row(n, guard, |j| seen[d.codes[k.index(sel, j)] as usize] = true);
+            let key_of = |v: &String| vec![KeyWrap(Value::Str(v.clone()))];
+            let keys = seen.iter().zip(d.values.iter()).map(|(s, v)| s.then(|| key_of(v)));
+            return (Gids::Codes(&d.codes, k), keys.collect());
+        }
+    }
+    let mut keys: Vec<Option<Vec<KeyWrap>>> = Vec::new();
+    let mut ids: Vec<u32> = Vec::with_capacity(n);
+    if let [k] = key_cols {
+        let hashed = with_numeric!(k.data(), |read| {
+            let mut map: HashMap<Option<i64>, u32> = HashMap::new();
+            each_row(n, guard, |j| {
+                let x = read(k.index(sel, j));
+                ids.push(*map.entry(x.map(Num::raw)).or_insert_with(|| {
+                    keys.push(Some(vec![KeyWrap(x.map_or(Value::Null, Num::value))]));
+                    keys.len() as u32 - 1
+                }));
+            })
+        });
+        if hashed.is_some() {
+            return (Gids::Assigned(ids), keys);
+        }
+    }
+    let mut map: BTreeMap<Vec<KeyWrap>, u32> = BTreeMap::new();
+    each_row(n, guard, |j| {
+        let key: Vec<KeyWrap> = key_cols.iter().map(|c| KeyWrap(c.value(sel, j))).collect();
+        let next = keys.len() as u32;
+        ids.push(*map.entry(key).or_insert_with_key(|k| {
+            keys.push(Some(k.clone()));
+            next
+        }));
+    });
+    (Gids::Assigned(ids), keys)
+}
+
+/// Folds one aggregate leaf over all rows into one state per group id.
+/// `COUNT(*)` and non-DISTINCT aggregates over numeric columns take the
+/// typed fold; DISTINCT and string/mixed arguments update [`AggState`]s row
+/// by row in the same loop.
+fn fold_leaf(
+    leaf: &AggLeaf,
+    arg: Option<&ExprCol<'_>>,
+    rows: &FoldRows<'_>,
+    guard: &ExecGuard,
+) -> Vec<AggState> {
+    let Some(col) = arg else {
+        return fold_typed(AggFunc::Count, rows, guard, |_| Some(0i64));
+    };
+    let typed = if leaf.distinct {
+        None
+    } else {
+        with_numeric!(col.data(), |read| {
+            fold_typed(leaf.func, rows, guard, |j| read(col.index(rows.sel, j)))
+        })
+    };
+    typed.unwrap_or_else(|| {
+        let mut states = vec![AggState::new(); rows.groups];
+        each_row(rows.n, guard, |j| {
+            states[rows.gid(j)].update(leaf, Some(col.value(rows.sel, j)));
+        });
+        states
+    })
+}
+
+/// The typed fold: accumulates only what `func` reads into per-group arrays
+/// (`cell(j)` is the argument at dense position `j`, `None` = NULL), then
+/// wraps them as the [`AggState`]s [`AggState::finish`] expects.
+fn fold_typed<T: Num>(
+    func: AggFunc,
+    rows: &FoldRows<'_>,
+    guard: &ExecGuard,
+    cell: impl Fn(usize) -> Option<T>,
+) -> Vec<AggState> {
+    let g = rows.groups;
+    let (mut count, mut sum, mut int_sum) = (vec![0u64; g], vec![0f64; g], vec![0i64; g]);
+    let mut extreme: Vec<Option<T>> = vec![None; g];
+    match func {
+        AggFunc::Count => feed(rows, guard, &cell, |g, _| count[g] += 1),
+        AggFunc::Sum if T::IS_INT => feed(rows, guard, &cell, |g, x| {
+            count[g] += 1;
+            int_sum[g] = int_sum[g].wrapping_add(x.raw());
+        }),
+        AggFunc::Sum | AggFunc::Avg => feed(rows, guard, &cell, |g, x| {
+            count[g] += 1;
+            sum[g] += x.as_f64();
+        }),
+        AggFunc::Min | AggFunc::Max => {
+            let replaces = if func == AggFunc::Min { Ordering::Less } else { Ordering::Greater };
+            feed(rows, guard, &cell, |g, x| {
+                if extreme[g].is_none_or(|m| x.total_cmp(m) == replaces) {
+                    extreme[g] = Some(x);
+                }
+            })
+        }
+    }
+    (0..g)
+        .map(|i| AggState {
+            count: count[i],
+            sum: sum[i],
+            sum_is_int: T::IS_INT,
+            int_sum: int_sum[i],
+            min: extreme[i].map(Num::value),
+            max: extreme[i].map(Num::value),
+            distinct: HashSet::new(),
         })
         .collect()
 }
 
-/// Hashes a grouping value consistently with [`KeyWrap`]'s ordering
-/// ([`Value::total_cmp`]): values that compare equal *must* land in the same
-/// partition even across representations — `Int(1)`, `Float(1.0)` and
-/// `Date(1)` are total_cmp-equal, so all numeric values hash through their
-/// `f64` bit pattern (which also keeps `-0.0` and NaN payloads distinct,
-/// exactly as `f64::total_cmp` does).
-fn hash_group_value<H: std::hash::Hasher>(v: &Value, h: &mut H) {
-    use std::hash::Hash;
-    match v {
-        Value::Null => 0u8.hash(h),
-        Value::Int(x) => (*x as f64).to_bits().hash(h),
-        Value::Float(x) => x.to_bits().hash(h),
-        Value::Date(d) => (*d as f64).to_bits().hash(h),
-        Value::Str(s) => {
-            1u8.hash(h);
-            s.hash(h);
+/// Feeds every non-NULL cell, with its group id, to `acc` in dense order.
+fn feed<T: Num>(
+    rows: &FoldRows<'_>,
+    guard: &ExecGuard,
+    cell: &impl Fn(usize) -> Option<T>,
+    mut acc: impl FnMut(usize, T),
+) {
+    each_row(rows.n, guard, |j| {
+        if let Some(x) = cell(j) {
+            acc(rows.gid(j), x);
         }
-    }
+    });
 }
 
 /// Collects the distinct aggregate leaves across outputs and HAVING.
@@ -596,20 +559,28 @@ fn finish_groups(
     Ok(out)
 }
 
-/// Ord wrapper over [`Value`] for BTreeMap grouping keys.
-#[derive(Debug, Clone, PartialEq)]
+/// Ord wrapper over [`Value`] for BTreeMap grouping keys. Equality is the
+/// ordering's (`-0.0` and `0.0` are two groups, `NaN` is one) — `Value`'s own
+/// `==` is SQL equality, and a map built from an iterator dedups with `==`.
+#[derive(Debug, Clone)]
 struct KeyWrap(Value);
+
+impl PartialEq for KeyWrap {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
 
 impl Eq for KeyWrap {}
 
 impl PartialOrd for KeyWrap {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
 impl Ord for KeyWrap {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+    fn cmp(&self, other: &Self) -> Ordering {
         self.0.total_cmp(&other.0)
     }
 }
@@ -667,6 +638,23 @@ mod tests {
         s.update(&leaf, Some(Value::Float(1.5)));
         s.update(&leaf, Some(Value::Float(2.0)));
         assert_eq!(s.finish(AggFunc::Sum), Value::Float(3.5));
+    }
+
+    /// The typed fold polls the guard once per block: a cancel raised while
+    /// row 5000 is read ends the pass within that block.
+    #[test]
+    fn typed_fold_stops_within_a_block_of_a_cancel() {
+        let guard = ExecGuard::new(&super::super::StatementLimits::unlimited());
+        let handle = guard.cancel_handle();
+        let rows = FoldRows { n: 600_000, sel: None, gids: Gids::One, groups: 1 };
+        let states = fold_typed(AggFunc::Sum, &rows, &guard, |j| {
+            if j == 5_000 {
+                handle.cancel();
+            }
+            Some(1i64)
+        });
+        assert!((5_001..=5_000 + GUARD_CHECK_ROWS as u64).contains(&states[0].count));
+        assert!(guard.check().is_err(), "the caller's next check reports the cancel");
     }
 
     #[test]

@@ -10,9 +10,9 @@
 //! * the **morsel-driven parallel executor** ([`parallel`]) is the batch
 //!   executor with its kernels fanned out over a scoped worker pool: scans
 //!   and filters split into fixed-size morsels (cut at base/delta chunk
-//!   boundaries), hash-join builds partition by key hash, grouped
-//!   aggregation partitions *groups* across workers, and sorts merge
-//!   stable-sorted chunks.
+//!   boundaries), hash-join builds partition by key hash, aggregation
+//!   inputs evaluate per morsel ahead of one serial typed fold, and sorts
+//!   merge stable-sorted chunks.
 //!
 //! [`execute`] dispatches: AP plans route to the batch executor (falling
 //! back to the interpreter for out-of-vocabulary operators), TP plans to
@@ -23,8 +23,8 @@
 //!
 //! **Determinism contract:** every mode returns byte-identical rows *and*
 //! identical [`WorkCounters`] for the same plan — parallel merges are
-//! order-restoring (morsel order = serial order), grouped folds pin each
-//! group to one worker so even float accumulation keeps the serial
+//! order-restoring (morsel order = serial order), aggregates fold every
+//! group in dense row order so even float accumulation keeps the serial
 //! association order, and counters are charged from input sizes by shared
 //! formulas. The latency model, optimizer, router and explainer consume
 //! counters, not wall-clock, so execution mode and thread count are
@@ -35,6 +35,9 @@ mod agg;
 pub mod guard;
 pub mod parallel;
 mod sort;
+mod typed;
+#[cfg(test)]
+mod typed_props;
 pub mod vector;
 
 pub use agg::AggLeaf;

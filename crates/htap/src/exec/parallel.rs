@@ -1,8 +1,8 @@
 //! Morsel-driven parallel execution for the AP batch executor.
 //!
 //! The vectorized executor's kernels (filter masks, hash-join pair finding,
-//! gathers, expression evaluation, grouped folds, sorts) all iterate a dense
-//! range of selected rows. This module splits that range into fixed-size
+//! gathers, expression evaluation, sorts) all iterate a dense range of
+//! selected rows. This module splits that range into fixed-size
 //! **morsels** and runs them on a [`std::thread::scope`]d worker pool, with
 //! every parallel strategy chosen so the output is **bit-identical** to the
 //! serial batch executor (and therefore to the row interpreter):
@@ -14,12 +14,10 @@
 //!   worker owns one partition and inserts build rows in build order, so
 //!   every key's match list equals the serial one; probe morsels then emit
 //!   pairs in probe order and concatenate in morsel order;
-//! * **grouped aggregation**: groups (not rows) are partitioned by key
-//!   hash, so each group's state is folded by exactly one worker over the
-//!   *global* dense order — even float sums accumulate in the serial
-//!   association order (scalar aggregation, which has a single group, keeps
-//!   its fold serial and parallelizes only the column evaluation feeding
-//!   it);
+//! * **aggregation**: the key and argument expressions evaluate
+//!   morsel-parallel; the fold over them ([`super::agg`]) stays serial,
+//!   column-at-a-time, so every group accumulates in the *global* dense
+//!   order and even float sums keep the serial association order;
 //! * **sorts**: contiguous chunks are stable-sorted in parallel and merged
 //!   with ties taken from the lower chunk — a stable sort's output
 //!   permutation is unique, so this equals the serial stable sort;
@@ -349,10 +347,11 @@ pub(crate) fn par_filter_sel(
 
 /// Parallel [`eval_batch`]: evaluates the expression per morsel and splices
 /// the dense result columns back together in morsel order. Values are
-/// identical to the serial evaluation; the storage representation is too,
-/// except in the pathological case where a morsel-local type demotion would
-/// differ — and representation is invisible to every consumer (cells are
-/// read back as [`qpe_sql::value::Value`]s).
+/// identical to the serial evaluation. The storage representation is kept
+/// where [`ColumnData::append`] can keep it — consumers dispatch on it
+/// (dictionary and typed kernels in `eval.rs`, [`par_gather`], the
+/// aggregation's group-id assignment), so a splice that demotes a column
+/// costs them their fast path, never their result.
 pub(crate) fn par_eval_batch(
     cfg: &ExecConfig,
     expr: &BoundExpr,
@@ -597,6 +596,46 @@ mod tests {
             assert_eq!(partition_of(&key, 4), partition_of(&key, 4));
             assert!(partition_of(&key, 4) < 4);
         }
+    }
+
+    /// The morsel splice keeps a dictionary column's encoding (its consumers
+    /// dispatch on it), and a dirty table's dict-base + plain-delta view
+    /// still reads back every value.
+    #[test]
+    fn par_eval_batch_keeps_dictionary_encoding_across_morsels() {
+        use crate::storage::col_store::ColumnTable;
+        use qpe_sql::binder::ColumnRef;
+        use qpe_sql::value::Value;
+        let strings: Vec<Value> = (0..1000)
+            .map(|i| Value::Str(["hot", "cold", "mild"][i % 3].to_string()))
+            .collect();
+        let mut table = ColumnTable::from_columns("t", std::slice::from_ref(&strings));
+        let cfg = ExecConfig { threads: 2, morsel_rows: 64, ..ExecConfig::serial() };
+        let schema = Schema::new(vec![(0, 0)]);
+        let expr = BoundExpr::Column(ColumnRef {
+            table_slot: 0,
+            column_idx: 0,
+            data_type: qpe_sql::catalog::DataType::Str,
+        });
+        let sel: Vec<u32> = (0..1000).rev().step_by(3).collect();
+        for sel in [None, Some(sel.as_slice())] {
+            let cols = [Some(table.column_ref(0))];
+            let out = par_eval_batch(&cfg, &expr, &schema, &cols, sel, 1000).expect("evaluates");
+            assert!(matches!(out, ColumnData::Dict(_)), "splice demoted the dictionary");
+            let n = sel.map_or(1000, <[u32]>::len);
+            for j in 0..n {
+                assert_eq!(out.get(j), strings[sel.map_or(j, |s| s[j] as usize)]);
+            }
+        }
+        table.insert(&[Value::Str("warm".into())]);
+        let cols = [Some(table.column_ref(0))];
+        assert!(cols[0].expect("live").as_single().is_none(), "dirty tables hand out chunked views");
+        let out = par_eval_batch(&cfg, &expr, &schema, &cols, None, 1001).expect("evaluates");
+        assert_eq!(out.len(), 1001);
+        for (j, want) in strings.iter().enumerate() {
+            assert_eq!(&out.get(j), want);
+        }
+        assert_eq!(out.get(1000), Value::Str("warm".into()));
     }
 
     #[test]

@@ -8,9 +8,9 @@
 //! therefore output order — is identical across executors.
 
 use super::guard::ExecGuard;
+use super::typed::{cmp_nullable, each_row, with_numeric, ExprCol};
 use super::{ExecError, Row, WorkCounters, GUARD_CHECK_ROWS};
 use crate::eval::{eval, Schema};
-use crate::storage::col_store::ColumnData;
 use qpe_sql::binder::BoundExpr;
 use qpe_sql::value::Value;
 use std::cmp::Ordering;
@@ -60,12 +60,11 @@ pub fn full_sort(
     Ok(keyed.into_iter().map(|(_, r)| r).collect())
 }
 
-/// Vectorized full sort: stable-sorts the selection by pre-computed key
-/// columns (dense, aligned with the selection). Returns the permuted
-/// selection; rows are never materialized here.
-pub fn full_sort_indices(
+/// Vectorized full sort: stable-sorts the selection by its key columns.
+/// Returns the permuted selection; rows are never materialized here.
+pub(crate) fn full_sort_indices(
     counters: &mut WorkCounters,
-    key_cols: &[ColumnData],
+    key_cols: &[ExprCol<'_>],
     descs: &[bool],
     sel: Vec<u32>,
     guard: &ExecGuard,
@@ -75,12 +74,12 @@ pub fn full_sort_indices(
     // Key tuples per dense position; the stable sort then reproduces the row
     // interpreter's permutation exactly (same comparator, same input order).
     let mut keyed: Vec<(Vec<Value>, u32)> = Vec::with_capacity(n);
-    for (j, phys) in sel.into_iter().enumerate() {
-        if j % GUARD_CHECK_ROWS == 0 && guard.poll() {
-            // Abandon on trip; the caller's next check discards this.
-            return Vec::new();
-        }
-        keyed.push((key_cols.iter().map(|c| c.get(j)).collect(), phys));
+    let done = each_row(n, guard, |j| {
+        keyed.push((key_cols.iter().map(|c| c.value(Some(&sel), j)).collect(), sel[j]));
+    });
+    if !done {
+        // Abandon on trip; the caller's next check discards this.
+        return Vec::new();
     }
     keyed.sort_by(|(ka, _), (kb, _)| cmp_keys(ka, kb, descs));
     keyed.into_iter().map(|(_, phys)| phys).collect()
@@ -93,10 +92,10 @@ pub fn full_sort_indices(
 /// input positions, so the merged result is bit-identical to the serial
 /// stable sort — same rows, same tie order, same counters (the comparison
 /// charge is asymptotic in `n`, not implementation-dependent).
-pub fn full_sort_indices_par(
+pub(crate) fn full_sort_indices_par(
     counters: &mut WorkCounters,
     cfg: &super::parallel::ExecConfig,
-    key_cols: &[ColumnData],
+    key_cols: &[ExprCol<'_>],
     descs: &[bool],
     sel: Vec<u32>,
 ) -> Vec<u32> {
@@ -119,7 +118,7 @@ pub fn full_sort_indices_par(
         let lo = c * step;
         let hi = ((c + 1) * step).min(n);
         let mut keyed: Vec<(Vec<Value>, u32)> = (lo..hi)
-            .map(|j| (key_cols.iter().map(|k| k.get(j)).collect(), sel[j]))
+            .map(|j| (key_cols.iter().map(|k| k.value(Some(&sel), j)).collect(), sel[j]))
             .collect();
         keyed.sort_by(|(ka, _), (kb, _)| cmp_keys(ka, kb, descs));
         keyed
@@ -209,12 +208,15 @@ pub fn top_n(
 }
 
 /// Vectorized top-N: identical bounded-buffer algorithm as [`top_n`], driven
-/// by pre-computed key columns over a selection. Only the winning
-/// `limit + offset` entries ever hold key tuples; rows are materialized
-/// later by the consumer from the returned selection.
-pub fn top_n_indices(
+/// by key columns over a selection. A single numeric key is compared as
+/// typed cells — the comparisons `Value::total_cmp` makes within one type,
+/// so the buffer takes the same positions and ties break identically —
+/// with no key tuple allocated per input row; other keys compare `Value`
+/// tuples. Rows are materialized later by the consumer from the returned
+/// selection.
+pub(crate) fn top_n_indices(
     counters: &mut WorkCounters,
-    key_cols: &[ColumnData],
+    key_cols: &[ExprCol<'_>],
     descs: &[bool],
     sel: Vec<u32>,
     limit: u64,
@@ -225,31 +227,48 @@ pub fn top_n_indices(
     if need == 0 {
         return Vec::new();
     }
-    let mut buf: Vec<(Vec<Value>, u32)> = Vec::with_capacity(need + 1);
-    for (j, phys) in sel.into_iter().enumerate() {
-        if j % GUARD_CHECK_ROWS == 0 && guard.poll() {
-            // Abandon on trip; the caller's next check discards this.
-            return Vec::new();
-        }
+    let typed = match key_cols {
+        [k] => with_numeric!(k.data(), |read| {
+            let key_at = |j| read(k.index(Some(&sel), j));
+            top_n_by(counters, &sel, need, guard, key_at, |a, b| {
+                let o = cmp_nullable(*a, *b);
+                if descs[0] { o.reverse() } else { o }
+            })
+        }),
+        _ => None,
+    };
+    let top = typed.unwrap_or_else(|| {
+        let key_at = |j| key_cols.iter().map(|c| c.value(Some(&sel), j)).collect::<Vec<_>>();
+        top_n_by(counters, &sel, need, guard, key_at, |a, b| cmp_keys(a, b, descs))
+    });
+    top.into_iter().skip(offset as usize).collect()
+}
+
+/// The bounded sorted buffer of [`top_n_indices`] over keys of any type:
+/// keeps the best `need` selection entries under `cmp`, best first.
+fn top_n_by<K>(
+    counters: &mut WorkCounters,
+    sel: &[u32],
+    need: usize,
+    guard: &ExecGuard,
+    key_at: impl Fn(usize) -> K,
+    cmp: impl Fn(&K, &K) -> Ordering,
+) -> Vec<u32> {
+    let mut buf: Vec<(K, u32)> = Vec::with_capacity(need + 1);
+    let done = each_row(sel.len(), guard, |j| {
         counters.topn_pushes += 1;
-        let kv: Vec<Value> = key_cols.iter().map(|c| c.get(j)).collect();
-        if buf.len() < need {
-            let pos = buf
-                .binary_search_by(|(k, _)| cmp_keys(k, &kv, descs))
-                .unwrap_or_else(|p| p);
-            buf.insert(pos, (kv, phys));
-        } else if cmp_keys(&kv, &buf[need - 1].0, descs) == Ordering::Less {
-            let pos = buf
-                .binary_search_by(|(k, _)| cmp_keys(k, &kv, descs))
-                .unwrap_or_else(|p| p);
-            buf.insert(pos, (kv, phys));
-            buf.pop();
+        let k = key_at(j);
+        if buf.len() < need || cmp(&k, &buf[need - 1].0) == Ordering::Less {
+            let pos = buf.binary_search_by(|(b, _)| cmp(b, &k)).unwrap_or_else(|p| p);
+            buf.insert(pos, (k, sel[j]));
+            buf.truncate(need);
         }
+    });
+    if !done {
+        // Abandon on trip; the caller's next check discards this.
+        return Vec::new();
     }
-    buf.into_iter()
-        .skip(offset as usize)
-        .map(|(_, phys)| phys)
-        .collect()
+    buf.into_iter().map(|(_, phys)| phys).collect()
 }
 
 /// Positional sort over already-projected output rows (ORDER BY on
@@ -278,6 +297,7 @@ pub fn output_sort(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::storage::col_store::ColumnData;
 
     #[test]
     fn cmp_keys_respects_direction() {
@@ -292,7 +312,7 @@ mod tests {
     fn index_sort_matches_row_sort_on_ties() {
         // Duplicate keys: the stable index sort must reproduce the row
         // sort's tie order (input order).
-        let keys = ColumnData::Int(vec![3, 1, 3, 1, 2]);
+        let keys = ExprCol::Dense(ColumnData::Int(vec![3, 1, 3, 1, 2]));
         let mut c = WorkCounters::default();
         let sel: Vec<u32> = (0..5).collect();
         let sorted = full_sort_indices(&mut c, &[keys], &[false], sel, ExecGuard::unlimited());
@@ -300,9 +320,29 @@ mod tests {
         assert!(c.sort_comparisons > 0);
     }
 
+    /// The top-N buffer loop polls the guard once per block: a cancel raised
+    /// while row 5000's key is read ends the pass within that block, and no
+    /// partial selection comes back.
+    #[test]
+    fn top_n_stops_within_a_block_of_a_cancel() {
+        let guard = ExecGuard::new(&super::super::StatementLimits::unlimited());
+        let handle = guard.cancel_handle();
+        let sel: Vec<u32> = (0..600_000).collect();
+        let mut c = WorkCounters::default();
+        let key_at = |j: usize| {
+            if j == 5_000 {
+                handle.cancel();
+            }
+            j as i64
+        };
+        let top = top_n_by(&mut c, &sel, 20, &guard, key_at, |a, b| b.cmp(a));
+        assert!(top.is_empty());
+        assert!((5_001..=5_000 + GUARD_CHECK_ROWS as u64).contains(&c.topn_pushes));
+    }
+
     #[test]
     fn top_n_indices_keeps_best_and_applies_offset() {
-        let keys = ColumnData::Int(vec![5, 2, 9, 1, 7, 3]);
+        let keys = ExprCol::Dense(ColumnData::Int(vec![5, 2, 9, 1, 7, 3]));
         let mut c = WorkCounters::default();
         let sel: Vec<u32> = (0..6).collect();
         let top =

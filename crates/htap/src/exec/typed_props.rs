@@ -1,0 +1,321 @@
+//! Property tests holding the batch executor's typed kernels to the row
+//! interpreter: [`aggregate_cols`] must return the rows **and** counters of
+//! [`aggregate`], and [`top_n_indices`] / [`full_sort_indices_par`] the row
+//! order of [`top_n`] / [`full_sort`], over every column shape the kernels
+//! dispatch on — each encoding policy, nullable and mixed columns, clean
+//! (one segment) and dirty (base + delta) views, dense and selected
+//! batches, one to four threads.
+//!
+//! Rows compare bit for bit (`NaN` payloads and the sign of zero included),
+//! so a fold that adds floats in a different order, or breaks a tie
+//! differently, fails here.
+
+use super::agg::{aggregate, aggregate_cols, collect_all_leaves};
+use super::sort::{full_sort, full_sort_indices_par, top_n, top_n_indices};
+use super::typed::{eval_col, ExprCol};
+use super::{ExecConfig, ExecGuard, Row, WorkCounters};
+use crate::eval::Schema;
+use crate::plan::AggSpec;
+use crate::storage::col_store::{ColRef, ColumnData, EncodingPolicy};
+use proptest::prelude::*;
+use qpe_sql::ast::{AggFunc, BinaryOp};
+use qpe_sql::binder::{BoundExpr, ColumnRef};
+use qpe_sql::catalog::DataType;
+use qpe_sql::value::Value;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+/// Column positions of the generated table.
+const K_STR: usize = 0; // low-cardinality strings (dictionary under Auto/Dict)
+const K_INT: usize = 1; // few distinct ints in runs (RLE/FOR under those policies)
+const K_DATE: usize = 2;
+const K_FLOAT: usize = 3; // ±0.0 and NaN among the keys
+const K_NINT: usize = 4; // nullable
+const K_MIXED: usize = 5; // ints and strings
+const A_INT: usize = 6; // wraps i64 when summed
+const A_FLOAT: usize = 7; // NaN, ±0.0, magnitudes whose sum order matters
+const A_DATE: usize = 8;
+const A_NINT: usize = 9; // NULL for every row of K_INT group 0
+const A_NFLOAT: usize = 10;
+const A_STR: usize = 11;
+const A_MIXED: usize = 12;
+const A_SMALL: usize = 13; // safe to do arithmetic on
+const RID: usize = 14; // unique, makes tie order visible
+const WIDTH: usize = 15;
+
+/// Uniform pick from a small pool.
+fn pick<T: Copy>(rng: &mut StdRng, pool: &[T]) -> T {
+    pool[rng.gen_range(0..pool.len())]
+}
+
+/// True once in `k` draws.
+fn one_in(rng: &mut StdRng, k: u32) -> bool {
+    rng.gen_range(0..k) == 0
+}
+
+/// Logical column values, column-major.
+fn generate(rng: &mut StdRng, n: usize) -> Vec<Vec<Value>> {
+    let mut cols: Vec<Vec<Value>> = vec![Vec::new(); WIDTH];
+    let mut run_key = 0i64;
+    for i in 0..n {
+        if one_in(rng, 8) {
+            run_key = rng.gen_range(0..4);
+        }
+        let null = one_in(rng, 3);
+        let int = pick(rng, &[i64::MAX, i64::MAX - 1, i64::MIN, -1, 0, 1, 7, 1 << 40]);
+        let float = pick(rng, &[f64::NAN, 0.0, -0.0, 1e16, 1.0, -1e16, 0.1, 0.2, 0.3, f64::INFINITY]);
+        cols[K_STR].push(Value::Str(pick(rng, &["open", "filled", "void"]).into()));
+        cols[K_INT].push(Value::Int(run_key));
+        cols[K_DATE].push(Value::Date(pick(rng, &[-3, 0, 9_000, 9_001])));
+        cols[K_FLOAT].push(Value::Float(pick(rng, &[0.0, -0.0, f64::NAN, 2.5])));
+        cols[K_NINT].push(if null { Value::Null } else { Value::Int(rng.gen_range(0..3)) });
+        cols[K_MIXED].push(if one_in(rng, 2) { Value::Int(1) } else { Value::Str("1".into()) });
+        cols[A_INT].push(Value::Int(int));
+        cols[A_FLOAT].push(Value::Float(float));
+        cols[A_DATE].push(Value::Date(pick(rng, &[i32::MIN, -1, 0, 18_000, i32::MAX])));
+        cols[A_NINT].push(if null || run_key == 0 { Value::Null } else { Value::Int(int) });
+        cols[A_NFLOAT].push(if null { Value::Null } else { Value::Float(float) });
+        cols[A_STR].push(Value::Str(pick(rng, &["a", "b", "B", ""]).into()));
+        cols[A_MIXED].push(match rng.gen_range(0..3) {
+            0 => Value::Null,
+            1 => Value::Float(float),
+            _ => Value::Str("m".into()),
+        });
+        cols[A_SMALL].push(Value::Int(rng.gen_range(-50..50)));
+        cols[RID].push(Value::Int(i as i64));
+    }
+    cols
+}
+
+/// Physical storage of one column: a clean table's single segment, or a
+/// dirty table's encoded base plus the plain delta its builder would hold.
+struct Stored {
+    base: ColumnData,
+    delta: Option<ColumnData>,
+}
+
+impl Stored {
+    fn new(values: &[Value], policy: EncodingPolicy, split: Option<usize>) -> Stored {
+        let cut = split.unwrap_or(values.len());
+        let base = ColumnData::from_values(&values[..cut]).encoded_with(policy);
+        let delta = split.map(|_| {
+            let mut d = base.empty_like();
+            values[cut..].iter().for_each(|v| d.push(v.clone()));
+            d
+        });
+        Stored { base, delta }
+    }
+
+    fn col_ref(&self) -> ColRef<'_> {
+        match &self.delta {
+            None => ColRef::Single(&self.base),
+            Some(delta) => ColRef::Chunked { base: &self.base, delta },
+        }
+    }
+}
+
+fn col(idx: usize) -> BoundExpr {
+    // The executors resolve columns by position; the declared type is unused.
+    BoundExpr::Column(ColumnRef { table_slot: 0, column_idx: idx, data_type: DataType::Int })
+}
+
+fn agg(func: AggFunc, arg: Option<BoundExpr>, distinct: bool) -> BoundExpr {
+    BoundExpr::Aggregate { func, arg: arg.map(Box::new), distinct }
+}
+
+fn binary(left: BoundExpr, op: BinaryOp, right: BoundExpr) -> BoundExpr {
+    BoundExpr::Binary { left: Box::new(left), op, right: Box::new(right) }
+}
+
+/// The group keys in the output, then every aggregate shape the fold
+/// dispatches on.
+fn outputs(group_by: &[BoundExpr]) -> Vec<AggSpec> {
+    use AggFunc::*;
+    let mut exprs: Vec<BoundExpr> = group_by.to_vec();
+    exprs.push(agg(Count, None, false));
+    for a in [A_INT, A_FLOAT, A_DATE, A_NINT, A_NFLOAT] {
+        for f in [Count, Sum, Avg, Min, Max] {
+            exprs.push(agg(f, Some(col(a)), false));
+        }
+    }
+    // The AggState fallback: DISTINCT, strings, mixed values.
+    exprs.push(agg(Count, Some(col(A_INT)), true));
+    exprs.push(agg(Sum, Some(col(A_FLOAT)), true));
+    exprs.push(agg(Min, Some(col(A_STR)), false));
+    exprs.push(agg(Count, Some(col(A_STR)), false));
+    exprs.push(agg(Max, Some(col(A_MIXED)), false));
+    exprs.push(agg(Sum, Some(col(A_MIXED)), false));
+    // A computed argument, and an output that combines two leaves.
+    let plus_one = binary(col(A_SMALL), BinaryOp::Add, BoundExpr::Literal(Value::Int(1)));
+    exprs.push(agg(Sum, Some(plus_one), false));
+    exprs.push(binary(agg(Max, Some(col(A_SMALL)), false), BinaryOp::Sub, agg(Count, None, false)));
+    exprs.into_iter().map(|expr| AggSpec { expr, label: String::new() }).collect()
+}
+
+/// One group-by per way `assign_groups` hands out ids.
+fn key_sets() -> Vec<Vec<BoundExpr>> {
+    vec![
+        vec![],
+        vec![col(K_STR)],
+        vec![col(K_INT)],
+        vec![col(K_DATE)],
+        vec![col(K_FLOAT)],
+        vec![col(K_NINT)],
+        vec![col(K_MIXED)],
+        vec![col(K_INT), col(K_STR)],
+        vec![binary(col(A_SMALL), BinaryOp::Add, col(K_INT))],
+    ]
+}
+
+/// Rows rendered so that equality is bit equality.
+fn exact(rows: &[Row]) -> Vec<Vec<String>> {
+    let cell = |v: &Value| match v {
+        Value::Float(x) => format!("f{:016x}", x.to_bits()),
+        other => format!("{other:?}"),
+    };
+    rows.iter().map(|r| r.iter().map(cell).collect()).collect()
+}
+
+/// The generated table in both forms the two sides read: physical columns
+/// (with an optional selection) and the materialized rows in dense order.
+struct Fixture {
+    stored: Vec<Stored>,
+    sel: Option<Vec<u32>>,
+    rows: Vec<Row>,
+    schema: Schema,
+    physical: usize,
+}
+
+impl Fixture {
+    fn new(seed: u64, n: usize, policy: EncodingPolicy, dirty: bool, selected: bool) -> Fixture {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let values = generate(&mut rng, n);
+        let split = dirty.then(|| rng.gen_range(n / 2..=n));
+        let stored = values.iter().map(|v| Stored::new(v, policy, split)).collect();
+        let sel = selected.then(|| {
+            let mut s: Vec<u32> = (0..n as u32).filter(|_| !one_in(&mut rng, 4)).collect();
+            if one_in(&mut rng, 2) {
+                s.reverse();
+            }
+            s
+        });
+        let dense: Vec<usize> = match &sel {
+            Some(s) => s.iter().map(|&i| i as usize).collect(),
+            None => (0..n).collect(),
+        };
+        let rows = dense.iter().map(|&i| values.iter().map(|c| c[i].clone()).collect()).collect();
+        let schema = Schema::new((0..WIDTH).map(|c| (0, c)).collect());
+        Fixture { stored, sel, rows, schema, physical: n }
+    }
+
+    fn eval<'a>(&'a self, cfg: &ExecConfig, exprs: &[&BoundExpr]) -> Vec<ExprCol<'a>> {
+        let cols: Vec<Option<ColRef<'a>>> = self.stored.iter().map(|s| Some(s.col_ref())).collect();
+        exprs
+            .iter()
+            .map(|e| {
+                eval_col(cfg, e, &self.schema, &cols, self.sel.as_deref(), self.physical)
+                    .expect("evaluates")
+            })
+            .collect()
+    }
+}
+
+const POLICIES: [EncodingPolicy; 5] = [
+    EncodingPolicy::Auto,
+    EncodingPolicy::Plain,
+    EncodingPolicy::Dict,
+    EncodingPolicy::Rle,
+    EncodingPolicy::For,
+];
+
+fn cfg(threads: usize) -> ExecConfig {
+    ExecConfig { threads, morsel_rows: 16, ..ExecConfig::serial() }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 40, ..ProptestConfig::default() })]
+
+    #[test]
+    fn typed_aggregation_equals_the_row_interpreter(
+        seed in any::<u64>(),
+        n in prop_oneof![Just(0usize), 1usize..40, 64usize..300],
+        policy in 0usize..POLICIES.len(),
+        dirty in any::<bool>(),
+        selected in any::<bool>(),
+        with_having in any::<bool>(),
+        hash in any::<bool>(),
+    ) {
+        let fx = Fixture::new(seed, n, POLICIES[policy], dirty, selected);
+        let guard = ExecGuard::unlimited();
+        let having = with_having
+            .then(|| binary(agg(AggFunc::Count, None, false), BinaryOp::Gt, BoundExpr::Literal(Value::Int(1))));
+        for group_by in key_sets() {
+            let outputs = outputs(&group_by);
+            let mut want_c = WorkCounters::default();
+            let want = aggregate(
+                &mut want_c, &fx.rows, &fx.schema, &group_by, &outputs, having.as_ref(), hash, guard,
+            ).expect("row interpreter aggregates");
+
+            let leaves = collect_all_leaves(&outputs, having.as_ref());
+            for threads in [1, 2, 4] {
+                let cfg = cfg(threads);
+                let key_cols = fx.eval(&cfg, &group_by.iter().collect::<Vec<_>>());
+                let arg_cols: Vec<Option<ExprCol>> = leaves
+                    .iter()
+                    .map(|l| l.arg.as_ref().map(|a| fx.eval(&cfg, &[a]).remove(0)))
+                    .collect();
+                let mut got_c = WorkCounters::default();
+                let got = aggregate_cols(
+                    &mut got_c, guard, fx.rows.len(), fx.sel.as_deref(), &key_cols, &arg_cols,
+                    &group_by, &leaves, &outputs, having.as_ref(), hash,
+                ).expect("typed path aggregates");
+                prop_assert_eq!(exact(&got), exact(&want), "rows, keys {:?}, {} threads", group_by, threads);
+                prop_assert_eq!(got_c, want_c, "counters, keys {:?}", group_by);
+            }
+        }
+    }
+
+    /// Heavy ties (four or five distinct key values) with OFFSET: the row id
+    /// column shows which of the tied rows each side kept, in which order.
+    #[test]
+    fn typed_top_n_and_index_sort_equal_the_row_sorts(
+        seed in any::<u64>(),
+        n in prop_oneof![Just(0usize), 1usize..40, 64usize..300],
+        policy in 0usize..POLICIES.len(),
+        dirty in any::<bool>(),
+        selected in any::<bool>(),
+        desc in any::<bool>(),
+        limit in 0u64..9,
+        offset in 0u64..6,
+    ) {
+        let fx = Fixture::new(seed, n, POLICIES[policy], dirty, selected);
+        let guard = ExecGuard::unlimited();
+        let sel: Vec<u32> = fx.sel.clone().unwrap_or_else(|| (0..n as u32).collect());
+        let rids = |idxs: &[u32]| idxs.iter().map(|&i| Value::Int(i as i64)).collect::<Vec<_>>();
+        let rid_col = |rows: &[Row]| rows.iter().map(|r| r[RID].clone()).collect::<Vec<_>>();
+        let key_sets = [
+            vec![K_INT], vec![K_DATE], vec![K_FLOAT], vec![K_NINT], vec![K_STR], vec![K_MIXED],
+            vec![K_FLOAT, K_INT],
+        ];
+        for key_set in key_sets {
+            let keys: Vec<(BoundExpr, bool)> =
+                key_set.iter().enumerate().map(|(i, &k)| (col(k), desc ^ (i == 1))).collect();
+            let descs: Vec<bool> = keys.iter().map(|(_, d)| *d).collect();
+            let mut want_c = WorkCounters::default();
+            let want_top = top_n(&mut want_c, fx.rows.clone(), &fx.schema, &keys, limit, offset, guard)
+                .expect("row top-N");
+            let want_sorted = full_sort(&mut want_c, fx.rows.clone(), &fx.schema, &keys, guard)
+                .expect("row sort");
+            for threads in [1, 2, 4] {
+                let cfg = cfg(threads);
+                let key_cols = fx.eval(&cfg, &keys.iter().map(|(k, _)| k).collect::<Vec<_>>());
+                let mut got_c = WorkCounters::default();
+                let top = top_n_indices(&mut got_c, &key_cols, &descs, sel.clone(), limit, offset, guard);
+                let sorted = full_sort_indices_par(&mut got_c, &cfg, &key_cols, &descs, sel.clone());
+                prop_assert_eq!(rids(&top), rid_col(&want_top), "top-N, keys {:?}", key_set);
+                prop_assert_eq!(rids(&sorted), rid_col(&want_sorted), "sort, keys {:?}", key_set);
+                prop_assert_eq!(got_c, want_c, "counters, keys {:?}", key_set);
+            }
+        }
+    }
+}

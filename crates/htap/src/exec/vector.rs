@@ -21,13 +21,14 @@
 //! operators outside the AP vocabulary fall back to the row interpreter.
 //!
 //! With an [`ExecConfig`] of more than one thread, the hot kernels (filter
-//! masks, join pair-finding, gathers, expression evaluation, grouped folds,
-//! sorts) fan out morsel-wise over a scoped worker pool ([`super::parallel`])
+//! masks, join pair-finding, gathers, expression evaluation, sorts) fan out
+//! morsel-wise over a scoped worker pool ([`super::parallel`])
 //! using strategies chosen to keep rows *and* counters bit-identical to the
 //! serial path — `threads == 1` (the default on a single-core host) is the
 //! exact serial executor.
 
 use super::parallel::{self, ExecConfig};
+use super::typed::{self, ExprCol};
 use super::{agg, produces_final_rows, sort, ExecError, Row, WorkCounters};
 use crate::engine::Database;
 use crate::eval::{eval_predicate_mask, BatchView, Schema};
@@ -536,28 +537,29 @@ impl<'a> VecExecutor<'a> {
 
         let cols: Vec<Option<ColRef>> = batch.cols.iter().map(BatchCol::as_ref).collect();
         let sel = batch.sel.as_deref();
-        // Key/argument columns materialize one cell per selected row each.
+        // Computed key/argument columns materialize one cell per selected
+        // row each (bare columns pass through as stored; charged alike).
         self.cfg.guard().charge_cells(
             batch.selected_len() as u64 * (group_by.len() + leaves.len()).max(1) as u64,
         )?;
-        let key_cols: Vec<ColumnData> = group_by
+        let key_cols: Vec<ExprCol> = group_by
             .iter()
-            .map(|g| parallel::par_eval_batch(self.cfg, g, &schema, &cols, sel, batch.rows))
+            .map(|g| typed::eval_col(self.cfg, g, &schema, &cols, sel, batch.rows))
             .collect::<Result<_, _>>()?;
-        let arg_cols: Vec<Option<ColumnData>> = leaves
+        let arg_cols: Vec<Option<ExprCol>> = leaves
             .iter()
             .map(|l| {
                 l.arg
                     .as_ref()
-                    .map(|a| parallel::par_eval_batch(self.cfg, a, &schema, &cols, sel, batch.rows))
+                    .map(|a| typed::eval_col(self.cfg, a, &schema, &cols, sel, batch.rows))
                     .transpose()
             })
             .collect::<Result<_, _>>()?;
-        let len = sel.map(|s| s.len()).unwrap_or(batch.rows);
-        let rows = agg::aggregate_cols_partitioned(
+        let rows = agg::aggregate_cols(
             &mut self.counters,
-            self.cfg,
-            len,
+            self.cfg.guard(),
+            batch.selected_len(),
+            sel,
             &key_cols,
             &arg_cols,
             group_by,
@@ -578,11 +580,11 @@ impl<'a> VecExecutor<'a> {
         let child = &node.children[0];
         let child_needs = needs.with_exprs(keys.iter().map(|(k, _)| k));
         let mut batch = self.run_batch(child, &child_needs)?;
-        let schema = child.output_schema();
-        let (key_cols, descs) = self.sort_keys(keys, &schema, &batch)?;
         let sel = batch.take_selection();
+        let (key_cols, descs) = self.sort_keys(keys, &child.output_schema(), &batch, &sel)?;
         let sorted =
             sort::full_sort_indices_par(&mut self.counters, self.cfg, &key_cols, &descs, sel);
+        drop(key_cols);
         Ok(VOut::Batch(Batch::plain(batch.cols, Some(sorted), batch.rows)))
     }
 
@@ -597,9 +599,8 @@ impl<'a> VecExecutor<'a> {
         let child = &node.children[0];
         let child_needs = needs.with_exprs(keys.iter().map(|(k, _)| k));
         let mut batch = self.run_batch(child, &child_needs)?;
-        let schema = child.output_schema();
-        let (key_cols, descs) = self.sort_keys(keys, &schema, &batch)?;
         let sel = batch.take_selection();
+        let (key_cols, descs) = self.sort_keys(keys, &child.output_schema(), &batch, &sel)?;
         let top = sort::top_n_indices(
             &mut self.counters,
             &key_cols,
@@ -609,23 +610,26 @@ impl<'a> VecExecutor<'a> {
             offset,
             self.cfg.guard(),
         );
+        drop(key_cols);
         Ok(VOut::Batch(Batch::plain(batch.cols, Some(top), batch.rows)))
     }
 
-    fn sort_keys(
+    /// The sort-key columns of `batch` under its (already taken) selection
+    /// `sel`, plus each key's direction.
+    fn sort_keys<'b>(
         &mut self,
         keys: &[(BoundExpr, bool)],
         schema: &Schema,
-        batch: &Batch<'_>,
-    ) -> Result<(Vec<ColumnData>, Vec<bool>), ExecError> {
-        let cols: Vec<Option<ColRef>> = batch.cols.iter().map(BatchCol::as_ref).collect();
-        let sel = batch.sel.as_deref();
+        batch: &'b Batch<'_>,
+        sel: &[u32],
+    ) -> Result<(Vec<ExprCol<'b>>, Vec<bool>), ExecError> {
+        let cols: Vec<Option<ColRef<'b>>> = batch.cols.iter().map(BatchCol::as_ref).collect();
         self.cfg
             .guard()
-            .charge_cells(batch.selected_len() as u64 * keys.len().max(1) as u64)?;
-        let key_cols: Vec<ColumnData> = keys
+            .charge_cells(sel.len() as u64 * keys.len().max(1) as u64)?;
+        let key_cols: Vec<ExprCol<'b>> = keys
             .iter()
-            .map(|(k, _)| parallel::par_eval_batch(self.cfg, k, schema, &cols, sel, batch.rows))
+            .map(|(k, _)| typed::eval_col(self.cfg, k, schema, &cols, Some(sel), batch.rows))
             .collect::<Result<_, _>>()?;
         // Discard truncated key columns before the sort kernels index them
         // against the full selection.

@@ -142,9 +142,10 @@
 //!   by [`exec::ExecConfig`] (default: available cores; 1 thread is the
 //!   exact serial path). Dense kernel ranges split into fixed-size morsels
 //!   (cut at base/delta chunk boundaries); hash-join builds partition by
-//!   key hash while probes stream morsel-wise; grouped aggregation
-//!   partitions *groups* across workers so each group folds on one worker
-//!   in global row order (float sums keep the serial association order);
+//!   key hash while probes stream morsel-wise; aggregation evaluates its
+//!   key and argument expressions per morsel, then folds them
+//!   column-at-a-time over dense group ids in global row order (float sums
+//!   keep the serial association order);
 //!   sorts stable-sort chunks and merge with ties to the lower chunk. Every
 //!   merge is order-restoring, so parallel output is **bit-identical** to
 //!   serial — rows and counters alike, at any thread count, on clean and

@@ -260,8 +260,9 @@ impl ForInt {
 pub struct DictColumn {
     /// One code per row.
     pub codes: Vec<u32>,
-    /// Distinct strings, indexed by code.
-    pub values: Vec<String>,
+    /// Distinct strings, indexed by code. Shared, so gathers and morsel
+    /// pieces of one column carry the same table instead of copies of it.
+    pub values: Arc<[String]>,
 }
 
 impl DictColumn {
@@ -315,7 +316,7 @@ impl DictColumn {
             codes.push(code);
         }
         if forced || values.len() * 4 <= strings.len() {
-            Some(DictColumn { codes, values })
+            Some(DictColumn { codes, values: values.into() })
         } else {
             None
         }
@@ -760,6 +761,14 @@ impl ColumnData {
             (ColumnData::Float(a), ColumnData::Float(b)) => a.extend(b),
             (ColumnData::Str(a), ColumnData::Str(b)) => a.extend(b),
             (ColumnData::Date(a), ColumnData::Date(b)) => a.extend(b),
+            // Pieces of one dictionary column share its table, so the codes
+            // concatenate; unrelated dictionaries number their values
+            // differently and demote below.
+            (ColumnData::Dict(a), ColumnData::Dict(b))
+                if Arc::ptr_eq(&a.values, &b.values) || a.values == b.values =>
+            {
+                a.codes.extend(b.codes)
+            }
             (
                 ColumnData::Nullable { nulls, values },
                 ColumnData::Nullable { nulls: n2, values: v2 },
@@ -805,7 +814,7 @@ impl ColumnData {
             }
             ColumnData::Dict(d) => ColumnData::Dict(DictColumn {
                 codes: idxs.iter().map(|&i| d.codes[i as usize]).collect(),
-                values: d.values.clone(),
+                values: Arc::clone(&d.values),
             }),
             ColumnData::RleInt(r) => {
                 ColumnData::Int(idxs.iter().map(|&i| r.get(i as usize)).collect())
@@ -1697,6 +1706,36 @@ mod tests {
             ColumnData::from_values(&unique).encoded(),
             ColumnData::Str(_)
         ));
+    }
+
+    #[test]
+    fn append_keeps_a_shared_dictionary_and_demotes_unrelated_ones() {
+        let strs = |names: &[&str], n: usize| -> Vec<Value> {
+            (0..n).map(|i| Value::Str(names[i % names.len()].to_string())).collect()
+        };
+        let col = ColumnData::from_values(&strs(&["red", "green", "blue"], 200)).encoded();
+        // Two morsel gathers of one column share its table: codes concatenate.
+        let mut spliced = col.gather_rows(&[0, 1, 2]);
+        spliced.append(col.gather_rows(&[5, 4]));
+        let ColumnData::Dict(d) = &spliced else {
+            panic!("pieces of one dictionary column must stay Dict");
+        };
+        assert_eq!(d.codes, vec![0, 1, 2, 2, 1]);
+        let ColumnData::Dict(orig) = &col else { panic!("expected Dict") };
+        assert!(Arc::ptr_eq(&d.values, &orig.values), "the table is shared, not copied");
+        // An equal table built separately (a reloaded segment) also splices.
+        let twin = ColumnData::from_values(&strs(&["red", "green", "blue"], 200)).encoded();
+        let mut spliced = col.gather_rows(&[0]);
+        spliced.append(twin.gather_rows(&[1]));
+        assert!(matches!(spliced, ColumnData::Dict(_)));
+        // Different dictionaries number their values differently: demote,
+        // and every cell still reads back unchanged.
+        let other = ColumnData::from_values(&strs(&["blue", "red"], 200)).encoded();
+        let mut mixed = col.gather_rows(&[0, 1]);
+        mixed.append(other.gather_rows(&[0, 1]));
+        assert!(matches!(mixed, ColumnData::Mixed(_)));
+        let got: Vec<Value> = (0..4).map(|i| mixed.get(i)).collect();
+        assert_eq!(got, strs(&["red", "green", "blue", "red"], 4));
     }
 
     #[test]

@@ -132,7 +132,7 @@ fn put_col(buf: &mut Vec<u8>, col: &ColumnData) {
                 codec::put_u32(buf, *c);
             }
             codec::put_u32(buf, d.values.len() as u32);
-            for s in &d.values {
+            for s in d.values.iter() {
                 codec::put_str(buf, s);
             }
         }
@@ -227,7 +227,7 @@ fn read_col(r: &mut Reader<'_>, allow_nullable: bool) -> Result<ColumnData, Dura
                     "dictionary code out of range".into(),
                 ));
             }
-            ColumnData::Dict(DictColumn { codes, values })
+            ColumnData::Dict(DictColumn { codes, values: values.into() })
         }
         5 => {
             let n = r.count(12)?;

@@ -91,6 +91,12 @@ echo "==> loadgen smoke (ephemeral-port server, 8 wire clients, all three traffi
 # protocol errors after the multi-client traffic.
 cargo run --release -p qpe_bench --bin loadgen -- --smoke
 
+echo "==> repo benchmark correctness gates (analytic: AP ≡ TP per statement class, zero failed ops)"
+# The exit code is the gate: run.sh fails when a class disagrees across
+# engines or any operation fails. Three seconds, untraced — the timings it
+# prints are ignored here (a perf PR compares them with benchmark/compare.sh).
+bash benchmark/run.sh --workload analytic --seconds 3 --trace 0
+
 echo "==> dirty-table executor comparison (encoded base + delta + tombstones)"
 # --dirty applies uncompacted INSERT/DELETEs first, so the scalar-vs-batch
 # agreement check runs over dictionary-encoded base blocks read through

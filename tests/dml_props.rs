@@ -86,6 +86,24 @@ fn apply(sys: &mut HtapSystem, op: Op, seed: u64, i: usize) {
     }
 }
 
+/// Aggregations and top-Ns over every way the batch executor assigns group
+/// ids and folds leaves — dictionary, integer and multi-column keys, scalar
+/// aggregates, typed and DISTINCT/string leaves, HAVING, and top-N over
+/// heavily tied typed keys with OFFSET — to hold to the row interpreter on
+/// dirty (base + delta, tombstoned) and freshly compacted tables alike.
+const AGGREGATES_AND_TOP_NS: [&str; 6] = [
+    "SELECT c_mktsegment, COUNT(*), SUM(c_acctbal) FROM customer \
+     GROUP BY c_mktsegment ORDER BY c_mktsegment",
+    "SELECT c_nationkey, COUNT(*), AVG(c_acctbal), MIN(c_acctbal), MAX(c_custkey) \
+     FROM customer GROUP BY c_nationkey ORDER BY c_nationkey",
+    "SELECT COUNT(*), SUM(c_custkey), MIN(c_name), COUNT(DISTINCT c_mktsegment) FROM customer",
+    "SELECT c_mktsegment, c_nationkey, COUNT(*) FROM customer \
+     GROUP BY c_mktsegment, c_nationkey HAVING COUNT(*) > 1 \
+     ORDER BY c_mktsegment, c_nationkey",
+    "SELECT c_custkey, c_nationkey FROM customer ORDER BY c_nationkey DESC LIMIT 7 OFFSET 3",
+    "SELECT c_custkey, c_acctbal FROM customer WHERE c_custkey > 5 ORDER BY c_acctbal LIMIT 5",
+];
+
 fn sorted(mut rows: Vec<Row>) -> Vec<Row> {
     rows.sort_by(|a, b| {
         for (x, y) in a.iter().zip(b.iter()) {
@@ -236,11 +254,9 @@ proptest! {
         // 2. Scalar and batch executors agree on the dirty table
         //    (engine_equivalence invariants extended to the write path).
         assert_executor_equivalence(&sys, "SELECT * FROM customer");
-        assert_executor_equivalence(
-            &sys,
-            "SELECT c_mktsegment, COUNT(*), SUM(c_acctbal) FROM customer \
-             GROUP BY c_mktsegment ORDER BY c_mktsegment",
-        );
+        for sql in AGGREGATES_AND_TOP_NS {
+            assert_executor_equivalence(&sys, sql);
+        }
 
         // 3. Dual-engine pipeline keeps its internal agreement check green
         //    on filtered/aggregated reads over the written table.
@@ -257,6 +273,9 @@ proptest! {
         prop_assert_eq!(&tp_after, &ap_after, "TP vs AP post-compaction");
         prop_assert_eq!(&tp_rows, &tp_after, "compaction changed results");
         assert_executor_equivalence(&sys, "SELECT * FROM customer");
+        for sql in AGGREGATES_AND_TOP_NS {
+            assert_executor_equivalence(&sys, sql);
+        }
     }
 
     /// Row counts reported by storage, statistics and the catalog stay

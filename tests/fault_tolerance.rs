@@ -23,7 +23,7 @@
 //!   instead of dying or spinning.
 
 use proptest::prelude::*;
-use qpe_htap::engine::{BackgroundCompaction, DurabilityOptions, HtapSystem};
+use qpe_htap::engine::{BackgroundCompaction, DurabilityOptions, EngineKind, HtapSystem};
 use qpe_htap::exec::{ExecConfig, Row, StatementLimits, WorkCounters};
 use qpe_htap::storage::{FailPoints, SyncPolicy};
 use qpe_htap::tpch::TpchConfig;
@@ -246,6 +246,73 @@ fn cancellation_interrupts_a_parallel_scan() {
     // The raised flag belongs to the cancelled statement only.
     let next = session.execute_sql("SELECT COUNT(*) FROM customer").expect("next statement");
     assert!(next.as_query().is_some());
+}
+
+/// The typed aggregation and top-N loops answer to the statement guard at
+/// scale: over 600 k `lineitem` rows a deadline and a cross-thread cancel
+/// each stop a dictionary-key group-by and a single-float-key top-N with the
+/// typed error and no rows, well before the statement would have finished,
+/// and the next run of the same statement returns the full result again.
+#[test]
+fn typed_group_by_and_top_n_stay_governed_at_scale() {
+    let sys = Arc::new(HtapSystem::new(&TpchConfig::with_scale(0.1)));
+    let session = Session::new(sys);
+    session.pin_engine(Some(EngineKind::Ap));
+    let rows_of = |out: &qpe_htap::engine::StatementOutcome| {
+        out.as_pinned().expect("pinned query").run.rows.clone()
+    };
+    for sql in [
+        "SELECT l_linestatus, COUNT(*), SUM(l_extendedprice) FROM lineitem \
+         GROUP BY l_linestatus ORDER BY l_linestatus",
+        "SELECT l_orderkey, l_extendedprice FROM lineitem WHERE l_quantity >= 1 \
+         ORDER BY l_extendedprice DESC LIMIT 20",
+    ] {
+        let want = rows_of(&session.execute_sql(sql).expect("warm-up run"));
+        assert!(!want.is_empty());
+        let started = Instant::now();
+        session.execute_sql(sql).expect("ungoverned run");
+        let full = started.elapsed();
+
+        // Deadline a quarter of the way in. The loops poll the guard, so the
+        // statement returns near the deadline rather than at its end; host
+        // noise gets a few attempts to show that once.
+        let limits = StatementLimits { timeout: Some(full / 4), memory_budget: None };
+        let mut stopped_early = false;
+        for _ in 0..5 {
+            let started = Instant::now();
+            match session.execute_sql_with(sql, &limits) {
+                Err(HtapError::Timeout { limit }) => assert_eq!(limit, full / 4),
+                other => panic!("expected Timeout for {sql}, got {other:?}"),
+            }
+            stopped_early |= started.elapsed() < full * 3 / 4;
+        }
+        assert!(stopped_early, "deadline only ever surfaced after the loops finished: {sql}");
+
+        // Cancel from another thread, swept across the statement's duration.
+        let mut cancelled = false;
+        for attempt in 0..40u32 {
+            let handle = session.cancel_handle();
+            let delay = full * attempt / 40;
+            let canceller = std::thread::spawn(move || {
+                std::thread::sleep(delay);
+                handle.cancel();
+            });
+            let out = session.execute_sql(sql);
+            canceller.join().expect("canceller thread");
+            match out {
+                Err(HtapError::Cancelled) => {
+                    cancelled = true;
+                    break;
+                }
+                Err(e) => panic!("cancellation must not surface as {e}"),
+                Ok(out) => assert_eq!(rows_of(&out), want, "a late cancel leaves the result whole"),
+            }
+        }
+        assert!(cancelled, "no cancel landed in-flight across the delay sweep: {sql}");
+
+        let again = session.execute_sql(sql).expect("the session runs clean afterwards");
+        assert_eq!(rows_of(&again), want);
+    }
 }
 
 /// A zero deadline trips `Timeout` on queries (at the first governance
