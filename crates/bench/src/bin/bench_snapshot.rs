@@ -78,26 +78,10 @@
 //! cargo run --release --bin bench_snapshot                # print + write
 //! cargo run --release --bin bench_snapshot -- --check     # print only
 //! cargo run --release --bin bench_snapshot -- --threads 4 # AP cases at 4 threads
-//! cargo run --release --bin bench_snapshot -- --compare scalar,batch
-//! cargo run --release --bin bench_snapshot -- --compare scalar,batch --dirty
-//! cargo run --release --bin bench_snapshot -- --compare batch,par4
-//! cargo run --release --bin bench_snapshot -- --compare scalar,batch --dirty --encoding rle
 //! ```
-//!
-//! `--compare A,B` times any two executor modes side by side on every AP
-//! plan; modes are `scalar` (row interpreter), `batch` (serial vectorized)
-//! and `parN` (morsel-parallel at N threads). Bare `--compare` defaults to
-//! `scalar,batch`; `--dirty` first applies uncompacted DML so the modes are
-//! compared over the encoded-base + delta + tombstone read path;
-//! `--encoding plain|dict|rle|for|auto` pins that base representation on
-//! the compared tables first (the agreement assertions then gate the forced
-//! encoding).
 
 use qpe_htap::engine::{EngineKind, HtapSystem};
-use qpe_htap::exec::{
-    execute_parallel, execute_scalar, execute_vectorized, ExecConfig, Row, StatementLimits,
-    WorkCounters,
-};
+use qpe_htap::exec::{execute_parallel, ExecConfig, StatementLimits};
 use qpe_htap::opt::{ap, PlannerCtx};
 use qpe_htap::tpch::TpchConfig;
 use std::hint::black_box;
@@ -165,80 +149,6 @@ fn time_ns(mut f: impl FnMut()) -> u64 {
         samples.push(start.elapsed().as_nanos() as f64 / iters as f64);
     }
     median_ns(samples)
-}
-
-/// An executor mode `--compare` can pit against another.
-#[derive(Clone, Copy, Debug)]
-enum Mode {
-    /// Row interpreter.
-    Scalar,
-    /// Serial vectorized batch executor.
-    Batch,
-    /// Morsel-parallel batch executor at N threads.
-    Par(usize),
-}
-
-impl Mode {
-    fn parse(s: &str) -> Option<Mode> {
-        match s {
-            "scalar" => Some(Mode::Scalar),
-            "batch" => Some(Mode::Batch),
-            _ => s
-                .strip_prefix("par")
-                .and_then(|n| n.parse::<usize>().ok())
-                .map(Mode::Par),
-        }
-    }
-
-    fn label(&self) -> String {
-        match self {
-            Mode::Scalar => "scalar".into(),
-            Mode::Batch => "batch".into(),
-            Mode::Par(n) => format!("par{n}"),
-        }
-    }
-
-    fn run(
-        &self,
-        plan: &qpe_htap::PlanNode,
-        bound: &qpe_sql::binder::BoundQuery,
-        db: &qpe_htap::Database,
-    ) -> (Vec<Row>, WorkCounters) {
-        match self {
-            Mode::Scalar => execute_scalar(plan, bound, db, EngineKind::Ap).expect("scalar"),
-            Mode::Batch => execute_vectorized(plan, bound, db).expect("batch"),
-            Mode::Par(n) => {
-                execute_parallel(plan, bound, db, &ExecConfig::with_threads(*n))
-                    .expect("parallel")
-            }
-        }
-    }
-}
-
-/// AP-plan execution: any two executor modes, side by side. Also verifies
-/// the modes agree on rows and counters before timing them.
-fn compare_executors(sys: &HtapSystem, a: Mode, b: Mode) {
-    let db = sys.database();
-    let (la, lb) = (a.label(), b.label());
-    for (name, sql) in CASES {
-        let bound = sys.bind(sql).expect("binds");
-        let ctx = PlannerCtx::new(&bound, db.stats(), db.catalog());
-        let plan = ap::plan(&ctx).expect("ap plan");
-        let (rows_a, counters_a) = a.run(&plan, &bound, &db);
-        let (rows_b, counters_b) = b.run(&plan, &bound, &db);
-        assert_eq!(rows_a, rows_b, "{la} vs {lb} rows diverged for {name}");
-        assert_eq!(counters_a, counters_b, "{la} vs {lb} counters diverged for {name}");
-        let ns_a = time_ns(|| {
-            black_box(a.run(black_box(&plan), &bound, &db));
-        });
-        let ns_b = time_ns(|| {
-            black_box(b.run(black_box(&plan), &bound, &db));
-        });
-        println!(
-            "ap_{name:<20} {la} {ns_a:>10} ns   {lb} {ns_b:>10} ns   speedup {:.2}x",
-            ns_a as f64 / ns_b.max(1) as f64
-        );
-    }
 }
 
 /// Zone-map pruning cases at scale 0.02 (orders: 30k rows, ~59 adaptive
@@ -439,23 +349,6 @@ fn encoding_cases() -> Vec<(String, u64)> {
     out
 }
 
-/// Applies uncompacted DML so `--compare --dirty` exercises the encoded
-/// base + typed delta + tombstone read path: inserts grow a delta over
-/// `customer` (whose segment column is dictionary-encoded at load) and
-/// range deletes tombstone base rows.
-fn dirty_for_compare(sys: &mut HtapSystem) {
-    let base = sys
-        .database()
-        .stored_table("customer")
-        .expect("customer exists")
-        .row_count();
-    bulk_insert_customers(sys, 920_000, (base / 4).max(8));
-    sys.execute_statement("DELETE FROM customer WHERE c_custkey BETWEEN 10 AND 30")
-        .expect("delete runs");
-    let fresh = sys.freshness("customer").expect("freshness");
-    assert!(fresh.delta_rows > 0 && fresh.deleted_rows > 0, "table must be dirty");
-}
-
 const INSERT_SQL: &str = "INSERT INTO customer (c_custkey, c_name, c_nationkey, c_phone, \
      c_acctbal, c_mktsegment) VALUES (900001, 'customer#900001', 4, '20-555-000-1111', \
      1234.56, 'machinery')";
@@ -633,7 +526,8 @@ fn parallel_cases() -> Vec<(String, u64)> {
         let bound = sys.bind(sql).expect("binds");
         let ctx = PlannerCtx::new(&bound, db.stats(), db.catalog());
         let plan = ap::plan(&ctx).expect("ap plan");
-        let (_, counters) = execute_vectorized(&plan, &bound, &db).expect("counters");
+        let (_, counters) =
+            execute_parallel(&plan, &bound, &db, &ExecConfig::serial()).expect("counters");
         for threads in [1usize, 2, 4] {
             let cfg = ExecConfig::with_threads(threads);
             let ns = time_ns(|| {
@@ -964,10 +858,12 @@ fn mvcc_cases() -> Vec<(&'static str, u64)> {
     let probe =
         "SELECT COUNT(*), SUM(c_acctbal) FROM customer WHERE c_mktsegment = 'machinery'";
     let (plan, bound) = sys.pin_snapshot().plan(probe).expect("plans");
+    let serial = ExecConfig::serial();
     let read_p99 = |sys: &HtapSystem| -> u64 {
         let read_once = || {
             let snap = sys.pin_snapshot();
-            black_box(execute_vectorized(&plan, &bound, snap.database()).expect("snapshot read"));
+            let read = execute_parallel(&plan, &bound, snap.database(), &serial);
+            black_box(read.expect("snapshot read"));
         };
         for _ in 0..50 {
             read_once();
@@ -1082,43 +978,6 @@ fn main() {
         }
         return;
     }
-    if std::env::args().any(|a| a == "--compare") {
-        let spec = arg_value("--compare").unwrap_or_default();
-        let (a, b) = match spec.split_once(',') {
-            Some((a, b)) => (
-                Mode::parse(a.trim()).unwrap_or_else(|| panic!("unknown mode {a:?}")),
-                Mode::parse(b.trim()).unwrap_or_else(|| panic!("unknown mode {b:?}")),
-            ),
-            None => (Mode::Scalar, Mode::Batch),
-        };
-        // `--dirty` leaves uncompacted writes in place so the comparison
-        // exercises the encoded-base + delta + tombstone read path.
-        if std::env::args().any(|a| a == "--dirty") {
-            println!("(--dirty: comparing over an uncompacted post-DML table)");
-            dirty_for_compare(&mut sys);
-        }
-        // `--encoding P` pins one base encoding (plain/dict/rle/for/auto)
-        // on the compared tables, so the mode-agreement assertions run over
-        // that forced representation (the CI forced-encoding gate).
-        if let Some(enc) = arg_value("--encoding") {
-            use qpe_htap::storage::col_store::EncodingPolicy;
-            let policy = match enc.as_str() {
-                "plain" => EncodingPolicy::Plain,
-                "dict" => EncodingPolicy::Dict,
-                "rle" => EncodingPolicy::Rle,
-                "for" => EncodingPolicy::For,
-                "auto" => EncodingPolicy::Auto,
-                other => panic!("unknown encoding {other:?}"),
-            };
-            println!("(--encoding {enc}: bases re-encoded under the pinned policy)");
-            for t in ["customer", "orders"] {
-                assert!(sys.database_mut().set_encoding_policy(t, policy));
-            }
-        }
-        compare_executors(&sys, a, b);
-        return;
-    }
-
     // `--threads N` runs the per-engine cases with a parallel AP executor
     // (the TP side and the snapshot's parallel cases are unaffected). The
     // ap_* labels don't encode the thread count, so a threads run is

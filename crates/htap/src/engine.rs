@@ -1071,12 +1071,6 @@ pub struct HtapSystem {
     /// their physical plans, keyed by SQL fingerprint, LRU-evicted, with
     /// hit/miss stats.
     plan_cache: PlanCache,
-    /// MVCC snapshot reads (default on; `QPE_MVCC_READS=0` restores the
-    /// legacy hold-the-read-lock-for-the-whole-statement path). When on,
-    /// the AP side of every read pins a snapshot epoch under the read lock
-    /// and executes after releasing it, so a long scan never blocks a
-    /// writer. Results are identical either way.
-    mvcc_reads: bool,
     /// Degraded-mode latch + fault counters, shared with the compactor.
     health: Arc<HealthState>,
     /// Default [`StatementLimits`] applied to every statement that does not
@@ -1105,7 +1099,6 @@ impl HtapSystem {
             priced_threads: ExecConfig::env_requested_threads().unwrap_or(1) as u64,
             pruning: true,
             plan_cache: PlanCache::default(),
-            mvcc_reads: std::env::var("QPE_MVCC_READS").map(|v| v != "0").unwrap_or(true),
             health: Arc::new(HealthState::new()),
             limits: StatementLimits::default(),
         }
@@ -1286,7 +1279,7 @@ impl HtapSystem {
         // Read lock: DML takes the write lock, so nothing can commit between
         // the rotation point and the snapshot — the segments hold exactly
         // the state the old log's tail described.
-        let db = self.db_read();
+        let db = self.database();
         d.wal
             .rotate(new_wal, WalRecord::Checkpoint { version })
             .map_err(|e| self.degrade_on("wal rotate", e))?;
@@ -1423,7 +1416,7 @@ impl HtapSystem {
     pub fn background_compact_all(&self) -> Result<usize, HtapError> {
         self.check_writable()?;
         let tables: Vec<String> = {
-            let db = self.db_read();
+            let db = self.database();
             db.tables
                 .iter()
                 .filter(|(_, st)| st.compaction_debt() > 0)
@@ -1457,7 +1450,7 @@ impl HtapSystem {
     /// writes block while it lives, so keep it short-lived; any number of
     /// concurrent readers proceed in parallel.
     pub fn database(&self) -> RwLockReadGuard<'_, Database> {
-        self.db_read()
+        read_recovered(&self.db, &self.health)
     }
 
     /// Mutable database access (index creation, compaction knobs).
@@ -1469,10 +1462,6 @@ impl HtapSystem {
     /// with [`HtapSystem::checkpoint`] if they must survive a crash.
     pub fn database_mut(&mut self) -> RwLockWriteGuard<'_, Database> {
         self.db_write()
-    }
-
-    fn db_read(&self) -> RwLockReadGuard<'_, Database> {
-        read_recovered(&self.db, &self.health)
     }
 
     fn db_write(&self) -> RwLockWriteGuard<'_, Database> {
@@ -1610,49 +1599,29 @@ impl HtapSystem {
 
     /// Binds a SQL string against the system catalog.
     pub fn bind(&self, sql: &str) -> Result<BoundQuery, HtapError> {
-        Ok(Binder::new(self.db_read().catalog()).bind_sql(sql)?)
+        Ok(Binder::new(self.database().catalog()).bind_sql(sql)?)
     }
 
     /// Binds any statement (read or write) against the system catalog.
     pub fn bind_statement(&self, sql: &str) -> Result<BoundStatement, HtapError> {
-        Ok(Binder::new(self.db_read().catalog()).bind_statement(sql)?)
+        Ok(Binder::new(self.database().catalog()).bind_statement(sql)?)
     }
 
     /// Optimizes a bound query for one engine (EXPLAIN without execution).
     pub fn explain(&self, bound: &BoundQuery, engine: EngineKind) -> Result<PlanNode, HtapError> {
-        self.plan_on(&self.db_read(), bound, engine)
+        plan_on(&self.database(), bound, engine, self.pruning)
     }
 
-    fn plan_on(
-        &self,
-        db: &Database,
-        bound: &BoundQuery,
-        engine: EngineKind,
-    ) -> Result<PlanNode, HtapError> {
-        let mut ctx = PlannerCtx::new(bound, db.stats(), db.catalog());
-        ctx.pushdown = self.pruning;
-        Ok(match engine {
-            EngineKind::Tp => tp::plan(&ctx)?,
-            EngineKind::Ap => ap::plan(&ctx)?,
-        })
-    }
-
-    /// Runs a bound query on one engine. AP runs execute on a pinned MVCC
-    /// snapshot with the read lock released (unless MVCC reads are off).
+    /// Runs a bound query on one engine. An AP run executes on a pinned
+    /// MVCC snapshot with the read lock released.
     pub fn run_engine(
         &self,
         bound: &BoundQuery,
         engine: EngineKind,
     ) -> Result<EngineRun, HtapError> {
-        let db = self.db_read();
-        let plan = self.plan_on(&db, bound, engine)?;
-        let guard = self.statement_guard();
-        if engine == EngineKind::Ap && self.mvcc_reads {
-            let snap = db.pin_snapshot();
-            drop(db);
-            return self.run_plan_on(&snap, plan, bound, engine, &guard);
-        }
-        self.run_plan_on(&db, plan, bound, engine, &guard)
+        let engines = Engines::Pinned(engine, None);
+        self.read(bound, engines, &self.statement_guard())
+            .map(Runs::into_pinned)
     }
 
     /// Executes an already-built physical plan on one engine (the prepared
@@ -1663,14 +1632,70 @@ impl HtapSystem {
         bound: &BoundQuery,
         engine: EngineKind,
     ) -> Result<EngineRun, HtapError> {
-        let db = self.db_read();
-        let guard = self.statement_guard();
-        if engine == EngineKind::Ap && self.mvcc_reads {
-            let snap = db.pin_snapshot();
-            drop(db);
-            return self.run_plan_on(&snap, plan, bound, engine, &guard);
+        let engines = Engines::Pinned(engine, Some(plan));
+        self.read(bound, engines, &self.statement_guard())
+            .map(Runs::into_pinned)
+    }
+
+    /// Full pipeline: bind, run on both engines, check result agreement.
+    /// Governed by the system-default [`StatementLimits`].
+    pub fn run_sql(&self, sql: &str) -> Result<QueryOutcome, HtapError> {
+        let bound = self.bind(sql)?;
+        let engines = Engines::Dual(None, None);
+        let Runs::Dual(tp, ap) = self.read(&bound, engines, &self.statement_guard())? else {
+            unreachable!("a dual read returns both runs");
+        };
+        Ok(QueryOutcome {
+            sql: sql.to_string(),
+            bound: Arc::new(bound),
+            tp,
+            ap,
+        })
+    }
+
+    /// The statement path's one read. Takes the read lock, plans every side
+    /// `engines` left unplanned, runs TP under the lock, then pins an MVCC
+    /// snapshot and releases the lock before AP runs — a writer waits for
+    /// the TP run plus an O(tables × width) pin, never for an analytical
+    /// scan. One guard governs both sides of a dual read, which is then
+    /// agreement-checked.
+    pub(crate) fn read(
+        &self,
+        bound: &BoundQuery,
+        engines: Engines,
+        guard: &ExecGuard,
+    ) -> Result<Runs, HtapError> {
+        let db = self.database();
+        let plan = |given: Option<PlanNode>, engine| {
+            given.map_or_else(|| plan_on(&db, bound, engine, self.pruning), Ok)
+        };
+        let (tp, ap) = match engines {
+            Engines::Dual(tp, ap) => (
+                Some(plan(tp, EngineKind::Tp)?),
+                Some(plan(ap, EngineKind::Ap)?),
+            ),
+            Engines::Pinned(EngineKind::Tp, given) => (Some(plan(given, EngineKind::Tp)?), None),
+            Engines::Pinned(EngineKind::Ap, given) => (None, Some(plan(given, EngineKind::Ap)?)),
+        };
+        let tp = tp
+            .map(|plan| self.run_plan_on(&db, plan, bound, EngineKind::Tp, guard))
+            .transpose()?;
+        let ap = match ap {
+            Some(plan) => {
+                let snap = db.pin_snapshot();
+                drop(db);
+                Some(self.run_plan_on(&snap, plan, bound, EngineKind::Ap, guard)?)
+            }
+            None => None,
+        };
+        match (tp, ap) {
+            (Some(tp), Some(ap)) => {
+                check_results_match(bound, &tp, &ap)?;
+                Ok(Runs::Dual(tp, ap))
+            }
+            (Some(run), None) | (None, Some(run)) => Ok(Runs::Pinned(run)),
+            (None, None) => unreachable!("every read runs at least one engine"),
         }
-        self.run_plan_on(&db, plan, bound, engine, &guard)
     }
 
     fn run_plan_on(
@@ -1702,48 +1727,53 @@ impl HtapSystem {
     }
 
     /// Executes any statement through a **shared** reference. Reads take the
-    /// dual-engine pipeline ([`HtapSystem::run_sql`]) under the read lock;
-    /// writes route to the TP engine *only* — planned by the TP optimizer,
-    /// executed against the row store under the write lock, with the column
-    /// store absorbing the same change through its delta region, so the next
-    /// AP read is fresh without blocking readers of other tables.
+    /// dual-engine pipeline ([`HtapSystem::run_sql`]); writes route to the TP
+    /// engine *only* — planned by the TP optimizer, executed against the row
+    /// store under the write lock, with the column store absorbing the same
+    /// change through its delta region, so the next AP read is fresh without
+    /// blocking readers of other tables.
     pub fn execute_statement(&self, sql: &str) -> Result<StatementOutcome, HtapError> {
-        self.execute_statement_guarded(sql, &self.statement_guard())
+        self.bind_and_execute(sql, None)
     }
 
-    /// [`HtapSystem::execute_statement`] under a caller-supplied guard (the
-    /// session layer builds guards carrying its cancel flag and per-call
-    /// limit overrides).
-    pub(crate) fn execute_statement_guarded(
+    /// Executes any statement with reads pinned to **one** engine: the
+    /// statement is planned and run on `engine` only — no dual-run, no
+    /// cross-engine agreement check — so a client that knows its workload
+    /// (a pure-OLTP server connection, say) stops paying for the engine it
+    /// never wants. Writes are unaffected (DML is TP-only on every path).
+    /// The single run is byte-identical — rows, [`WorkCounters`], simulated
+    /// latency — to the same engine's side of a dual
+    /// [`HtapSystem::execute_statement`] run.
+    pub fn execute_on(&self, sql: &str, engine: EngineKind) -> Result<StatementOutcome, HtapError> {
+        self.bind_and_execute(sql, Some(engine))
+    }
+
+    /// Binds `sql` and dispatches it under the system-default limits: a read
+    /// runs on both engines (or on `pin` alone), a write on the TP engine.
+    fn bind_and_execute(
         &self,
         sql: &str,
-        guard: &ExecGuard,
+        pin: Option<EngineKind>,
     ) -> Result<StatementOutcome, HtapError> {
+        let guard = self.statement_guard();
         match self.bind_statement(sql)? {
-            BoundStatement::Query(bound) => Ok(StatementOutcome::Query(Box::new(
-                self.run_bound(sql, bound, guard)?,
-            ))),
+            BoundStatement::Query(bound) => {
+                let engines = match pin {
+                    None => Engines::Dual(None, None),
+                    Some(engine) => Engines::Pinned(engine, None),
+                };
+                let runs = self.read(&bound, engines, &guard)?;
+                Ok(runs.into_outcome(sql.to_string(), Arc::new(bound)))
+            }
             BoundStatement::Dml(dml) => Ok(StatementOutcome::Dml(Box::new(
-                self.execute_dml_with_plan(sql, &dml, None, guard)?,
+                self.execute_dml_with_plan(sql, &dml, None, &guard)?,
             ))),
         }
     }
 
-    /// Deprecated shim for the pre-session API: read-only statements never
-    /// needed `&mut`, and writes lock internally now.
-    #[deprecated(since = "0.2.0", note = "use execute_statement(&self) or a Session")]
-    pub fn execute_sql(&mut self, sql: &str) -> Result<StatementOutcome, HtapError> {
-        self.execute_statement(sql)
-    }
-
-    /// Plans and executes one bound write statement on the TP engine. Takes
-    /// the write lock internally — `&self`, like every other entry point.
-    pub fn execute_dml(&self, sql: &str, dml: &BoundDml) -> Result<DmlOutcome, HtapError> {
-        self.execute_dml_with_plan(sql, dml, None, &self.statement_guard())
-    }
-
-    /// [`HtapSystem::execute_dml`] with an optional pre-built (prepared,
-    /// parameter-substituted) write plan, under the caller's guard.
+    /// Plans (unless a prepared, parameter-substituted write plan is given)
+    /// and executes one bound write statement on the TP engine under the
+    /// caller's guard. Takes the write lock internally.
     pub(crate) fn execute_dml_with_plan(
         &self,
         sql: &str,
@@ -1857,170 +1887,7 @@ impl HtapSystem {
 
     /// Freshness snapshot of one table.
     pub fn freshness(&self, table: &str) -> Option<TableFreshness> {
-        self.db_read().freshness(table)
-    }
-
-    /// Full pipeline: bind, run on both engines, check result agreement.
-    /// Governed by the system-default [`StatementLimits`].
-    pub fn run_sql(&self, sql: &str) -> Result<QueryOutcome, HtapError> {
-        let bound = self.bind(sql)?;
-        self.run_bound(sql, bound, &self.statement_guard())
-    }
-
-    /// [`HtapSystem::run_sql`] over an already-bound query (no re-parse),
-    /// under the caller's statement guard. One guard governs both engine
-    /// runs: a trip during either surfaces as the statement's error.
-    pub(crate) fn run_bound(
-        &self,
-        sql: &str,
-        bound: BoundQuery,
-        guard: &ExecGuard,
-    ) -> Result<QueryOutcome, HtapError> {
-        let db = self.db_read();
-        let tp_plan = self.plan_on(&db, &bound, EngineKind::Tp)?;
-        let ap_plan = self.plan_on(&db, &bound, EngineKind::Ap)?;
-        let tp = self.run_plan_on(&db, tp_plan, &bound, EngineKind::Tp, guard)?;
-        // The TP run (fast: index probes / row scans) happens under the
-        // read lock; the AP run — the long tail — pins a snapshot at the
-        // same epoch and executes with the lock released, so a streaming
-        // writer is blocked only for the TP run plus an O(tables × width)
-        // pin, not for the whole analytical scan.
-        let ap = if self.mvcc_reads {
-            let snap = db.pin_snapshot();
-            drop(db);
-            self.run_plan_on(&snap, ap_plan, &bound, EngineKind::Ap, guard)?
-        } else {
-            let ap = self.run_plan_on(&db, ap_plan, &bound, EngineKind::Ap, guard)?;
-            drop(db);
-            ap
-        };
-        check_results_match(sql, &bound, &tp, &ap)?;
-        Ok(QueryOutcome {
-            sql: sql.to_string(),
-            bound: Arc::new(bound),
-            tp,
-            ap,
-        })
-    }
-
-    /// Runs a prepared query's two substituted plans (no re-bind, no
-    /// re-plan) under one read-lock acquisition, checking engine agreement
-    /// like [`HtapSystem::run_sql`].
-    pub(crate) fn run_prepared(
-        &self,
-        bound: &Arc<BoundQuery>,
-        tp_plan: PlanNode,
-        ap_plan: PlanNode,
-        guard: &ExecGuard,
-    ) -> Result<QueryOutcome, HtapError> {
-        let db = self.db_read();
-        let tp = self.run_plan_on(&db, tp_plan, bound, EngineKind::Tp, guard)?;
-        let ap = if self.mvcc_reads {
-            let snap = db.pin_snapshot();
-            drop(db);
-            self.run_plan_on(&snap, ap_plan, bound, EngineKind::Ap, guard)?
-        } else {
-            let ap = self.run_plan_on(&db, ap_plan, bound, EngineKind::Ap, guard)?;
-            drop(db);
-            ap
-        };
-        check_results_match(&bound.sql, bound, &tp, &ap)?;
-        Ok(QueryOutcome {
-            sql: bound.sql.clone(),
-            bound: Arc::clone(bound),
-            tp,
-            ap,
-        })
-    }
-
-    /// Executes any statement with reads pinned to **one** engine: the
-    /// statement is planned and run on `engine` only — no dual-run, no
-    /// cross-engine agreement check — so a client that knows its workload
-    /// (a pure-OLTP server connection, say) stops paying for the engine it
-    /// never wants. Writes are unaffected (DML is TP-only on every path).
-    /// The single run is byte-identical — rows, [`WorkCounters`], simulated
-    /// latency — to the same engine's side of a dual
-    /// [`HtapSystem::execute_statement`] run.
-    pub fn execute_on(&self, sql: &str, engine: EngineKind) -> Result<StatementOutcome, HtapError> {
-        self.execute_on_guarded(sql, engine, &self.statement_guard())
-    }
-
-    /// [`HtapSystem::execute_on`] under a caller-supplied guard.
-    pub(crate) fn execute_on_guarded(
-        &self,
-        sql: &str,
-        engine: EngineKind,
-        guard: &ExecGuard,
-    ) -> Result<StatementOutcome, HtapError> {
-        match self.bind_statement(sql)? {
-            BoundStatement::Query(bound) => Ok(StatementOutcome::PinnedQuery(Box::new(
-                self.run_bound_pinned(sql, bound, engine, guard)?,
-            ))),
-            BoundStatement::Dml(dml) => Ok(StatementOutcome::Dml(Box::new(
-                self.execute_dml_with_plan(sql, &dml, None, guard)?,
-            ))),
-        }
-    }
-
-    /// Plans and runs a bound read on one engine only, honoring the MVCC
-    /// read path exactly like the dual pipeline (an AP run pins a snapshot
-    /// and executes off-lock).
-    pub(crate) fn run_bound_pinned(
-        &self,
-        sql: &str,
-        bound: BoundQuery,
-        engine: EngineKind,
-        guard: &ExecGuard,
-    ) -> Result<PinnedQueryOutcome, HtapError> {
-        let db = self.db_read();
-        let plan = self.plan_on(&db, &bound, engine)?;
-        let run = if engine == EngineKind::Ap && self.mvcc_reads {
-            let snap = db.pin_snapshot();
-            drop(db);
-            self.run_plan_on(&snap, plan, &bound, engine, guard)?
-        } else {
-            self.run_plan_on(&db, plan, &bound, engine, guard)?
-        };
-        Ok(PinnedQueryOutcome {
-            sql: sql.to_string(),
-            bound: Arc::new(bound),
-            run,
-        })
-    }
-
-    /// Runs one of a prepared query's substituted plans on its engine only
-    /// (the session layer picks the plan matching the pin).
-    pub(crate) fn run_prepared_pinned(
-        &self,
-        bound: &Arc<BoundQuery>,
-        plan: PlanNode,
-        engine: EngineKind,
-        guard: &ExecGuard,
-    ) -> Result<PinnedQueryOutcome, HtapError> {
-        let db = self.db_read();
-        let run = if engine == EngineKind::Ap && self.mvcc_reads {
-            let snap = db.pin_snapshot();
-            drop(db);
-            self.run_plan_on(&snap, plan, bound, engine, guard)?
-        } else {
-            self.run_plan_on(&db, plan, bound, engine, guard)?
-        };
-        Ok(PinnedQueryOutcome {
-            sql: bound.sql.clone(),
-            bound: Arc::clone(bound),
-            run,
-        })
-    }
-
-    /// Whether AP reads execute on pinned MVCC snapshots off the lock.
-    pub fn mvcc_reads(&self) -> bool {
-        self.mvcc_reads
-    }
-
-    /// Toggles MVCC snapshot reads (tests and the equivalence sweeps run
-    /// both ways; results are identical, only lock-hold times differ).
-    pub fn set_mvcc_reads(&mut self, enabled: bool) {
-        self.mvcc_reads = enabled;
+        self.database().freshness(table)
     }
 
     /// Pins an MVCC [`Snapshot`] of the current committed state. The pin
@@ -2031,11 +1898,71 @@ impl HtapSystem {
     /// snapshot drops.
     pub fn pin_snapshot(&self) -> Snapshot {
         Snapshot {
-            db: self.db_read().pin_snapshot(),
+            db: self.database().pin_snapshot(),
             exec_cfg: self.exec_cfg.clone(),
             pruning: self.pruning,
         }
     }
+}
+
+/// The engine side(s) one [`HtapSystem::read`] runs. Each side carries the
+/// plan a prepared statement already built, or `None` to plan it under the
+/// read lock.
+///
+/// This and [`Runs`] only travel between `read` and its caller, so their
+/// variants stay unboxed: boxing would cost a heap allocation per read.
+#[allow(clippy::large_enum_variant)]
+pub(crate) enum Engines {
+    /// Both engines (TP plan, AP plan), agreement-checked.
+    Dual(Option<PlanNode>, Option<PlanNode>),
+    /// One engine only.
+    Pinned(EngineKind, Option<PlanNode>),
+}
+
+/// What one [`HtapSystem::read`] ran, shaped like its [`Engines`].
+#[allow(clippy::large_enum_variant)]
+pub(crate) enum Runs {
+    /// The TP and AP runs of a dual read.
+    Dual(EngineRun, EngineRun),
+    /// The single run of a pinned read.
+    Pinned(EngineRun),
+}
+
+impl Runs {
+    /// The statement outcome reporting these runs.
+    pub(crate) fn into_outcome(self, sql: String, bound: Arc<BoundQuery>) -> StatementOutcome {
+        match self {
+            Runs::Dual(tp, ap) => {
+                StatementOutcome::Query(Box::new(QueryOutcome { sql, bound, tp, ap }))
+            }
+            Runs::Pinned(run) => {
+                StatementOutcome::PinnedQuery(Box::new(PinnedQueryOutcome { sql, bound, run }))
+            }
+        }
+    }
+
+    fn into_pinned(self) -> EngineRun {
+        match self {
+            Runs::Pinned(run) => run,
+            Runs::Dual(..) => unreachable!("a pinned read returns one run"),
+        }
+    }
+}
+
+/// Optimizes a bound query for one engine against `db`'s statistics, with
+/// AP scan-predicate pushdown (zone-map pruning) on or off.
+pub(crate) fn plan_on(
+    db: &Database,
+    bound: &BoundQuery,
+    engine: EngineKind,
+    pruning: bool,
+) -> Result<PlanNode, HtapError> {
+    let mut ctx = PlannerCtx::new(bound, db.stats(), db.catalog());
+    ctx.pushdown = pruning;
+    Ok(match engine {
+        EngineKind::Tp => tp::plan(&ctx)?,
+        EngineKind::Ap => ap::plan(&ctx)?,
+    })
 }
 
 /// A pinned MVCC snapshot of the database: every table's column store
@@ -2066,9 +1993,7 @@ impl Snapshot {
     /// identically).
     pub fn plan(&self, sql: &str) -> Result<(PlanNode, BoundQuery), HtapError> {
         let bound = Binder::new(self.db.catalog()).bind_sql(sql)?;
-        let mut ctx = PlannerCtx::new(&bound, self.db.stats(), self.db.catalog());
-        ctx.pushdown = self.pruning;
-        let plan = ap::plan(&ctx)?;
+        let plan = plan_on(&self.db, &bound, EngineKind::Ap, self.pruning)?;
         Ok((plan, bound))
     }
 
@@ -2187,16 +2112,15 @@ fn write_recovered<'a>(
     }
 }
 
-/// Engine-agreement gate shared by the ad-hoc and prepared paths.
+/// Engine-agreement gate of every dual read.
 fn check_results_match(
-    sql: &str,
     bound: &BoundQuery,
     tp: &EngineRun,
     ap: &EngineRun,
 ) -> Result<(), HtapError> {
     if !results_match(bound, &tp.rows, &ap.rows) {
         return Err(HtapError::EngineMismatch {
-            sql: sql.to_string(),
+            sql: bound.sql.clone(),
             tp_rows: tp.rows.len(),
             ap_rows: ap.rows.len(),
         });
@@ -2595,20 +2519,6 @@ mod tests {
         // 89 rows at that moment), not on every write: lazily, not eagerly.
         assert_eq!(ts.columns[1].ndv, 89, "ndv refreshed once at the threshold");
         assert_eq!(ts.pending_ndv_writes, 6, "post-refresh backlog keeps accumulating");
-    }
-
-    /// The pre-session `&mut self` entry point stays as a thin deprecated
-    /// shim: old callers compile and behave identically.
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_execute_sql_shim_still_works() {
-        let mut sys = system();
-        let q = sys.execute_sql("SELECT COUNT(*) FROM region").unwrap();
-        assert_eq!(q.as_query().unwrap().tp.rows[0][0], Value::Int(5));
-        let w = sys
-            .execute_sql("INSERT INTO region (r_regionkey, r_name) VALUES (80, 'shim')")
-            .unwrap();
-        assert_eq!(w.as_dml().unwrap().result.rows_affected, 1);
     }
 
     /// Read-only statements go through `&self`: two threads can execute

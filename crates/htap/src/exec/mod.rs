@@ -234,20 +234,10 @@ pub(crate) fn execute_scalar_guarded(
 /// check (one relaxed load) is amortized to noise.
 pub(crate) const GUARD_CHECK_ROWS: usize = 1024;
 
-/// Executes `plan` on the *serial* vectorized batch executor, erroring on
-/// operators outside its vocabulary. Exposed for the cross-executor
-/// equivalence tests (the reference the parallel executor is held to).
-pub fn execute_vectorized(
-    plan: &PlanNode,
-    query: &BoundQuery,
-    db: &Database,
-) -> Result<(Vec<Row>, WorkCounters), ExecError> {
-    vector::execute(plan, query, db)
-}
-
-/// Executes `plan` on the morsel-driven parallel batch executor with the
-/// given config, erroring on operators outside the batch vocabulary.
-/// Exposed for the differential tests and the benchmark harness.
+/// Executes `plan` on the batch executor with the given config
+/// (`ExecConfig::serial()` is the serial path), erroring on operators
+/// outside the batch vocabulary. Exposed for the differential tests and the
+/// benchmark harness.
 pub fn execute_parallel(
     plan: &PlanNode,
     query: &BoundQuery,

@@ -213,19 +213,10 @@ pub fn supported(plan: &PlanNode) -> bool {
     ok
 }
 
-/// Executes `plan` with the serial vectorized batch executor. Callers must
-/// ensure [`supported`] holds; unsupported operators surface as `BadPlan`.
-pub fn execute(
-    plan: &PlanNode,
-    query: &BoundQuery,
-    db: &Database,
-) -> Result<(Vec<Row>, WorkCounters), ExecError> {
-    execute_with(plan, query, db, &ExecConfig::serial())
-}
-
-/// [`execute`] with an explicit parallelism knob: `cfg.threads == 1` is the
-/// exact serial path; more threads fan the batch kernels out morsel-wise
-/// with bit-identical rows and counters.
+/// Executes `plan` with the vectorized batch executor. Callers must ensure
+/// [`supported`] holds; unsupported operators surface as `BadPlan`.
+/// `cfg.threads == 1` is the exact serial path; more threads fan the batch
+/// kernels out morsel-wise with bit-identical rows and counters.
 pub fn execute_with(
     plan: &PlanNode,
     query: &BoundQuery,

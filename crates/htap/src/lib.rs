@@ -54,10 +54,7 @@
 //! versions are reclaimed when the last snapshot `Arc` referencing them
 //! drops; `compact()` advances the table's history floor, the oldest epoch
 //! a version view can still be reconstructed at. Writes take the write lock
-//! internally; nothing on the public surface needs `&mut` (the old
-//! `execute_sql(&mut self)` remains as a deprecated shim), and the
-//! `QPE_MVCC_READS=0` escape hatch routes reads back under the read lock
-//! with identical results — it is a latency knob, not a semantics knob.
+//! internally; no statement entry point needs `&mut`.
 //!
 //! # DML flow (freshness made explicit)
 //!

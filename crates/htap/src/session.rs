@@ -47,9 +47,9 @@
 //! poisoned the database write lock additionally trips read-only degraded
 //! mode — see [`HtapSystem::health`]).
 
-use crate::engine::{EngineKind, HtapError, HtapSystem, StatementOutcome};
+use crate::engine::{plan_on, EngineKind, Engines, HtapError, HtapSystem, StatementOutcome};
 use crate::exec::{CancelHandle, ExecGuard, StatementLimits};
-use crate::opt::{ap, tp, PlannerCtx};
+use crate::opt::tp;
 use crate::plan::PlanNode;
 use crate::storage::durable_io::lock_unpoisoned;
 use qpe_sql::binder::{coerce_param, substitute_params, BoundDml, BoundExpr, BoundQuery, BoundStatement};
@@ -319,10 +319,8 @@ impl HtapSystem {
         let (kind, design_epochs) = match self.bind_statement(fingerprint)? {
             BoundStatement::Query(bound) => {
                 let db = self.database();
-                let mut ctx = PlannerCtx::new(&bound, db.stats(), db.catalog());
-                ctx.pushdown = self.pruning();
-                let tp = tp::plan(&ctx)?;
-                let ap = ap::plan(&ctx)?;
+                let tp = plan_on(&db, &bound, EngineKind::Tp, self.pruning())?;
+                let ap = plan_on(&db, &bound, EngineKind::Ap, self.pruning())?;
                 let epochs = design_epochs_for(&db, bound.tables.iter().map(|t| t.name.as_str()));
                 drop(db);
                 (CachedKind::Query { bound: Arc::new(bound), tp, ap }, epochs)
@@ -609,40 +607,25 @@ impl PreparedStatement {
         // Starting a statement lowers any stale cancel from a previous one.
         self.cancel.store(false, Ordering::SeqCst);
         let guard = ExecGuard::with_cancel(limits, Arc::clone(&self.cancel));
+        let plan = |cached: &PlanNode| substituted(cached, &params, PlanNode::substitute_params);
         contain(|| match &self.stmt.kind {
-            CachedKind::Query { bound, tp, ap } => match pin {
-                None => {
-                    let (tp_plan, ap_plan) = if params.is_empty() {
-                        (tp.clone(), ap.clone())
-                    } else {
-                        (tp.substitute_params(&params), ap.substitute_params(&params))
-                    };
-                    let outcome = self.system.run_prepared(bound, tp_plan, ap_plan, &guard)?;
-                    Ok(StatementOutcome::Query(Box::new(outcome)))
-                }
-                Some(engine) => {
-                    let cached = match engine {
-                        EngineKind::Tp => tp,
-                        EngineKind::Ap => ap,
-                    };
-                    let plan = if params.is_empty() {
-                        cached.clone()
-                    } else {
-                        cached.substitute_params(&params)
-                    };
-                    let outcome = self.system.run_prepared_pinned(bound, plan, engine, &guard)?;
-                    Ok(StatementOutcome::PinnedQuery(Box::new(outcome)))
-                }
-            },
-            CachedKind::Dml { dml, plan } => {
-                let (dml, plan) = if params.is_empty() {
-                    (dml.clone(), plan.clone())
-                } else {
-                    (substitute_dml_params(dml, &params), plan.substitute_params(&params))
+            CachedKind::Query { bound, tp, ap } => {
+                let engines = match pin {
+                    None => Engines::Dual(Some(plan(tp)), Some(plan(ap))),
+                    Some(EngineKind::Tp) => Engines::Pinned(EngineKind::Tp, Some(plan(tp))),
+                    Some(EngineKind::Ap) => Engines::Pinned(EngineKind::Ap, Some(plan(ap))),
                 };
-                let outcome =
-                    self.system
-                        .execute_dml_with_plan(self.stmt.sql(), &dml, Some(plan), &guard)?;
+                let runs = self.system.read(bound, engines, &guard)?;
+                Ok(runs.into_outcome(bound.sql.clone(), Arc::clone(bound)))
+            }
+            CachedKind::Dml { dml, plan: cached } => {
+                let dml = substituted(dml, &params, substitute_dml_params);
+                let outcome = self.system.execute_dml_with_plan(
+                    self.stmt.sql(),
+                    &dml,
+                    Some(plan(cached)),
+                    &guard,
+                )?;
                 Ok(StatementOutcome::Dml(Box::new(outcome)))
             }
         })
@@ -668,6 +651,16 @@ impl PreparedStatement {
                     .map_err(|(expected, got)| HtapError::ParamTypeMismatch { idx, expected, got })
             })
             .collect()
+    }
+}
+
+/// `cached` with `params` injected by `subst` — or a plain clone when the
+/// statement takes no parameters, which skips the substitution walk.
+fn substituted<T: Clone>(cached: &T, params: &[Value], subst: impl Fn(&T, &[Value]) -> T) -> T {
+    if params.is_empty() {
+        cached.clone()
+    } else {
+        subst(cached, params)
     }
 }
 

@@ -14,9 +14,7 @@
 
 use proptest::prelude::*;
 use qpe_htap::engine::{EngineKind, HtapSystem};
-use qpe_htap::exec::{
-    execute_parallel, execute_scalar, execute_vectorized, vector, ExecConfig, Row, WorkCounters,
-};
+use qpe_htap::exec::{execute_parallel, execute_scalar, vector, ExecConfig, Row, WorkCounters};
 use qpe_htap::opt::{ap, PlannerCtx};
 use qpe_htap::tpch::TpchConfig;
 use qpe_htap::PlanNode;
@@ -124,8 +122,8 @@ fn scan_rows(sys: &HtapSystem, engine: EngineKind) -> Vec<Row> {
 }
 
 /// Asserts the AP plan produces identical rows AND counters on the row
-/// interpreter, the serial batch executor, and the morsel-parallel executor
-/// at 2 and 4 threads — the engine-equivalence contract, here exercised
+/// interpreter and the batch executor at 1 (serial), 2 and 4 threads — the
+/// engine-equivalence contract, here exercised
 /// against dirty (delta-bearing, tombstone-bearing) tables whose morsels
 /// straddle the base/delta split. The tiny morsel size forces real splits
 /// at test scale.
@@ -136,14 +134,11 @@ fn assert_executor_equivalence(sys: &HtapSystem, sql: &str) {
     let plan = ap::plan(&ctx).expect("ap plan");
     assert!(vector::supported(&plan), "AP plan outside batch vocabulary");
     let (srows, sc) = execute_scalar(&plan, &bound, &db, EngineKind::Ap).expect("scalar");
-    let (brows, bc) = execute_vectorized(&plan, &bound, &db).expect("vectorized");
-    assert_eq!(srows, brows, "executor rows diverged for {sql}");
-    assert_eq!(sc, bc, "executor counters diverged for {sql}");
-    for threads in [2usize, 4] {
+    for threads in [1usize, 2, 4] {
         let cfg = ExecConfig { threads, morsel_rows: 16, ..ExecConfig::serial() };
-        let (prows, pc) = execute_parallel(&plan, &bound, &db, &cfg).expect("parallel");
-        assert_eq!(brows, prows, "parallel rows diverged at {threads} threads for {sql}");
-        assert_eq!(bc, pc, "parallel counters diverged at {threads} threads for {sql}");
+        let (brows, bc) = execute_parallel(&plan, &bound, &db, &cfg).expect("batch");
+        assert_eq!(srows, brows, "batch rows diverged at {threads} threads for {sql}");
+        assert_eq!(sc, bc, "batch counters diverged at {threads} threads for {sql}");
     }
 }
 
@@ -158,8 +153,9 @@ fn parallel_scan_rows(sys: &HtapSystem, threads: usize) -> Vec<Row> {
     execute_parallel(&plan, &bound, &db, &cfg).expect("parallel scan").0
 }
 
-/// Runs one AP plan on all three executors, asserting rows and counters are
-/// identical, and returns the (shared) rows and counters.
+/// Runs one AP plan on the row interpreter and the batch executor at
+/// threads 1/2/4, asserting rows and counters are identical, and returns the
+/// (shared) rows and counters.
 fn run_all_executors(
     sys: &HtapSystem,
     plan: &PlanNode,
@@ -169,16 +165,13 @@ fn run_all_executors(
     let db = sys.database();
     assert!(vector::supported(plan), "AP plan outside batch vocabulary");
     let (srows, sc) = execute_scalar(plan, bound, &db, EngineKind::Ap).expect("scalar");
-    let (brows, bc) = execute_vectorized(plan, bound, &db).expect("vectorized");
-    assert_eq!(srows, brows, "{label}: scalar vs batch rows");
-    assert_eq!(sc, bc, "{label}: scalar vs batch counters");
-    for threads in [2usize, 4] {
+    for threads in [1usize, 2, 4] {
         let cfg = ExecConfig { threads, morsel_rows: 16, ..ExecConfig::serial() };
-        let (prows, pc) = execute_parallel(plan, bound, &db, &cfg).expect("parallel");
-        assert_eq!(brows, prows, "{label}: parallel rows at {threads} threads");
-        assert_eq!(bc, pc, "{label}: parallel counters at {threads} threads");
+        let (brows, bc) = execute_parallel(plan, bound, &db, &cfg).expect("batch");
+        assert_eq!(srows, brows, "{label}: batch rows at {threads} threads");
+        assert_eq!(sc, bc, "{label}: batch counters at {threads} threads");
     }
-    (brows, bc)
+    (srows, sc)
 }
 
 /// The zone-map safety contract on one query: the pruned AP plan (scan
@@ -364,7 +357,9 @@ proptest! {
 /// interleaving, every encoding policy × bloom-filter setting keeps all
 /// read paths identical — TP ≡ AP serial ≡ AP parallel rows, executor
 /// counters identical, pruned ≡ unpruned — and compaction (which folds the
-/// delta into the forced base representation) changes nothing.
+/// delta into the forced base representation) changes nothing. `orders`
+/// is forced to the same policy, so the dirty `customer ⨝ orders` join and
+/// an `orders` top-N run over encoded bases on both sides.
 #[test]
 fn forced_encodings_on_dirty_tables_keep_read_paths_identical() {
     use qpe_htap::storage::col_store::EncodingPolicy;
@@ -373,11 +368,19 @@ fn forced_encodings_on_dirty_tables_keep_read_paths_identical() {
         EncodingPolicy::Dict,
         EncodingPolicy::Rle,
         EncodingPolicy::For,
+        EncodingPolicy::Auto,
+    ];
+    // Unique sort keys only: engines may break ORDER BY ties differently.
+    let join_and_top_n = [
+        "SELECT COUNT(*) FROM customer, orders WHERE o_custkey = c_custkey",
+        "SELECT o_orderkey FROM orders ORDER BY o_orderkey LIMIT 10",
     ];
     for policy in policies {
         let mut sys = fresh_system();
         assert!(sys.database_mut().set_zone_block_rows("customer", 8));
-        assert!(sys.database_mut().set_encoding_policy("customer", policy));
+        for table in ["customer", "orders"] {
+            assert!(sys.database_mut().set_encoding_policy(table, policy));
+        }
         for (i, &c) in [0u8, 1, 2, 0, 3, 1, 0, 2].iter().enumerate() {
             apply(&mut sys, decode(c), 4242, i);
         }
@@ -389,6 +392,10 @@ fn forced_encodings_on_dirty_tables_keep_read_paths_identical() {
             let par = sorted(parallel_scan_rows(&sys, 4));
             assert_eq!(tp, par, "{policy:?}/blooms={blooms}: TP vs parallel AP");
             assert_executor_equivalence(&sys, "SELECT * FROM customer");
+            for sql in join_and_top_n {
+                assert_executor_equivalence(&sys, sql);
+                sys.run_sql(sql).expect("engines agree");
+            }
             for sql in [
                 "SELECT c_custkey, c_mktsegment FROM customer \
                  WHERE c_mktsegment = 'machinery'",
@@ -432,7 +439,7 @@ fn compact_rebuilds_stale_block_stats() {
     let db = sys.database();
     let ctx = PlannerCtx::new(&bound, db.stats(), db.catalog());
     let plan = ap::plan(&ctx).unwrap();
-    let (rows, c) = execute_vectorized(&plan, &bound, &db).expect("runs");
+    let (rows, c) = execute_parallel(&plan, &bound, &db, &ExecConfig::serial()).expect("runs");
     assert_eq!(rows.len(), 1, "delta row must survive full base pruning");
     assert_eq!(c.blocks_pruned, c.blocks_checked, "stale headers refute every base block");
     // Shadowing below does not drop this read guard — release it before the
@@ -452,7 +459,7 @@ fn compact_rebuilds_stale_block_stats() {
     let db = sys.database();
     let ctx = PlannerCtx::new(&bound, db.stats(), db.catalog());
     let plan = ap::plan(&ctx).unwrap();
-    let (rows, c) = execute_vectorized(&plan, &bound, &db).expect("runs");
+    let (rows, c) = execute_parallel(&plan, &bound, &db, &ExecConfig::serial()).expect("runs");
     assert_eq!(rows.len(), 1);
     assert!(c.blocks_pruned > 0, "rebuilt headers prune the non-covering blocks");
     assert!(c.blocks_pruned < c.blocks_checked, "the covering block survives");

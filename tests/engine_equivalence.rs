@@ -82,11 +82,12 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Row interpreter vs. serial batch executor vs. morsel-parallel executor
+// Row interpreter vs. batch executor at threads 1/2/4
 // ---------------------------------------------------------------------------
 //
-// The AP engine's plans execute on the vectorized batch executor — serial or
-// morsel-parallel; the row interpreter remains the reference semantics.
+// The AP engine's plans execute on the vectorized batch executor — serial at
+// one thread, morsel-parallel above; the row interpreter remains the
+// reference semantics.
 // These tests pin the contract the latency model, the optimizer and the
 // explainer all rely on: every execution mode returns *identical rows* and
 // *identical WorkCounters* — simulated latencies, router features and
@@ -98,7 +99,7 @@ proptest! {
 mod scalar_vs_batch {
     use super::system;
     use qpe_htap::engine::EngineKind;
-    use qpe_htap::exec::{execute_parallel, execute_scalar, execute_vectorized, vector, ExecConfig};
+    use qpe_htap::exec::{execute_parallel, execute_scalar, vector, ExecConfig};
     use qpe_htap::opt::{ap, PlannerCtx};
     use qpe_core::workload::{WorkloadConfig, WorkloadGenerator};
     use proptest::prelude::*;
@@ -109,9 +110,9 @@ mod scalar_vs_batch {
         ExecConfig { threads, morsel_rows: 48, ..ExecConfig::serial() }
     }
 
-    /// Runs `sql`'s AP plan through the row interpreter, the serial batch
-    /// executor, and the parallel executor at 2 and 4 threads, asserting
-    /// rows and counters are identical across all four runs.
+    /// Runs `sql`'s AP plan through the row interpreter and the batch
+    /// executor at 1 (serial), 2 and 4 threads, asserting rows and counters
+    /// are identical across all four runs.
     fn assert_executors_agree(sql: &str) {
         let sys = system();
         let db = sys.database();
@@ -124,22 +125,15 @@ mod scalar_vs_batch {
         );
         let (scalar_rows, scalar_counters) =
             execute_scalar(&plan, &bound, &db, EngineKind::Ap).expect("scalar");
-        let (batch_rows, batch_counters) =
-            execute_vectorized(&plan, &bound, &db).expect("vectorized");
-        assert_eq!(scalar_rows, batch_rows, "rows diverged for {sql}");
-        assert_eq!(
-            scalar_counters, batch_counters,
-            "work counters diverged for {sql}"
-        );
-        for threads in [2, 4] {
-            let (par_rows, par_counters) =
-                execute_parallel(&plan, &bound, &db, &par_cfg(threads)).expect("parallel");
+        for threads in [1, 2, 4] {
+            let (batch_rows, batch_counters) =
+                execute_parallel(&plan, &bound, &db, &par_cfg(threads)).expect("batch");
             assert_eq!(
-                batch_rows, par_rows,
+                scalar_rows, batch_rows,
                 "rows diverged at {threads} threads for {sql}"
             );
             assert_eq!(
-                batch_counters, par_counters,
+                scalar_counters, batch_counters,
                 "work counters diverged at {threads} threads for {sql}"
             );
         }
@@ -192,11 +186,11 @@ mod scalar_vs_batch {
     proptest! {
         #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
 
-        /// The 3-way differential sweep — run for BOTH the zone-map-pruned
-        /// plan (scan-predicate pushdown, the default) and the unpruned
-        /// plan: for any workload-generator query (random plans spanning
-        /// joins, aggregates and top-N), the row interpreter, the serial
-        /// batch executor, and the morsel-parallel executor at 2 and 4
+        /// The row interpreter vs batch at threads 1/2/4 sweep — run for
+        /// BOTH the zone-map-pruned plan (scan-predicate pushdown, the
+        /// default) and the unpruned plan: for any workload-generator query
+        /// (random plans spanning joins, aggregates and top-N), the row
+        /// interpreter and the batch executor at 1 (serial), 2 and 4
         /// threads must produce identical rows AND identical WorkCounters;
         /// the two plan flavors must also agree on rows with the pruned one
         /// never touching more cells.
@@ -215,17 +209,14 @@ mod scalar_vs_batch {
                 let plan = ap::plan(&ctx).expect("ap plan");
                 prop_assert!(vector::supported(&plan), "unsupported AP plan for {}", sql);
                 let (srows, sc) = execute_scalar(&plan, &bound, &db, EngineKind::Ap).expect("scalar");
-                let (brows, bc) = execute_vectorized(&plan, &bound, &db).expect("vectorized");
-                prop_assert_eq!(&srows, &brows, "rows diverged for {}", sql);
-                prop_assert_eq!(sc, bc, "counters diverged for {}", sql);
-                for threads in [2usize, 4] {
-                    let (prows, pc) =
-                        execute_parallel(&plan, &bound, &db, &par_cfg(threads)).expect("parallel");
-                    prop_assert_eq!(&brows, &prows, "rows diverged at {} threads for {}", threads, sql);
-                    prop_assert_eq!(bc, pc, "counters diverged at {} threads for {}", threads, sql);
+                for threads in [1usize, 2, 4] {
+                    let (brows, bc) =
+                        execute_parallel(&plan, &bound, &db, &par_cfg(threads)).expect("batch");
+                    prop_assert_eq!(&srows, &brows, "rows diverged at {} threads for {}", threads, sql);
+                    prop_assert_eq!(sc, bc, "counters diverged at {} threads for {}", threads, sql);
                 }
-                flavor_rows.push(brows);
-                flavor_cells.push(bc.cells_scanned);
+                flavor_cells.push(sc.cells_scanned);
+                flavor_rows.push(srows);
             }
             prop_assert_eq!(&flavor_rows[0], &flavor_rows[1], "pruning changed rows for {}", sql);
             prop_assert!(
@@ -244,14 +235,12 @@ mod scalar_vs_batch {
 // run-aware RLE comparisons, packed-domain FOR range checks) each fire only
 // for their own representation — so the equivalence contract is checked with
 // every representation *forced*, not just the ones the cost rules would
-// pick. For each policy × bloom-filter setting, scalar ≡ serial batch ≡
-// parallel rows and WorkCounters, and answers must match the Plain baseline.
+// pick. For each policy × bloom-filter setting, scalar ≡ batch at threads
+// 1/2/4 rows and WorkCounters, and answers must match the Plain baseline.
 
 mod forced_encodings {
     use qpe_htap::engine::{EngineKind, HtapSystem};
-    use qpe_htap::exec::{
-        execute_parallel, execute_scalar, execute_vectorized, vector, ExecConfig, Row,
-    };
+    use qpe_htap::exec::{execute_parallel, execute_scalar, vector, ExecConfig, Row};
     use qpe_htap::opt::{ap, PlannerCtx};
     use qpe_htap::storage::col_store::EncodingPolicy;
     use qpe_htap::tpch::TpchConfig;
@@ -272,8 +261,8 @@ mod forced_encodings {
         "SELECT o_orderkey, o_totalprice FROM orders ORDER BY o_totalprice DESC LIMIT 7",
     ];
 
-    /// Row interpreter ≡ serial batch ≡ parallel (2 and 4 threads), rows
-    /// and counters, on whatever representations the system currently has.
+    /// Row interpreter ≡ batch at 1 (serial), 2 and 4 threads, rows and
+    /// counters, on whatever representations the system currently has.
     fn agreed_rows(sys: &HtapSystem, sql: &str, label: &str) -> Vec<Row> {
         let db = sys.database();
         let bound = sys.bind(sql).expect("binds");
@@ -281,16 +270,13 @@ mod forced_encodings {
         let plan = ap::plan(&ctx).expect("ap plan");
         assert!(vector::supported(&plan), "{label}: unsupported AP plan for {sql}");
         let (srows, sc) = execute_scalar(&plan, &bound, &db, EngineKind::Ap).expect("scalar");
-        let (brows, bc) = execute_vectorized(&plan, &bound, &db).expect("vectorized");
-        assert_eq!(srows, brows, "{label}: scalar vs batch rows for {sql}");
-        assert_eq!(sc, bc, "{label}: scalar vs batch counters for {sql}");
-        for threads in [2usize, 4] {
+        for threads in [1usize, 2, 4] {
             let cfg = ExecConfig { threads, morsel_rows: 48, ..ExecConfig::serial() };
-            let (prows, pc) = execute_parallel(&plan, &bound, &db, &cfg).expect("parallel");
-            assert_eq!(brows, prows, "{label}: parallel rows at {threads} threads for {sql}");
-            assert_eq!(bc, pc, "{label}: parallel counters at {threads} threads for {sql}");
+            let (brows, bc) = execute_parallel(&plan, &bound, &db, &cfg).expect("batch");
+            assert_eq!(srows, brows, "{label}: batch rows at {threads} threads for {sql}");
+            assert_eq!(sc, bc, "{label}: batch counters at {threads} threads for {sql}");
         }
-        brows
+        srows
     }
 
     #[test]

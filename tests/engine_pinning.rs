@@ -7,7 +7,7 @@
 //! what the pinned engine computes. DML is TP-only on every path, so a
 //! pinned session's writes behave exactly like an unpinned one's.
 
-use qpe_htap::engine::{EngineKind, HtapSystem, StatementOutcome};
+use qpe_htap::engine::{EngineKind, EngineRun, HtapSystem, StatementOutcome};
 use qpe_htap::session::Session;
 use qpe_htap::tpch::TpchConfig;
 use qpe_sql::value::Value;
@@ -45,35 +45,89 @@ fn queries() -> Vec<(&'static str, Vec<Value>)> {
     ]
 }
 
-/// `HtapSystem::execute_on` returns the pinned engine's side of a dual run
-/// exactly — rows, counters, latency — for both engines, across the matrix.
+/// A system with uncompacted INSERT/UPDATE/DELETE on `customer` and
+/// `orders`: delta rows and tombstones, so every AP side reads a pinned
+/// snapshot that differs from the clean base.
+fn dirty_system() -> &'static Arc<HtapSystem> {
+    static SYS: OnceLock<Arc<HtapSystem>> = OnceLock::new();
+    SYS.get_or_init(|| {
+        let sys = HtapSystem::new(&TpchConfig::with_scale(0.002));
+        for i in 0..30i64 {
+            sys.execute_statement(&format!(
+                "INSERT INTO customer (c_custkey, c_name, c_nationkey, c_phone, c_acctbal, \
+                 c_mktsegment) VALUES ({}, 'dirty#{i}', {}, '20-000-000-0000', {}.5, \
+                 'machinery')",
+                930_000 + i,
+                i % 25,
+                200 + i
+            ))
+            .expect("insert");
+        }
+        sys.execute_statement("UPDATE customer SET c_acctbal = c_acctbal + 7 WHERE c_custkey < 60")
+            .expect("update");
+        sys.execute_statement("DELETE FROM customer WHERE c_custkey BETWEEN 100 AND 130")
+            .expect("delete");
+        sys.execute_statement("DELETE FROM orders WHERE o_orderkey < 40").expect("delete");
+        let fresh = sys.freshness("customer").expect("freshness");
+        assert!(fresh.delta_rows > 0 && fresh.deleted_rows > 0, "must be dirty");
+        Arc::new(sys)
+    })
+}
+
+/// Asserts `got` is exactly `want`: same engine, rows, counters, latency.
+fn assert_same_run(got: &EngineRun, want: &EngineRun, what: &str) {
+    assert_eq!(got.engine, want.engine, "{what}: engine");
+    assert_eq!(got.rows, want.rows, "{what}: rows diverged");
+    assert_eq!(got.counters, want.counters, "{what}: counters diverged");
+    assert_eq!(got.latency_ns, want.latency_ns, "{what}: latency diverged");
+}
+
+/// Every read entry point returns exactly `run_sql`'s side(s) — rows,
+/// counters, latency — for both engines, across the matrix, on a clean and
+/// on a dirty system: `run_engine`, `run_engine_with_plan(explain(..))`,
+/// `execute_statement`, `execute_on`, `Session::execute_sql`, and a
+/// prepared statement's `execute`, `execute_on` and `execute_dual_with`.
 #[test]
 fn execute_on_matches_the_dual_run_side() {
-    let sys = system();
-    for (sql, params) in queries() {
-        if !params.is_empty() {
-            continue; // system-level API takes literal SQL only
-        }
-        let dual = sys.run_sql(sql).expect("dual run");
-        for engine in [EngineKind::Tp, EngineKind::Ap] {
-            let out = sys.execute_on(sql, engine).expect("pinned run");
-            let pinned = out.as_pinned().expect("pinned outcome");
-            let side = match engine {
-                EngineKind::Tp => &dual.tp,
-                EngineKind::Ap => &dual.ap,
-            };
-            assert_eq!(pinned.run.engine, engine);
-            assert_eq!(pinned.run.rows, side.rows, "rows diverged: {sql} on {engine:?}");
-            assert_eq!(
-                pinned.run.counters, side.counters,
-                "counters diverged: {sql} on {engine:?}"
-            );
-            assert_eq!(
-                pinned.run.latency_ns, side.latency_ns,
-                "latency diverged: {sql} on {engine:?}"
-            );
-            // rows() accessor agrees across outcome variants.
-            assert_eq!(out.rows().expect("rows"), &side.rows[..]);
+    for (label, sys) in [("clean", system()), ("dirty", dirty_system())] {
+        let session = Session::new(Arc::clone(sys));
+        let limits = sys.statement_limits().clone();
+        for (sql, params) in queries() {
+            if !params.is_empty() {
+                continue; // run_sql takes literal SQL only
+            }
+            let dual = sys.run_sql(sql).expect("dual run");
+            let stmt = session.prepare(sql).expect("prepare");
+            let duals = [
+                ("execute_statement", sys.execute_statement(sql).expect("statement")),
+                ("Session::execute_sql", session.execute_sql(sql).expect("session")),
+                ("prepared execute", stmt.execute(&[]).expect("prepared")),
+                ("execute_dual_with", stmt.execute_dual_with(&[], &limits).expect("dual_with")),
+            ];
+            for (entry, out) in &duals {
+                let q = out.as_query().expect("dual outcome");
+                assert_same_run(&q.tp, &dual.tp, &format!("{label} {entry} TP: {sql}"));
+                assert_same_run(&q.ap, &dual.ap, &format!("{label} {entry} AP: {sql}"));
+            }
+            let bound = sys.bind(sql).expect("bind");
+            for engine in [EngineKind::Tp, EngineKind::Ap] {
+                let side = dual.run(engine);
+                let what = |entry: &str| format!("{label} {entry} on {engine:?}: {sql}");
+                let run = sys.run_engine(&bound, engine).expect("run_engine");
+                assert_same_run(&run, side, &what("run_engine"));
+                let plan = sys.explain(&bound, engine).expect("explain");
+                let run = sys.run_engine_with_plan(plan, &bound, engine).expect("with_plan");
+                assert_same_run(&run, side, &what("run_engine_with_plan"));
+                for (entry, out) in [
+                    ("execute_on", sys.execute_on(sql, engine).expect("execute_on")),
+                    ("prepared execute_on", stmt.execute_on(engine, &[]).expect("pinned")),
+                ] {
+                    let pinned = out.as_pinned().expect("pinned outcome");
+                    assert_same_run(&pinned.run, side, &what(entry));
+                    // rows() accessor agrees across outcome variants.
+                    assert_eq!(out.rows().expect("rows"), &side.rows[..]);
+                }
+            }
         }
     }
 }

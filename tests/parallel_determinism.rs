@@ -8,7 +8,7 @@
 //! morsels per operator even at test scale.
 
 use qpe_htap::engine::HtapSystem;
-use qpe_htap::exec::{execute_parallel, execute_vectorized, vector, ExecConfig, Row, WorkCounters};
+use qpe_htap::exec::{execute_parallel, vector, ExecConfig, Row, WorkCounters};
 use qpe_htap::opt::{ap, PlannerCtx};
 use qpe_htap::tpch::TpchConfig;
 use qpe_sql::binder::BoundQuery;
@@ -76,7 +76,7 @@ fn repeated_parallel_runs_are_byte_identical() {
     for sql in QUERIES {
         let (plan, bound) = ap_plan(&sys, sql);
         let (serial_rows, serial_counters): (Vec<Row>, WorkCounters) =
-            execute_vectorized(&plan, &bound, &db).expect("serial batch");
+            execute_parallel(&plan, &bound, &db, &ExecConfig::serial()).expect("serial batch");
         for run in 0..REPEATS {
             let (rows, counters) =
                 execute_parallel(&plan, &bound, &db, &cfg).expect("parallel");
@@ -101,7 +101,7 @@ fn thread_count_and_morsel_size_are_invisible() {
     for sql in QUERIES {
         let (plan, bound) = ap_plan(&sys, sql);
         let (serial_rows, serial_counters) =
-            execute_vectorized(&plan, &bound, &db).expect("serial batch");
+            execute_parallel(&plan, &bound, &db, &ExecConfig::serial()).expect("serial batch");
         for threads in [2usize, 3, 4, 8] {
             for morsel_rows in [7usize, 33, 256] {
                 let cfg = ExecConfig { threads, morsel_rows, ..ExecConfig::serial() };
