@@ -10,7 +10,7 @@
 //! * the **morsel-driven parallel executor** ([`parallel`]) is the batch
 //!   executor with its kernels fanned out over a scoped worker pool: scans
 //!   and filters split into fixed-size morsels (cut at base/delta chunk
-//!   boundaries), hash-join builds partition by key hash, aggregation
+//!   boundaries), hash-join probes share one serially built table, aggregation
 //!   inputs evaluate per morsel ahead of one serial typed fold, and sorts
 //!   merge stable-sorted chunks.
 //!
@@ -262,6 +262,83 @@ fn term_values(terms: &[PlanTerm]) -> Result<Vec<&Value>, ExecError> {
     terms.iter().map(term_value).collect()
 }
 
+/// The row interpreter's hash join: a table over `build_rows` keyed on the
+/// cells at `bpos`, probed with `probe_rows`' cells at `ppos`; each probe
+/// row is emitted joined with its matches in build order. NULL keys never
+/// match.
+pub(crate) fn hash_join_rows(
+    counters: &mut WorkCounters,
+    guard: &ExecGuard,
+    build_rows: &[Row],
+    probe_rows: &[Row],
+    bpos: &[usize],
+    ppos: &[usize],
+) -> Result<Vec<Row>, ExecError> {
+    // Keys borrow from the build/probe rows — no per-row
+    // `Vec<Value>` clone. Single-key joins (the common case)
+    // skip the key vector entirely.
+    let mut out = Vec::new();
+    if let (&[bp], &[pp]) = (bpos, ppos) {
+        let mut table: HashMap<&Value, Vec<&Row>> =
+            HashMap::with_capacity(build_rows.len());
+        for (i, row) in build_rows.iter().enumerate() {
+            if i % GUARD_CHECK_ROWS == 0 {
+                guard.check()?;
+            }
+            counters.hash_build_rows += 1;
+            table.entry(&row[bp]).or_default().push(row);
+        }
+        for (i, row) in probe_rows.iter().enumerate() {
+            if i % GUARD_CHECK_ROWS == 0 {
+                guard.check()?;
+            }
+            counters.hash_probe_rows += 1;
+            // NULL join keys never match (sql_eq semantics).
+            if row[pp].is_null() {
+                continue;
+            }
+            if let Some(matches) = table.get(&row[pp]) {
+                for m in matches {
+                    let mut r = row.clone();
+                    r.extend_from_slice(m);
+                    out.push(r);
+                }
+            }
+        }
+    } else {
+        let mut table: HashMap<Vec<&Value>, Vec<&Row>> =
+            HashMap::with_capacity(build_rows.len());
+        for (i, row) in build_rows.iter().enumerate() {
+            if i % GUARD_CHECK_ROWS == 0 {
+                guard.check()?;
+            }
+            counters.hash_build_rows += 1;
+            let key: Vec<&Value> = bpos.iter().map(|&p| &row[p]).collect();
+            table.entry(key).or_default().push(row);
+        }
+        let mut scratch: Vec<&Value> = Vec::with_capacity(ppos.len());
+        for (i, row) in probe_rows.iter().enumerate() {
+            if i % GUARD_CHECK_ROWS == 0 {
+                guard.check()?;
+            }
+            counters.hash_probe_rows += 1;
+            scratch.clear();
+            scratch.extend(ppos.iter().map(|&p| &row[p]));
+            if scratch.iter().any(|v| v.is_null()) {
+                continue;
+            }
+            if let Some(matches) = table.get(&scratch) {
+                for m in matches {
+                    let mut r = row.clone();
+                    r.extend_from_slice(m);
+                    out.push(r);
+                }
+            }
+        }
+    }
+    Ok(out)
+}
+
 pub(crate) struct Executor<'a> {
     query: &'a BoundQuery,
     db: &'a Database,
@@ -423,71 +500,10 @@ impl Executor<'_> {
                             .ok_or_else(|| ExecError::BadPlan("hash probe key missing".into()))
                     })
                     .collect::<Result<_, _>>()?;
-                // Keys borrow from the build/probe rows — no per-row
-                // `Vec<Value>` clone. Single-key joins (the common case)
-                // skip the key vector entirely.
                 self.guard
                     .charge_cells(build_rows.len() as u64 * build_schema.len().max(1) as u64)?;
-                let mut out = Vec::new();
-                if let (&[bp], &[pp]) = (&bpos[..], &ppos[..]) {
-                    let mut table: HashMap<&Value, Vec<&Row>> =
-                        HashMap::with_capacity(build_rows.len());
-                    for (i, row) in build_rows.iter().enumerate() {
-                        if i % GUARD_CHECK_ROWS == 0 {
-                            self.guard.check()?;
-                        }
-                        self.counters.hash_build_rows += 1;
-                        table.entry(&row[bp]).or_default().push(row);
-                    }
-                    for (i, row) in probe_rows.iter().enumerate() {
-                        if i % GUARD_CHECK_ROWS == 0 {
-                            self.guard.check()?;
-                        }
-                        self.counters.hash_probe_rows += 1;
-                        // NULL join keys never match (sql_eq semantics).
-                        if row[pp].is_null() {
-                            continue;
-                        }
-                        if let Some(matches) = table.get(&row[pp]) {
-                            for m in matches {
-                                let mut r = row.clone();
-                                r.extend_from_slice(m);
-                                out.push(r);
-                            }
-                        }
-                    }
-                } else {
-                    let mut table: HashMap<Vec<&Value>, Vec<&Row>> =
-                        HashMap::with_capacity(build_rows.len());
-                    for (i, row) in build_rows.iter().enumerate() {
-                        if i % GUARD_CHECK_ROWS == 0 {
-                            self.guard.check()?;
-                        }
-                        self.counters.hash_build_rows += 1;
-                        let key: Vec<&Value> = bpos.iter().map(|&p| &row[p]).collect();
-                        table.entry(key).or_default().push(row);
-                    }
-                    let mut scratch: Vec<&Value> = Vec::with_capacity(ppos.len());
-                    for (i, row) in probe_rows.iter().enumerate() {
-                        if i % GUARD_CHECK_ROWS == 0 {
-                            self.guard.check()?;
-                        }
-                        self.counters.hash_probe_rows += 1;
-                        scratch.clear();
-                        scratch.extend(ppos.iter().map(|&p| &row[p]));
-                        if scratch.iter().any(|v| v.is_null()) {
-                            continue;
-                        }
-                        if let Some(matches) = table.get(&scratch) {
-                            for m in matches {
-                                let mut r = row.clone();
-                                r.extend_from_slice(m);
-                                out.push(r);
-                            }
-                        }
-                    }
-                }
-                Ok(out)
+                let (counters, guard) = (&mut self.counters, self.guard);
+                hash_join_rows(counters, guard, &build_rows, &probe_rows, &bpos, &ppos)
             }
             PlanOp::Hash => self.run(&node.children[0]),
             PlanOp::Aggregate { group_by, outputs, having, hash } => {

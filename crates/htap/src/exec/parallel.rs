@@ -10,10 +10,9 @@
 //! * **order-preserving kernels** (filter, gather, expression eval,
 //!   projection): each morsel computes its slice independently; slices are
 //!   reassembled in morsel order, which *is* the serial iteration order;
-//! * **hash joins**: the build side is partitioned by key hash — each
-//!   worker owns one partition and inserts build rows in build order, so
-//!   every key's match list equals the serial one; probe morsels then emit
-//!   pairs in probe order and concatenate in morsel order;
+//! * **hash joins**: the build table fills serially, in build order, so
+//!   every key's match list is the serial one; probe morsels then share it
+//!   read-only, emit pairs in probe order and concatenate in morsel order;
 //! * **aggregation**: the key and argument expressions evaluate
 //!   morsel-parallel; the fold over them ([`super::agg`]) stays serial,
 //!   column-at-a-time, so every group accumulates in the *global* dense
@@ -44,12 +43,11 @@
 //! table length, so thread fan-out sees post-pruning work.
 
 use super::guard::ExecGuard;
+use super::typed::each_block;
 use crate::eval::{eval_batch, eval_predicate_mask, BatchView, EvalError};
 use crate::eval::Schema;
 use crate::storage::col_store::{ColRef, ColumnData};
 use qpe_sql::binder::BoundExpr;
-use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, OnceLock};
@@ -266,16 +264,12 @@ where
     })
 }
 
-/// Folds per-morsel `Result`s into one, surfacing the error of the earliest
-/// failing morsel (matching where the serial pass would have stopped).
-fn first_err<T>(results: Vec<Result<T, EvalError>>) -> Result<Vec<T>, EvalError> {
-    results.into_iter().collect()
-}
-
-/// Builds the identity selection for a dense sub-range — the sub-view
-/// handed to a morsel worker when the parent batch has no selection vector.
-fn ident_sel(range: &Range<usize>) -> Vec<u32> {
-    (range.start as u32..range.end as u32).collect()
+/// Splices per-morsel columns in morsel order.
+fn splice(pieces: Vec<ColumnData>) -> ColumnData {
+    let mut iter = pieces.into_iter();
+    let mut acc = iter.next().expect("at least one morsel");
+    iter.for_each(|piece| acc.append(piece));
+    acc
 }
 
 /// A morsel's view of `(cols, sel, rows)`: the parent selection sliced to
@@ -290,7 +284,7 @@ fn sub_view<'v>(
     match sel {
         Some(s) => BatchView { cols, sel: Some(&s[range.clone()]), rows },
         None => {
-            *ident = ident_sel(range);
+            *ident = (range.start as u32..range.end as u32).collect();
             BatchView { cols, sel: Some(ident), rows }
         }
     }
@@ -337,7 +331,8 @@ pub(crate) fn par_filter_sel(
         }
         Ok(out)
     });
-    let pieces = first_err(pieces)?;
+    // Morsel order is serial order: the earliest failing morsel's error wins.
+    let pieces = pieces.into_iter().collect::<Result<Vec<_>, _>>()?;
     let mut out = Vec::with_capacity(pieces.iter().map(Vec::len).sum());
     for p in pieces {
         out.extend_from_slice(&p);
@@ -379,12 +374,7 @@ pub(crate) fn par_eval_batch(
         let view = sub_view(cols, sel, rows, range, &mut ident);
         eval_batch(expr, schema, &view)
     });
-    let mut iter = first_err(pieces)?.into_iter();
-    let mut acc = iter.next().expect("at least one morsel");
-    for piece in iter {
-        acc.append(piece);
-    }
-    Ok(acc)
+    Ok(splice(pieces.into_iter().collect::<Result<_, _>>()?))
 }
 
 /// Parallel [`ColRef::gather_rows`]: gathers index morsels independently
@@ -401,12 +391,7 @@ pub(crate) fn par_gather(cfg: &ExecConfig, col: ColRef<'_>, idxs: &[u32]) -> Col
         }
         col.gather_rows(&idxs[ranges[i].clone()])
     });
-    let mut iter = pieces.into_iter();
-    let mut acc = iter.next().expect("at least one morsel");
-    for piece in iter {
-        acc.append(piece);
-    }
-    acc
+    splice(pieces)
 }
 
 /// Parallel row materialization from dense output columns (projection /
@@ -442,108 +427,42 @@ pub(crate) fn par_build_rows(
 }
 
 // ---------------------------------------------------------------------------
-// Hash-join partitioning
+// Hash-join probe
 // ---------------------------------------------------------------------------
 
-/// Deterministic partition id for a hashable key (the std `DefaultHasher`
-/// is keyed with fixed constants, so partitioning is stable across runs —
-/// though correctness only needs per-key consistency within one run: the
-/// join's output order never depends on which partition a key landed in).
-pub(crate) fn partition_of<K: Hash + ?Sized>(key: &K, n_parts: usize) -> usize {
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    key.hash(&mut h);
-    (h.finish() % n_parts as u64) as usize
-}
+/// `(probe physical row, build physical row)` pairs, in join output order.
+pub(crate) type JoinPairs = (Vec<u32>, Vec<u32>);
 
-/// Builds the join hash table partitioned by key hash, in two passes so no
-/// worker re-materializes another partition's keys: pass 1 computes each
-/// build row's partition id morsel-parallel; pass 2 has worker `p` insert
-/// only its own rows, in build order — so each key's match list is exactly
-/// the serial build's list.
-pub(crate) fn par_hash_build<K, KF>(
-    cfg: &ExecConfig,
-    build_len: usize,
-    key_at: KF,
-) -> Vec<HashMap<K, Vec<u32>>>
+/// Runs a hash join's probe over dense positions `0..n`: `probe` appends
+/// one range's pairs in position order, reading a build table all ranges
+/// share. Ranges are [`each_block`]'s guard-polled blocks serially, else
+/// guard-polled morsels on the pool, concatenated in order — same pairs.
+pub(crate) fn par_probe<F>(cfg: &ExecConfig, n: usize, probe: F) -> JoinPairs
 where
-    K: Hash + Eq + Send,
-    KF: Fn(usize) -> (K, u32) + Sync,
+    F: Fn(Range<usize>, &mut JoinPairs) + Sync,
 {
-    let n_parts = cfg.threads.clamp(1, 255);
-    let ranges = morsel_ranges(build_len, cfg.morsel_rows, &[]);
     let guard = cfg.guard();
-    let pieces = run_tasks(cfg.threads, ranges.len(), |i| {
-        if guard.poll() {
-            return Vec::new();
-        }
-        ranges[i]
-            .clone()
-            .map(|j| partition_of(&key_at(j).0, n_parts) as u8)
-            .collect::<Vec<u8>>()
-    });
-    let mut parts: Vec<u8> = Vec::with_capacity(build_len);
-    for p in pieces {
-        parts.extend(p);
+    if !cfg.parallel_for(n) {
+        let mut out = JoinPairs::default();
+        each_block(n, guard, |range| probe(range, &mut out));
+        return out;
     }
-    run_tasks(cfg.threads, n_parts, |p| {
-        let mut table: HashMap<K, Vec<u32>> = HashMap::new();
-        if guard.poll() {
-            return table;
-        }
-        for (j, &part) in parts.iter().enumerate() {
-            if part == p as u8 {
-                let (key, phys) = key_at(j);
-                table.entry(key).or_default().push(phys);
-            }
-        }
-        table
-    })
-}
-
-/// Probes the partitioned tables morsel-by-morsel, emitting
-/// `(probe physical, build physical)` pairs in probe order within each
-/// morsel and concatenating morsels in order — the serial pair order.
-/// `key_at` returns `None` for NULL-bearing keys, which never match.
-pub(crate) fn par_hash_probe<K, KF>(
-    cfg: &ExecConfig,
-    probe_len: usize,
-    tables: &[HashMap<K, Vec<u32>>],
-    key_at: KF,
-) -> (Vec<u32>, Vec<u32>)
-where
-    K: Hash + Eq + Send + Sync,
-    KF: Fn(usize) -> Option<(K, u32)> + Sync,
-{
-    let n_parts = tables.len().max(1);
-    let ranges = morsel_ranges(probe_len, cfg.morsel_rows, &[]);
-    let guard = cfg.guard();
+    let ranges = morsel_ranges(n, cfg.morsel_rows, &[]);
     let pieces = run_tasks(cfg.threads, ranges.len(), |i| {
-        let mut probe_idx = Vec::new();
-        let mut build_idx = Vec::new();
-        if guard.poll() {
-            return (probe_idx, build_idx);
+        let n = ranges[i].len();
+        let mut piece = (Vec::with_capacity(n), Vec::with_capacity(n));
+        if !guard.poll() {
+            probe(ranges[i].clone(), &mut piece);
         }
-        for j in ranges[i].clone() {
-            let Some((key, phys)) = key_at(j) else {
-                continue;
-            };
-            if let Some(matches) = tables[partition_of(&key, n_parts)].get(&key) {
-                for &b in matches {
-                    probe_idx.push(phys);
-                    build_idx.push(b);
-                }
-            }
-        }
-        (probe_idx, build_idx)
+        piece
     });
-    let total: usize = pieces.iter().map(|(p, _)| p.len()).sum();
-    let mut probe_idx = Vec::with_capacity(total);
-    let mut build_idx = Vec::with_capacity(total);
+    let total = pieces.iter().map(|(p, _)| p.len()).sum();
+    let mut out = (Vec::with_capacity(total), Vec::with_capacity(total));
     for (p, b) in pieces {
-        probe_idx.extend_from_slice(&p);
-        build_idx.extend_from_slice(&b);
+        out.0.extend_from_slice(&p);
+        out.1.extend_from_slice(&b);
     }
-    (probe_idx, build_idx)
+    out
 }
 
 #[cfg(test)]
@@ -587,14 +506,6 @@ mod tests {
         for threads in [1, 2, 4] {
             let out = run_tasks(threads, 13, |i| i * i);
             assert_eq!(out, (0..13).map(|i| i * i).collect::<Vec<_>>());
-        }
-    }
-
-    #[test]
-    fn partition_is_deterministic() {
-        for key in 0i64..100 {
-            assert_eq!(partition_of(&key, 4), partition_of(&key, 4));
-            assert!(partition_of(&key, 4) < 4);
         }
     }
 

@@ -1,7 +1,8 @@
 //! Column-at-a-time access shared by the batch executor's aggregation and
 //! top-N: how a key or argument expression reaches them ([`ExprCol`]), typed
 //! reads of its cells ([`Num`], [`with_numeric!`]) and the guard-polled row
-//! loop every pass runs in ([`each_row`]).
+//! loops every pass runs in ([`each_row`], [`each_block`]) — the hash join's
+//! serial build and probe included.
 
 use super::guard::ExecGuard;
 use super::parallel::{par_eval_batch, ExecConfig};
@@ -11,6 +12,7 @@ use crate::storage::col_store::{ColRef, ColumnData};
 use qpe_sql::binder::BoundExpr;
 use qpe_sql::value::Value;
 use std::cmp::Ordering;
+use std::ops::Range;
 
 /// The values of one key or argument expression over a batch.
 pub(crate) enum ExprCol<'a> {
@@ -79,6 +81,18 @@ pub(crate) fn each_row(n: usize, guard: &ExecGuard, mut f: impl FnMut(usize)) ->
         for j in lo..(lo + GUARD_CHECK_ROWS).min(n) {
             f(j);
         }
+    }
+    true
+}
+
+/// [`each_row`] handing `f` one block of [`GUARD_CHECK_ROWS`] positions at
+/// a time.
+pub(crate) fn each_block(n: usize, guard: &ExecGuard, mut f: impl FnMut(Range<usize>)) -> bool {
+    for lo in (0..n).step_by(GUARD_CHECK_ROWS) {
+        if guard.poll() {
+            return false;
+        }
+        f(lo..(lo + GUARD_CHECK_ROWS).min(n));
     }
     true
 }

@@ -10,8 +10,9 @@
 //! * scans borrow column storage outright — no per-cell clone;
 //! * filters evaluate predicates over typed slices into a new selection
 //!   vector ([`crate::eval::eval_predicate_mask`]) — no row construction;
-//! * joins match on typed key columns and gather only the columns that are
-//!   *live* above the join (late materialization);
+//! * joins decode integer-domain keys (any encoding) to `i64` once, match
+//!   them through one flat table shared by every probe morsel, and gather
+//!   only the columns that are *live* above the join (late materialization);
 //! * sorts and top-N permute the selection instead of moving rows;
 //! * rows are materialized once, at the aggregation/projection boundary.
 //!
@@ -27,13 +28,13 @@
 //! serial path — `threads == 1` (the default on a single-core host) is the
 //! exact serial executor.
 
-use super::parallel::{self, ExecConfig};
+use super::parallel::{self, ExecConfig, JoinPairs};
 use super::typed::{self, ExprCol};
-use super::{agg, produces_final_rows, sort, ExecError, Row, WorkCounters};
+use super::{agg, produces_final_rows, sort, ExecError, ExecGuard, Row, WorkCounters};
 use crate::engine::Database;
 use crate::eval::{eval_predicate_mask, BatchView, Schema};
 use crate::plan::{PlanNode, PlanOp};
-use crate::storage::col_store::{ColRef, ColumnData, FOR_BLOCK_ROWS};
+use crate::storage::col_store::{ColRef, ColumnData, DictColumn, ForInt, RleRuns, FOR_BLOCK_ROWS};
 use qpe_sql::binder::{BoundExpr, BoundQuery, ColumnRef};
 use qpe_sql::value::Value;
 use std::collections::{HashMap, HashSet};
@@ -453,28 +454,12 @@ impl<'a> VecExecutor<'a> {
         let build = self.run_batch(&hash_node.children[0], &child_needs)?;
         let probe = self.run_batch(probe_node, &child_needs)?;
 
-        let bpos: Vec<usize> = build_keys
-            .iter()
-            .map(|k| {
-                build_schema
-                    .position(k.table_slot, k.column_idx)
-                    .ok_or_else(|| ExecError::BadPlan("hash build key missing".into()))
-            })
-            .collect::<Result<_, _>>()?;
-        let ppos: Vec<usize> = probe_keys
-            .iter()
-            .map(|k| {
-                probe_schema
-                    .position(k.table_slot, k.column_idx)
-                    .ok_or_else(|| ExecError::BadPlan("hash probe key missing".into()))
-            })
-            .collect::<Result<_, _>>()?;
-
-        self.counters.hash_build_rows += build.selected_len() as u64;
-        self.counters.hash_probe_rows += probe.selected_len() as u64;
-
-        let (probe_idx, build_idx) =
-            join_pairs(self.cfg, &probe, &ppos, &build, &bpos)?;
+        let (probe_idx, build_idx) = join_pairs(
+            self.cfg,
+            &mut self.counters,
+            &JoinSide::of(&probe, &probe_schema, probe_keys)?,
+            &JoinSide::of(&build, &build_schema, build_keys)?,
+        );
 
         // A tripped guard may have truncated the pair lists; surface it
         // before gathering from them.
@@ -656,207 +641,350 @@ impl<'a> VecExecutor<'a> {
     }
 }
 
-/// Computes matching (probe physical index, build physical index) pairs in
-/// the row interpreter's output order: probe rows in order, matches in build
-/// insertion order. Uses a typed `i64` table when both key columns are
-/// integer-typed; otherwise falls back to generic `Value` keys (identical
-/// hashing/equality semantics to the row path).
-///
-/// With a parallel [`ExecConfig`], the build side is partitioned by key
-/// hash (each partition's per-key match lists still fill in build order)
-/// and probe morsels emit pairs concatenated in probe order — the output is
-/// bit-identical to the serial pass either way.
-fn join_pairs(
-    cfg: &ExecConfig,
-    probe: &Batch<'_>,
-    ppos: &[usize],
-    build: &Batch<'_>,
-    bpos: &[usize],
-) -> Result<(Vec<u32>, Vec<u32>), ExecError> {
-    let build_len = build.selected_len();
-    let probe_len = probe.selected_len();
-    let parallel_join = cfg.parallel_for(probe_len.max(build_len));
-    let mut probe_idx = Vec::new();
-    let mut build_idx = Vec::new();
-
-    // Typed fast path: a single key of the same integer-backed variant on
-    // both sides, each in one contiguous segment (chunked keys from a dirty
-    // table's delta-aware scan take the generic path below). Restricted to
-    // same-variant pairs because the row interpreter's `Value` keys hash
-    // with a type tag — an `Int` never matches a `Date` there, so it must
-    // not match here either. Dictionary keys on both sides join on `u32`
-    // codes: the probe side's codes are remapped into the build dictionary's
-    // code space once (string compares only across the two small value
-    // tables), then every row hashes and compares integers.
-    if ppos.len() == 1 && bpos.len() == 1 {
-        let pcol = probe.cols[ppos[0]]
-            .as_ref()
-            .ok_or_else(|| ExecError::BadPlan("join key column not materialized".into()))?;
-        let bcol = build.cols[bpos[0]]
-            .as_ref()
-            .ok_or_else(|| ExecError::BadPlan("join key column not materialized".into()))?;
-        if let (Some(ColumnData::Dict(p)), Some(ColumnData::Dict(b))) =
-            (pcol.as_single(), bcol.as_single())
-        {
-            // Code equality in the build space ≡ string equality: each probe
-            // value maps to its build code, or to -1 (absent — below every
-            // valid code, so the probe can never find it in the table).
-            let to_build: Vec<i64> = p
-                .values
-                .iter()
-                .map(|v| b.code_of(v).map_or(-1, |c| c as i64))
-                .collect();
-            let pk = IntKeyed::Remap { codes: &p.codes, to_build: &to_build };
-            let bk = IntKeyed::Code(&b.codes);
-            return int_keyed_join(cfg, parallel_join, probe, build, pk, bk);
-        }
-        let keyed = match (pcol.as_single(), bcol.as_single()) {
-            (Some(ColumnData::Int(p)), Some(ColumnData::Int(b))) => {
-                Some((IntKeyed::I64(p), IntKeyed::I64(b)))
-            }
-            (Some(ColumnData::Date(p)), Some(ColumnData::Date(b))) => {
-                Some((IntKeyed::I32(p), IntKeyed::I32(b)))
-            }
-            _ => None,
-        };
-        if let Some((pk, bk)) = keyed {
-            return int_keyed_join(cfg, parallel_join, probe, build, pk, bk);
-        }
-    }
-
-    // Generic path: Value keys, same structural equality as the row
-    // interpreter's `HashMap<Vec<Value>, _>`.
-    let bcols: Vec<ColRef<'_>> = bpos
-        .iter()
-        .map(|&p| {
-            build.cols[p]
-                .as_ref()
-                .ok_or_else(|| ExecError::BadPlan("join key column not materialized".into()))
-        })
-        .collect::<Result<_, _>>()?;
-    let pcols: Vec<ColRef<'_>> = ppos
-        .iter()
-        .map(|&p| {
-            probe.cols[p]
-                .as_ref()
-                .ok_or_else(|| ExecError::BadPlan("join key column not materialized".into()))
-        })
-        .collect::<Result<_, _>>()?;
-    if parallel_join {
-        let tables = parallel::par_hash_build(cfg, build_len, |j| {
-            let phys = batch_phys(build, j);
-            let key: Vec<Value> = bcols.iter().map(|c| c.get(phys)).collect();
-            (key, phys as u32)
-        });
-        return Ok(parallel::par_hash_probe(cfg, probe_len, &tables, |j| {
-            let phys = batch_phys(probe, j);
-            let key: Vec<Value> = pcols.iter().map(|c| c.get(phys)).collect();
-            // NULL join keys never match (sql_eq semantics).
-            if key.iter().any(|v| v.is_null()) {
-                None
-            } else {
-                Some((key, phys as u32))
-            }
-        }));
-    }
-    let mut table: HashMap<Vec<Value>, Vec<u32>> = HashMap::with_capacity(build_len);
-    for j in 0..build_len {
-        let phys = batch_phys(build, j);
-        let key: Vec<Value> = bcols.iter().map(|c| c.get(phys)).collect();
-        table.entry(key).or_default().push(phys as u32);
-    }
-    let mut scratch: Vec<Value> = Vec::with_capacity(pcols.len());
-    for j in 0..probe_len {
-        let phys = batch_phys(probe, j);
-        scratch.clear();
-        scratch.extend(pcols.iter().map(|c| c.get(phys)));
-        // NULL join keys never match (sql_eq semantics).
-        if scratch.iter().any(|v| v.is_null()) {
-            continue;
-        }
-        if let Some(matches) = table.get(&scratch) {
-            for &b in matches {
-                probe_idx.push(phys as u32);
-                build_idx.push(b);
-            }
-        }
-    }
-    Ok((probe_idx, build_idx))
+/// One input of a hash join as [`join_pairs`] reads it: the key columns and
+/// the selection of the batch they belong to.
+pub(crate) struct JoinSide<'a> {
+    pub(crate) keys: Vec<ColRef<'a>>,
+    /// Physical rows in dense order (`None`: rows `0..len`).
+    pub(crate) sel: Option<&'a [u32]>,
+    pub(crate) len: usize,
 }
 
-#[inline]
-fn batch_phys(batch: &Batch<'_>, j: usize) -> usize {
-    match &batch.sel {
-        Some(s) => s[j] as usize,
-        None => j,
+impl<'a> JoinSide<'a> {
+    fn of(batch: &'a Batch<'_>, schema: &Schema, keys: &[ColumnRef]) -> Result<Self, ExecError> {
+        let mut cols = Vec::with_capacity(keys.len());
+        for k in keys {
+            let pos = schema.position(k.table_slot, k.column_idx);
+            let col = pos.and_then(|p| batch.cols[p].as_ref());
+            cols.push(col.ok_or_else(|| ExecError::BadPlan("join key column missing".into()))?);
+        }
+        Ok(JoinSide { keys: cols, sel: batch.sel.as_deref(), len: batch.selected_len() })
     }
-}
 
-/// Integer view over `Int`, `Date`, and dictionary-code key columns.
-#[derive(Clone, Copy)]
-enum IntKeyed<'a> {
-    I64(&'a [i64]),
-    I32(&'a [i32]),
-    /// Build-side dictionary codes, keyed directly.
-    Code(&'a [u32]),
-    /// Probe-side dictionary codes translated into the build dictionary's
-    /// code space (`-1` ⇒ value absent from the build side, never matches).
-    Remap {
-        codes: &'a [u32],
-        to_build: &'a [i64],
-    },
-}
-
-impl IntKeyed<'_> {
     #[inline]
-    fn get(self, idx: usize) -> i64 {
-        match self {
-            IntKeyed::I64(v) => v[idx],
-            IntKeyed::I32(v) => v[idx] as i64,
-            IntKeyed::Code(v) => v[idx] as i64,
-            IntKeyed::Remap { codes, to_build } => to_build[codes[idx] as usize],
+    fn phys(&self, j: usize) -> usize {
+        self.sel.map_or(j, |s| s[j] as usize)
+    }
+}
+
+/// How [`join_pairs`] matches a join's keys.
+pub(crate) enum JoinKeys<'a> {
+    /// One key per side, both in one integer domain: (probe, build).
+    Integer(IntKey<'a>, IntKey<'a>),
+    /// One key per side, in two domains: no pair matches, as the row
+    /// interpreter's type-tagged `Value` hashes intend.
+    Disjoint,
+    /// Several keys, or strings, floats, mixed cells.
+    Generic,
+}
+
+/// Classifies a join's (probe, build) key columns for [`join_pairs`].
+pub(crate) fn classify_join<'a>(probe: &[ColRef<'a>], build: &[ColRef<'a>]) -> JoinKeys<'a> {
+    let ([p], [b]) = (probe, build) else {
+        return JoinKeys::Generic;
+    };
+    match (IntKey::new(*p), IntKey::new(*b)) {
+        (Some((dp, p)), Some((db, b))) if dp == db => JoinKeys::Integer(p, b),
+        (Some(_), Some(_)) => JoinKeys::Disjoint,
+        _ => JoinKeys::Generic,
+    }
+}
+
+/// Computes matching (probe physical row, build physical row) pairs in the
+/// row interpreter's order — probe rows in order, each one's matches in
+/// build order — and charges the join's hash counters. The build table
+/// fills serially; [`parallel::par_probe`] shares it with the probe. NULL
+/// keys never match. An [`IntKey`] pair is decoded to `i64` once per row
+/// and matched through an [`IntTable`]; any other key as a `Vec<Value>`,
+/// hashed and compared like the row interpreter's.
+pub(crate) fn join_pairs(
+    cfg: &ExecConfig,
+    counters: &mut WorkCounters,
+    probe: &JoinSide<'_>,
+    build: &JoinSide<'_>,
+) -> JoinPairs {
+    counters.hash_build_rows += build.len as u64;
+    counters.hash_probe_rows += probe.len as u64;
+    let guard = cfg.guard();
+    match classify_join(&probe.keys, &build.keys) {
+        JoinKeys::Integer(pkey, bkey) => {
+            // Dictionary keys compare as build codes: each probe value maps
+            // to its build code, or to `None` if the build side lacks it.
+            let remap: Option<Vec<Option<i64>>> = match (pkey.base.cells, bkey.base.cells) {
+                (KeyCells::Dict(p), KeyCells::Dict(b)) => {
+                    Some(p.values.iter().map(|v| b.code_of(v).map(i64::from)).collect())
+                }
+                _ => None,
+            };
+            let table = IntTable::build(bkey, build, guard);
+            parallel::par_probe(cfg, probe.len, |range, (pi, bi)| {
+                let mut cursors = Default::default();
+                for j in range {
+                    let phys = probe.phys(j);
+                    if let Some(key) = pkey.read(phys, &mut cursors, remap.as_deref()) {
+                        table.each_match(key, |b| {
+                            pi.push(phys as u32);
+                            bi.push(b);
+                        });
+                    }
+                }
+            })
+        }
+        JoinKeys::Disjoint => JoinPairs::default(),
+        JoinKeys::Generic => {
+            let mut table: HashMap<Vec<Value>, Vec<u32>> = HashMap::with_capacity(build.len);
+            typed::each_row(build.len, guard, |j| {
+                let phys = build.phys(j);
+                let key = build.keys.iter().map(|c| c.get(phys)).collect();
+                table.entry(key).or_default().push(phys as u32);
+            });
+            parallel::par_probe(cfg, probe.len, |range, (pi, bi)| {
+                let mut key: Vec<Value> = Vec::with_capacity(probe.keys.len());
+                for j in range {
+                    let phys = probe.phys(j);
+                    key.clear();
+                    key.extend(probe.keys.iter().map(|c| c.get(phys)));
+                    if key.iter().any(Value::is_null) {
+                        continue;
+                    }
+                    for &b in table.get(&key).into_iter().flatten() {
+                        pi.push(phys as u32);
+                        bi.push(b);
+                    }
+                }
+            })
         }
     }
 }
 
-/// Shared body of the single-key integer-domain join: serial build/probe in
-/// insertion order, or the hash-partitioned parallel variant — bit-identical
-/// output either way.
-fn int_keyed_join(
-    cfg: &ExecConfig,
-    parallel_join: bool,
-    probe: &Batch<'_>,
-    build: &Batch<'_>,
-    pk: IntKeyed<'_>,
-    bk: IntKeyed<'_>,
-) -> Result<(Vec<u32>, Vec<u32>), ExecError> {
-    let build_len = build.selected_len();
-    let probe_len = probe.selected_len();
-    if parallel_join {
-        let tables = parallel::par_hash_build(cfg, build_len, |j| {
-            let phys = batch_phys(build, j);
-            (bk.get(phys), phys as u32)
+/// The build side of an integer-keyed join: open addressing over the
+/// distinct keys (power-of-two slots, multiplicative hash, linear probing),
+/// each slot heading a chain of the build rows that hold its key.
+struct IntTable {
+    shift: u32,
+    /// Per slot: its key, then 1 + its chain's first and last entries (0:
+    /// empty, so no key value is reserved as a marker).
+    slots: Vec<(i64, u32, u32)>,
+    /// Per entry: its physical build row and 1 + the next entry of its
+    /// chain (0: end).
+    entries: Vec<(u32, u32)>,
+}
+
+impl IntTable {
+    fn build(key: IntKey<'_>, side: &JoinSide<'_>, guard: &ExecGuard) -> IntTable {
+        let bits = (2 * side.len).max(2).next_power_of_two().trailing_zeros();
+        let slots = vec![(0, 0, 0); 1 << bits];
+        let mut table = IntTable { shift: 64 - bits, slots, entries: Vec::with_capacity(side.len) };
+        let mut cursors = Default::default();
+        typed::each_row(side.len, guard, |j| {
+            let phys = side.phys(j);
+            if let Some(k) = key.read(phys, &mut cursors, None) {
+                let e = table.entries.len() as u32 + 1;
+                table.entries.push((phys as u32, 0));
+                let s = table.slot_of(k);
+                let (slot_key, head, tail) = &mut table.slots[s];
+                if *head == 0 {
+                    (*slot_key, *head) = (k, e);
+                } else {
+                    table.entries[*tail as usize - 1].1 = e;
+                }
+                *tail = e;
+            }
         });
-        return Ok(parallel::par_hash_probe(cfg, probe_len, &tables, |j| {
-            let phys = batch_phys(probe, j);
-            Some((pk.get(phys), phys as u32))
-        }));
+        table
     }
-    let mut probe_idx = Vec::new();
-    let mut build_idx = Vec::new();
-    let mut table: HashMap<i64, Vec<u32>> = HashMap::with_capacity(build_len);
-    for j in 0..build_len {
-        let phys = batch_phys(build, j);
-        table.entry(bk.get(phys)).or_default().push(phys as u32);
+
+    /// The slot holding `key`, or the empty slot where it would go (at most
+    /// half the slots are full).
+    #[inline]
+    fn slot_of(&self, key: i64) -> usize {
+        let mut s = ((key as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize;
+        while self.slots[s].1 != 0 && self.slots[s].0 != key {
+            s = (s + 1) & (self.slots.len() - 1);
+        }
+        s
     }
-    for j in 0..probe_len {
-        let phys = batch_phys(probe, j);
-        if let Some(matches) = table.get(&pk.get(phys)) {
-            for &b in matches {
-                probe_idx.push(phys as u32);
-                build_idx.push(b);
+
+    /// Calls `f` with each build row holding `key`, in build order.
+    #[inline]
+    fn each_match(&self, key: i64, mut f: impl FnMut(u32)) {
+        let mut e = self.slots[self.slot_of(key)].1;
+        while e != 0 {
+            let (phys, next) = self.entries[e as usize - 1];
+            f(phys);
+            e = next;
+        }
+    }
+}
+
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Domain {
+    Int,
+    Date,
+    Dict,
+}
+
+/// A join key column read as `i64`: its base segment, and a dirty table's
+/// delta segment after the split row.
+#[derive(Clone, Copy)]
+pub(crate) struct IntKey<'a> {
+    base: KeySeg<'a>,
+    delta: Option<(usize, KeySeg<'a>)>,
+}
+
+#[derive(Clone, Copy)]
+struct KeySeg<'a> {
+    cells: KeyCells<'a>,
+    nulls: Option<&'a [bool]>,
+}
+
+#[derive(Clone, Copy)]
+enum KeyCells<'a> {
+    Int(&'a [i64]),
+    Date(&'a [i32]),
+    RleInt(&'a RleRuns<i64>),
+    RleDate(&'a RleRuns<i32>),
+    For(&'a ForInt),
+    Dict(&'a DictColumn),
+}
+
+impl<'a> IntKey<'a> {
+    /// The column's integer domain and key view; `None` when its cells have
+    /// none (strings, floats, mixed) or its two segments disagree.
+    fn new(col: ColRef<'a>) -> Option<(Domain, IntKey<'a>)> {
+        let (base, delta) = match col {
+            ColRef::Single(c) => (c, None),
+            ColRef::Chunked { base, delta } => (base, (!delta.is_empty()).then_some(delta)),
+        };
+        let (domain, seg) = KeySeg::new(base)?;
+        let delta = match delta {
+            Some(d) => Some((base.len(), KeySeg::new(d).filter(|(dd, _)| *dd == domain)?.1)),
+            None => None,
+        };
+        Some((domain, IntKey { base: seg, delta }))
+    }
+
+    /// The key at physical row `row` (`None`: NULL, or a dictionary code
+    /// `map` finds absent from the build side). `cur` carries the base and
+    /// delta segments' decode state from one call to the next.
+    #[inline]
+    fn read(&self, row: usize, cur: &mut [Cursor; 2], map: Option<&[Option<i64>]>) -> Option<i64> {
+        let (seg, i, cur) = match self.delta {
+            Some((split, seg)) if row >= split => (seg, row - split, &mut cur[1]),
+            _ => (self.base, row, &mut cur[0]),
+        };
+        if seg.nulls.is_some_and(|n| n[i]) {
+            return None;
+        }
+        match seg.cells {
+            KeyCells::Int(v) => Some(v[i]),
+            KeyCells::Date(v) => Some(i64::from(v[i])),
+            KeyCells::RleInt(r) => Some(r.vals[cur.run_of(&r.ends, i)]),
+            KeyCells::RleDate(r) => Some(i64::from(r.vals[cur.run_of(&r.ends, i)])),
+            KeyCells::For(f) => Some(cur.for_cell(f, i)),
+            KeyCells::Dict(d) => {
+                let code = d.codes[i];
+                map.map_or(Some(i64::from(code)), |m| m[code as usize])
             }
         }
     }
-    Ok((probe_idx, build_idx))
+}
+
+impl<'a> KeySeg<'a> {
+    fn new(c: &'a ColumnData) -> Option<(Domain, KeySeg<'a>)> {
+        let (nulls, c) = match c {
+            ColumnData::Nullable { nulls, values } => (Some(&nulls[..]), &**values),
+            c => (None, c),
+        };
+        let (domain, cells) = match c {
+            ColumnData::Int(v) => (Domain::Int, KeyCells::Int(v)),
+            ColumnData::RleInt(r) => (Domain::Int, KeyCells::RleInt(r)),
+            ColumnData::ForInt(f) => (Domain::Int, KeyCells::For(f)),
+            ColumnData::Date(v) => (Domain::Date, KeyCells::Date(v)),
+            ColumnData::RleDate(r) => (Domain::Date, KeyCells::RleDate(r)),
+            ColumnData::Dict(d) => (Domain::Dict, KeyCells::Dict(d)),
+            _ => return None,
+        };
+        Some((domain, KeySeg { cells, nulls }))
+    }
+}
+
+/// Decode state of one segment: the FOR block last unpacked and the RLE
+/// run last found, reused while consecutive rows stay inside them.
+#[derive(Default)]
+struct Cursor {
+    block: usize,
+    decoded: Vec<i64>,
+    run: usize,
+}
+
+impl Cursor {
+    #[inline]
+    fn run_of(&mut self, ends: &[u32], i: usize) -> usize {
+        let start = self.run.checked_sub(1).map_or(0, |r| ends[r] as usize);
+        if i < start || i >= ends[self.run] as usize {
+            self.run = ends.partition_point(|&e| e as usize <= i);
+        }
+        self.run
+    }
+
+    #[inline]
+    fn for_cell(&mut self, f: &ForInt, i: usize) -> i64 {
+        let b = i / FOR_BLOCK_ROWS;
+        if self.decoded.is_empty() || b != self.block {
+            f.decode_block_into(b, &mut self.decoded);
+            self.block = b;
+        }
+        self.decoded[i % FOR_BLOCK_ROWS]
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::tpch::TpchConfig;
+    use qpe_sql::catalog::Catalog;
+
+    fn key<'d>(db: &'d Database, table: &str, column: &str) -> ColRef<'d> {
+        let def = db.catalog().table(table).expect("generated table");
+        let idx = def.column_index(column).expect("key column");
+        db.stored_table(table).expect("stored").cols.column_ref(idx)
+    }
+
+    /// Every join the workload generator issues, at the default encoding
+    /// policy, keys on frame-of-reference or plain integer columns and must
+    /// take the integer-keyed path — over a dirty table's chunked view too.
+    #[test]
+    fn generator_join_keys_classify_as_int_keyed() {
+        let mut db = Database::generate(&TpchConfig::with_scale(0.01));
+        let pairs = [
+            (("lineitem", "l_orderkey"), ("orders", "o_orderkey")),
+            (("orders", "o_custkey"), ("customer", "c_custkey")),
+            (("customer", "c_nationkey"), ("nation", "n_nationkey")),
+            (("supplier", "s_nationkey"), ("nation", "n_nationkey")),
+        ];
+        let int_keyed = |db: &Database, (pt, pc), (bt, bc)| {
+            let (p, b) = (key(db, pt, pc), key(db, bt, bc));
+            matches!(classify_join(&[p], &[b]), JoinKeys::Integer(..))
+        };
+        for (probe, build) in pairs {
+            assert!(int_keyed(&db, probe, build), "{probe:?} ⋈ {build:?}");
+        }
+        for (table, column) in [("lineitem", "l_orderkey"), ("orders", "o_custkey")] {
+            let col = key(&db, table, column).as_single().expect("clean table");
+            assert!(matches!(col, ColumnData::ForInt(_)), "{column} is no longer FOR-encoded");
+        }
+
+        let row = [
+            Value::Int(900_001),
+            Value::Str("c#900001".into()),
+            Value::Int(1),
+            Value::Str("20-000-000-0000".into()),
+            Value::Float(1.25),
+            Value::Str("machinery".into()),
+        ];
+        assert_eq!(db.apply_insert("customer", &[row.to_vec()]), 1);
+        assert!(key(&db, "customer", "c_custkey").as_single().is_none(), "dirty view");
+        assert!(int_keyed(&db, ("orders", "o_custkey"), ("customer", "c_custkey")));
+    }
 }

@@ -84,11 +84,15 @@ echo "==> loadgen smoke (ephemeral-port server, 8 wire clients, all three traffi
 # protocol errors after the multi-client traffic.
 cargo run --release -p qpe_bench --bin loadgen -- --smoke
 
-echo "==> repo benchmark correctness gates (analytic: AP ≡ TP per statement class, zero failed ops)"
+echo "==> repo benchmark correctness gates (analytic: AP ≡ TP per statement class; serve_mixed: wire ≡ in-process, reopen keeps every acked write; zero failed ops)"
 # The exit code is the gate: run.sh fails when a class disagrees across
-# engines or any operation fails. Three seconds, untraced — the timings it
-# prints are ignored here (a perf PR compares them with benchmark/compare.sh).
+# engines, a wire answer differs from the in-process oracle, the reopened
+# store lost an acknowledged insert, or any operation fails. serve_mixed
+# runs its AP joins over a dirty (base + delta) table beside a live writer.
+# Three seconds each, untraced — the timings it prints are ignored here (a
+# perf PR compares them with benchmark/compare.sh).
 bash benchmark/run.sh --workload analytic --seconds 3 --trace 0
+bash benchmark/run.sh --workload serve_mixed --seconds 3 --trace 0
 
 echo "==> cargo clippy -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings

@@ -245,11 +245,11 @@ mod forced_encodings {
     use qpe_htap::storage::col_store::EncodingPolicy;
     use qpe_htap::tpch::TpchConfig;
 
-    const TABLES: &[&str] = &["customer", "orders", "nation"];
+    const TABLES: &[&str] = &["customer", "orders", "nation", "lineitem"];
 
     /// Queries chosen to route through each specialized kernel: dict
-    /// equality + IN, FOR/RLE range predicates, dict-keyed group-by, a
-    /// join, and top-N.
+    /// equality + IN, FOR/RLE range predicates, dict-keyed group-by, two
+    /// integer-keyed joins, and top-N.
     const QUERIES: &[&str] = &[
         "SELECT COUNT(*) FROM customer WHERE c_mktsegment = 'machinery'",
         "SELECT c_custkey FROM customer WHERE c_mktsegment IN ('building', 'household')",
@@ -258,6 +258,8 @@ mod forced_encodings {
          GROUP BY c_mktsegment ORDER BY c_mktsegment",
         "SELECT COUNT(*) FROM customer, orders \
          WHERE o_custkey = c_custkey AND o_totalprice > 1000.0",
+        "SELECT COUNT(*), SUM(l_extendedprice) FROM orders, lineitem \
+         WHERE l_orderkey = o_orderkey AND o_orderstatus = 'o'",
         "SELECT o_orderkey, o_totalprice FROM orders ORDER BY o_totalprice DESC LIMIT 7",
     ];
 

@@ -248,70 +248,95 @@ fn cancellation_interrupts_a_parallel_scan() {
     assert!(next.as_query().is_some());
 }
 
+/// Holds one AP-pinned statement to its guard at scale: a deadline a
+/// quarter of the way in returns `Timeout` well before the statement would
+/// have finished, a cross-thread cancel swept across its duration returns
+/// `Cancelled`, and the next run returns the full result again.
+fn assert_stays_governed(session: &Session, sql: &str) {
+    let rows_of = |out: &qpe_htap::engine::StatementOutcome| {
+        out.as_pinned().expect("pinned query").run.rows.clone()
+    };
+    let want = rows_of(&session.execute_sql(sql).expect("warm-up run"));
+    assert!(!want.is_empty());
+    let started = Instant::now();
+    session.execute_sql(sql).expect("ungoverned run");
+    let full = started.elapsed();
+
+    // The loops poll the guard, so the statement returns near the deadline
+    // rather than at its end; host noise gets a few attempts to show that
+    // once.
+    let limits = StatementLimits { timeout: Some(full / 4), memory_budget: None };
+    let mut stopped_early = false;
+    for _ in 0..5 {
+        let started = Instant::now();
+        match session.execute_sql_with(sql, &limits) {
+            Err(HtapError::Timeout { limit }) => assert_eq!(limit, full / 4),
+            other => panic!("expected Timeout for {sql}, got {other:?}"),
+        }
+        stopped_early |= started.elapsed() < full * 3 / 4;
+    }
+    assert!(stopped_early, "deadline only ever surfaced after the loops finished: {sql}");
+
+    let mut cancelled = false;
+    for attempt in 0..40u32 {
+        let handle = session.cancel_handle();
+        let delay = full * attempt / 40;
+        let canceller = std::thread::spawn(move || {
+            std::thread::sleep(delay);
+            handle.cancel();
+        });
+        let out = session.execute_sql(sql);
+        canceller.join().expect("canceller thread");
+        match out {
+            Err(HtapError::Cancelled) => {
+                cancelled = true;
+                break;
+            }
+            Err(e) => panic!("cancellation must not surface as {e}"),
+            Ok(out) => assert_eq!(rows_of(&out), want, "a late cancel leaves the result whole"),
+        }
+    }
+    assert!(cancelled, "no cancel landed in-flight across the delay sweep: {sql}");
+
+    let again = session.execute_sql(sql).expect("the session runs clean afterwards");
+    assert_eq!(rows_of(&again), want);
+}
+
 /// The typed aggregation and top-N loops answer to the statement guard at
-/// scale: over 600 k `lineitem` rows a deadline and a cross-thread cancel
-/// each stop a dictionary-key group-by and a single-float-key top-N with the
-/// typed error and no rows, well before the statement would have finished,
-/// and the next run of the same statement returns the full result again.
+/// scale: over 600 k `lineitem` rows, a dictionary-key group-by and a
+/// single-float-key top-N.
 #[test]
 fn typed_group_by_and_top_n_stay_governed_at_scale() {
     let sys = Arc::new(HtapSystem::new(&TpchConfig::with_scale(0.1)));
     let session = Session::new(sys);
     session.pin_engine(Some(EngineKind::Ap));
-    let rows_of = |out: &qpe_htap::engine::StatementOutcome| {
-        out.as_pinned().expect("pinned query").run.rows.clone()
-    };
     for sql in [
         "SELECT l_linestatus, COUNT(*), SUM(l_extendedprice) FROM lineitem \
          GROUP BY l_linestatus ORDER BY l_linestatus",
         "SELECT l_orderkey, l_extendedprice FROM lineitem WHERE l_quantity >= 1 \
          ORDER BY l_extendedprice DESC LIMIT 20",
     ] {
-        let want = rows_of(&session.execute_sql(sql).expect("warm-up run"));
-        assert!(!want.is_empty());
-        let started = Instant::now();
-        session.execute_sql(sql).expect("ungoverned run");
-        let full = started.elapsed();
+        assert_stays_governed(&session, sql);
+    }
+}
 
-        // Deadline a quarter of the way in. The loops poll the guard, so the
-        // statement returns near the deadline rather than at its end; host
-        // noise gets a few attempts to show that once.
-        let limits = StatementLimits { timeout: Some(full / 4), memory_budget: None };
-        let mut stopped_early = false;
-        for _ in 0..5 {
-            let started = Instant::now();
-            match session.execute_sql_with(sql, &limits) {
-                Err(HtapError::Timeout { limit }) => assert_eq!(limit, full / 4),
-                other => panic!("expected Timeout for {sql}, got {other:?}"),
-            }
-            stopped_early |= started.elapsed() < full * 3 / 4;
-        }
-        assert!(stopped_early, "deadline only ever surfaced after the loops finished: {sql}");
-
-        // Cancel from another thread, swept across the statement's duration.
-        let mut cancelled = false;
-        for attempt in 0..40u32 {
-            let handle = session.cancel_handle();
-            let delay = full * attempt / 40;
-            let canceller = std::thread::spawn(move || {
-                std::thread::sleep(delay);
-                handle.cancel();
-            });
-            let out = session.execute_sql(sql);
-            canceller.join().expect("canceller thread");
-            match out {
-                Err(HtapError::Cancelled) => {
-                    cancelled = true;
-                    break;
-                }
-                Err(e) => panic!("cancellation must not surface as {e}"),
-                Ok(out) => assert_eq!(rows_of(&out), want, "a late cancel leaves the result whole"),
-            }
-        }
-        assert!(cancelled, "no cancel landed in-flight across the delay sweep: {sql}");
-
-        let again = session.execute_sql(sql).expect("the session runs clean afterwards");
-        assert_eq!(rows_of(&again), want);
+/// The integer-keyed join's build and probe loops answer to the guard on
+/// the serial executor as well as the parallel one: orders ⋈ lineitem over
+/// 600 k probe rows, at one and two AP threads.
+#[test]
+fn typed_join_stays_governed_at_scale() {
+    let mut sys = Arc::new(HtapSystem::new(&TpchConfig::with_scale(0.1)));
+    for threads in [1, 2] {
+        Arc::get_mut(&mut sys)
+            .expect("no session outlives its loop")
+            .set_exec_config(ExecConfig::with_threads(threads));
+        let session = Session::new(Arc::clone(&sys));
+        session.pin_engine(Some(EngineKind::Ap));
+        assert_stays_governed(
+            &session,
+            "SELECT COUNT(*), SUM(l_extendedprice) FROM orders, lineitem \
+             WHERE l_orderkey = o_orderkey AND o_orderstatus = 'f'",
+        );
     }
 }
 
