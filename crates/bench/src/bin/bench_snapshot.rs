@@ -1,8 +1,9 @@
-//! Perf-trajectory snapshot: times the read cases from `engine_execution`
-//! plus the write-path / delta-read / parallel-execution cases with
-//! `std::time::Instant` and writes `BENCH_exec.json` (median ns per case) at
-//! the repository root, so successive PRs can compare executor performance
-//! against a checked-in baseline.
+//! Perf-trajectory snapshot: times a point lookup, a 2-way join and an
+//! indexed top-N on each engine plus the write-path / delta-read /
+//! parallel-execution cases with `std::time::Instant` and writes
+//! `BENCH_exec.json` (median ns per case) at the repository root, so
+//! successive PRs can compare executor performance against a checked-in
+//! baseline.
 //!
 //! Write-path cases:
 //! * `dml_insert_delete_compact` — one INSERT + targeted DELETE + compact
@@ -87,7 +88,7 @@ use qpe_htap::tpch::TpchConfig;
 use std::hint::black_box;
 use std::time::Instant;
 
-/// The same cases as `benches/engine_execution.rs`.
+/// Per-engine read cases: point lookup, 2-way join, indexed top-N.
 const CASES: [(&str, &str); 3] = [
     ("point_lookup", "SELECT c_name FROM customer WHERE c_custkey = 42"),
     (
@@ -1041,19 +1042,11 @@ fn main() {
         entries.push((label, v));
     }
 
-    // Merge-preserve: overlay this run's entries onto whatever is already
-    // in BENCH_exec.json, so keys written by other recorders (the server
-    // loadgen's qps/latency entries) survive a snapshot refresh.
+    // This binary is the file's only recorder: a run replaces it whole.
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("../..")
         .join("BENCH_exec.json");
-    let mut obj = match std::fs::read_to_string(&path)
-        .ok()
-        .and_then(|s| serde_json::from_str::<serde_json::Value>(&s).ok())
-    {
-        Some(serde_json::Value::Object(existing)) => existing,
-        _ => serde_json::Map::new(),
-    };
+    let mut obj = serde_json::Map::new();
     for (label, ns) in &entries {
         obj.insert(label.clone(), serde_json::Value::from(*ns));
     }

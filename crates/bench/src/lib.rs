@@ -1,4 +1,4 @@
-//! Shared helpers for the experiment binaries and Criterion benches.
+//! Shared helpers for the experiment binaries.
 //!
 //! Every table and figure of the paper has a dedicated binary under
 //! `src/bin/` (see DESIGN.md's experiment index); this library holds the
@@ -39,21 +39,6 @@ pub fn experiment_config() -> PipelineConfig {
 /// 120 dual-engine runs, router training, KB annotation).
 pub fn experiment_explainer() -> Explainer {
     Explainer::build(experiment_config()).expect("experiment pipeline builds")
-}
-
-/// A smaller pipeline for latency-oriented benches.
-pub fn bench_explainer() -> Explainer {
-    Explainer::build(PipelineConfig {
-        tpch: TpchConfig::with_scale(0.002),
-        n_train: 30,
-        kb_size: 12,
-        trainer: TrainerConfig {
-            epochs: 10,
-            ..TrainerConfig::default()
-        },
-        ..experiment_config()
-    })
-    .expect("bench pipeline builds")
 }
 
 /// The held-out test workload.

@@ -9,7 +9,7 @@ use qpe_llm::grader::{Grade, GradeStats, Grader};
 use qpe_llm::knowledge::KnowledgeEntry;
 use qpe_llm::prompt::{Prompt, PromptConfig, Question};
 use qpe_treecnn::features::flat_summary;
-use qpe_vectordb::{KnowledgeStore, Metric, SearchBackend};
+use qpe_vectordb::KnowledgeStore;
 use serde::{Deserialize, Serialize};
 
 /// Accuracy results for one configuration.
@@ -139,8 +139,7 @@ pub fn flat_embedding_ablation(
     test_sqls: &[String],
 ) -> Result<GradeStats, HtapError> {
     // Parallel KB keyed by concatenated flat summaries.
-    let mut kb: KnowledgeStore<KnowledgeEntry> =
-        KnowledgeStore::new(Metric::Euclidean, SearchBackend::Exact);
+    let mut kb: KnowledgeStore<KnowledgeEntry> = KnowledgeStore::new();
     let oracle = ExpertOracle::new(explainer.system().latency_model());
     for o in explainer.kb_outcomes() {
         let mut key = flat_summary(&o.tp.plan);
@@ -199,8 +198,7 @@ pub fn kb_size_sweep(
     let mut rows = Vec::new();
     for &size in sizes {
         let size = size.min(pool.len());
-        let mut kb: KnowledgeStore<KnowledgeEntry> =
-            KnowledgeStore::new(Metric::Euclidean, SearchBackend::Exact);
+        let mut kb: KnowledgeStore<KnowledgeEntry> = KnowledgeStore::new();
         for o in pool.iter().take(size) {
             let key = explainer.router().embed_pair(&o.tp.plan, &o.ap.plan);
             kb.insert(key, oracle.knowledge_entry(o));

@@ -14,7 +14,7 @@ use qpe_llm::prompt::{Prompt, PromptConfig, Question};
 use qpe_llm::timing::LlmTiming;
 use qpe_treecnn::router::SmartRouter;
 use qpe_treecnn::train::{PlanPairExample, TrainReport, TrainerConfig};
-use qpe_vectordb::{KnowledgeStore, Metric, SearchBackend};
+use qpe_vectordb::KnowledgeStore;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -130,7 +130,7 @@ impl Explainer {
         let truths: Vec<GroundTruth> = outcomes.iter().map(|o| oracle.ground_truth(o)).collect();
         let chosen = stratified_selection(&truths, config.kb_size);
 
-        let mut kb = KnowledgeStore::new(Metric::Euclidean, SearchBackend::Exact);
+        let mut kb = KnowledgeStore::new();
         let mut kb_outcomes = Vec::with_capacity(chosen.len());
         for &i in &chosen {
             let o = &outcomes[i];

@@ -3,7 +3,7 @@
 //! This crate puts the in-process [`qpe_htap::Session`] API on a socket: a
 //! thread-per-connection TCP [`server`] speaking a length-prefixed,
 //! CRC-checked binary [`protocol`], a blocking [`client`] library used by
-//! the tests and the `loadgen` traffic harness, and [`stats`] counters
+//! the tests and the repo benchmark's wire workloads, and [`stats`] counters
 //! surfacing server observability over the same protocol.
 //!
 //! The server adds exactly the concerns a network boundary introduces —

@@ -4,22 +4,10 @@
 //! expert explanations arrive over time, including corrections of wrong LLM
 //! outputs), searched by embedding, and persisted as JSON.
 
-use crate::distance::Metric;
 use crate::exact::ExactIndex;
-use crate::hnsw::{HnswConfig, HnswIndex};
 use serde::de::DeserializeOwned;
 use serde::{Deserialize, Serialize};
 use std::path::Path;
-
-/// Which search structure backs the store.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
-pub enum SearchBackend {
-    /// Exact linear scan — the right default at the paper's KB size.
-    #[default]
-    Exact,
-    /// HNSW approximate index — for the KB-growth experiments.
-    Hnsw,
-}
 
 /// One search result.
 #[derive(Debug, Clone, PartialEq)]
@@ -35,35 +23,28 @@ pub struct SearchHit<'a, V> {
 /// A vector-keyed store of payloads.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct KnowledgeStore<V> {
-    metric: Metric,
-    backend: SearchBackend,
     exact: ExactIndex,
-    hnsw: HnswIndex,
     values: Vec<V>,
+}
+
+impl<V> Default for KnowledgeStore<V> {
+    fn default() -> Self {
+        KnowledgeStore {
+            exact: ExactIndex::new(),
+            values: Vec::new(),
+        }
+    }
 }
 
 impl<V: Clone + Serialize + DeserializeOwned> KnowledgeStore<V> {
     /// Creates an empty store.
-    pub fn new(metric: Metric, backend: SearchBackend) -> Self {
-        let hnsw_cfg = HnswConfig {
-            metric,
-            ..Default::default()
-        };
-        KnowledgeStore {
-            metric,
-            backend,
-            exact: ExactIndex::new(metric),
-            hnsw: HnswIndex::new(hnsw_cfg),
-            values: Vec::new(),
-        }
+    pub fn new() -> Self {
+        Self::default()
     }
 
-    /// Inserts an entry; both indexes stay in sync so the backend can be
-    /// switched at any time (used by the exact-vs-HNSW benchmark).
+    /// Inserts an entry; returns its id (insertion order).
     pub fn insert(&mut self, vector: Vec<f64>, value: V) -> u32 {
-        let id = self.exact.add(vector.clone());
-        let hid = self.hnsw.add(vector);
-        debug_assert_eq!(id, hid);
+        let id = self.exact.add(vector);
         self.values.push(value);
         id
     }
@@ -93,28 +74,11 @@ impl<V: Clone + Serialize + DeserializeOwned> KnowledgeStore<V> {
         self.exact.vector(id)
     }
 
-    /// The active metric.
-    pub fn metric(&self) -> Metric {
-        self.metric
-    }
-
-    /// The active backend.
-    pub fn backend(&self) -> SearchBackend {
-        self.backend
-    }
-
-    /// Switches search backend.
-    pub fn set_backend(&mut self, backend: SearchBackend) {
-        self.backend = backend;
-    }
-
-    /// Top-`k` most similar entries.
+    /// Top-`k` most similar entries (exact, by squared Euclidean distance).
     pub fn search(&self, query: &[f64], k: usize) -> Vec<SearchHit<'_, V>> {
-        let ids = match self.backend {
-            SearchBackend::Exact => self.exact.search(query, k),
-            SearchBackend::Hnsw => self.hnsw.search(query, k),
-        };
-        ids.into_iter()
+        self.exact
+            .search(query, k)
+            .into_iter()
             .map(|(id, distance)| SearchHit {
                 id,
                 distance,
@@ -128,9 +92,24 @@ impl<V: Clone + Serialize + DeserializeOwned> KnowledgeStore<V> {
         serde_json::to_string(self)
     }
 
-    /// Deserializes from a JSON string.
+    /// Deserializes from a JSON string. A store whose vector count differs
+    /// from its payload count, or whose vectors differ in dimension, is
+    /// rejected here rather than panicking (or truncating) in `search`.
     pub fn from_json(s: &str) -> serde_json::Result<Self> {
-        serde_json::from_str(s)
+        let store: Self = serde_json::from_str(s)?;
+        if store.exact.len() != store.values.len() {
+            return Err(serde_json::Error(format!(
+                "knowledge store has {} vectors but {} payloads",
+                store.exact.len(),
+                store.values.len()
+            )));
+        }
+        if !store.exact.is_uniform() {
+            return Err(serde_json::Error(
+                "knowledge store vectors differ in dimension".into(),
+            ));
+        }
+        Ok(store)
     }
 
     /// Saves to a file.
@@ -159,7 +138,7 @@ mod tests {
     }
 
     fn store() -> KnowledgeStore<Payload> {
-        let mut s = KnowledgeStore::new(Metric::Euclidean, SearchBackend::Exact);
+        let mut s = KnowledgeStore::new();
         s.insert(vec![0.0, 0.0], Payload { name: "origin".into() });
         s.insert(vec![1.0, 0.0], Payload { name: "east".into() });
         s.insert(vec![0.0, 1.0], Payload { name: "north".into() });
@@ -174,16 +153,6 @@ mod tests {
         assert_eq!(hits[0].value.name, "east");
         assert_eq!(hits[1].value.name, "origin");
         assert!(hits[0].distance < hits[1].distance);
-    }
-
-    #[test]
-    fn backends_agree_on_small_stores() {
-        let mut s = store();
-        let exact: Vec<u32> = s.search(&[0.5, 0.5], 3).iter().map(|h| h.id).collect();
-        s.set_backend(SearchBackend::Hnsw);
-        let approx: Vec<u32> = s.search(&[0.5, 0.5], 3).iter().map(|h| h.id).collect();
-        assert_eq!(exact, approx);
-        assert_eq!(s.backend(), SearchBackend::Hnsw);
     }
 
     #[test]
@@ -208,6 +177,32 @@ mod tests {
     }
 
     #[test]
+    fn corrupt_json_is_rejected_before_search() {
+        let load = |json: &str| KnowledgeStore::<Payload>::from_json(json);
+        // The hand-written shape parses when it is consistent ...
+        let ok = load(r#"{"exact":{"vectors":[[0.0,0.0],[1.0,0.0]]},"values":[{"name":"a"},{"name":"b"}]}"#)
+            .unwrap();
+        assert_eq!(ok.search(&[1.0, 0.0], 2)[0].value.name, "b");
+        // ... but a dropped payload would index past `values` in `search`,
+        let dropped = load(r#"{"exact":{"vectors":[[0.0,0.0],[1.0,0.0]]},"values":[{"name":"a"}]}"#);
+        assert!(dropped.unwrap_err().to_string().contains("2 vectors but 1 payloads"));
+        // ... and a 3-dim vector among 2-dim ones would be truncated by `zip`.
+        let ragged = load(r#"{"exact":{"vectors":[[0.0,0.0],[1.0,0.0,5.0]]},"values":[{"name":"a"},{"name":"b"}]}"#);
+        assert!(ragged.unwrap_err().to_string().contains("dimension"));
+    }
+
+    #[test]
+    fn corrupt_file_loads_as_invalid_data() {
+        let dir = std::env::temp_dir().join("qpe_vectordb_corrupt_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("kb.json");
+        std::fs::write(&path, r#"{"exact":{"vectors":[[0.0,0.0]]},"values":[]}"#).unwrap();
+        let err = KnowledgeStore::<Payload>::load(&path).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
     fn file_persistence() {
         let s = store();
         let dir = std::env::temp_dir().join("qpe_vectordb_test");
@@ -221,10 +216,9 @@ mod tests {
 
     #[test]
     fn empty_store_behaviour() {
-        let s: KnowledgeStore<Payload> = KnowledgeStore::new(Metric::Cosine, SearchBackend::Exact);
+        let s: KnowledgeStore<Payload> = KnowledgeStore::new();
         assert!(s.is_empty());
         assert!(s.search(&[1.0, 2.0], 5).is_empty());
-        assert_eq!(s.metric(), Metric::Cosine);
     }
 
     #[test]
