@@ -4,16 +4,21 @@
 //! *how* they execute plans, not in what a predicate means — so result
 //! equivalence between TP and AP is testable as an invariant. The scalar
 //! entry points ([`eval`], [`eval_predicate`]) serve the row interpreter;
-//! the batch entry points ([`eval_batch`], [`eval_predicate_mask`]) serve
+//! the batch entry points ([`eval_batch`], [`eval_predicate_sel`]) serve
 //! the AP engine's vectorized executor and evaluate column-at-a-time over
 //! typed slices with per-element [`Cell`] views (no `Value` boxing on the
-//! hot comparison kernels). The batch kernels are element-wise ports of the
-//! scalar semantics, so both executors produce identical results.
+//! hot comparison kernels). Predicates write the surviving physical rows
+//! straight into a selection, deciding dictionary codes, RLE runs and FOR
+//! blocks whole where the encoding allows. The batch kernels are
+//! element-wise ports of the scalar semantics, so both executors produce
+//! identical results.
 
-use crate::storage::col_store::{ColRef, ColumnData, RleRuns};
+use crate::exec::typed::Cursor;
+use crate::storage::col_store::{ColRef, ColumnData, ForInt, FOR_BLOCK_ROWS};
 use qpe_sql::ast::BinaryOp;
 use qpe_sql::binder::BoundExpr;
 use qpe_sql::value::Value;
+use std::ops::Range;
 
 /// The schema of an intermediate row: which `(table_slot, column_idx)` pair
 /// each position holds.
@@ -266,32 +271,27 @@ fn eval_binary(l: &Value, op: BinaryOp, r: &Value) -> Result<Value, EvalError> {
 
 /// Column-major view of an operator's input: one typed column view per
 /// schema position (a `None` marks a column dropped by late materialization
-/// — legal only when no evaluated expression references it) plus an optional
-/// selection vector of physical row indices. Columns are [`ColRef`]s, so a
+/// — legal only when no evaluated expression references it) plus the
+/// physical rows read, in output order. Columns are [`ColRef`]s, so a
 /// delta-aware scan's base+delta segments flow through the same kernels as a
 /// contiguous column — per-element access costs one extra segment branch.
 pub struct BatchView<'a> {
     /// Columns aligned with the operator's [`Schema`] positions.
     pub cols: &'a [Option<ColRef<'a>>],
-    /// Selected physical rows, in output order; `None` means all rows.
-    pub sel: Option<&'a [u32]>,
-    /// Physical row count of the columns.
-    pub rows: usize,
+    /// The physical rows read, in output order.
+    pub rows: Rows<'a>,
 }
 
 impl<'a> BatchView<'a> {
-    /// Number of selected rows (the dense output length).
+    /// Number of rows read (the dense output length).
     pub fn selected_len(&self) -> usize {
-        self.sel.map(|s| s.len()).unwrap_or(self.rows)
+        self.rows.len()
     }
 
     /// Physical index of dense position `j`.
     #[inline]
     pub fn phys(&self, j: usize) -> usize {
-        match self.sel {
-            Some(s) => s[j] as usize,
-            None => j,
-        }
+        self.rows.phys(j)
     }
 
     fn col(&self, pos: usize) -> Result<ColRef<'a>, EvalError> {
@@ -299,6 +299,53 @@ impl<'a> BatchView<'a> {
             .get(pos)
             .and_then(|c| *c)
             .ok_or(EvalError::MissingColumn { table_slot: usize::MAX, column_idx: pos })
+    }
+}
+
+/// The physical rows a [`BatchView`] reads, in output order.
+#[derive(Debug, Clone)]
+pub enum Rows<'a> {
+    /// Rows `lo..hi`, ascending: a dense batch, or one morsel of it. Block
+    /// kernels (FOR envelopes, RLE runs) decide whole stretches of it.
+    Range(Range<usize>),
+    /// Selected physical rows.
+    Sel(&'a [u32]),
+}
+
+impl<'a> Rows<'a> {
+    /// A batch's rows: its selection, or all `rows` physical rows.
+    pub fn of(sel: Option<&'a [u32]>, rows: usize) -> Rows<'a> {
+        sel.map_or(Rows::Range(0..rows), Rows::Sel)
+    }
+
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        match self {
+            Rows::Range(r) => r.len(),
+            Rows::Sel(s) => s.len(),
+        }
+    }
+
+    /// True when no row is read.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Physical row at dense position `j`.
+    #[inline]
+    pub fn phys(&self, j: usize) -> usize {
+        match self {
+            Rows::Range(r) => r.start + j,
+            Rows::Sel(s) => s[j] as usize,
+        }
+    }
+
+    /// The rows at dense positions `range`.
+    pub fn slice(&self, range: Range<usize>) -> Rows<'a> {
+        match self {
+            Rows::Range(r) => Rows::Range(r.start + range.start..r.start + range.end),
+            Rows::Sel(s) => Rows::Sel(&s[range]),
+        }
     }
 }
 
@@ -677,49 +724,43 @@ impl ColBuilder {
     }
 }
 
-/// Batch predicate entry point: evaluates `expr` for every selected row of
-/// `view`, writing one truthiness flag per dense position into `mask`
-/// (cleared first). Element-for-element equivalent to calling
-/// [`eval_predicate`] on materialized rows.
-pub fn eval_predicate_mask(
+/// Batch predicate entry point: appends to `out` the physical row of every
+/// row of `view` that satisfies `expr`, in the view's order — the selection
+/// a filter emits. Row-for-row equivalent to calling [`eval_predicate`] on
+/// materialized rows.
+pub fn eval_predicate_sel(
     expr: &BoundExpr,
     schema: &Schema,
     view: &BatchView<'_>,
-    mask: &mut Vec<bool>,
+    out: &mut Vec<u32>,
 ) -> Result<(), EvalError> {
-    mask.clear();
-    pred_mask(expr, schema, view, mask)
-}
-
-fn pred_mask(
-    expr: &BoundExpr,
-    schema: &Schema,
-    view: &BatchView<'_>,
-    out: &mut Vec<bool>,
-) -> Result<(), EvalError> {
-    let n = view.selected_len();
+    let rows = &view.rows;
     match expr {
         BoundExpr::Binary { left, op: BinaryOp::And, right } => {
-            pred_mask(left, schema, view, out)?;
-            let mut rhs = Vec::with_capacity(n);
-            pred_mask(right, schema, view, &mut rhs)?;
-            for (l, r) in out.iter_mut().zip(rhs) {
-                *l = *l && r;
+            let start = out.len();
+            eval_predicate_sel(left, schema, view, out)?;
+            let passed = out.split_off(start);
+            if can_fail_per_row(right) {
+                // The row interpreter evaluates the right side on every row,
+                // so an error on a row the left side rejects must surface too.
+                let mut right_rows = Vec::new();
+                eval_predicate_sel(right, schema, view, &mut right_rows)?;
+                merge(rows, &passed, &right_rows, out, |l, r| l && r);
+            } else {
+                let survivors = BatchView { cols: view.cols, rows: Rows::Sel(&passed) };
+                eval_predicate_sel(right, schema, &survivors, out)?;
             }
         }
         BoundExpr::Binary { left, op: BinaryOp::Or, right } => {
-            pred_mask(left, schema, view, out)?;
-            let mut rhs = Vec::with_capacity(n);
-            pred_mask(right, schema, view, &mut rhs)?;
-            for (l, r) in out.iter_mut().zip(rhs) {
-                *l = *l || r;
-            }
+            let (mut l, mut r) = (Vec::new(), Vec::new());
+            eval_predicate_sel(left, schema, view, &mut l)?;
+            eval_predicate_sel(right, schema, view, &mut r)?;
+            merge(rows, &l, &r, out, |l, r| l || r);
         }
         BoundExpr::Not(inner) => {
-            pred_mask(inner, schema, view, out)?;
-            for b in out.iter_mut() {
-                *b = !*b;
-            }
+            let mut passed = Vec::new();
+            eval_predicate_sel(inner, schema, view, &mut passed)?;
+            merge(rows, &passed, &[], out, |p, _| !p);
         }
         BoundExpr::Binary { left, op, right }
             if matches!(
@@ -734,175 +775,419 @@ fn pred_mask(
         {
             let l = operand_of(left, schema, view)?;
             let r = operand_of(right, schema, view)?;
-            out.reserve(n);
-            if cmp_fast_mask(&l, *op, &r, view, out) {
-                return Ok(());
-            }
-            for j in 0..n {
-                let phys = view.phys(j);
-                let (a, b) = (l.cell(j, phys), r.cell(j, phys));
-                out.push(cmp_cells(a, *op, b));
+            let typed = match (&l, &r) {
+                (Operand::Col(c), Operand::Lit(v)) => cmp_lit_sel(c, *op, v, rows, out),
+                (Operand::Lit(v), Operand::Col(c)) => cmp_lit_sel(c, flip_cmp(*op), v, rows, out),
+                _ => false,
+            };
+            if !typed {
+                select(rows, out, |j, p| cmp_cells(l.cell(j, p), *op, r.cell(j, p)));
             }
         }
         BoundExpr::InList { expr: inner, list, negated } => {
             let v = operand_of(inner, schema, view)?;
-            out.reserve(n);
-            // Dictionary fast path: translate the literal list to codes once
-            // and test u32 membership per row — no string comparisons.
-            if let Operand::Col(ColumnData::Dict(d)) = &v {
-                let mut member = vec![false; d.values.len()];
-                for item in list {
-                    if let Value::Str(s) = item {
-                        if let Some(code) = d.code_of(s) {
-                            member[code as usize] = true;
-                        }
-                    }
-                    // Non-string (and NULL) items never sql_eq a dict string.
-                }
-                for j in 0..n {
-                    let code = d.codes[view.phys(j)] as usize;
-                    // Dictionary cells are never NULL, so truthiness reduces
-                    // to membership XOR negation — same as the generic path.
-                    out.push(member[code] != *negated);
-                }
-                return Ok(());
-            }
-            for j in 0..n {
-                let c = v.cell(j, view.phys(j));
-                let found = list.iter().any(|item| cell_sql_eq(c, Cell::from_value(item)));
-                out.push(found != *negated && !c.is_null());
+            let typed = match &v {
+                Operand::Col(c) => in_list_sel(c, list, *negated, rows, out),
+                _ => false,
+            };
+            if !typed {
+                select(rows, out, |j, p| in_list_cell(v.cell(j, p), list, *negated));
             }
         }
         BoundExpr::Between { expr: inner, low, high } => {
             let v = operand_of(inner, schema, view)?;
             let lo = operand_of(low, schema, view)?;
             let hi = operand_of(high, schema, view)?;
-            out.reserve(n);
-            // `x BETWEEN lo AND hi` with literal bounds of the column's own
-            // type decomposes into `x >= lo AND x <= hi`, so the run- and
-            // block-aware comparison kernels can decide whole runs and FOR
-            // envelopes instead of materializing every row. Same-typed
-            // operands make `cmp_cells` agree with this arm's total order,
-            // and these encodings never hold NULLs, so the conjunction is
-            // exact. Mixed-type bounds keep the generic loop below.
-            let typed_lits = matches!(
-                (&v, &lo, &hi),
-                (
-                    Operand::Col(ColumnData::ForInt(_) | ColumnData::RleInt(_)),
-                    Operand::Lit(Value::Int(_)),
-                    Operand::Lit(Value::Int(_)),
-                ) | (
-                    Operand::Col(ColumnData::RleDate(_)),
-                    Operand::Lit(Value::Date(_)),
-                    Operand::Lit(Value::Date(_)),
-                )
-            );
-            if typed_lits && cmp_fast_mask(&v, BinaryOp::GtEq, &lo, view, out) {
-                let mut upper = Vec::with_capacity(n);
-                let hit = cmp_fast_mask(&v, BinaryOp::LtEq, &hi, view, &mut upper);
-                debug_assert!(hit, "a kernel that took the lower bound takes the upper");
-                for (m, u) in out.iter_mut().zip(upper) {
-                    *m = *m && u;
+            let typed = match (&v, &lo, &hi) {
+                (Operand::Col(c), Operand::Lit(a), Operand::Lit(b)) => {
+                    between_lit_sel(c, a, b, rows, out)
                 }
-                return Ok(());
-            }
-            for j in 0..n {
-                let phys = view.phys(j);
-                let (c, l, h) = (v.cell(j, phys), lo.cell(j, phys), hi.cell(j, phys));
-                if c.is_null() || l.is_null() || h.is_null() {
-                    out.push(false);
-                    continue;
-                }
-                let ge = cell_total_cmp(c, l) != std::cmp::Ordering::Less;
-                let le = cell_total_cmp(c, h) != std::cmp::Ordering::Greater;
-                out.push(ge && le);
+                _ => false,
+            };
+            if !typed {
+                select(rows, out, |j, p| {
+                    between_cells(v.cell(j, p), lo.cell(j, p), hi.cell(j, p))
+                });
             }
         }
         BoundExpr::Like { expr: inner, pattern, negated } => {
             let v = operand_of(inner, schema, view)?;
-            out.reserve(n);
-            for j in 0..n {
-                match v.cell(j, view.phys(j)) {
-                    Cell::Str(s) => out.push(like_match(s, pattern) != *negated),
-                    _ => out.push(false),
-                }
-            }
+            select(rows, out, |j, p| match v.cell(j, p) {
+                Cell::Str(s) => like_match(s, pattern) != *negated,
+                _ => false,
+            });
         }
         BoundExpr::IsNull { expr: inner, negated } => {
             let v = operand_of(inner, schema, view)?;
-            out.reserve(n);
-            for j in 0..n {
-                out.push(v.cell(j, view.phys(j)).is_null() != *negated);
-            }
+            select(rows, out, |j, p| v.cell(j, p).is_null() != *negated);
         }
         other => {
             // Generic truthiness of a computed column.
             let col = eval_batch(other, schema, view)?;
-            out.reserve(n);
-            for j in 0..n {
-                out.push(cell_truthy(Cell::from_col(&col, j)));
-            }
+            select(rows, out, |j, _| cell_truthy(Cell::from_col(&col, j)));
         }
     }
     Ok(())
 }
 
-/// Dictionary fast path for `=` / `<>` against a literal: the literal is
-/// translated to a code once and every row compares `u32` codes — no string
-/// materialization. Returns true when the mask was fully written. Semantics
-/// mirror the generic path exactly: dictionary cells are never NULL, a
-/// missing or non-string literal can never `sql_eq` a dictionary string,
-/// and a NULL literal makes both operators false.
-fn dict_eq_mask(
-    l: &Operand<'_>,
-    op: BinaryOp,
-    r: &Operand<'_>,
-    view: &BatchView<'_>,
-    out: &mut Vec<bool>,
-) -> bool {
-    if !matches!(op, BinaryOp::Eq | BinaryOp::NotEq) {
-        // Orderings depend on string order, which code order does not mirror
-        // (codes are first-appearance); the generic kernel handles them.
+/// True when evaluating `expr` can fail on some rows and not on others:
+/// arithmetic on a non-number, SUBSTRING of a non-string. Every other
+/// evaluation error arises before the first row is read.
+fn can_fail_per_row(expr: &BoundExpr) -> bool {
+    match expr {
+        BoundExpr::Binary { left, op, right } => {
+            matches!(op, BinaryOp::Add | BinaryOp::Sub | BinaryOp::Mul | BinaryOp::Div)
+                || can_fail_per_row(left)
+                || can_fail_per_row(right)
+        }
+        BoundExpr::Substring { .. } => true,
+        BoundExpr::Not(e)
+        | BoundExpr::InList { expr: e, .. }
+        | BoundExpr::Like { expr: e, .. }
+        | BoundExpr::IsNull { expr: e, .. } => can_fail_per_row(e),
+        BoundExpr::Between { expr, low, high } => {
+            can_fail_per_row(expr) || can_fail_per_row(low) || can_fail_per_row(high)
+        }
+        BoundExpr::Column(_)
+        | BoundExpr::Literal(_)
+        | BoundExpr::Aggregate { .. }
+        | BoundExpr::Param { .. }
+        | BoundExpr::InListParam { .. } => false,
+    }
+}
+
+/// Appends the physical row of every row of `rows` that `keep(dense
+/// position, physical row)` accepts, in order. Every row is written and the
+/// end advances past survivors only, so the loop never branches on `keep`.
+#[inline]
+fn select(rows: &Rows<'_>, out: &mut Vec<u32>, mut keep: impl FnMut(usize, usize) -> bool) {
+    let base = out.len();
+    out.resize(base + rows.len(), 0);
+    let buf = &mut out[base..];
+    let mut k = 0;
+    match rows {
+        Rows::Range(r) => {
+            for (j, p) in r.clone().enumerate() {
+                buf[k] = p as u32;
+                k += usize::from(keep(j, p));
+            }
+        }
+        Rows::Sel(s) => {
+            for (j, &p) in s.iter().enumerate() {
+                buf[k] = p;
+                k += usize::from(keep(j, p as usize));
+            }
+        }
+    }
+    out.truncate(base + k);
+}
+
+/// Appends the rows of `rows` that `keep(in a, in b)` accepts, where `a` and
+/// `b` are two selections taken from `rows` in its order.
+fn merge(rows: &Rows<'_>, a: &[u32], b: &[u32], out: &mut Vec<u32>, keep: impl Fn(bool, bool) -> bool) {
+    let (mut i, mut k) = (0, 0);
+    for j in 0..rows.len() {
+        let p = rows.phys(j) as u32;
+        let (in_a, in_b) = (a.get(i) == Some(&p), b.get(k) == Some(&p));
+        i += usize::from(in_a);
+        k += usize::from(in_b);
+        if keep(in_a, in_b) {
+            out.push(p);
+        }
+    }
+}
+
+/// Binds `$test` to the comparison `x $op lit` over one `$ty` cell, with
+/// `$ord` the order the ordering operators use — the operator is dispatched
+/// once, not per row.
+macro_rules! with_cmp {
+    ($op:expr, $lit:expr, $ty:ty, $ord:expr, |$test:ident| $body:expr) => {{
+        let lit: $ty = $lit;
+        let ord = $ord;
+        match $op {
+            BinaryOp::Eq => {
+                let $test = move |x: $ty| x == lit;
+                $body
+            }
+            BinaryOp::NotEq => {
+                let $test = move |x: $ty| x != lit;
+                $body
+            }
+            BinaryOp::Lt => {
+                let $test = move |x: $ty| ord(&x, &lit).is_lt();
+                $body
+            }
+            BinaryOp::LtEq => {
+                let $test = move |x: $ty| ord(&x, &lit).is_le();
+                $body
+            }
+            BinaryOp::Gt => {
+                let $test = move |x: $ty| ord(&x, &lit).is_gt();
+                $body
+            }
+            BinaryOp::GtEq => {
+                let $test = move |x: $ty| ord(&x, &lit).is_ge();
+                $body
+            }
+            _ => unreachable!("not a comparison operator"),
+        }
+    }};
+}
+
+/// Selection kernel for `col op lit`. Within one type, [`cmp_cells`] is
+/// `==` for `=`/`<>` and the type's total order otherwise, so a plain,
+/// nullable or frame-of-reference column compares raw cells; dictionary
+/// and RLE columns decide each code or run once through [`cmp_cells`]
+/// itself, so any literal type takes them. Returns false, having written
+/// nothing, for the shapes the generic loop handles.
+fn cmp_lit_sel(col: &ColumnData, op: BinaryOp, lit: &Value, rows: &Rows<'_>, out: &mut Vec<u32>) -> bool {
+    if lit.is_null() {
+        return true; // no comparison with NULL holds
+    }
+    let lit_cell = Cell::from_value(lit);
+    if lut_sel(col, rows, out, |c| cmp_cells(c, op, lit_cell)) {
+        return true;
+    }
+    match *lit {
+        Value::Int(x) => with_cmp!(op, x, i64, i64::cmp, |test| {
+            int_sel(col, rows, out, test, |lo, hi| cmp_envelope(op, x, lo, hi))
+        }),
+        Value::Date(x) => with_cmp!(op, x, i32, i32::cmp, |test| {
+            plain_sel(col, ColumnData::as_date_slice, rows, out, test)
+        }),
+        Value::Float(x) => with_cmp!(op, x, f64, f64::total_cmp, |test| {
+            plain_sel(col, ColumnData::as_float_slice, rows, out, test)
+        }),
+        _ => false,
+    }
+}
+
+/// Element-wise port of the scalar `BETWEEN`.
+#[inline]
+fn between_cells(c: Cell<'_>, lo: Cell<'_>, hi: Cell<'_>) -> bool {
+    if c.is_null() || lo.is_null() || hi.is_null() {
         return false;
     }
-    let (d, lit) = match (l, r) {
-        (Operand::Col(ColumnData::Dict(d)), Operand::Lit(v)) => (d, *v),
-        (Operand::Lit(v), Operand::Col(ColumnData::Dict(d))) => (d, *v),
-        _ => return false,
-    };
-    let n = view.selected_len();
-    match lit {
-        Value::Null => out.extend(std::iter::repeat_n(false, n)),
-        Value::Str(s) => match d.code_of(s) {
-            Some(code) => {
-                let eq = op == BinaryOp::Eq;
-                for j in 0..n {
-                    out.push((d.codes[view.phys(j)] == code) == eq);
+    cell_total_cmp(c, lo) != std::cmp::Ordering::Less
+        && cell_total_cmp(c, hi) != std::cmp::Ordering::Greater
+}
+
+/// Selection kernel for `col BETWEEN a AND b` with literal bounds: raw-cell
+/// tests for bounds of the column's own type (FOR blocks decided against
+/// their envelope first), one decision per dictionary code or RLE run for
+/// any bounds.
+fn between_lit_sel(col: &ColumnData, a: &Value, b: &Value, rows: &Rows<'_>, out: &mut Vec<u32>) -> bool {
+    if a.is_null() || b.is_null() {
+        return true;
+    }
+    let (ac, bc) = (Cell::from_value(a), Cell::from_value(b));
+    if lut_sel(col, rows, out, |c| between_cells(c, ac, bc)) {
+        return true;
+    }
+    match (a, b) {
+        (&Value::Int(a), &Value::Int(b)) => int_sel(
+            col,
+            rows,
+            out,
+            move |x| a <= x && x <= b,
+            move |lo, hi| decide_range(a <= lo && hi <= b, hi < a || lo > b),
+        ),
+        (&Value::Date(a), &Value::Date(b)) => {
+            plain_sel(col, ColumnData::as_date_slice, rows, out, move |x| a <= x && x <= b)
+        }
+        (&Value::Float(a), &Value::Float(b)) => {
+            plain_sel(col, ColumnData::as_float_slice, rows, out, move |x: f64| {
+                x.total_cmp(&a).is_ge() && x.total_cmp(&b).is_le()
+            })
+        }
+        _ => false,
+    }
+}
+
+/// Element-wise port of the scalar `IN` list.
+#[inline]
+fn in_list_cell(c: Cell<'_>, list: &[Value], negated: bool) -> bool {
+    let found = list.iter().any(|item| cell_sql_eq(c, Cell::from_value(item)));
+    found != negated && !c.is_null()
+}
+
+/// Selection kernel for `col [NOT] IN (list)`: one decision per dictionary
+/// code or RLE run, or a raw-cell membership test when every item is an
+/// integer (or NULL, which matches nothing).
+fn in_list_sel(col: &ColumnData, list: &[Value], negated: bool, rows: &Rows<'_>, out: &mut Vec<u32>) -> bool {
+    if lut_sel(col, rows, out, |c| in_list_cell(c, list, negated)) {
+        return true;
+    }
+    let ints: Option<Vec<i64>> = list
+        .iter()
+        .filter(|item| !item.is_null())
+        .map(|item| match item {
+            Value::Int(x) => Some(*x),
+            _ => None,
+        })
+        .collect();
+    match ints {
+        Some(ints) => int_sel(col, rows, out, |x| ints.contains(&x) != negated, |_, _| None),
+        None => false,
+    }
+}
+
+/// Dictionary and RLE columns: `decide` runs once per code or run a row
+/// touches, and its answer covers every row holding it. Returns false for
+/// other encodings.
+fn lut_sel(col: &ColumnData, rows: &Rows<'_>, out: &mut Vec<u32>, decide: impl Fn(Cell<'_>) -> bool) -> bool {
+    match col {
+        ColumnData::Dict(d) => {
+            // Per code: 0 undecided, 1 rejected, 2 accepted.
+            let mut memo = vec![0u8; d.values.len()];
+            select(rows, out, |_, p| {
+                let c = d.codes[p] as usize;
+                if memo[c] == 0 {
+                    memo[c] = 1 + u8::from(decide(Cell::Str(&d.values[c])));
                 }
-            }
-            // Absent string: no row is equal, every row is not-equal.
-            None => out.extend(std::iter::repeat_n(op == BinaryOp::NotEq, n)),
-        },
-        // Non-string, non-NULL literal: never equal to a string cell.
-        _ => out.extend(std::iter::repeat_n(op == BinaryOp::NotEq, n)),
+                memo[c] == 2
+            });
+        }
+        ColumnData::RleInt(r) => run_sel(&r.ends, |k| decide(Cell::Int(r.vals[k])), rows, out),
+        ColumnData::RleDate(r) => run_sel(&r.ends, |k| decide(Cell::Date(r.vals[k])), rows, out),
+        _ => return false,
     }
     true
 }
 
-/// Dispatch a comparison to whichever compressed-column kernel matches the
-/// operand shapes (dictionary codes, RLE runs, FOR blocks). Returns true
-/// when a kernel wrote the whole mask; false leaves `out` untouched for the
-/// generic per-row loop.
-fn cmp_fast_mask(
-    l: &Operand<'_>,
-    op: BinaryOp,
-    r: &Operand<'_>,
-    view: &BatchView<'_>,
-    out: &mut Vec<bool>,
+/// Selects rows of an RLE column by run: a range appends each accepted
+/// run's overlap whole; a selection finds each row's run through a
+/// [`Cursor`], deciding each run once per visit.
+fn run_sel(ends: &[u32], decide: impl Fn(usize) -> bool, rows: &Rows<'_>, out: &mut Vec<u32>) {
+    match rows {
+        Rows::Range(r) => {
+            let mut k = ends.partition_point(|&e| e as usize <= r.start);
+            let mut lo = r.start;
+            while lo < r.end {
+                let hi = (ends[k] as usize).min(r.end);
+                if decide(k) {
+                    out.extend(lo as u32..hi as u32);
+                }
+                lo = hi;
+                k += 1;
+            }
+        }
+        Rows::Sel(_) => {
+            let mut cur = Cursor::default();
+            let mut last = (usize::MAX, false);
+            select(rows, out, |_, p| {
+                let k = cur.run_of(ends, p);
+                if k != last.0 {
+                    last = (k, decide(k));
+                }
+                last.1
+            });
+        }
+    }
+}
+
+/// Plain or nullable `T` cells (`slice` picks the plain vector): `test`
+/// per non-NULL cell. Returns false for other shapes.
+fn plain_sel<T: Copy>(
+    col: &ColumnData,
+    slice: impl Fn(&ColumnData) -> Option<&[T]>,
+    rows: &Rows<'_>,
+    out: &mut Vec<u32>,
+    test: impl Fn(T) -> bool,
 ) -> bool {
-    dict_eq_mask(l, op, r, view, out)
-        || rle_cmp_mask(l, op, r, view, out)
-        || for_cmp_mask(l, op, r, view, out)
+    let (nulls, values) = match col {
+        ColumnData::Nullable { nulls, values } => (Some(&nulls[..]), &**values),
+        c => (None, c),
+    };
+    let Some(v) = slice(values) else {
+        return false;
+    };
+    match nulls {
+        None => select(rows, out, |_, p| test(v[p])),
+        Some(n) => select(rows, out, |_, p| !n[p] && test(v[p])),
+    }
+    true
+}
+
+/// `i64` cells: plain and nullable through [`plain_sel`], frame-of-reference
+/// through [`for_sel`] (`envelope` decides whole blocks).
+fn int_sel(
+    col: &ColumnData,
+    rows: &Rows<'_>,
+    out: &mut Vec<u32>,
+    test: impl Fn(i64) -> bool,
+    envelope: impl Fn(i64, i64) -> Option<bool>,
+) -> bool {
+    match col {
+        ColumnData::ForInt(f) => {
+            for_sel(f, rows, out, test, envelope);
+            true
+        }
+        _ => plain_sel(col, ColumnData::as_int_slice, rows, out, test),
+    }
+}
+
+/// Frame-of-reference selection. Over a row range, each FOR block is first
+/// decided against its `[ref, max]` envelope (`envelope(ref, max)`: whole
+/// block in or out without touching the packed words); a straddling block
+/// unpacks each delta in a register and tests `ref + delta` — no block is
+/// decoded into memory. Over a selection, each block a row lands in is
+/// decoded once through a [`Cursor`].
+fn for_sel(
+    f: &ForInt,
+    rows: &Rows<'_>,
+    out: &mut Vec<u32>,
+    test: impl Fn(i64) -> bool,
+    envelope: impl Fn(i64, i64) -> Option<bool>,
+) {
+    let Rows::Range(r) = rows else {
+        let mut cur = Cursor::default();
+        select(rows, out, |_, p| test(cur.for_cell(f, p)));
+        return;
+    };
+    let mut lo = r.start;
+    while lo < r.end {
+        let b = lo / FOR_BLOCK_ROWS;
+        let first = b * FOR_BLOCK_ROWS;
+        let hi = (first + FOR_BLOCK_ROWS).min(r.end);
+        let base = f.refs[b];
+        let w = f.widths[b] as usize;
+        match envelope(base, f.maxs[b]) {
+            Some(true) => out.extend(lo as u32..hi as u32),
+            Some(false) => {}
+            None if w == 0 => {
+                if test(base) {
+                    out.extend(lo as u32..hi as u32);
+                }
+            }
+            None => {
+                let words = &f.packed[f.offsets[b] as usize..];
+                let mask = if w == 64 { u64::MAX } else { (1u64 << w) - 1 };
+                let mut bit = (lo - first) * w;
+                select(&Rows::Range(lo..hi), out, |_, _| {
+                    let (word, shift) = (bit >> 6, bit & 63);
+                    let d = ((words[word] >> shift) | ((words[word + 1] << 1) << (63 - shift))) & mask;
+                    bit += w;
+                    test(base.wrapping_add(d as i64))
+                });
+            }
+        }
+        lo = hi;
+    }
+}
+
+/// Whether every value in a FOR block's `[lo, hi]` envelope answers
+/// `x op lit` the same way: `Some(answer)`, or `None` when it straddles.
+fn cmp_envelope(op: BinaryOp, lit: i64, lo: i64, hi: i64) -> Option<bool> {
+    match op {
+        BinaryOp::Eq => (lit < lo || lit > hi).then_some(false),
+        BinaryOp::NotEq => (lit < lo || lit > hi).then_some(true),
+        BinaryOp::Lt => decide_range(hi < lit, lo >= lit),
+        BinaryOp::LtEq => decide_range(hi <= lit, lo > lit),
+        BinaryOp::Gt => decide_range(lo > lit, hi <= lit),
+        BinaryOp::GtEq => decide_range(lo >= lit, hi < lit),
+        _ => unreachable!("not a comparison operator"),
+    }
 }
 
 /// Mirror image of a comparison operator, so `lit op col` can be evaluated
@@ -915,159 +1200,6 @@ fn flip_cmp(op: BinaryOp) -> BinaryOp {
         BinaryOp::GtEq => BinaryOp::LtEq,
         other => other, // Eq / NotEq are symmetric
     }
-}
-
-/// Run-aware fast path for comparisons between an RLE column and a literal:
-/// the predicate is decided once per *run* through the same [`cmp_cells`]
-/// kernel the generic path uses, then expanded across the run (dense scans)
-/// or looked up per selected row — instead of decoding and comparing every
-/// row. Result-identical by construction; only the work per row changes.
-fn rle_cmp_mask(
-    l: &Operand<'_>,
-    op: BinaryOp,
-    r: &Operand<'_>,
-    view: &BatchView<'_>,
-    out: &mut Vec<bool>,
-) -> bool {
-    enum Runs<'a> {
-        Int(&'a RleRuns<i64>),
-        Date(&'a RleRuns<i32>),
-    }
-    impl Runs<'_> {
-        fn ends(&self) -> &[u32] {
-            match self {
-                Runs::Int(r) => &r.ends,
-                Runs::Date(r) => &r.ends,
-            }
-        }
-        fn run_cell(&self, k: usize) -> Cell<'_> {
-            match self {
-                Runs::Int(r) => Cell::Int(r.vals[k]),
-                Runs::Date(r) => Cell::Date(r.vals[k]),
-            }
-        }
-    }
-    let (runs, lit, op) = match (l, r) {
-        (Operand::Col(ColumnData::RleInt(rr)), Operand::Lit(v)) => (Runs::Int(rr), *v, op),
-        (Operand::Col(ColumnData::RleDate(rr)), Operand::Lit(v)) => (Runs::Date(rr), *v, op),
-        (Operand::Lit(v), Operand::Col(ColumnData::RleInt(rr))) => {
-            (Runs::Int(rr), *v, flip_cmp(op))
-        }
-        (Operand::Lit(v), Operand::Col(ColumnData::RleDate(rr))) => {
-            (Runs::Date(rr), *v, flip_cmp(op))
-        }
-        _ => return false,
-    };
-    let lit_cell = Cell::from_value(lit);
-    let ends = runs.ends();
-    match view.sel {
-        None => {
-            let mut start = 0u32;
-            for (k, &end) in ends.iter().enumerate() {
-                let b = cmp_cells(runs.run_cell(k), op, lit_cell);
-                out.extend(std::iter::repeat_n(b, (end - start) as usize));
-                start = end;
-            }
-        }
-        Some(sel) => {
-            let run_bools: Vec<bool> = (0..ends.len())
-                .map(|k| cmp_cells(runs.run_cell(k), op, lit_cell))
-                .collect();
-            for &p in sel {
-                let k = ends.partition_point(|&e| e <= p);
-                out.push(run_bools[k]);
-            }
-        }
-    }
-    true
-}
-
-/// Packed-domain fast path for comparisons between a frame-of-reference
-/// column and an integer literal. Each FOR block is first decided against
-/// its `[ref, max]` envelope (whole-block fill or skip); only straddling
-/// blocks read the packed words, comparing the raw deltas against
-/// `lit - ref` in the packed domain — the values are never materialized.
-/// Non-integer literals fall back to the generic kernel, whose mixed-type
-/// semantics (float widening) do not reduce to an i64 compare.
-fn for_cmp_mask(
-    l: &Operand<'_>,
-    op: BinaryOp,
-    r: &Operand<'_>,
-    view: &BatchView<'_>,
-    out: &mut Vec<bool>,
-) -> bool {
-    let (f, lit, op) = match (l, r) {
-        (Operand::Col(ColumnData::ForInt(f)), Operand::Lit(Value::Int(x))) => (f, *x, op),
-        (Operand::Lit(Value::Int(x)), Operand::Col(ColumnData::ForInt(f))) => {
-            (f, *x, flip_cmp(op))
-        }
-        _ => return false,
-    };
-    let cmp_i64 = |x: i64| -> bool {
-        match op {
-            BinaryOp::Eq => x == lit,
-            BinaryOp::NotEq => x != lit,
-            BinaryOp::Lt => x < lit,
-            BinaryOp::LtEq => x <= lit,
-            BinaryOp::Gt => x > lit,
-            BinaryOp::GtEq => x >= lit,
-            _ => unreachable!("for_cmp_mask called with non-comparison op"),
-        }
-    };
-    let Some(sel) = view.sel else {
-        for b in 0..f.n_blocks() {
-            let (lo, hi) = (f.refs[b], f.maxs[b]);
-            let n = f.block_range(b).len();
-            // Envelope decision: if every value in [lo, hi] answers the same
-            // way, fill the whole block without touching the packed words.
-            let all = match op {
-                BinaryOp::Eq => (lit < lo || lit > hi).then_some(false),
-                BinaryOp::NotEq => (lit < lo || lit > hi).then_some(true),
-                BinaryOp::Lt => decide_range(hi < lit, lo >= lit),
-                BinaryOp::LtEq => decide_range(hi <= lit, lo > lit),
-                BinaryOp::Gt => decide_range(lo > lit, hi <= lit),
-                BinaryOp::GtEq => decide_range(lo >= lit, hi < lit),
-                _ => unreachable!("for_cmp_mask called with non-comparison op"),
-            };
-            if let Some(v) = all {
-                out.extend(std::iter::repeat_n(v, n));
-                continue;
-            }
-            let w = f.widths[b] as usize;
-            if w == 0 {
-                // Constant block inside the envelope: single compare.
-                out.extend(std::iter::repeat_n(cmp_i64(lo), n));
-                continue;
-            }
-            // Straddling block: compare bit-packed deltas against the
-            // literal shifted into the packed domain. `lo < lit ≤ hi` here,
-            // so `lit - lo` is non-negative and the u64 compare is exact.
-            let target = lit.wrapping_sub(lo) as u64;
-            let words = &f.packed[f.offsets[b] as usize..];
-            let mask = if w == 64 { u64::MAX } else { (1u64 << w) - 1 };
-            let mut bit = 0usize;
-            for _ in 0..n {
-                let word = bit >> 6;
-                let shift = bit & 63;
-                let d = ((words[word] >> shift) | ((words[word + 1] << 1) << (63 - shift))) & mask;
-                out.push(match op {
-                    BinaryOp::Eq => d == target,
-                    BinaryOp::NotEq => d != target,
-                    BinaryOp::Lt => d < target,
-                    BinaryOp::LtEq => d <= target,
-                    BinaryOp::Gt => d > target,
-                    BinaryOp::GtEq => d >= target,
-                    _ => unreachable!(),
-                });
-                bit += w;
-            }
-        }
-        return true;
-    };
-    for &p in sel {
-        out.push(cmp_i64(f.get(p as usize)));
-    }
-    true
 }
 
 /// `Some(true)` when the whole envelope satisfies the predicate,
@@ -1123,9 +1255,10 @@ pub fn eval_batch(
                     column_idx: c.column_idx,
                 })?;
             let col = view.col(pos)?;
-            Ok(match view.sel {
-                Some(sel) => col.gather_rows(sel),
-                None => col.to_dense(),
+            Ok(match &view.rows {
+                Rows::Sel(sel) => col.gather_rows(sel),
+                Rows::Range(r) if r.start == 0 && r.end == col.len() => col.to_dense(),
+                Rows::Range(r) => col.gather_rows(&(r.start as u32..r.end as u32).collect::<Vec<_>>()),
             })
         }
         BoundExpr::Literal(v) => {
@@ -1174,11 +1307,17 @@ pub fn eval_batch(
         | BoundExpr::Between { .. }
         | BoundExpr::Like { .. }
         | BoundExpr::IsNull { .. } => {
-            let mut mask = Vec::with_capacity(n);
-            // AND/OR produce bool directly; comparisons likewise — but the
-            // scalar evaluator represents these as Int(0/1), so convert.
-            pred_mask(expr, schema, view, &mut mask)?;
-            Ok(ColumnData::Int(mask.into_iter().map(i64::from).collect()))
+            // The scalar evaluator represents these as Int(0/1): mark each
+            // row the selection kernel kept (a subsequence of the view's).
+            let mut passed = Vec::with_capacity(n);
+            eval_predicate_sel(expr, schema, view, &mut passed)?;
+            let mut k = 0;
+            let mask = (0..n).map(|j| {
+                let hit = passed.get(k) == Some(&(view.phys(j) as u32));
+                k += usize::from(hit);
+                i64::from(hit)
+            });
+            Ok(ColumnData::Int(mask.collect()))
         }
         BoundExpr::Aggregate { .. } => Err(EvalError::AggregateInScalarContext),
         BoundExpr::Param { idx, .. } => Err(EvalError::UnboundParam(*idx)),
@@ -1424,7 +1563,7 @@ mod tests {
         // NULL in the middle: mask allocated on demand, typed buffer kept.
         let col = ColumnData::from_values(&[Value::Int(1), Value::Null, Value::Int(3)]);
         let cols = vec![Some(ColRef::Single(&col))];
-        let view = BatchView { cols: &cols, sel: None, rows: 3 };
+        let view = BatchView { cols: &cols, rows: Rows::Range(0..3) };
         let out = eval_batch(expr, &one_col_schema, &view).unwrap();
         match &out {
             ColumnData::Nullable { nulls, values } => {
@@ -1440,7 +1579,7 @@ mod tests {
         // Leading NULLs backfill sentinels once the type is known.
         let col = ColumnData::from_values(&[Value::Null, Value::Null, Value::Int(7)]);
         let cols = vec![Some(ColRef::Single(&col))];
-        let view = BatchView { cols: &cols, sel: None, rows: 3 };
+        let view = BatchView { cols: &cols, rows: Rows::Range(0..3) };
         let out = eval_batch(expr, &one_col_schema, &view).unwrap();
         assert!(matches!(out, ColumnData::Nullable { .. }));
         assert_eq!(out.get(0), Value::Null);
@@ -1449,14 +1588,14 @@ mod tests {
         // No NULLs: plain typed column, no mask allocated.
         let col = ColumnData::Int(vec![1, 2]);
         let cols = vec![Some(ColRef::Single(&col))];
-        let view = BatchView { cols: &cols, sel: None, rows: 2 };
+        let view = BatchView { cols: &cols, rows: Rows::Range(0..2) };
         let out = eval_batch(expr, &one_col_schema, &view).unwrap();
         assert!(matches!(out, ColumnData::Int(_)));
 
         // All-NULL stays generic (no type to anchor a mask to).
         let col = ColumnData::from_values(&[Value::Null, Value::Null]);
         let cols = vec![Some(ColRef::Single(&col))];
-        let view = BatchView { cols: &cols, sel: None, rows: 2 };
+        let view = BatchView { cols: &cols, rows: Rows::Range(0..2) };
         let out = eval_batch(expr, &one_col_schema, &view).unwrap();
         assert!(matches!(&out, ColumnData::Mixed(v) if v == &vec![Value::Null, Value::Null]));
     }

@@ -6,7 +6,7 @@
 //! values substituted in.
 
 use super::guard::ExecGuard;
-use super::typed::{each_row, with_numeric, ExprCol, Num};
+use super::typed::{each_block, with_numeric, ExprCol, Num};
 use super::{ExecError, Row, WorkCounters, GUARD_CHECK_ROWS};
 use crate::eval::{eval, truthy, EvalError, Schema};
 use crate::plan::AggSpec;
@@ -16,6 +16,8 @@ use qpe_sql::binder::BoundExpr;
 use qpe_sql::value::Value;
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, HashMap, HashSet};
+use std::marker::PhantomData;
+use std::ops::Range;
 
 /// A distinct aggregate call appearing in the outputs / HAVING clause.
 #[derive(Debug, Clone, PartialEq)]
@@ -289,14 +291,17 @@ pub fn aggregate(
     finish_groups(groups, &leaves, group_by, outputs, having)
 }
 
-/// Vectorized aggregation, one path for every key and argument shape:
+/// Vectorized aggregation in one pass over the rows, a block at a time:
 ///
-/// 1. each row gets a dense `u32` group id ([`assign_groups`]);
-/// 2. each aggregate leaf folds **column-at-a-time** into per-group state
-///    ([`fold_leaf`]), rows in ascending dense order — so float sums, ties
-///    and DISTINCT sets are bit-identical to the row interpreter at any
-///    thread count (the fold itself is serial; what feeds it evaluates
-///    morsel-parallel upstream);
+/// 1. each block's rows get dense `u32` group ids ([`GroupIds`]): none
+///    without GROUP BY, a dictionary key's codes, or ids assigned in
+///    first-appearance order;
+/// 2. each aggregate leaf folds the block into per-group state through the
+///    typed reader and update chosen for it before the loop ([`LeafFold`]),
+///    rows in ascending dense order — so float sums, ties and DISTINCT sets
+///    are bit-identical to the row interpreter at any thread count (the
+///    fold itself is serial; what feeds it evaluates morsel-parallel
+///    upstream);
 /// 3. groups finish in key order through [`finish_groups`], shared with
 ///    [`aggregate`].
 ///
@@ -326,187 +331,378 @@ pub(crate) fn aggregate_cols(
         // sort-based grouping pays comparison costs
         counters.sort_comparisons += n as u64;
     }
-    let (gids, keys) = assign_groups(key_cols, n, sel, guard);
-    let rows = FoldRows { n, sel, gids, groups: keys.len() };
-    let mut states: Vec<Vec<AggState>> = vec![Vec::new(); keys.len()];
-    for (leaf, arg) in leaves.iter().zip(arg_cols) {
-        let folded = fold_leaf(leaf, arg.as_ref(), &rows, guard);
+    let mut ids = GroupIds::new(key_cols, sel);
+    let mut folds: Vec<Box<dyn LeafFold + '_>> =
+        leaves.iter().zip(arg_cols).map(|(leaf, arg)| leaf_fold(leaf, arg.as_ref(), sel)).collect();
+    fold_blocks(n, guard, &mut ids, &mut folds);
+    guard.check()?;
+    let keys = ids.finish();
+    let mut states: Vec<Vec<AggState>> = vec![Vec::with_capacity(folds.len()); keys.len()];
+    for fold in folds {
+        let folded = fold.finish(keys.len());
         states.iter_mut().zip(folded).for_each(|(group, state)| group.push(state));
     }
-    guard.check()?;
     // Dictionary codes no row carried have no key and drop out here.
     let groups = keys.into_iter().zip(states).filter_map(|(k, s)| Some((k?, s))).collect();
     finish_groups(groups, leaves, group_by, outputs, having)
 }
 
-/// Group id of each dense position.
-enum Gids<'a> {
-    /// No GROUP BY: every row is group 0.
-    One,
-    /// A dictionary key's codes, used as they are and addressed like the
-    /// key column's cells.
-    Codes(&'a [u32], &'a ExprCol<'a>),
-    /// Ids assigned in first-appearance order, by dense position.
-    Assigned(Vec<u32>),
-}
-
-/// The input of one aggregation as every leaf's fold sees it.
-struct FoldRows<'a> {
+/// The aggregation's one pass: per guard-polled block, the group ids once,
+/// then every leaf's fold. False when the guard tripped.
+fn fold_blocks(
     n: usize,
-    sel: Option<&'a [u32]>,
-    gids: Gids<'a>,
-    /// Number of group ids (the length of every per-group array).
-    groups: usize,
-}
-
-impl FoldRows<'_> {
-    #[inline]
-    fn gid(&self, j: usize) -> usize {
-        match &self.gids {
-            Gids::One => 0,
-            Gids::Codes(codes, key) => codes[key.index(self.sel, j)] as usize,
-            Gids::Assigned(ids) => ids[j] as usize,
-        }
-    }
-}
-
-/// Assigns every row a dense group id and returns the key values of each id
-/// (`None` for a dictionary code no selected row carries). A single
-/// dictionary key groups by its codes without touching a string per row; a
-/// single numeric key hashes its raw `i64`; multi-column, string and mixed
-/// keys go through the ordered [`KeyWrap`] map.
-fn assign_groups<'a>(
-    key_cols: &'a [ExprCol<'a>],
-    n: usize,
-    sel: Option<&[u32]>,
     guard: &ExecGuard,
-) -> (Gids<'a>, Vec<Option<Vec<KeyWrap>>>) {
-    if key_cols.is_empty() {
-        return (Gids::One, vec![Some(Vec::new())]);
-    }
-    if let [k] = key_cols {
-        if let ColumnData::Dict(d) = k.data() {
-            let mut seen = vec![false; d.values.len()];
-            each_row(n, guard, |j| seen[d.codes[k.index(sel, j)] as usize] = true);
-            let key_of = |v: &String| vec![KeyWrap(Value::Str(v.clone()))];
-            let keys = seen.iter().zip(d.values.iter()).map(|(s, v)| s.then(|| key_of(v)));
-            return (Gids::Codes(&d.codes, k), keys.collect());
+    ids: &mut GroupIds<'_>,
+    folds: &mut [Box<dyn LeafFold + '_>],
+) -> bool {
+    let mut buf = Vec::with_capacity(GUARD_CHECK_ROWS);
+    each_block(n, guard, |rows| {
+        let gids = ids.block(rows.clone(), &mut buf);
+        let groups = ids.len();
+        for fold in folds.iter_mut() {
+            fold.block(rows.clone(), gids, groups);
         }
-    }
-    let mut keys: Vec<Option<Vec<KeyWrap>>> = Vec::new();
-    let mut ids: Vec<u32> = Vec::with_capacity(n);
-    if let [k] = key_cols {
-        let hashed = with_numeric!(k.data(), |read| {
-            let mut map: HashMap<Option<i64>, u32> = HashMap::new();
-            each_row(n, guard, |j| {
-                let x = read(k.index(sel, j));
-                ids.push(*map.entry(x.map(Num::raw)).or_insert_with(|| {
-                    keys.push(Some(vec![KeyWrap(x.map_or(Value::Null, Num::value))]));
-                    keys.len() as u32 - 1
-                }));
-            })
-        });
-        if hashed.is_some() {
-            return (Gids::Assigned(ids), keys);
-        }
-    }
-    let mut map: BTreeMap<Vec<KeyWrap>, u32> = BTreeMap::new();
-    each_row(n, guard, |j| {
-        let key: Vec<KeyWrap> = key_cols.iter().map(|c| KeyWrap(c.value(sel, j))).collect();
-        let next = keys.len() as u32;
-        ids.push(*map.entry(key).or_insert_with_key(|k| {
-            keys.push(Some(k.clone()));
-            next
-        }));
-    });
-    (Gids::Assigned(ids), keys)
-}
-
-/// Folds one aggregate leaf over all rows into one state per group id.
-/// `COUNT(*)` and non-DISTINCT aggregates over numeric columns take the
-/// typed fold; DISTINCT and string/mixed arguments update [`AggState`]s row
-/// by row in the same loop.
-fn fold_leaf(
-    leaf: &AggLeaf,
-    arg: Option<&ExprCol<'_>>,
-    rows: &FoldRows<'_>,
-    guard: &ExecGuard,
-) -> Vec<AggState> {
-    let Some(col) = arg else {
-        return fold_typed(AggFunc::Count, rows, guard, |_| Some(0i64));
-    };
-    let typed = if leaf.distinct {
-        None
-    } else {
-        with_numeric!(col.data(), |read| {
-            fold_typed(leaf.func, rows, guard, |j| read(col.index(rows.sel, j)))
-        })
-    };
-    typed.unwrap_or_else(|| {
-        let mut states = vec![AggState::new(); rows.groups];
-        each_row(rows.n, guard, |j| {
-            states[rows.gid(j)].update(leaf, Some(col.value(rows.sel, j)));
-        });
-        states
     })
 }
 
-/// The typed fold: accumulates only what `func` reads into per-group arrays
-/// (`cell(j)` is the argument at dense position `j`, `None` = NULL), then
-/// wraps them as the [`AggState`]s [`AggState::finish`] expects.
-fn fold_typed<T: Num>(
-    func: AggFunc,
-    rows: &FoldRows<'_>,
-    guard: &ExecGuard,
-    cell: impl Fn(usize) -> Option<T>,
-) -> Vec<AggState> {
-    let g = rows.groups;
-    let (mut count, mut sum, mut int_sum) = (vec![0u64; g], vec![0f64; g], vec![0i64; g]);
-    let mut extreme: Vec<Option<T>> = vec![None; g];
-    match func {
-        AggFunc::Count => feed(rows, guard, &cell, |g, _| count[g] += 1),
-        AggFunc::Sum if T::IS_INT => feed(rows, guard, &cell, |g, x| {
-            count[g] += 1;
-            int_sum[g] = int_sum[g].wrapping_add(x.raw());
-        }),
-        AggFunc::Sum | AggFunc::Avg => feed(rows, guard, &cell, |g, x| {
-            count[g] += 1;
-            sum[g] += x.as_f64();
-        }),
-        AggFunc::Min | AggFunc::Max => {
-            let replaces = if func == AggFunc::Min { Ordering::Less } else { Ordering::Greater };
-            feed(rows, guard, &cell, |g, x| {
-                if extreme[g].is_none_or(|m| x.total_cmp(m) == replaces) {
-                    extreme[g] = Some(x);
-                }
-            })
-        }
-    }
-    (0..g)
-        .map(|i| AggState {
-            count: count[i],
-            sum: sum[i],
-            sum_is_int: T::IS_INT,
-            int_sum: int_sum[i],
-            min: extreme[i].map(Num::value),
-            max: extreme[i].map(Num::value),
-            distinct: HashSet::new(),
-        })
-        .collect()
+/// Assigns a block of rows' group ids into a buffer, recording each new
+/// id's key.
+type Assign<'a> = Box<dyn FnMut(Range<usize>, &mut Vec<u32>, &mut Vec<Vec<KeyWrap>>) + 'a>;
+
+/// Where each row's group id comes from, chosen once per aggregation.
+enum GroupIds<'a> {
+    /// No GROUP BY: every row is group 0.
+    One,
+    /// A single dictionary key's codes, read through `sel`, used as they
+    /// are; `seen` marks the codes some row carries.
+    Codes { codes: &'a [u32], sel: Option<&'a [u32]>, values: &'a [String], seen: Vec<bool> },
+    /// Ids handed out in first-appearance order: a single numeric key
+    /// hashes its raw `i64`; multi-column, string and mixed keys go through
+    /// the ordered [`KeyWrap`] map.
+    Assigned { assign: Assign<'a>, keys: Vec<Vec<KeyWrap>> },
 }
 
-/// Feeds every non-NULL cell, with its group id, to `acc` in dense order.
-fn feed<T: Num>(
-    rows: &FoldRows<'_>,
-    guard: &ExecGuard,
-    cell: &impl Fn(usize) -> Option<T>,
-    mut acc: impl FnMut(usize, T),
-) {
-    each_row(rows.n, guard, |j| {
-        if let Some(x) = cell(j) {
-            acc(rows.gid(j), x);
+impl<'a> GroupIds<'a> {
+    fn new(key_cols: &'a [ExprCol<'a>], sel: Option<&'a [u32]>) -> GroupIds<'a> {
+        let assign = match key_cols {
+            [] => return GroupIds::One,
+            [k] => {
+                if let ColumnData::Dict(d) = k.data() {
+                    let seen = vec![false; d.values.len()];
+                    return GroupIds::Codes { codes: &d.codes, sel: k.sel(sel), values: &d.values, seen };
+                }
+                with_numeric!(k.data(), |read| hashed_ids(read, k.sel(sel)))
+            }
+            _ => None,
+        };
+        let assign = assign.unwrap_or_else(|| ordered_ids(key_cols, sel));
+        GroupIds::Assigned { assign, keys: Vec::new() }
+    }
+
+    /// Number of group ids handed out so far.
+    fn len(&self) -> usize {
+        match self {
+            GroupIds::One => 1,
+            GroupIds::Codes { values, .. } => values.len(),
+            GroupIds::Assigned { keys, .. } => keys.len(),
         }
-    });
+    }
+
+    /// The group ids of dense positions `rows`, written into `buf`; `None`
+    /// when every row is group 0.
+    fn block<'b>(&mut self, rows: Range<usize>, buf: &'b mut Vec<u32>) -> Option<&'b [u32]> {
+        buf.clear();
+        match self {
+            GroupIds::One => return None,
+            GroupIds::Codes { codes, sel, seen, .. } => {
+                let mut code_of = |i: usize| {
+                    let c = codes[i];
+                    seen[c as usize] = true;
+                    c
+                };
+                match sel {
+                    Some(s) => buf.extend(s[rows].iter().map(|&i| code_of(i as usize))),
+                    None => buf.extend(rows.map(code_of)),
+                }
+            }
+            GroupIds::Assigned { assign, keys } => assign(rows, buf, keys),
+        }
+        Some(buf)
+    }
+
+    /// The key of each group id (`None` for a dictionary code no row
+    /// carried).
+    fn finish(self) -> Vec<Option<Vec<KeyWrap>>> {
+        match self {
+            GroupIds::One => vec![Some(Vec::new())],
+            GroupIds::Codes { values, seen, .. } => seen
+                .iter()
+                .zip(values)
+                .map(|(s, v)| s.then(|| vec![KeyWrap(Value::Str(v.clone()))]))
+                .collect(),
+            GroupIds::Assigned { keys, .. } => keys.into_iter().map(Some).collect(),
+        }
+    }
+}
+
+/// Group ids of a single numeric key, read by `read` through `idx`.
+fn hashed_ids<'a, T: Num + 'a>(
+    mut read: impl FnMut(usize) -> Option<T> + 'a,
+    idx: Option<&'a [u32]>,
+) -> Assign<'a> {
+    let mut map: HashMap<Option<i64>, u32> = HashMap::new();
+    Box::new(move |rows, ids, keys| {
+        let mut id_of = |i: usize| {
+            let x = read(i);
+            *map.entry(x.map(Num::raw)).or_insert_with(|| {
+                keys.push(vec![KeyWrap(x.map_or(Value::Null, Num::value))]);
+                keys.len() as u32 - 1
+            })
+        };
+        match idx {
+            Some(s) => ids.extend(s[rows].iter().map(|&i| id_of(i as usize))),
+            None => ids.extend(rows.map(id_of)),
+        }
+    })
+}
+
+/// Group ids of any key tuple, through an ordered map of [`KeyWrap`]s.
+fn ordered_ids<'a>(key_cols: &'a [ExprCol<'a>], sel: Option<&'a [u32]>) -> Assign<'a> {
+    let mut map: BTreeMap<Vec<KeyWrap>, u32> = BTreeMap::new();
+    Box::new(move |rows, ids, keys| {
+        for j in rows {
+            let key: Vec<KeyWrap> = key_cols.iter().map(|c| KeyWrap(c.value(sel, j))).collect();
+            let next = keys.len() as u32;
+            ids.push(*map.entry(key).or_insert_with_key(|k| {
+                keys.push(k.clone());
+                next
+            }));
+        }
+    })
+}
+
+/// One aggregate leaf's fold, with its reader and update fixed.
+trait LeafFold {
+    /// Folds dense positions `rows`, whose group ids are `gids` (`None`:
+    /// all group 0), into state for `groups` ids.
+    fn block(&mut self, rows: Range<usize>, gids: Option<&[u32]>, groups: usize);
+    /// One state per group id.
+    fn finish(self: Box<Self>, groups: usize) -> Vec<AggState>;
+}
+
+/// The fold of one leaf: `COUNT(*)` counts rows, non-DISTINCT aggregates
+/// over numeric columns take the typed fold, and DISTINCT and string/mixed
+/// arguments update [`AggState`]s row by row.
+fn leaf_fold<'a>(
+    leaf: &'a AggLeaf,
+    arg: Option<&'a ExprCol<'a>>,
+    sel: Option<&'a [u32]>,
+) -> Box<dyn LeafFold + 'a> {
+    let Some(col) = arg else {
+        return Box::new(CountRows(Vec::new()));
+    };
+    let idx = col.sel(sel);
+    let typed = if leaf.distinct {
+        None
+    } else {
+        with_numeric!(col.data(), |read| typed_fold(leaf.func, read, idx))
+    };
+    typed.unwrap_or_else(|| Box::new(StateFold { leaf, col, idx, states: Vec::new() }))
+}
+
+/// `COUNT(*)`: rows per group.
+struct CountRows(Vec<u64>);
+
+impl LeafFold for CountRows {
+    fn block(&mut self, rows: Range<usize>, gids: Option<&[u32]>, groups: usize) {
+        self.0.resize(groups, 0);
+        match gids {
+            None => self.0[0] += rows.len() as u64,
+            Some(g) => {
+                for &g in g {
+                    self.0[g as usize] += 1;
+                }
+            }
+        }
+    }
+
+    fn finish(mut self: Box<Self>, groups: usize) -> Vec<AggState> {
+        self.0.resize(groups, 0);
+        self.0.iter().map(|&count| AggState { count, ..AggState::new() }).collect()
+    }
+}
+
+/// The generic fold: [`AggState::update`] per row.
+struct StateFold<'a> {
+    leaf: &'a AggLeaf,
+    col: &'a ExprCol<'a>,
+    idx: Option<&'a [u32]>,
+    states: Vec<AggState>,
+}
+
+impl LeafFold for StateFold<'_> {
+    fn block(&mut self, rows: Range<usize>, gids: Option<&[u32]>, groups: usize) {
+        self.states.resize(groups, AggState::new());
+        for (k, j) in rows.enumerate() {
+            let g = gids.map_or(0, |g| g[k] as usize);
+            let i = self.idx.map_or(j, |s| s[j] as usize);
+            self.states[g].update(self.leaf, Some(self.col.data().get(i)));
+        }
+    }
+
+    fn finish(mut self: Box<Self>, groups: usize) -> Vec<AggState> {
+        self.states.resize(groups, AggState::new());
+        self.states
+    }
+}
+
+/// What one group's typed fold accumulates; only the fields its function
+/// reads move.
+#[derive(Clone, Copy)]
+struct Acc<T> {
+    count: u64,
+    sum: f64,
+    int_sum: i64,
+    extreme: Option<T>,
+}
+
+impl<T> Acc<T> {
+    const EMPTY: Acc<T> = Acc { count: 0, sum: 0.0, int_sum: 0, extreme: None };
+}
+
+/// What an aggregate function does with one non-NULL cell.
+trait Update<T> {
+    fn update(acc: &mut Acc<T>, x: T);
+}
+
+struct CountCells;
+struct IntSum;
+struct FloatSum;
+/// `MIN` (`MAX = false`) or `MAX`.
+struct Extreme<const MAX: bool>;
+
+impl<T> Update<T> for CountCells {
+    #[inline]
+    fn update(acc: &mut Acc<T>, _: T) {
+        acc.count += 1;
+    }
+}
+
+impl<T: Num> Update<T> for IntSum {
+    #[inline]
+    fn update(acc: &mut Acc<T>, x: T) {
+        acc.count += 1;
+        acc.int_sum = acc.int_sum.wrapping_add(x.raw());
+    }
+}
+
+impl<T: Num> Update<T> for FloatSum {
+    #[inline]
+    fn update(acc: &mut Acc<T>, x: T) {
+        acc.count += 1;
+        acc.sum += x.as_f64();
+    }
+}
+
+impl<T: Num, const MAX: bool> Update<T> for Extreme<MAX> {
+    #[inline]
+    fn update(acc: &mut Acc<T>, x: T) {
+        let replaces = if MAX { Ordering::Greater } else { Ordering::Less };
+        if acc.extreme.is_none_or(|m| x.total_cmp(m) == replaces) {
+            acc.extreme = Some(x);
+        }
+    }
+}
+
+/// The typed fold of `func` over cells `read` returns (`None` = NULL) at
+/// the indices `idx` maps dense positions to.
+fn typed_fold<'a, T: Num + 'a>(
+    func: AggFunc,
+    read: impl FnMut(usize) -> Option<T> + 'a,
+    idx: Option<&'a [u32]>,
+) -> Box<dyn LeafFold + 'a> {
+    fn boxed<'a, T: Num + 'a, U: Update<T> + 'a>(
+        read: impl FnMut(usize) -> Option<T> + 'a,
+        idx: Option<&'a [u32]>,
+    ) -> Box<dyn LeafFold + 'a> {
+        Box::new(TypedFold { read, idx, accs: Vec::new(), update: PhantomData::<U> })
+    }
+    match func {
+        AggFunc::Count => boxed::<T, CountCells>(read, idx),
+        AggFunc::Sum if T::IS_INT => boxed::<T, IntSum>(read, idx),
+        AggFunc::Sum | AggFunc::Avg => boxed::<T, FloatSum>(read, idx),
+        AggFunc::Min => boxed::<T, Extreme<false>>(read, idx),
+        AggFunc::Max => boxed::<T, Extreme<true>>(read, idx),
+    }
+}
+
+struct TypedFold<'a, T, R, U> {
+    read: R,
+    idx: Option<&'a [u32]>,
+    accs: Vec<Acc<T>>,
+    update: PhantomData<U>,
+}
+
+impl<T: Num, R: FnMut(usize) -> Option<T>, U: Update<T>> LeafFold for TypedFold<'_, T, R, U> {
+    fn block(&mut self, rows: Range<usize>, gids: Option<&[u32]>, groups: usize) {
+        self.accs.resize(groups, Acc::EMPTY);
+        let (read, idx) = (&mut self.read, self.idx);
+        match gids {
+            None => {
+                // No GROUP BY: the block folds into a local.
+                let mut acc = self.accs[0];
+                each_cell(idx, rows, read, |_, x| U::update(&mut acc, x));
+                self.accs[0] = acc;
+            }
+            Some(g) => {
+                let accs = &mut self.accs;
+                each_cell(idx, rows, read, |k, x| U::update(&mut accs[g[k] as usize], x));
+            }
+        }
+    }
+
+    fn finish(mut self: Box<Self>, groups: usize) -> Vec<AggState> {
+        self.accs.resize(groups, Acc::EMPTY);
+        self.accs
+            .iter()
+            .map(|a| AggState {
+                count: a.count,
+                sum: a.sum,
+                sum_is_int: T::IS_INT,
+                int_sum: a.int_sum,
+                min: a.extreme.map(Num::value),
+                max: a.extreme.map(Num::value),
+                distinct: HashSet::new(),
+            })
+            .collect()
+    }
+}
+
+/// Calls `f(offset in the block, cell)` for every non-NULL cell of dense
+/// positions `rows`, in order.
+#[inline]
+fn each_cell<T>(
+    idx: Option<&[u32]>,
+    rows: Range<usize>,
+    read: &mut impl FnMut(usize) -> Option<T>,
+    mut f: impl FnMut(usize, T),
+) {
+    match idx {
+        Some(s) => {
+            for (k, &i) in s[rows].iter().enumerate() {
+                if let Some(x) = read(i as usize) {
+                    f(k, x);
+                }
+            }
+        }
+        None => {
+            for (k, i) in rows.enumerate() {
+                if let Some(x) = read(i) {
+                    f(k, x);
+                }
+            }
+        }
+    }
 }
 
 /// Collects the distinct aggregate leaves across outputs and HAVING.
@@ -640,19 +836,21 @@ mod tests {
         assert_eq!(s.finish(AggFunc::Sum), Value::Float(3.5));
     }
 
-    /// The typed fold polls the guard once per block: a cancel raised while
-    /// row 5000 is read ends the pass within that block.
+    /// The fold polls the guard once per block: a cancel raised while row
+    /// 5000 is read ends the pass within that block.
     #[test]
     fn typed_fold_stops_within_a_block_of_a_cancel() {
         let guard = ExecGuard::new(&super::super::StatementLimits::unlimited());
         let handle = guard.cancel_handle();
-        let rows = FoldRows { n: 600_000, sel: None, gids: Gids::One, groups: 1 };
-        let states = fold_typed(AggFunc::Sum, &rows, &guard, |j| {
-            if j == 5_000 {
+        let read = |i: usize| {
+            if i == 5_000 {
                 handle.cancel();
             }
             Some(1i64)
-        });
+        };
+        let mut folds = vec![typed_fold(AggFunc::Sum, read, None)];
+        assert!(!fold_blocks(600_000, &guard, &mut GroupIds::One, &mut folds));
+        let states = folds.pop().expect("one fold").finish(1);
         assert!((5_001..=5_000 + GUARD_CHECK_ROWS as u64).contains(&states[0].count));
         assert!(guard.check().is_err(), "the caller's next check reports the cancel");
     }

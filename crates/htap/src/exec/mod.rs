@@ -35,7 +35,7 @@ mod agg;
 pub mod guard;
 pub mod parallel;
 mod sort;
-mod typed;
+pub(crate) mod typed;
 #[cfg(test)]
 mod typed_props;
 pub mod vector;
@@ -51,6 +51,7 @@ use crate::storage::{ScanPruner, StoredTable};
 use qpe_sql::binder::{BoundDml, BoundExpr, BoundQuery};
 use qpe_sql::catalog::Catalog;
 use qpe_sql::value::Value;
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 
 /// A materialized row.
@@ -262,15 +263,51 @@ fn term_values(terms: &[PlanTerm]) -> Result<Vec<&Value>, ExecError> {
     terms.iter().map(term_value).collect()
 }
 
+/// A join key cell as both executors' hash joins match it: keys of two
+/// types never match (what the batch join's `Disjoint` class answers for
+/// `Int`↔`Date`), `-0.0` matches `0.0`, and NULL and NaN are no key at all
+/// — they match nothing. `Hash` and `Eq` agree, so no answer depends on
+/// which keys happen to collide.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub(crate) enum JoinKey<'a> {
+    Int(i64),
+    Date(i32),
+    /// The bit pattern, `-0.0` normalized to `0.0`.
+    Float(u64),
+    Str(Cow<'a, str>),
+}
+
+impl<'a> JoinKey<'a> {
+    /// The key of a cell; `None` for NULL and NaN.
+    pub(crate) fn of(v: &'a Value) -> Option<JoinKey<'a>> {
+        match v {
+            Value::Str(s) => Some(JoinKey::Str(Cow::Borrowed(s))),
+            other => JoinKey::owned(other.clone()),
+        }
+    }
+
+    /// [`JoinKey::of`] an owned cell.
+    pub(crate) fn owned(v: Value) -> Option<JoinKey<'static>> {
+        Some(match v {
+            Value::Null => return None,
+            Value::Int(x) => JoinKey::Int(x),
+            Value::Date(d) => JoinKey::Date(d),
+            Value::Float(x) if x.is_nan() => return None,
+            Value::Float(x) => JoinKey::Float(if x == 0.0 { 0 } else { x.to_bits() }),
+            Value::Str(s) => JoinKey::Str(Cow::Owned(s)),
+        })
+    }
+}
+
 /// The row interpreter's hash join: a table over `build_rows` keyed on the
 /// cells at `bpos`, probed with `probe_rows`' cells at `ppos`; each probe
-/// row is emitted joined with its matches in build order. NULL keys never
-/// match.
-pub(crate) fn hash_join_rows(
+/// row is emitted joined with its matches in build order. Keys match as
+/// [`JoinKey`]s, so NULL keys never match.
+pub(crate) fn hash_join_rows<'r>(
     counters: &mut WorkCounters,
     guard: &ExecGuard,
-    build_rows: &[Row],
-    probe_rows: &[Row],
+    build_rows: &'r [Row],
+    probe_rows: &'r [Row],
     bpos: &[usize],
     ppos: &[usize],
 ) -> Result<Vec<Row>, ExecError> {
@@ -279,25 +316,25 @@ pub(crate) fn hash_join_rows(
     // skip the key vector entirely.
     let mut out = Vec::new();
     if let (&[bp], &[pp]) = (bpos, ppos) {
-        let mut table: HashMap<&Value, Vec<&Row>> =
-            HashMap::with_capacity(build_rows.len());
+        let mut table: HashMap<JoinKey, Vec<&Row>> = HashMap::with_capacity(build_rows.len());
         for (i, row) in build_rows.iter().enumerate() {
             if i % GUARD_CHECK_ROWS == 0 {
                 guard.check()?;
             }
             counters.hash_build_rows += 1;
-            table.entry(&row[bp]).or_default().push(row);
+            if let Some(key) = JoinKey::of(&row[bp]) {
+                table.entry(key).or_default().push(row);
+            }
         }
         for (i, row) in probe_rows.iter().enumerate() {
             if i % GUARD_CHECK_ROWS == 0 {
                 guard.check()?;
             }
             counters.hash_probe_rows += 1;
-            // NULL join keys never match (sql_eq semantics).
-            if row[pp].is_null() {
+            let Some(key) = JoinKey::of(&row[pp]) else {
                 continue;
-            }
-            if let Some(matches) = table.get(&row[pp]) {
+            };
+            if let Some(matches) = table.get(&key) {
                 for m in matches {
                     let mut r = row.clone();
                     r.extend_from_slice(m);
@@ -306,28 +343,28 @@ pub(crate) fn hash_join_rows(
             }
         }
     } else {
-        let mut table: HashMap<Vec<&Value>, Vec<&Row>> =
-            HashMap::with_capacity(build_rows.len());
+        let key_of = |row: &'r Row, pos: &[usize]| -> Option<Vec<JoinKey<'r>>> {
+            pos.iter().map(|&p| JoinKey::of(&row[p])).collect()
+        };
+        let mut table: HashMap<Vec<JoinKey>, Vec<&Row>> = HashMap::with_capacity(build_rows.len());
         for (i, row) in build_rows.iter().enumerate() {
             if i % GUARD_CHECK_ROWS == 0 {
                 guard.check()?;
             }
             counters.hash_build_rows += 1;
-            let key: Vec<&Value> = bpos.iter().map(|&p| &row[p]).collect();
-            table.entry(key).or_default().push(row);
+            if let Some(key) = key_of(row, bpos) {
+                table.entry(key).or_default().push(row);
+            }
         }
-        let mut scratch: Vec<&Value> = Vec::with_capacity(ppos.len());
         for (i, row) in probe_rows.iter().enumerate() {
             if i % GUARD_CHECK_ROWS == 0 {
                 guard.check()?;
             }
             counters.hash_probe_rows += 1;
-            scratch.clear();
-            scratch.extend(ppos.iter().map(|&p| &row[p]));
-            if scratch.iter().any(|v| v.is_null()) {
+            let Some(key) = key_of(row, ppos) else {
                 continue;
-            }
-            if let Some(matches) = table.get(&scratch) {
+            };
+            if let Some(matches) = table.get(&key) {
                 for m in matches {
                     let mut r = row.clone();
                     r.extend_from_slice(m);

@@ -1,6 +1,6 @@
 //! Morsel-driven parallel execution for the AP batch executor.
 //!
-//! The vectorized executor's kernels (filter masks, hash-join pair finding,
+//! The vectorized executor's kernels (filter selections, hash-join pair finding,
 //! gathers, expression evaluation, sorts) all iterate a dense range of
 //! selected rows. This module splits that range into fixed-size
 //! **morsels** and runs them on a [`std::thread::scope`]d worker pool, with
@@ -9,7 +9,11 @@
 //!
 //! * **order-preserving kernels** (filter, gather, expression eval,
 //!   projection): each morsel computes its slice independently; slices are
-//!   reassembled in morsel order, which *is* the serial iteration order;
+//!   reassembled in morsel order, which *is* the serial iteration order.
+//!   A morsel of a dense batch is a physical row range, never an identity
+//!   selection, so the filter's block kernels (FOR envelopes, RLE runs)
+//!   see the same shape at every thread count, and the filter writes its
+//!   surviving rows straight into the morsel's selection;
 //! * **hash joins**: the build table fills serially, in build order, so
 //!   every key's match list is the serial one; probe morsels then share it
 //!   read-only, emit pairs in probe order and concatenate in morsel order;
@@ -30,7 +34,8 @@
 //! the same formulas as the serial executor, so counters — and therefore
 //! simulated latencies, router labels and explanations — are identical by
 //! construction. `threads == 1`, or any input of at most one morsel, takes
-//! the exact serial code path.
+//! the exact serial code path — for the filter and the join probe, the
+//! one-morsel case of the same kernel.
 //!
 //! Morsel boundaries additionally respect storage boundaries: a dense scan
 //! over a chunked (base + delta) column view cuts at the segment split, a
@@ -44,8 +49,8 @@
 
 use super::guard::ExecGuard;
 use super::typed::each_block;
-use crate::eval::{eval_batch, eval_predicate_mask, BatchView, EvalError};
-use crate::eval::Schema;
+use super::GUARD_CHECK_ROWS;
+use crate::eval::{eval_batch, eval_predicate_sel, BatchView, EvalError, Rows, Schema};
 use crate::storage::col_store::{ColRef, ColumnData};
 use qpe_sql::binder::BoundExpr;
 use std::ops::Range;
@@ -273,31 +278,28 @@ fn splice(pieces: Vec<ColumnData>) -> ColumnData {
 }
 
 /// A morsel's view of `(cols, sel, rows)`: the parent selection sliced to
-/// the range, or an identity selection over it.
+/// the dense range, or — for a dense batch — that range of physical rows.
 fn sub_view<'v>(
     cols: &'v [Option<ColRef<'v>>],
     sel: Option<&'v [u32]>,
     rows: usize,
-    range: &Range<usize>,
-    ident: &'v mut Vec<u32>,
+    range: Range<usize>,
 ) -> BatchView<'v> {
-    match sel {
-        Some(s) => BatchView { cols, sel: Some(&s[range.clone()]), rows },
-        None => {
-            *ident = (range.start as u32..range.end as u32).collect();
-            BatchView { cols, sel: Some(ident), rows }
-        }
-    }
+    BatchView { cols, rows: Rows::of(sel, rows).slice(range) }
 }
 
 // ---------------------------------------------------------------------------
 // Order-preserving kernels: filter, eval, gather, projection
 // ---------------------------------------------------------------------------
 
-/// Parallel filter: evaluates the predicate mask per morsel and emits the
-/// surviving physical indices, concatenated in morsel (= serial) order.
-/// `step` is the batch's effective morsel size (already zone-map-aware and
-/// FOR-block-aligned by the caller); `cuts` its storage discontinuities.
+/// The filter, serial and parallel: each morsel walks its dense range in
+/// guard-polled blocks of [`GUARD_CHECK_ROWS`] and appends the surviving
+/// physical rows of each ([`eval_predicate_sel`]); morsels concatenate in
+/// order, which is the serial order. The serial filter is the one-morsel
+/// case. A dense batch's morsels stay row ranges, so FOR envelopes and RLE
+/// runs are decided whole at every thread count. `step` is the batch's
+/// effective morsel size (already zone-map-aware and FOR-block-aligned by
+/// the caller); `cuts` its storage discontinuities.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn par_filter_sel(
     cfg: &ExecConfig,
@@ -309,30 +311,29 @@ pub(crate) fn par_filter_sel(
     step: usize,
     cuts: &[usize],
 ) -> Result<Vec<u32>, EvalError> {
-    let n = sel.map(|s| s.len()).unwrap_or(rows);
+    let n = sel.map_or(rows, <[u32]>::len);
+    let (step, cuts) = if cfg.parallel_for(n) { (step, cuts) } else { (n.max(1), &[][..]) };
     let ranges = morsel_ranges(n, step, cuts);
     let guard = cfg.guard();
     let pieces = run_tasks(cfg.threads, ranges.len(), |i| {
-        if guard.poll() {
-            // Tripped: abandon the morsel. The executor's next guard check
-            // discards the truncated result and surfaces the cause.
-            return Ok(Vec::new());
-        }
-        let range = &ranges[i];
-        let mut ident = Vec::new();
-        let view = sub_view(cols, sel, rows, range, &mut ident);
-        let mut mask = Vec::new();
-        eval_predicate_mask(predicate, schema, &view, &mut mask)?;
-        let mut out = Vec::with_capacity(mask.len());
-        for (j, keep) in mask.iter().enumerate() {
-            if *keep {
-                out.push(view.phys(j) as u32);
+        let range = ranges[i].clone();
+        let mut out = Vec::with_capacity(range.len());
+        for lo in range.clone().step_by(GUARD_CHECK_ROWS) {
+            if guard.poll() {
+                // Tripped: abandon the morsel. The executor's next guard
+                // check discards the truncated result and surfaces the cause.
+                break;
             }
+            let block = lo..(lo + GUARD_CHECK_ROWS).min(range.end);
+            eval_predicate_sel(predicate, schema, &sub_view(cols, sel, rows, block), &mut out)?;
         }
         Ok(out)
     });
     // Morsel order is serial order: the earliest failing morsel's error wins.
-    let pieces = pieces.into_iter().collect::<Result<Vec<_>, _>>()?;
+    let mut pieces = pieces.into_iter().collect::<Result<Vec<_>, _>>()?;
+    if pieces.len() == 1 {
+        return Ok(pieces.pop().expect("one morsel"));
+    }
     let mut out = Vec::with_capacity(pieces.iter().map(Vec::len).sum());
     for p in pieces {
         out.extend_from_slice(&p);
@@ -357,7 +358,7 @@ pub(crate) fn par_eval_batch(
 ) -> Result<ColumnData, EvalError> {
     let n = sel.map(|s| s.len()).unwrap_or(rows);
     if !cfg.parallel_for(n) {
-        let view = BatchView { cols, sel, rows };
+        let view = BatchView { cols, rows: Rows::of(sel, rows) };
         return eval_batch(expr, schema, &view);
     }
     let ranges = morsel_ranges(n, cfg.morsel_rows, &[]);
@@ -366,13 +367,10 @@ pub(crate) fn par_eval_batch(
         if guard.poll() {
             // Tripped: evaluate over zero rows — a cheap, type-correct
             // placeholder the caller discards at its next guard check.
-            let view = BatchView { cols, sel: Some(&[]), rows };
+            let view = BatchView { cols, rows: Rows::Sel(&[]) };
             return eval_batch(expr, schema, &view);
         }
-        let range = &ranges[i];
-        let mut ident = Vec::new();
-        let view = sub_view(cols, sel, rows, range, &mut ident);
-        eval_batch(expr, schema, &view)
+        eval_batch(expr, schema, &sub_view(cols, sel, rows, ranges[i].clone()))
     });
     Ok(splice(pieces.into_iter().collect::<Result<_, _>>()?))
 }

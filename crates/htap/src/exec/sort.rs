@@ -8,7 +8,7 @@
 //! therefore output order — is identical across executors.
 
 use super::guard::ExecGuard;
-use super::typed::{cmp_nullable, each_row, with_numeric, ExprCol};
+use super::typed::{each_block, each_row, with_numeric, ExprCol, Num};
 use super::{ExecError, Row, WorkCounters, GUARD_CHECK_ROWS};
 use crate::eval::{eval, Schema};
 use qpe_sql::binder::BoundExpr;
@@ -208,17 +208,18 @@ pub fn top_n(
 }
 
 /// Vectorized top-N: identical bounded-buffer algorithm as [`top_n`], driven
-/// by key columns over a selection. A single numeric key is compared as
-/// typed cells — the comparisons `Value::total_cmp` makes within one type,
-/// so the buffer takes the same positions and ties break identically —
-/// with no key tuple allocated per input row; other keys compare `Value`
-/// tuples. Rows are materialized later by the consumer from the returned
-/// selection.
+/// by key columns over the batch's `n` rows (`sel`: its selection, `None`:
+/// dense). A single numeric key is compared as an order-preserving integer
+/// ([`top_n_ordered`]); other keys compare `Value` tuples. Either way the
+/// buffer takes the same positions and ties break identically. Returns the
+/// kept physical rows; the consumer materializes them later.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn top_n_indices(
     counters: &mut WorkCounters,
     key_cols: &[ExprCol<'_>],
     descs: &[bool],
-    sel: Vec<u32>,
+    sel: Option<&[u32]>,
+    n: usize,
     limit: u64,
     offset: u64,
     guard: &ExecGuard,
@@ -227,48 +228,80 @@ pub(crate) fn top_n_indices(
     if need == 0 {
         return Vec::new();
     }
+    let phys = |j: usize| sel.map_or(j as u32, |s| s[j]);
     let typed = match key_cols {
         [k] => with_numeric!(k.data(), |read| {
-            let key_at = |j| read(k.index(Some(&sel), j));
-            top_n_by(counters, &sel, need, guard, key_at, |a, b| {
-                let o = cmp_nullable(*a, *b);
-                if descs[0] { o.reverse() } else { o }
-            })
+            top_n_ordered(counters, n, need, guard, descs[0], k.sel(sel), read, phys)
         }),
         _ => None,
     };
     let top = typed.unwrap_or_else(|| {
-        let key_at = |j| key_cols.iter().map(|c| c.value(Some(&sel), j)).collect::<Vec<_>>();
-        top_n_by(counters, &sel, need, guard, key_at, |a, b| cmp_keys(a, b, descs))
+        let key_at = |j| key_cols.iter().map(|c| c.value(sel, j)).collect::<Vec<_>>();
+        top_n_by(counters, n, need, guard, key_at, phys, |a, b| cmp_keys(a, b, descs))
     });
     top.into_iter().skip(offset as usize).collect()
 }
 
-/// The bounded sorted buffer of [`top_n_indices`] over keys of any type:
-/// keeps the best `need` selection entries under `cmp`, best first.
-fn top_n_by<K>(
+/// [`top_n_by`] for one numeric key: each cell maps to an integer in
+/// `Value::total_cmp`'s order ([`Num::order_key`], widened to `i128` so
+/// NULL sits below every value; bitwise NOT reverses it for DESC), so
+/// integer comparison answers exactly as the tuple comparator would and the
+/// buffer takes the same positions. `read` is called with the index `idx`
+/// maps each dense position to.
+#[allow(clippy::too_many_arguments)]
+fn top_n_ordered<T: Num>(
     counters: &mut WorkCounters,
-    sel: &[u32],
+    n: usize,
     need: usize,
     guard: &ExecGuard,
-    key_at: impl Fn(usize) -> K,
+    desc: bool,
+    idx: Option<&[u32]>,
+    mut read: impl FnMut(usize) -> Option<T>,
+    phys: impl Fn(usize) -> u32,
+) -> Vec<u32> {
+    let key = |j: usize| {
+        let i = idx.map_or(j, |s| s[j] as usize);
+        let k = read(i).map_or(-(1i128 << 64), |x| i128::from(x.order_key()));
+        if desc { !k } else { k }
+    };
+    top_n_by(counters, n, need, guard, key, phys, Ord::cmp)
+}
+
+/// The bounded sorted buffer of [`top_n_indices`]: keeps the best `need`
+/// of `n` rows under `cmp`, best first, as the physical rows `phys` gives.
+/// Each row's key is compared with the worst buffered key, held in a
+/// local; only a row that beats it takes the binary-search insertion.
+fn top_n_by<K: Clone>(
+    counters: &mut WorkCounters,
+    n: usize,
+    need: usize,
+    guard: &ExecGuard,
+    mut key_at: impl FnMut(usize) -> K,
+    phys: impl Fn(usize) -> u32,
     cmp: impl Fn(&K, &K) -> Ordering,
 ) -> Vec<u32> {
     let mut buf: Vec<(K, u32)> = Vec::with_capacity(need + 1);
-    let done = each_row(sel.len(), guard, |j| {
-        counters.topn_pushes += 1;
-        let k = key_at(j);
-        if buf.len() < need || cmp(&k, &buf[need - 1].0) == Ordering::Less {
-            let pos = buf.binary_search_by(|(b, _)| cmp(b, &k)).unwrap_or_else(|p| p);
-            buf.insert(pos, (k, sel[j]));
-            buf.truncate(need);
+    // The worst buffered key, once the buffer is full.
+    let mut worst: Option<K> = None;
+    let done = each_block(n, guard, |rows| {
+        counters.topn_pushes += rows.len() as u64;
+        for j in rows {
+            let k = key_at(j);
+            if worst.as_ref().is_none_or(|w| cmp(&k, w) == Ordering::Less) {
+                let pos = buf.binary_search_by(|(b, _)| cmp(b, &k)).unwrap_or_else(|p| p);
+                buf.insert(pos, (k, phys(j)));
+                buf.truncate(need);
+                if buf.len() == need {
+                    worst = Some(buf[need - 1].0.clone());
+                }
+            }
         }
     });
     if !done {
         // Abandon on trip; the caller's next check discards this.
         return Vec::new();
     }
-    buf.into_iter().map(|(_, phys)| phys).collect()
+    buf.into_iter().map(|(_, p)| p).collect()
 }
 
 /// Positional sort over already-projected output rows (ORDER BY on
@@ -327,7 +360,6 @@ mod tests {
     fn top_n_stops_within_a_block_of_a_cancel() {
         let guard = ExecGuard::new(&super::super::StatementLimits::unlimited());
         let handle = guard.cancel_handle();
-        let sel: Vec<u32> = (0..600_000).collect();
         let mut c = WorkCounters::default();
         let key_at = |j: usize| {
             if j == 5_000 {
@@ -335,7 +367,7 @@ mod tests {
             }
             j as i64
         };
-        let top = top_n_by(&mut c, &sel, 20, &guard, key_at, |a, b| b.cmp(a));
+        let top = top_n_by(&mut c, 600_000, 20, &guard, key_at, |j| j as u32, |a, b| b.cmp(a));
         assert!(top.is_empty());
         assert!((5_001..=5_000 + GUARD_CHECK_ROWS as u64).contains(&c.topn_pushes));
     }
@@ -344,9 +376,8 @@ mod tests {
     fn top_n_indices_keeps_best_and_applies_offset() {
         let keys = ExprCol::Dense(ColumnData::Int(vec![5, 2, 9, 1, 7, 3]));
         let mut c = WorkCounters::default();
-        let sel: Vec<u32> = (0..6).collect();
         let top =
-            top_n_indices(&mut c, &[keys], &[false], sel, 2, 1, ExecGuard::unlimited());
+            top_n_indices(&mut c, &[keys], &[false], None, 6, 2, 1, ExecGuard::unlimited());
         // ascending: 1 (idx 3), 2 (idx 1), 3 (idx 5) → offset 1 drops idx 3
         assert_eq!(top, vec![1, 5]);
         assert_eq!(c.topn_pushes, 6);

@@ -1,14 +1,15 @@
 //! Column-at-a-time access shared by the batch executor's aggregation and
 //! top-N: how a key or argument expression reaches them ([`ExprCol`]), typed
-//! reads of its cells ([`Num`], [`with_numeric!`]) and the guard-polled row
-//! loops every pass runs in ([`each_row`], [`each_block`]) — the hash join's
-//! serial build and probe included.
+//! reads of its cells ([`Num`], [`with_numeric!`]), the decode state that
+//! lets a reader unpack each FOR block or find each RLE run once
+//! ([`Cursor`], shared with the filter and join kernels) and the
+//! guard-polled row loops every pass runs in ([`each_row`], [`each_block`]).
 
 use super::guard::ExecGuard;
 use super::parallel::{par_eval_batch, ExecConfig};
 use super::GUARD_CHECK_ROWS;
 use crate::eval::{EvalError, Schema};
-use crate::storage::col_store::{ColRef, ColumnData};
+use crate::storage::col_store::{ColRef, ColumnData, ForInt, FOR_BLOCK_ROWS};
 use qpe_sql::binder::BoundExpr;
 use qpe_sql::value::Value;
 use std::cmp::Ordering;
@@ -45,6 +46,15 @@ impl ExprCol<'_> {
     /// Cell at dense position `j`.
     pub(crate) fn value(&self, sel: Option<&[u32]>, j: usize) -> Value {
         self.data().get(self.index(sel, j))
+    }
+
+    /// The selection [`ExprCol::data`] is read through: the batch's for a
+    /// stored column, none (dense positions) for a computed one.
+    pub(crate) fn sel<'s>(&self, sel: Option<&'s [u32]>) -> Option<&'s [u32]> {
+        match self {
+            ExprCol::Stored(_) => sel,
+            ExprCol::Dense(_) => None,
+        }
     }
 }
 
@@ -106,6 +116,12 @@ pub(crate) trait Num: Copy {
     /// The value itself for integers and dates, the bit pattern for floats —
     /// equal exactly when `total_cmp` says equal.
     fn raw(self) -> i64;
+    /// An integer whose order is `total_cmp`'s: the value itself for
+    /// integers and dates; for floats the bit pattern with a negative
+    /// number's magnitude bits flipped (what `f64::total_cmp` compares).
+    fn order_key(self) -> i64 {
+        self.raw()
+    }
     fn as_f64(self) -> f64;
     fn total_cmp(self, other: Self) -> Ordering;
     fn value(self) -> Value;
@@ -131,6 +147,10 @@ impl Num for f64 {
     const IS_INT: bool = false;
     fn raw(self) -> i64 {
         self.to_bits() as i64
+    }
+    fn order_key(self) -> i64 {
+        let bits = self.to_bits() as i64;
+        bits ^ (((bits >> 63) as u64) >> 1) as i64
     }
     fn as_f64(self) -> f64 {
         self
@@ -159,22 +179,47 @@ impl Num for i32 {
     }
 }
 
-/// [`Value::total_cmp`] over typed nullable cells: NULL sorts first.
-pub(crate) fn cmp_nullable<T: Num>(a: Option<T>, b: Option<T>) -> Ordering {
-    match (a, b) {
-        (None, None) => Ordering::Equal,
-        (None, _) => Ordering::Less,
-        (_, None) => Ordering::Greater,
-        (Some(x), Some(y)) => x.total_cmp(y),
+/// Decode state of one encoded segment: the FOR block last unpacked and the
+/// RLE run last found, reused while consecutive reads stay inside them — so
+/// a pass in row order unpacks each block, and finds each run, once.
+#[derive(Default)]
+pub(crate) struct Cursor {
+    block: usize,
+    decoded: Vec<i64>,
+    run: usize,
+}
+
+impl Cursor {
+    /// The run of `ends` (an RLE column's run ends) holding row `i`.
+    #[inline]
+    pub(crate) fn run_of(&mut self, ends: &[u32], i: usize) -> usize {
+        let start = self.run.checked_sub(1).map_or(0, |r| ends[r] as usize);
+        if i < start || i >= ends[self.run] as usize {
+            self.run = ends.partition_point(|&e| e as usize <= i);
+        }
+        self.run
+    }
+
+    /// Row `i` of `f`.
+    #[inline]
+    pub(crate) fn for_cell(&mut self, f: &ForInt, i: usize) -> i64 {
+        let b = i / FOR_BLOCK_ROWS;
+        if self.decoded.is_empty() || b != self.block {
+            f.decode_block_into(b, &mut self.decoded);
+            self.block = b;
+        }
+        self.decoded[i % FOR_BLOCK_ROWS]
     }
 }
 
-/// Evaluates `$body` with `$read` bound to a typed `Fn(usize) -> Option<T>`
+/// Evaluates `$body` with `$read` bound to a typed `FnMut(usize) -> Option<T>`
 /// cell reader (`None` = NULL, `T:` [`Num`]) when `$col` holds integers,
 /// floats or dates in any encoding; yields `Some($body)`, or `None` for
-/// string and mixed columns, which have no typed reader.
+/// string and mixed columns, which have no typed reader. Encoded readers
+/// carry a [`Cursor`], so `$body` moves `$read` into whatever loop calls it.
 macro_rules! with_numeric {
     ($col:expr, |$read:ident| $body:expr) => {{
+        use $crate::exec::typed::Cursor;
         use $crate::storage::col_store::ColumnData;
         match $col {
             ColumnData::Int(v) => {
@@ -190,15 +235,18 @@ macro_rules! with_numeric {
                 Some($body)
             }
             ColumnData::RleInt(r) => {
-                let $read = |i: usize| Some(r.get(i));
+                let mut cur = Cursor::default();
+                let $read = move |i: usize| Some(r.vals[cur.run_of(&r.ends, i)]);
                 Some($body)
             }
             ColumnData::RleDate(r) => {
-                let $read = |i: usize| Some(r.get(i));
+                let mut cur = Cursor::default();
+                let $read = move |i: usize| Some(r.vals[cur.run_of(&r.ends, i)]);
                 Some($body)
             }
             ColumnData::ForInt(f) => {
-                let $read = |i: usize| Some(f.get(i));
+                let mut cur = Cursor::default();
+                let $read = move |i: usize| Some(cur.for_cell(f, i));
                 Some($body)
             }
             ColumnData::Nullable { nulls, values } => match &**values {

@@ -8,12 +8,15 @@
 //! column-at-a-time:
 //!
 //! * scans borrow column storage outright — no per-cell clone;
-//! * filters evaluate predicates over typed slices into a new selection
-//!   vector ([`crate::eval::eval_predicate_mask`]) — no row construction;
+//! * filters write the physical rows that pass straight into a new
+//!   selection vector ([`crate::eval::eval_predicate_sel`]), deciding
+//!   whole FOR blocks, RLE runs and dictionary codes where they can — no
+//!   row construction, no per-row mask;
 //! * joins decode integer-domain keys (any encoding) to `i64` once, match
 //!   them through one flat table shared by every probe morsel, and gather
 //!   only the columns that are *live* above the join (late materialization);
-//! * sorts and top-N permute the selection instead of moving rows;
+//! * sorts and top-N permute the selection instead of moving rows; a
+//!   single numeric top-N key compares as an order-preserving integer;
 //! * rows are materialized once, at the aggregation/projection boundary.
 //!
 //! **Invariant:** results and [`WorkCounters`] are identical to the row
@@ -22,17 +25,17 @@
 //! operators outside the AP vocabulary fall back to the row interpreter.
 //!
 //! With an [`ExecConfig`] of more than one thread, the hot kernels (filter
-//! masks, join pair-finding, gathers, expression evaluation, sorts) fan out
+//! selections, join pair-finding, gathers, expression evaluation, sorts) fan out
 //! morsel-wise over a scoped worker pool ([`super::parallel`])
 //! using strategies chosen to keep rows *and* counters bit-identical to the
 //! serial path — `threads == 1` (the default on a single-core host) is the
 //! exact serial executor.
 
 use super::parallel::{self, ExecConfig, JoinPairs};
-use super::typed::{self, ExprCol};
-use super::{agg, produces_final_rows, sort, ExecError, ExecGuard, Row, WorkCounters};
+use super::typed::{self, Cursor, ExprCol};
+use super::{agg, produces_final_rows, sort, ExecError, ExecGuard, JoinKey, Row, WorkCounters};
 use crate::engine::Database;
-use crate::eval::{eval_predicate_mask, BatchView, Schema};
+use crate::eval::Schema;
 use crate::plan::{PlanNode, PlanOp};
 use crate::storage::col_store::{ColRef, ColumnData, DictColumn, ForInt, RleRuns, FOR_BLOCK_ROWS};
 use qpe_sql::binder::{BoundExpr, BoundQuery, ColumnRef};
@@ -224,14 +227,7 @@ pub fn execute_with(
     db: &Database,
     cfg: &ExecConfig,
 ) -> Result<(Vec<Row>, WorkCounters), ExecError> {
-    let mut ex = VecExecutor {
-        query,
-        db,
-        cfg,
-        counters: WorkCounters::default(),
-        mask: Vec::new(),
-        sel_pool: Vec::new(),
-    };
+    let mut ex = VecExecutor { query, db, cfg, counters: WorkCounters::default() };
     let rows = match ex.run(plan, &Needs::All)? {
         VOut::Rows(rows) => rows,
         VOut::Batch(batch) => materialize(&batch),
@@ -266,22 +262,9 @@ struct VecExecutor<'a> {
     db: &'a Database,
     cfg: &'a ExecConfig,
     counters: WorkCounters,
-    /// Scratch predicate mask, reused across every filter in the plan.
-    mask: Vec<bool>,
-    /// Scratch selection buffers, recycled as operators consume selections.
-    sel_pool: Vec<Vec<u32>>,
 }
 
 impl<'a> VecExecutor<'a> {
-    fn take_sel(&mut self) -> Vec<u32> {
-        self.sel_pool.pop().unwrap_or_default()
-    }
-
-    fn recycle_sel(&mut self, mut sel: Vec<u32>) {
-        sel.clear();
-        self.sel_pool.push(sel);
-    }
-
     fn run(&mut self, node: &PlanNode, needs: &Needs) -> Result<VOut<'a>, ExecError> {
         // Cooperative governance checkpoint at every operator boundary. This
         // also discards any truncated child output: parallel kernels that
@@ -405,35 +388,17 @@ impl<'a> VecExecutor<'a> {
         self.counters.filter_evals += n as u64;
 
         let cols: Vec<Option<ColRef>> = batch.cols.iter().map(BatchCol::as_ref).collect();
-        let out_sel = if self.cfg.parallel_for(n) {
-            parallel::par_filter_sel(
-                self.cfg,
-                predicate,
-                &schema,
-                &cols,
-                batch.sel.as_deref(),
-                batch.rows,
-                batch.morsel_step(self.cfg),
-                &batch.morsel_cuts(),
-            )?
-        } else {
-            let view = BatchView { cols: &cols, sel: batch.sel.as_deref(), rows: batch.rows };
-            let mut mask = std::mem::take(&mut self.mask);
-            eval_predicate_mask(predicate, &schema, &view, &mut mask)?;
-            let mut out_sel = self.take_sel();
-            out_sel.reserve(n);
-            for (j, keep) in mask.iter().enumerate() {
-                if *keep {
-                    out_sel.push(view.phys(j) as u32);
-                }
-            }
-            self.mask = mask;
-            out_sel
-        };
+        let out_sel = parallel::par_filter_sel(
+            self.cfg,
+            predicate,
+            &schema,
+            &cols,
+            batch.sel.as_deref(),
+            batch.rows,
+            batch.morsel_step(self.cfg),
+            &batch.morsel_cuts(),
+        )?;
         drop(cols);
-        if let Some(old) = batch.sel {
-            self.recycle_sel(old);
-        }
         Ok(VOut::Batch(Batch::plain(batch.cols, Some(out_sel), batch.rows)))
     }
 
@@ -484,14 +449,7 @@ impl<'a> VecExecutor<'a> {
             };
             cols.push(col);
         }
-        let rows = probe_idx.len();
-        if let Some(s) = probe.sel {
-            self.recycle_sel(s);
-        }
-        if let Some(s) = build.sel {
-            self.recycle_sel(s);
-        }
-        Ok(VOut::Batch(Batch::plain(cols, None, rows)))
+        Ok(VOut::Batch(Batch::plain(cols, None, probe_idx.len())))
     }
 
     fn aggregate(
@@ -557,7 +515,7 @@ impl<'a> VecExecutor<'a> {
         let child_needs = needs.with_exprs(keys.iter().map(|(k, _)| k));
         let mut batch = self.run_batch(child, &child_needs)?;
         let sel = batch.take_selection();
-        let (key_cols, descs) = self.sort_keys(keys, &child.output_schema(), &batch, &sel)?;
+        let (key_cols, descs) = self.sort_keys(keys, &child.output_schema(), &batch, Some(&sel))?;
         let sorted =
             sort::full_sort_indices_par(&mut self.counters, self.cfg, &key_cols, &descs, sel);
         drop(key_cols);
@@ -574,14 +532,15 @@ impl<'a> VecExecutor<'a> {
     ) -> Result<VOut<'a>, ExecError> {
         let child = &node.children[0];
         let child_needs = needs.with_exprs(keys.iter().map(|(k, _)| k));
-        let mut batch = self.run_batch(child, &child_needs)?;
-        let sel = batch.take_selection();
-        let (key_cols, descs) = self.sort_keys(keys, &child.output_schema(), &batch, &sel)?;
+        let batch = self.run_batch(child, &child_needs)?;
+        let sel = batch.sel.as_deref();
+        let (key_cols, descs) = self.sort_keys(keys, &child.output_schema(), &batch, sel)?;
         let top = sort::top_n_indices(
             &mut self.counters,
             &key_cols,
             &descs,
             sel,
+            batch.selected_len(),
             limit,
             offset,
             self.cfg.guard(),
@@ -590,22 +549,23 @@ impl<'a> VecExecutor<'a> {
         Ok(VOut::Batch(Batch::plain(batch.cols, Some(top), batch.rows)))
     }
 
-    /// The sort-key columns of `batch` under its (already taken) selection
-    /// `sel`, plus each key's direction.
+    /// The sort-key columns of `batch` read through `sel` (its selection,
+    /// or one already taken from it), plus each key's direction.
     fn sort_keys<'b>(
         &mut self,
         keys: &[(BoundExpr, bool)],
         schema: &Schema,
         batch: &'b Batch<'_>,
-        sel: &[u32],
+        sel: Option<&[u32]>,
     ) -> Result<(Vec<ExprCol<'b>>, Vec<bool>), ExecError> {
         let cols: Vec<Option<ColRef<'b>>> = batch.cols.iter().map(BatchCol::as_ref).collect();
+        let n = sel.map_or(batch.rows, <[u32]>::len);
         self.cfg
             .guard()
-            .charge_cells(sel.len() as u64 * keys.len().max(1) as u64)?;
+            .charge_cells(n as u64 * keys.len().max(1) as u64)?;
         let key_cols: Vec<ExprCol<'b>> = keys
             .iter()
-            .map(|(k, _)| typed::eval_col(self.cfg, k, schema, &cols, Some(sel), batch.rows))
+            .map(|(k, _)| typed::eval_col(self.cfg, k, schema, &cols, sel, batch.rows))
             .collect::<Result<_, _>>()?;
         // Discard truncated key columns before the sort kernels index them
         // against the full selection.
@@ -671,8 +631,8 @@ impl<'a> JoinSide<'a> {
 pub(crate) enum JoinKeys<'a> {
     /// One key per side, both in one integer domain: (probe, build).
     Integer(IntKey<'a>, IntKey<'a>),
-    /// One key per side, in two domains: no pair matches, as the row
-    /// interpreter's type-tagged `Value` hashes intend.
+    /// One key per side, in two domains: no pair matches — [`JoinKey`]s of
+    /// two types are never equal.
     Disjoint,
     /// Several keys, or strings, floats, mixed cells.
     Generic,
@@ -695,8 +655,8 @@ pub(crate) fn classify_join<'a>(probe: &[ColRef<'a>], build: &[ColRef<'a>]) -> J
 /// build order — and charges the join's hash counters. The build table
 /// fills serially; [`parallel::par_probe`] shares it with the probe. NULL
 /// keys never match. An [`IntKey`] pair is decoded to `i64` once per row
-/// and matched through an [`IntTable`]; any other key as a `Vec<Value>`,
-/// hashed and compared like the row interpreter's.
+/// and matched through an [`IntTable`]; any other key as a `Vec` of
+/// [`JoinKey`]s, hashed and compared like the row interpreter's.
 pub(crate) fn join_pairs(
     cfg: &ExecConfig,
     counters: &mut WorkCounters,
@@ -732,22 +692,27 @@ pub(crate) fn join_pairs(
         }
         JoinKeys::Disjoint => JoinPairs::default(),
         JoinKeys::Generic => {
-            let mut table: HashMap<Vec<Value>, Vec<u32>> = HashMap::with_capacity(build.len);
+            let mut table: HashMap<Vec<JoinKey>, Vec<u32>> = HashMap::with_capacity(build.len);
             typed::each_row(build.len, guard, |j| {
                 let phys = build.phys(j);
-                let key = build.keys.iter().map(|c| c.get(phys)).collect();
-                table.entry(key).or_default().push(phys as u32);
+                let key: Option<Vec<JoinKey>> =
+                    build.keys.iter().map(|c| JoinKey::owned(c.get(phys))).collect();
+                if let Some(key) = key {
+                    table.entry(key).or_default().push(phys as u32);
+                }
             });
             parallel::par_probe(cfg, probe.len, |range, (pi, bi)| {
-                let mut key: Vec<Value> = Vec::with_capacity(probe.keys.len());
-                for j in range {
+                let mut key: Vec<JoinKey> = Vec::with_capacity(probe.keys.len());
+                'rows: for j in range {
                     let phys = probe.phys(j);
                     key.clear();
-                    key.extend(probe.keys.iter().map(|c| c.get(phys)));
-                    if key.iter().any(Value::is_null) {
-                        continue;
+                    for c in &probe.keys {
+                        match JoinKey::owned(c.get(phys)) {
+                            Some(k) => key.push(k),
+                            None => continue 'rows,
+                        }
                     }
-                    for &b in table.get(&key).into_iter().flatten() {
+                    for &b in table.get(&key[..]).into_iter().flatten() {
                         pi.push(phys as u32);
                         bi.push(b);
                     }
@@ -909,36 +874,6 @@ impl<'a> KeySeg<'a> {
     }
 }
 
-/// Decode state of one segment: the FOR block last unpacked and the RLE
-/// run last found, reused while consecutive rows stay inside them.
-#[derive(Default)]
-struct Cursor {
-    block: usize,
-    decoded: Vec<i64>,
-    run: usize,
-}
-
-impl Cursor {
-    #[inline]
-    fn run_of(&mut self, ends: &[u32], i: usize) -> usize {
-        let start = self.run.checked_sub(1).map_or(0, |r| ends[r] as usize);
-        if i < start || i >= ends[self.run] as usize {
-            self.run = ends.partition_point(|&e| e as usize <= i);
-        }
-        self.run
-    }
-
-    #[inline]
-    fn for_cell(&mut self, f: &ForInt, i: usize) -> i64 {
-        let b = i / FOR_BLOCK_ROWS;
-        if self.decoded.is_empty() || b != self.block {
-            f.decode_block_into(b, &mut self.decoded);
-            self.block = b;
-        }
-        self.decoded[i % FOR_BLOCK_ROWS]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -986,5 +921,58 @@ mod tests {
         assert_eq!(db.apply_insert("customer", &[row.to_vec()]), 1);
         assert!(key(&db, "customer", "c_custkey").as_single().is_none(), "dirty view");
         assert!(int_keyed(&db, ("orders", "o_custkey"), ("customer", "c_custkey")));
+    }
+
+    /// Join keys match only within one type, `-0.0` matches `0.0` and NaN
+    /// matches nothing — in both executors' hash joins, whichever keys
+    /// happen to share a hash.
+    #[test]
+    fn join_keys_match_within_one_type_and_across_zero_signs() {
+        use crate::exec::hash_join_rows;
+        let (f, i, d) = (Value::Float, Value::Int, Value::Date);
+        // (probe keys, build keys, the matching (probe, build) key pairs)
+        type Case = (Vec<Value>, Vec<Value>, Vec<(Value, Value)>);
+        let cases: [Case; 4] = [
+            (vec![i(1), i(2), i(0)], vec![f(1.0), f(2.0), f(0.0)], vec![]),
+            (vec![i(1), i(2)], vec![d(1), d(2), d(1)], vec![]),
+            (
+                vec![f(0.0), f(-0.0), f(f64::NAN), f(1.5), Value::Null],
+                vec![f(-0.0), f(f64::NAN), f(1.5), Value::Null],
+                vec![(f(0.0), f(-0.0)), (f(-0.0), f(-0.0)), (f(1.5), f(1.5))],
+            ),
+            (
+                vec![i(1), f(1.0), d(1), Value::Str("1".into())],
+                vec![f(1.0), i(1), Value::Str("1".into())],
+                vec![(i(1), i(1)), (f(1.0), f(1.0)), (Value::Str("1".into()), Value::Str("1".into()))],
+            ),
+        ];
+        let exact = |pairs: Vec<(Value, Value)>| format!("{pairs:?}");
+        for (probe, build, want) in cases {
+            let (p, b) = (ColumnData::from_values(&probe), ColumnData::from_values(&build));
+            let side = |c, len| JoinSide { keys: vec![ColRef::Single(c)], sel: None, len };
+            let (pi, bi) = join_pairs(
+                &ExecConfig::serial(),
+                &mut WorkCounters::default(),
+                &side(&p, probe.len()),
+                &side(&b, build.len()),
+            );
+            let batch: Vec<(Value, Value)> =
+                pi.iter().zip(&bi).map(|(&x, &y)| (p.get(x as usize), b.get(y as usize))).collect();
+            let rows = |vals: &[Value]| vals.iter().map(|v| vec![v.clone()]).collect::<Vec<Row>>();
+            let (build_rows, probe_rows) = (rows(&build), rows(&probe));
+            let joined = hash_join_rows(
+                &mut WorkCounters::default(),
+                ExecGuard::unlimited(),
+                &build_rows,
+                &probe_rows,
+                &[0],
+                &[0],
+            )
+            .expect("joins");
+            let interpreted: Vec<(Value, Value)> =
+                joined.into_iter().map(|r| (r[0].clone(), r[1].clone())).collect();
+            assert_eq!(exact(batch), exact(want.clone()), "batch join of {probe:?} ⋈ {build:?}");
+            assert_eq!(exact(interpreted), exact(want), "row join of {probe:?} ⋈ {build:?}");
+        }
     }
 }

@@ -126,8 +126,12 @@
 //!   row-at-a-time).
 //! * **Vectorized batch executor** ([`exec::vector`]) — AP plans execute
 //!   over *batches*: typed column arrays (borrowed zero-copy from the column
-//!   store) plus a selection vector. Filters evaluate column-at-a-time over
-//!   typed slices ([`eval::eval_predicate_mask`]), joins match on typed key
+//!   store) plus a selection vector. Filters write the rows that pass
+//!   straight into the next selection ([`eval::eval_predicate_sel`]),
+//!   deciding whole FOR blocks, RLE runs and dictionary codes where the
+//!   encoding allows, and the same kernels run at every thread count;
+//!   aggregation and top-N read typed cells a block at a time, with every
+//!   dispatch made before the row loop; joins match on typed key
 //!   columns and gather only the columns that remain live above them (late
 //!   materialization), sorts and top-N permute the selection, and rows are
 //!   materialized once at the aggregation/projection boundary. This makes
@@ -138,11 +142,11 @@
 //!   executor with its kernels fanned out over a scoped worker pool, knobbed
 //!   by [`exec::ExecConfig`] (default: available cores; 1 thread is the
 //!   exact serial path). Dense kernel ranges split into fixed-size morsels
-//!   (cut at base/delta chunk boundaries); hash-join builds partition by
-//!   key hash while probes stream morsel-wise; aggregation evaluates its
-//!   key and argument expressions per morsel, then folds them
-//!   column-at-a-time over dense group ids in global row order (float sums
-//!   keep the serial association order);
+//!   (cut at base/delta chunk boundaries); a hash join's build fills one
+//!   table that its probe morsels share; aggregation evaluates its key and
+//!   argument expressions per morsel, then folds them in one serial
+//!   block-at-a-time pass over dense group ids in global row order (float
+//!   sums keep the serial association order);
 //!   sorts stable-sort chunks and merge with ties to the lower chunk. Every
 //!   merge is order-restoring, so parallel output is **bit-identical** to
 //!   serial — rows and counters alike, at any thread count, on clean and

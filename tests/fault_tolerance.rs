@@ -302,21 +302,32 @@ fn assert_stays_governed(session: &Session, sql: &str) {
     assert_eq!(rows_of(&again), want);
 }
 
-/// The typed aggregation and top-N loops answer to the statement guard at
-/// scale: over 600 k `lineitem` rows, a dictionary-key group-by and a
-/// single-float-key top-N.
+/// The typed selection, aggregation and top-N loops answer to the statement
+/// guard at scale, on the serial executor as well as the parallel one: over
+/// 600 k `lineitem` rows at one and two AP threads, a bare filter (a FOR
+/// column whose literal straddles its blocks, refined by float and date
+/// columns over the selection), a dictionary-key group-by and a
+/// single-float-key top-N. `l_quantity >= 1` alone is decided by block
+/// envelopes in about 0.1 ms, too short for a wall-clock deadline.
 #[test]
 fn typed_group_by_and_top_n_stay_governed_at_scale() {
-    let sys = Arc::new(HtapSystem::new(&TpchConfig::with_scale(0.1)));
-    let session = Session::new(sys);
-    session.pin_engine(Some(EngineKind::Ap));
-    for sql in [
-        "SELECT l_linestatus, COUNT(*), SUM(l_extendedprice) FROM lineitem \
-         GROUP BY l_linestatus ORDER BY l_linestatus",
-        "SELECT l_orderkey, l_extendedprice FROM lineitem WHERE l_quantity >= 1 \
-         ORDER BY l_extendedprice DESC LIMIT 20",
-    ] {
-        assert_stays_governed(&session, sql);
+    let mut sys = Arc::new(HtapSystem::new(&TpchConfig::with_scale(0.1)));
+    for threads in [1, 2] {
+        Arc::get_mut(&mut sys)
+            .expect("no session outlives its loop")
+            .set_exec_config(ExecConfig::with_threads(threads));
+        let session = Session::new(Arc::clone(&sys));
+        session.pin_engine(Some(EngineKind::Ap));
+        for sql in [
+            "SELECT COUNT(*) FROM lineitem WHERE l_quantity >= 25 AND l_extendedprice >= 0.0 \
+             AND l_discount >= 0.0 AND l_shipdate >= DATE '1990-01-01'",
+            "SELECT l_linestatus, COUNT(*), SUM(l_extendedprice) FROM lineitem \
+             GROUP BY l_linestatus ORDER BY l_linestatus",
+            "SELECT l_orderkey, l_extendedprice FROM lineitem WHERE l_quantity >= 1 \
+             ORDER BY l_extendedprice DESC LIMIT 20",
+        ] {
+            assert_stays_governed(&session, sql);
+        }
     }
 }
 
