@@ -81,7 +81,8 @@
 //! cargo run --release --bin bench_snapshot -- --threads 4 # AP cases at 4 threads
 //! ```
 
-use qpe_htap::engine::{EngineKind, HtapSystem};
+use qpe_htap::engine::{EngineKind, EngineRun, HtapSystem};
+use qpe_sql::binder::BoundQuery;
 use qpe_htap::exec::{execute_parallel, ExecConfig, StatementLimits};
 use qpe_htap::opt::{ap, PlannerCtx};
 use qpe_htap::tpch::TpchConfig;
@@ -108,13 +109,19 @@ fn median_ns(mut samples: Vec<f64>) -> u64 {
     samples[samples.len() / 2] as u64
 }
 
+/// Plans `bound` for `engine` and runs it there.
+fn run_engine(sys: &HtapSystem, bound: &BoundQuery, engine: EngineKind) -> EngineRun {
+    let plan = sys.explain(bound, engine).expect("plans");
+    sys.run_engine_with_plan(plan, bound, engine).expect("runs")
+}
+
 fn time_case(sys: &HtapSystem, sql: &str, engine: EngineKind) -> u64 {
     let bound = sys.bind(sql).expect("binds");
     // Warm up and estimate per-iteration cost.
     let warm = Instant::now();
     let mut warm_iters = 0u64;
     while warm.elapsed().as_millis() < 100 || warm_iters < 3 {
-        black_box(sys.run_engine(black_box(&bound), engine).expect("runs"));
+        black_box(run_engine(sys, black_box(&bound), engine));
         warm_iters += 1;
     }
     let per_iter = warm.elapsed().as_nanos() as f64 / warm_iters as f64;
@@ -124,7 +131,7 @@ fn time_case(sys: &HtapSystem, sql: &str, engine: EngineKind) -> u64 {
     for _ in 0..SAMPLES {
         let start = Instant::now();
         for _ in 0..iters {
-            black_box(sys.run_engine(black_box(&bound), engine).expect("runs"));
+            black_box(run_engine(sys, black_box(&bound), engine));
         }
         samples.push(start.elapsed().as_nanos() as f64 / iters as f64);
     }
@@ -176,9 +183,9 @@ fn pruning_cases() -> Vec<(String, u64)> {
         let mut entry = |sys: &HtapSystem, label: String| {
             let bound = sys.bind(sql).expect("binds");
             let ns = time_ns(|| {
-                black_box(sys.run_engine(black_box(&bound), EngineKind::Ap).expect("runs"));
+                black_box(run_engine(sys, black_box(&bound), EngineKind::Ap));
             });
-            let run = sys.run_engine(&bound, EngineKind::Ap).expect("runs");
+            let run = run_engine(sys, &bound, EngineKind::Ap);
             out.push((label.clone(), ns));
             out.push((format!("sim_{label}"), run.latency_ns));
         };
@@ -200,7 +207,7 @@ fn run_encoding_case(
 ) -> u64 {
     let bound = sys.bind(sql).expect("binds");
     let ns = time_ns(|| {
-        black_box(sys.run_engine(black_box(&bound), EngineKind::Ap).expect("runs"));
+        black_box(run_engine(sys, black_box(&bound), EngineKind::Ap));
     });
     out.push((label.to_string(), ns));
     ns
@@ -375,7 +382,7 @@ fn write_path_cases() -> Vec<(&'static str, u64)> {
         .expect("binds");
     let ns = time_ns(|| {
         for _ in 0..9 {
-            black_box(sys.run_engine(black_box(&point), EngineKind::Tp).expect("read"));
+            black_box(run_engine(&sys, black_box(&point), EngineKind::Tp));
         }
         black_box(sys.execute_statement(INSERT_SQL).expect("insert"));
         black_box(sys.execute_statement(DELETE_SQL).expect("delete"));
@@ -413,7 +420,7 @@ fn write_path_cases() -> Vec<(&'static str, u64)> {
         .bind("SELECT COUNT(*), SUM(c_acctbal) FROM customer WHERE c_mktsegment = 'machinery'")
         .expect("binds");
     let ns = time_ns(|| {
-        black_box(dirty.run_engine(black_box(&agg), EngineKind::Ap).expect("scan"));
+        black_box(run_engine(&dirty, black_box(&agg), EngineKind::Ap));
     });
     out.push(("ap_scan_50pct_delta", ns));
 
@@ -448,14 +455,14 @@ fn governance_cases() -> Vec<(String, u64)> {
     for _ in 0..3 {
         sys.set_statement_limits(StatementLimits::unlimited());
         ungoverned = ungoverned.min(time_ns(|| {
-            black_box(sys.run_engine(black_box(&agg), EngineKind::Ap).expect("scan"));
+            black_box(run_engine(&sys, black_box(&agg), EngineKind::Ap));
         }));
         sys.set_statement_limits(StatementLimits {
             timeout: Some(std::time::Duration::from_secs(3600)),
             memory_budget: Some(1 << 40),
         });
         governed = governed.min(time_ns(|| {
-            black_box(sys.run_engine(black_box(&agg), EngineKind::Ap).expect("scan"));
+            black_box(run_engine(&sys, black_box(&agg), EngineKind::Ap));
         }));
     }
     sys.set_statement_limits(StatementLimits::unlimited());

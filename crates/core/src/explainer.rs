@@ -256,11 +256,6 @@ impl Explainer {
         self.config.top_k = k;
     }
 
-    /// Swaps the prompt configuration (ablations).
-    pub fn set_prompt_config(&mut self, prompt: PromptConfig) {
-        self.config.prompt = prompt;
-    }
-
     /// The underlying HTAP system.
     pub fn system(&self) -> &HtapSystem {
         &self.system

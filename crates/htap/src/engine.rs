@@ -11,9 +11,8 @@ use crate::exec::{self, DmlResult, ExecConfig, ExecGuard, GovernError, Row, Stat
 use crate::latency::LatencyModel;
 use crate::opt::{ap, tp, OptError, PlannerCtx};
 use crate::plan::PlanNode;
-use crate::session::{PlanCache, PlanCacheStats};
+use crate::session::{CachedKind, CachedStatement, PlanCache, PlanCacheStats};
 use crate::stats::{DbStats, TableStats};
-use crate::storage::col_store::ColumnTableSnapshot;
 use crate::storage::durable_io::{
     lock_unpoisoned, DurabilityError, DurableFile, FailPoints, RetryPolicy,
 };
@@ -21,7 +20,7 @@ use crate::storage::persist::{self, Manifest, SegmentRef, MANIFEST_FORMAT};
 use crate::storage::wal::{self, SyncPolicy, Wal, WalRecord, WalStats};
 use crate::storage::{CompactSnapshot, CompactedTable, StoredTable, TableFreshness, TableOp};
 use crate::tpch::{self, TpchConfig};
-use qpe_sql::binder::{Binder, BoundDml, BoundQuery, BoundStatement};
+use qpe_sql::binder::{substitute_params, Binder, BoundDml, BoundExpr, BoundQuery, BoundStatement};
 use qpe_sql::catalog::{Catalog, DataType, MemoryCatalog};
 use qpe_sql::value::Value;
 use qpe_sql::SqlError;
@@ -101,8 +100,9 @@ pub struct DmlOutcome {
 
 /// Outcome of a single-engine (pinned) read: exactly one [`EngineRun`], no
 /// dual-run and no cross-engine agreement check. This is what a server
-/// client that knows its workload gets from [`HtapSystem::execute_on`] /
-/// [`crate::session::Session::pin_engine`] — the other engine's cost is
+/// client that knows its workload gets from
+/// [`crate::session::Session::pin_engine`] or
+/// [`crate::session::PreparedStatement::execute_on`] — the other engine's cost is
 /// simply never paid. The run is produced by the same plan → substitute →
 /// execute pipeline as the corresponding side of a dual run, so its rows,
 /// [`WorkCounters`] and simulated latency are byte-identical to what
@@ -126,7 +126,7 @@ pub enum StatementOutcome {
     /// A `SELECT` executed on both engines.
     Query(Box<QueryOutcome>),
     /// A `SELECT` executed on one pinned engine only (no dual-run; see
-    /// [`HtapSystem::execute_on`]).
+    /// [`crate::session::Session::pin_engine`]).
     PinnedQuery(Box<PinnedQueryOutcome>),
     /// An `INSERT`/`UPDATE`/`DELETE` executed on the TP engine.
     Dml(Box<DmlOutcome>),
@@ -363,7 +363,7 @@ impl std::error::Error for HtapError {}
 /// The database: catalog, statistics, and dual-format storage.
 ///
 /// Catalog and statistics sit behind `Arc` with copy-on-write
-/// ([`Arc::make_mut`]) so [`Database::pin_snapshot`] shares them in O(1);
+/// ([`Arc::make_mut`]) so `Database::pin_snapshot` shares them in O(1);
 /// a writer only pays for a copy while a pinned snapshot is outstanding.
 pub struct Database {
     catalog: Arc<MemoryCatalog>,
@@ -623,14 +623,6 @@ impl Database {
         self.tables.get(table).map(|st| st.design_epoch())
     }
 
-    /// Consistent snapshots of every table's physical column-store state,
-    /// sorted by name (O(width) each — base columns are `Arc`-shared).
-    pub(crate) fn snapshot_tables(&self) -> Vec<ColumnTableSnapshot> {
-        let mut snaps: Vec<_> = self.tables.values().map(|st| st.cols.snapshot()).collect();
-        snaps.sort_by(|a, b| a.name.cmp(&b.name));
-        snaps
-    }
-
     /// Opens a background compaction on one table (see
     /// [`StoredTable::begin_background_compact`]).
     pub(crate) fn begin_background_compact(
@@ -638,10 +630,7 @@ impl Database {
         table: &str,
         durable: bool,
     ) -> Option<CompactSnapshot> {
-        let def = self.catalog.table(table)?.clone();
-        self.tables
-            .get_mut(table)?
-            .begin_background_compact(&def, durable)
+        self.tables.get_mut(table)?.begin_background_compact(durable)
     }
 
     /// Rolls back a just-opened background compaction (WAL append failed
@@ -653,10 +642,10 @@ impl Database {
     }
 
     /// Swaps an offline-built compaction in and re-applies the captured
-    /// write window. Mirrors the synchronous path exactly: install ≡
-    /// compact-at-snapshot + stats refresh, then the window ops re-run
-    /// through the normal `apply_*` entry points (translated into the new
-    /// rid space). Returns false when a sync compact made the build stale.
+    /// write window: the install a synchronous [`Database::compact_table`]
+    /// at the snapshot point performs, then the window ops re-run through
+    /// the normal `apply_*` entry points (translated into the new rid
+    /// space). Returns false when a sync compact made the build stale.
     pub(crate) fn finish_background_compact(&mut self, table: &str, built: CompactedTable) -> bool {
         let Some(st) = self.tables.get_mut(table) else {
             return false;
@@ -664,36 +653,27 @@ impl Database {
         let Some((window, stats, remap)) = st.finish_background_compact(built) else {
             return false;
         };
-        let live = st.row_count() as u64;
-        Arc::make_mut(&mut self.stats).insert(stats);
-        if let Some(def) = Arc::make_mut(&mut self.catalog).table_mut(table) {
-            def.row_count = live;
-            if let Some(ts) = self.stats.table(table) {
-                for (cd, cs) in def.columns.iter_mut().zip(&ts.columns) {
-                    cd.ndv = cs.ndv;
-                }
-            }
-        }
+        self.install_table_stats(table, stats);
         for op in window {
             self.replay_op(table, op.translate(&remap));
         }
         true
     }
 
-    /// Compacts one table: the column store merges its delta into the base,
-    /// the row store drops tombstones, and — compaction being the moment the
-    /// data gets rewritten anyway — the table's ndv/min/max stats refresh
-    /// too. Compacting an already-clean table is a no-op (no rescan).
-    /// Returns false for an unknown table.
+    /// Compacts one table under the write lock the caller holds: the
+    /// background path's build and install in one step. The column store
+    /// merges its delta into the base, the row store drops tombstones, and
+    /// — compaction being the moment the data gets rewritten anyway — the
+    /// table's ndv/min/max stats refresh too. Compacting an already-clean
+    /// table is a no-op (no rescan). Returns false for an unknown table.
     pub fn compact_table(&mut self, table: &str) -> bool {
         let Some(st) = self.tables.get_mut(table) else {
             return false;
         };
-        if st.cols.is_clean() && !st.rows.has_deletions() {
-            return true;
+        if st.is_dirty() {
+            let stats = st.compact();
+            self.install_table_stats(table, stats);
         }
-        st.compact();
-        self.refresh_table_stats(table);
         true
     }
 
@@ -797,15 +777,20 @@ impl Database {
                 c.push(v.clone());
             }
         }
-        Arc::make_mut(&mut self.stats).insert(TableStats::collect(table, &columns));
+        self.install_table_stats(table, TableStats::collect(table, &columns));
+    }
+
+    /// Publishes freshly collected statistics for one table and mirrors its
+    /// live row count and per-column ndv into the catalog.
+    fn install_table_stats(&mut self, table: &str, stats: TableStats) {
+        let live = self.tables.get(table).map_or(0, |st| st.row_count()) as u64;
         if let Some(def) = Arc::make_mut(&mut self.catalog).table_mut(table) {
-            def.row_count = columns.first().map(|c| c.len()).unwrap_or(0) as u64;
-            if let Some(ts) = self.stats.table(table) {
-                for (cd, cs) in def.columns.iter_mut().zip(&ts.columns) {
-                    cd.ndv = cs.ndv;
-                }
+            def.row_count = live;
+            for (cd, cs) in def.columns.iter_mut().zip(&stats.columns) {
+                cd.ndv = cs.ndv;
             }
         }
+        Arc::make_mut(&mut self.stats).insert(stats);
     }
 
     /// Creates a TP-side secondary index at runtime (the paper's
@@ -1140,31 +1125,12 @@ impl HtapSystem {
                 let wal_path = dir.join(persist::wal_file_name(1));
                 let wal_file = DurableFile::create_log(&wal_path, fp.clone(), "wal")?;
                 let wal = Wal::with_retry(wal_file, opts.sync, opts.retry.clone());
-                let snaps = db.snapshot_tables();
-                let mut tables = Vec::with_capacity(snaps.len());
-                for snap in &snaps {
-                    let file = persist::segment_file_name(&snap.name, 1);
-                    persist::write_segment(&dir.join(&file), snap, fp.clone())?;
-                    tables.push(SegmentRef {
-                        table: snap.name.clone(),
-                        file,
-                    });
-                }
-                fp.hit("ckpt:after_segments")?;
-                let m = Manifest {
-                    format: MANIFEST_FORMAT,
-                    version: 1,
-                    wal_gen: 1,
-                    catalog: (*db.catalog).clone(),
-                    stats: (*db.stats).clone(),
-                    config: db.config.clone(),
-                    tables,
-                };
+                let m = seal(&dir, &db, 1, &opts.retry, &fp).map_err(|(_, e)| e)?;
                 persist::write_manifest(&dir, &m, &fp)?;
                 let report = RecoveryReport {
                     created: true,
                     manifest_version: 1,
-                    tables_loaded: snaps.len(),
+                    tables_loaded: m.tables.len(),
                     wal_records_replayed: 0,
                     wal_files_replayed: 0,
                     torn_bytes_discarded: 0,
@@ -1283,36 +1249,10 @@ impl HtapSystem {
         d.wal
             .rotate(new_wal, WalRecord::Checkpoint { version })
             .map_err(|e| self.degrade_on("wal rotate", e))?;
-        let snaps = db.snapshot_tables();
-        let catalog = (*db.catalog).clone();
-        let stats = (*db.stats).clone();
-        let config = db.config.clone();
+        let snap = db.pin_snapshot();
         drop(db);
-        let mut tables = Vec::with_capacity(snaps.len());
-        for snap in &snaps {
-            let file = persist::segment_file_name(&snap.name, version);
-            // Re-creating a segment file is idempotent, so a transient
-            // failure anywhere inside the write retries the whole file.
-            let (sealed, _) = d
-                .retry
-                .run(|| persist::write_segment(&d.dir.join(&file), snap, d.fp.clone()));
-            sealed.map_err(|e| self.degrade_on("segment seal", e))?;
-            tables.push(SegmentRef {
-                table: snap.name.clone(),
-                file,
-            });
-        }
-        let (hit, _) = d.retry.run(|| d.fp.hit("ckpt:after_segments"));
-        hit.map_err(|e| self.degrade_on("checkpoint", e))?;
-        let m = Manifest {
-            format: MANIFEST_FORMAT,
-            version,
-            wal_gen: version,
-            catalog,
-            stats,
-            config,
-            tables,
-        };
+        let m = seal(&d.dir, &snap, version, &d.retry, &d.fp)
+            .map_err(|(what, e)| self.degrade_on(what, e))?;
         let (swapped, _) = d.retry.run(|| persist::write_manifest(&d.dir, &m, &d.fp));
         swapped.map_err(|e| self.degrade_on("manifest swap", e))?;
         d.version.store(version, Ordering::SeqCst);
@@ -1558,12 +1498,6 @@ impl HtapSystem {
         self.plan_cache.stats()
     }
 
-    /// Drops every cached prepared statement (prepared handles stay valid —
-    /// they own their statement via `Arc`).
-    pub fn clear_plan_cache(&self) {
-        self.plan_cache.clear();
-    }
-
     pub(crate) fn plan_cache(&self) -> &PlanCache {
         &self.plan_cache
     }
@@ -1571,11 +1505,6 @@ impl HtapSystem {
     /// The latency model.
     pub fn latency_model(&self) -> &LatencyModel {
         &self.latency
-    }
-
-    /// The AP executor's parallelism config.
-    pub fn exec_config(&self) -> &ExecConfig {
-        &self.exec_cfg
     }
 
     /// Replaces the AP executor's parallelism config. An explicit config
@@ -1612,27 +1541,16 @@ impl HtapSystem {
         plan_on(&self.database(), bound, engine, self.pruning)
     }
 
-    /// Runs a bound query on one engine. An AP run executes on a pinned
+    /// Executes an already-built physical plan on one engine (no re-bind,
+    /// no re-plan) and prices its counters. An AP run executes on a pinned
     /// MVCC snapshot with the read lock released.
-    pub fn run_engine(
-        &self,
-        bound: &BoundQuery,
-        engine: EngineKind,
-    ) -> Result<EngineRun, HtapError> {
-        let engines = Engines::Pinned(engine, None);
-        self.read(bound, engines, &self.statement_guard())
-            .map(Runs::into_pinned)
-    }
-
-    /// Executes an already-built physical plan on one engine (the prepared
-    /// path: no re-bind, no re-plan) and prices its counters.
     pub fn run_engine_with_plan(
         &self,
         plan: PlanNode,
         bound: &BoundQuery,
         engine: EngineKind,
     ) -> Result<EngineRun, HtapError> {
-        let engines = Engines::Pinned(engine, Some(plan));
+        let engines = Engines::Pinned(engine, plan);
         self.read(bound, engines, &self.statement_guard())
             .map(Runs::into_pinned)
     }
@@ -1640,25 +1558,85 @@ impl HtapSystem {
     /// Full pipeline: bind, run on both engines, check result agreement.
     /// Governed by the system-default [`StatementLimits`].
     pub fn run_sql(&self, sql: &str) -> Result<QueryOutcome, HtapError> {
-        let bound = self.bind(sql)?;
-        let engines = Engines::Dual(None, None);
-        let Runs::Dual(tp, ap) = self.read(&bound, engines, &self.statement_guard())? else {
-            unreachable!("a dual read returns both runs");
-        };
-        Ok(QueryOutcome {
-            sql: sql.to_string(),
-            bound: Arc::new(bound),
-            tp,
-            ap,
-        })
+        let stmt = self.plan_statement(sql, BoundStatement::Query(self.bind(sql)?))?;
+        match self.run(&stmt, &[], None, &self.statement_guard())? {
+            StatementOutcome::Query(q) => Ok(*q),
+            _ => unreachable!("a dual read returns both runs"),
+        }
     }
 
-    /// The statement path's one read. Takes the read lock, plans every side
-    /// `engines` left unplanned, runs TP under the lock, then pins an MVCC
-    /// snapshot and releases the lock before AP runs — a writer waits for
-    /// the TP run plus an O(tables × width) pin, never for an analytical
-    /// scan. One guard governs both sides of a dual read, which is then
-    /// agreement-checked.
+    /// Executes any statement through a **shared** reference. Reads take the
+    /// dual-engine pipeline ([`HtapSystem::run_sql`]); writes route to the TP
+    /// engine *only* — planned by the TP optimizer, executed against the row
+    /// store under the write lock, with the column store absorbing the same
+    /// change through its delta region, so the next AP read is fresh without
+    /// blocking readers of other tables.
+    pub fn execute_statement(&self, sql: &str) -> Result<StatementOutcome, HtapError> {
+        let stmt = self.plan_statement(sql, self.bind_statement(sql)?)?;
+        self.run(&stmt, &[], None, &self.statement_guard())
+    }
+
+    /// The statement path's one planning function: optimizes a bound
+    /// statement — a read for both engines, a write for TP — and records
+    /// the design epoch of every table it was planned against, all under
+    /// one read guard.
+    pub(crate) fn plan_statement(
+        &self,
+        sql: &str,
+        bound: BoundStatement,
+    ) -> Result<CachedStatement, HtapError> {
+        let db = self.database();
+        let (kind, design_epochs) = match bound {
+            BoundStatement::Query(bound) => {
+                let tp = plan_on(&db, &bound, EngineKind::Tp, self.pruning)?;
+                let ap = plan_on(&db, &bound, EngineKind::Ap, self.pruning)?;
+                let epochs = design_epochs(&db, bound.tables.iter().map(|t| t.name.as_str()));
+                (CachedKind::Query { bound: Arc::new(bound), tp, ap }, epochs)
+            }
+            BoundStatement::Dml(dml) => {
+                let plan = tp::plan_dml(&dml, db.stats(), db.catalog())?;
+                let epochs = design_epochs(&db, std::iter::once(dml.table_name()));
+                (CachedKind::Dml { dml, plan }, epochs)
+            }
+        };
+        Ok(CachedStatement { sql: sql.to_string(), design_epochs, kind })
+    }
+
+    /// The statement path's one execution site. Coerces and substitutes
+    /// `params` into `stmt`'s plans, then runs a read on `route` — one
+    /// engine, or both (`None`, agreement-checked) — or a write on TP.
+    pub(crate) fn run(
+        &self,
+        stmt: &CachedStatement,
+        params: &[Value],
+        route: Option<EngineKind>,
+        guard: &ExecGuard,
+    ) -> Result<StatementOutcome, HtapError> {
+        let params = stmt.coerce(params)?;
+        let plan = |cached: &PlanNode| substituted(cached, &params, PlanNode::substitute_params);
+        match &stmt.kind {
+            CachedKind::Query { bound, tp, ap } => {
+                let engines = match route {
+                    None => Engines::Dual(plan(tp), plan(ap)),
+                    Some(EngineKind::Tp) => Engines::Pinned(EngineKind::Tp, plan(tp)),
+                    Some(EngineKind::Ap) => Engines::Pinned(EngineKind::Ap, plan(ap)),
+                };
+                let runs = self.read(bound, engines, guard)?;
+                Ok(runs.into_outcome(stmt.sql.clone(), Arc::clone(bound)))
+            }
+            CachedKind::Dml { dml, plan: cached } => {
+                let dml = substituted(dml, &params, substitute_dml_params);
+                let outcome = self.write(&stmt.sql, &dml, plan(cached), guard)?;
+                Ok(StatementOutcome::Dml(Box::new(outcome)))
+            }
+        }
+    }
+
+    /// The statement path's one read. Takes the read lock, runs TP under
+    /// it, then pins an MVCC snapshot and releases the lock before AP runs
+    /// — a writer waits for the TP run plus an O(tables × width) pin, never
+    /// for an analytical scan. One guard governs both sides of a dual read,
+    /// which is then agreement-checked.
     pub(crate) fn read(
         &self,
         bound: &BoundQuery,
@@ -1666,16 +1644,10 @@ impl HtapSystem {
         guard: &ExecGuard,
     ) -> Result<Runs, HtapError> {
         let db = self.database();
-        let plan = |given: Option<PlanNode>, engine| {
-            given.map_or_else(|| plan_on(&db, bound, engine, self.pruning), Ok)
-        };
         let (tp, ap) = match engines {
-            Engines::Dual(tp, ap) => (
-                Some(plan(tp, EngineKind::Tp)?),
-                Some(plan(ap, EngineKind::Ap)?),
-            ),
-            Engines::Pinned(EngineKind::Tp, given) => (Some(plan(given, EngineKind::Tp)?), None),
-            Engines::Pinned(EngineKind::Ap, given) => (None, Some(plan(given, EngineKind::Ap)?)),
+            Engines::Dual(tp, ap) => (Some(tp), Some(ap)),
+            Engines::Pinned(EngineKind::Tp, plan) => (Some(plan), None),
+            Engines::Pinned(EngineKind::Ap, plan) => (None, Some(plan)),
         };
         let tp = tp
             .map(|plan| self.run_plan_on(&db, plan, bound, EngineKind::Tp, guard))
@@ -1726,67 +1698,18 @@ impl HtapSystem {
         })
     }
 
-    /// Executes any statement through a **shared** reference. Reads take the
-    /// dual-engine pipeline ([`HtapSystem::run_sql`]); writes route to the TP
-    /// engine *only* — planned by the TP optimizer, executed against the row
-    /// store under the write lock, with the column store absorbing the same
-    /// change through its delta region, so the next AP read is fresh without
-    /// blocking readers of other tables.
-    pub fn execute_statement(&self, sql: &str) -> Result<StatementOutcome, HtapError> {
-        self.bind_and_execute(sql, None)
-    }
-
-    /// Executes any statement with reads pinned to **one** engine: the
-    /// statement is planned and run on `engine` only — no dual-run, no
-    /// cross-engine agreement check — so a client that knows its workload
-    /// (a pure-OLTP server connection, say) stops paying for the engine it
-    /// never wants. Writes are unaffected (DML is TP-only on every path).
-    /// The single run is byte-identical — rows, [`WorkCounters`], simulated
-    /// latency — to the same engine's side of a dual
-    /// [`HtapSystem::execute_statement`] run.
-    pub fn execute_on(&self, sql: &str, engine: EngineKind) -> Result<StatementOutcome, HtapError> {
-        self.bind_and_execute(sql, Some(engine))
-    }
-
-    /// Binds `sql` and dispatches it under the system-default limits: a read
-    /// runs on both engines (or on `pin` alone), a write on the TP engine.
-    fn bind_and_execute(
-        &self,
-        sql: &str,
-        pin: Option<EngineKind>,
-    ) -> Result<StatementOutcome, HtapError> {
-        let guard = self.statement_guard();
-        match self.bind_statement(sql)? {
-            BoundStatement::Query(bound) => {
-                let engines = match pin {
-                    None => Engines::Dual(None, None),
-                    Some(engine) => Engines::Pinned(engine, None),
-                };
-                let runs = self.read(&bound, engines, &guard)?;
-                Ok(runs.into_outcome(sql.to_string(), Arc::new(bound)))
-            }
-            BoundStatement::Dml(dml) => Ok(StatementOutcome::Dml(Box::new(
-                self.execute_dml_with_plan(sql, &dml, None, &guard)?,
-            ))),
-        }
-    }
-
-    /// Plans (unless a prepared, parameter-substituted write plan is given)
-    /// and executes one bound write statement on the TP engine under the
-    /// caller's guard. Takes the write lock internally.
-    pub(crate) fn execute_dml_with_plan(
+    /// The statement path's one write: executes a planned, substituted
+    /// write statement on the TP engine under the write lock, WAL-logging
+    /// it on a durable system.
+    fn write(
         &self,
         sql: &str,
         dml: &BoundDml,
-        plan: Option<PlanNode>,
+        plan: PlanNode,
         guard: &ExecGuard,
     ) -> Result<DmlOutcome, HtapError> {
         self.check_writable()?;
         let mut db = self.db_write();
-        let plan = match plan {
-            Some(p) => p,
-            None => tp::plan_dml(dml, db.stats(), db.catalog())?,
-        };
         if self.durability.is_some() {
             db.begin_op_capture();
         }
@@ -1905,18 +1828,16 @@ impl HtapSystem {
     }
 }
 
-/// The engine side(s) one [`HtapSystem::read`] runs. Each side carries the
-/// plan a prepared statement already built, or `None` to plan it under the
-/// read lock.
+/// The engine side(s) one [`HtapSystem::read`] runs, each with its plan.
 ///
 /// This and [`Runs`] only travel between `read` and its caller, so their
 /// variants stay unboxed: boxing would cost a heap allocation per read.
 #[allow(clippy::large_enum_variant)]
 pub(crate) enum Engines {
     /// Both engines (TP plan, AP plan), agreement-checked.
-    Dual(Option<PlanNode>, Option<PlanNode>),
+    Dual(PlanNode, PlanNode),
     /// One engine only.
-    Pinned(EngineKind, Option<PlanNode>),
+    Pinned(EngineKind, PlanNode),
 }
 
 /// What one [`HtapSystem::read`] ran, shaped like its [`Engines`].
@@ -1930,7 +1851,7 @@ pub(crate) enum Runs {
 
 impl Runs {
     /// The statement outcome reporting these runs.
-    pub(crate) fn into_outcome(self, sql: String, bound: Arc<BoundQuery>) -> StatementOutcome {
+    fn into_outcome(self, sql: String, bound: Arc<BoundQuery>) -> StatementOutcome {
         match self {
             Runs::Dual(tp, ap) => {
                 StatementOutcome::Query(Box::new(QueryOutcome { sql, bound, tp, ap }))
@@ -1963,6 +1884,87 @@ pub(crate) fn plan_on(
         EngineKind::Tp => tp::plan(&ctx)?,
         EngineKind::Ap => ap::plan(&ctx)?,
     })
+}
+
+/// The deduplicated `(table, design_epoch)` pairs a statement was planned
+/// against, captured under the same guard the planner used.
+fn design_epochs<'a>(db: &Database, tables: impl Iterator<Item = &'a str>) -> Vec<(String, u64)> {
+    let mut out: Vec<(String, u64)> = Vec::new();
+    for name in tables {
+        if out.iter().any(|(n, _)| n == name) {
+            continue;
+        }
+        if let Some(epoch) = db.design_epoch(name) {
+            out.push((name.to_string(), epoch));
+        }
+    }
+    out
+}
+
+/// `cached` with `params` injected by `subst` — or a plain clone when the
+/// statement takes no parameters, which skips the substitution walk.
+fn substituted<T: Clone>(cached: &T, params: &[Value], subst: impl Fn(&T, &[Value]) -> T) -> T {
+    if params.is_empty() {
+        cached.clone()
+    } else {
+        subst(cached, params)
+    }
+}
+
+/// Clones a bound write statement with parameters injected: `VALUES`
+/// placeholders patch their (already column-typed) values into the row
+/// buffer, assignment and predicate expressions substitute like any other.
+fn substitute_dml_params(dml: &BoundDml, params: &[Value]) -> BoundDml {
+    match dml {
+        BoundDml::Insert(ins) => {
+            let mut ins = ins.clone();
+            for slot in &ins.param_slots {
+                if let Some(v) = params.get(slot.idx) {
+                    ins.rows[slot.row][slot.col] = v.clone();
+                }
+            }
+            BoundDml::Insert(ins)
+        }
+        BoundDml::Update(up) => {
+            let mut up = up.clone();
+            for (_, expr) in &mut up.assignments {
+                *expr = substitute_params(expr, params);
+            }
+            substitute_query_params(&mut up.scan, params);
+            BoundDml::Update(up)
+        }
+        BoundDml::Delete(del) => {
+            let mut del = del.clone();
+            substitute_query_params(&mut del.scan, params);
+            BoundDml::Delete(del)
+        }
+    }
+}
+
+/// In-place parameter substitution over a bound query's expression trees
+/// (the DML scan query — the executors read its filters through the plan,
+/// but `collect_target_rids` re-evaluates plan predicates, so both must
+/// agree).
+fn substitute_query_params(q: &mut BoundQuery, params: &[Value]) {
+    let subst = |e: &mut BoundExpr| *e = substitute_params(e, params);
+    for f in &mut q.filters {
+        subst(&mut f.expr);
+    }
+    for r in &mut q.residual_predicates {
+        subst(r);
+    }
+    for p in &mut q.projections {
+        subst(&mut p.expr);
+    }
+    for g in &mut q.group_by {
+        subst(g);
+    }
+    if let Some(h) = &mut q.having {
+        subst(h);
+    }
+    for (o, _) in &mut q.order_by {
+        subst(o);
+    }
 }
 
 /// A pinned MVCC snapshot of the database: every table's column store
@@ -2074,6 +2076,42 @@ fn background_compact_once(
         d.wal.commit(lsn)?;
     }
     Ok(swapped)
+}
+
+/// Seals every table of `db` into version-`version` segment files, sorted
+/// by name, and returns the manifest that publishes them. A checkpoint
+/// passes a pinned snapshot, so each segment holds the head
+/// [`crate::storage::ColumnTable::view_at`] that MVCC reads pin. Re-creating
+/// a segment file is idempotent, so a transient failure anywhere inside one
+/// write retries that whole file. An error names the step that failed.
+fn seal(
+    dir: &Path,
+    db: &Database,
+    version: u64,
+    retry: &RetryPolicy,
+    fp: &FailPoints,
+) -> Result<Manifest, (&'static str, DurabilityError)> {
+    let mut names: Vec<&String> = db.tables.keys().collect();
+    names.sort();
+    let mut tables = Vec::with_capacity(names.len());
+    for name in names {
+        let file = persist::segment_file_name(name, version);
+        let cols = &db.tables[name].cols;
+        let (sealed, _) = retry.run(|| persist::write_segment(&dir.join(&file), cols, fp.clone()));
+        sealed.map_err(|e| ("segment seal", e))?;
+        tables.push(SegmentRef { table: name.clone(), file });
+    }
+    let (hit, _) = retry.run(|| fp.hit("ckpt:after_segments"));
+    hit.map_err(|e| ("checkpoint", e))?;
+    Ok(Manifest {
+        format: MANIFEST_FORMAT,
+        version,
+        wal_gen: version,
+        catalog: (*db.catalog).clone(),
+        stats: (*db.stats).clone(),
+        config: db.config.clone(),
+        tables,
+    })
 }
 
 /// Read-lock the database, recovering (and recording) a poisoned lock.
@@ -2325,6 +2363,41 @@ mod tests {
         assert!(sys.compact("customer"));
         assert_eq!(count_machinery(&sys), before + 1);
         assert_eq!(sys.freshness("customer").unwrap().delta_rows, 0);
+    }
+
+    /// `HtapSystem::compact`'s contract: a clean known table is a
+    /// successful no-op, an unknown table or a degraded durable system
+    /// reports failure, and a sync compact racing a background build
+    /// compacts while the build's swap aborts.
+    #[test]
+    fn compact_contract() {
+        let sys = system();
+        let clean = sys.freshness("nation").unwrap();
+        let epoch = sys.database().design_epoch("nation");
+        assert!(sys.compact("nation"), "a clean known table compacts");
+        assert_eq!(sys.freshness("nation").unwrap().version, clean.version);
+        assert_eq!(sys.database().design_epoch("nation"), epoch);
+        assert!(!sys.compact("no_such_table"));
+
+        sys.execute_statement("DELETE FROM nation WHERE n_nationkey = 3").unwrap();
+        let build = sys.db_write().begin_background_compact("nation", false).expect("dirty");
+        sys.execute_statement("DELETE FROM nation WHERE n_nationkey = 4").unwrap();
+        assert!(sys.compact("nation"), "a sync compact wins over an in-flight build");
+        let fresh = sys.freshness("nation").unwrap();
+        assert_eq!((fresh.delta_rows, fresh.deleted_rows), (0, 0));
+        assert!(!sys.db_write().finish_background_compact("nation", build.build()));
+        let count = sys.run_sql("SELECT COUNT(*) FROM nation").unwrap();
+        assert_eq!(count.tp.rows, vec![vec![Value::Int(23)]]);
+
+        let dir = std::env::temp_dir().join(format!("qpe-compact-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let durable = HtapSystem::open(&dir, &TpchConfig::with_scale(0.0005)).unwrap();
+        durable.execute_statement("DELETE FROM nation WHERE n_nationkey = 3").unwrap();
+        durable.health.trip_degraded("test");
+        assert!(!durable.compact("nation"), "a degraded durable system cannot log Compact");
+        assert_eq!(durable.freshness("nation").unwrap().deleted_rows, 1);
+        drop(durable);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! entry points ([`eval`], [`eval_predicate`]) serve the row interpreter;
 //! the batch entry points ([`eval_batch`], [`eval_predicate_sel`]) serve
 //! the AP engine's vectorized executor and evaluate column-at-a-time over
-//! typed slices with per-element [`Cell`] views (no `Value` boxing on the
+//! typed slices with per-element `Cell` views (no `Value` boxing on the
 //! hot comparison kernels). Predicates write the surviving physical rows
 //! straight into a selection, deciding dictionary codes, RLE runs and FOR
 //! blocks whole where the encoding allows. The batch kernels are
@@ -1255,9 +1255,11 @@ pub fn eval_batch(
                     column_idx: c.column_idx,
                 })?;
             let col = view.col(pos)?;
+            // Every row set gathers, the whole column included: a morsel's
+            // gather decodes RLE/FOR, so cloning the encoded storage here
+            // would hand threads 1 a different variant than threads 2.
             Ok(match &view.rows {
                 Rows::Sel(sel) => col.gather_rows(sel),
-                Rows::Range(r) if r.start == 0 && r.end == col.len() => col.to_dense(),
                 Rows::Range(r) => col.gather_rows(&(r.start as u32..r.end as u32).collect::<Vec<_>>()),
             })
         }

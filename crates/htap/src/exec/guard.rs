@@ -51,11 +51,6 @@ impl StatementLimits {
     pub fn unlimited() -> StatementLimits {
         StatementLimits::default()
     }
-
-    /// True when no limit is set — guard checks reduce to the cancel flag.
-    pub fn is_unlimited(&self) -> bool {
-        self.timeout.is_none() && self.memory_budget.is_none()
-    }
 }
 
 /// Why a governed statement was stopped.
@@ -150,11 +145,6 @@ impl CancelHandle {
     /// its next block/morsel boundary and returns `Cancelled`.
     pub fn cancel(&self) {
         self.flag.store(true, Ordering::SeqCst);
-    }
-
-    /// Whether the flag is currently raised.
-    pub fn is_cancelled(&self) -> bool {
-        self.flag.load(Ordering::SeqCst)
     }
 }
 

@@ -18,7 +18,7 @@
 //!   every key's match list is the serial one; probe morsels then share it
 //!   read-only, emit pairs in probe order and concatenate in morsel order;
 //! * **aggregation**: the key and argument expressions evaluate
-//!   morsel-parallel; the fold over them ([`super::agg`]) stays serial,
+//!   morsel-parallel; the fold over them (`exec::agg`) stays serial,
 //!   column-at-a-time, so every group accumulates in the *global* dense
 //!   order and even float sums keep the serial association order;
 //! * **sorts**: contiguous chunks are stable-sorted in parallel and merged

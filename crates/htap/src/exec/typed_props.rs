@@ -6,14 +6,16 @@
 //! counters of [`hash_join_rows`], over every column shape the kernels
 //! dispatch on — each encoding policy, nullable and mixed columns, clean
 //! (one segment) and dirty (base + delta) views, dense and selected
-//! batches, one to four threads.
+//! batches, one to four threads. The morsel splice behind `par_eval_batch`
+//! and `par_gather` must also keep each column's storage variant, which
+//! the typed kernels dispatch on.
 //!
 //! Rows compare bit for bit (`NaN` payloads and the sign of zero included),
 //! so a fold that adds floats in a different order, or breaks a tie
 //! differently, fails here.
 
 use super::agg::{aggregate, aggregate_cols, collect_all_leaves};
-use super::parallel::par_filter_sel;
+use super::parallel::{par_eval_batch, par_filter_sel, par_gather};
 use super::sort::{full_sort, full_sort_indices_par, top_n, top_n_indices};
 use super::typed::{eval_col, ExprCol};
 use super::vector::{classify_join, join_pairs, JoinKeys, JoinSide};
@@ -591,6 +593,45 @@ proptest! {
                 }
                 let label = format!("keys {pk:?}/{bk:?}, {threads} threads");
                 prop_assert_eq!(exact(&got), exact(&want), "{}", label);
+            }
+        }
+    }
+
+    /// The morsel splice keeps the serial representation: at threads 2
+    /// over 64-row morsels, `par_eval_batch` (every column, and a computed
+    /// expression) and `par_gather` (every column) return the same
+    /// `ColumnData` variant as at threads 1, under every encoding policy ×
+    /// clean/dirty × dense/selected storage. A variant the splice demotes
+    /// keeps its values but silently costs every consumer its typed path.
+    #[test]
+    fn par_kernels_keep_the_serial_column_variant(
+        seed in any::<u64>(),
+        n in prop_oneof![65usize..300, 1000usize..2500],
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let values = generate(&mut rng, n);
+        let serial = ExecConfig { threads: 1, morsel_rows: 64, ..ExecConfig::serial() };
+        let parallel = ExecConfig { threads: 2, morsel_rows: 64, ..ExecConfig::serial() };
+        let variant = std::mem::discriminant::<ColumnData>;
+        let exprs: Vec<BoundExpr> = (0..WIDTH)
+            .map(col)
+            .chain([binary(col(A_SMALL), BinaryOp::Add, col(K_INT))])
+            .collect();
+        for (policy, dirty, selected) in storage_grid() {
+            let fx = Fixture::of(&values, &mut rng, POLICIES[policy], dirty, selected);
+            let cols: Vec<Option<ColRef>> = fx.stored.iter().map(|s| Some(s.col_ref())).collect();
+            let label = format!("policy {policy}, dirty {dirty}, selected {selected}");
+            for expr in &exprs {
+                let [one, two] = [&serial, &parallel].map(|cfg| {
+                    par_eval_batch(cfg, expr, &fx.schema, &cols, fx.sel.as_deref(), fx.physical)
+                        .expect("evaluates")
+                });
+                prop_assert_eq!(variant(&one), variant(&two), "par_eval_batch {:?}, {}", expr, label);
+            }
+            let idxs: Vec<u32> = fx.sel.clone().unwrap_or_else(|| (0..n as u32).collect());
+            for (c, stored) in fx.stored.iter().enumerate() {
+                let [one, two] = [&serial, &parallel].map(|cfg| par_gather(cfg, stored.col_ref(), &idxs));
+                prop_assert_eq!(variant(&one), variant(&two), "par_gather column {}, {}", c, label);
             }
         }
     }

@@ -239,12 +239,13 @@
 //! Dual-running every read is the *calibration* configuration — it is what
 //! measures both engines, checks cross-engine agreement, and produces the
 //! labels the router trains on. Once routing is trusted, a client can
-//! **pin**: [`engine::HtapSystem::execute_on`] runs a statement on exactly
-//! one engine, [`session::Session::pin_engine`] routes a whole session
+//! **pin**: [`session::Session::pin_engine`] routes a whole session
 //! (including statements prepared before the pin), and
-//! [`session::PreparedStatement::execute_on`] pins per call. A pinned run
-//! returns a [`engine::PinnedQueryOutcome`] whose rows, counters and
-//! simulated latency are byte-identical to the same engine's side of a
+//! [`session::PreparedStatement::execute_on`] pins per call. Every
+//! statement, ad hoc or prepared, pinned or dual, runs through one site
+//! that substitutes its parameters and runs the read or the write. A
+//! pinned run returns a [`engine::PinnedQueryOutcome`] whose rows, counters
+//! and simulated latency are byte-identical to the same engine's side of a
 //! dual run — pinning skips the other engine's work and the agreement
 //! check, never changes what the pinned engine computes
 //! (`tests/engine_pinning.rs`), and DML stays TP-only on every path.

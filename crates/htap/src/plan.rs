@@ -529,51 +529,6 @@ impl PlanNode {
         }
     }
 
-    /// True when any operator payload in the tree still references a
-    /// prepared-statement parameter.
-    pub fn has_params(&self) -> bool {
-        use qpe_sql::binder::expr_has_params as hp;
-        let mut found = false;
-        self.walk(&mut |n| {
-            if found {
-                return;
-            }
-            found = match &n.op {
-                PlanOp::TableScan { pushed, .. } => pushed.as_ref().is_some_and(hp),
-                PlanOp::IndexScan { lookup, .. } => match lookup {
-                    IndexLookup::Keys(keys) => {
-                        keys.iter().any(|k| matches!(k, PlanTerm::Param(_)))
-                    }
-                    IndexLookup::Range { low, high } => [low, high]
-                        .iter()
-                        .any(|t| matches!(t, Some(PlanTerm::Param(_)))),
-                    IndexLookup::Ordered { .. } => false,
-                },
-                PlanOp::IndexProbe { residual, .. } => residual.as_ref().is_some_and(hp),
-                PlanOp::Filter { predicate } => hp(predicate),
-                PlanOp::NestedLoopJoin { residual, .. } => residual.as_ref().is_some_and(hp),
-                PlanOp::Aggregate { group_by, outputs, having, .. } => {
-                    group_by.iter().any(hp)
-                        || outputs.iter().any(|o| hp(&o.expr))
-                        || having.as_ref().is_some_and(hp)
-                }
-                PlanOp::Sort { keys } | PlanOp::TopNSort { keys, .. } => {
-                    keys.iter().any(|(k, _)| hp(k))
-                }
-                PlanOp::Projection { exprs, .. } => exprs.iter().any(hp),
-                PlanOp::IndexNLJoin { .. }
-                | PlanOp::HashJoin { .. }
-                | PlanOp::Hash
-                | PlanOp::Limit { .. }
-                | PlanOp::OutputSort { .. }
-                | PlanOp::Insert { .. }
-                | PlanOp::Update { .. }
-                | PlanOp::Delete { .. } => false,
-            };
-        });
-        found
-    }
-
     /// Clones the plan with every parameter placeholder replaced by its bound
     /// value — the execution-time injection step of a prepared statement.
     /// The substituted tree is exactly what planning the same SQL with the

@@ -3,22 +3,30 @@
 //! A [`Session`] is one client's handle onto a shared [`HtapSystem`]
 //! (`Arc`-shared — open as many sessions as you have clients/threads).
 //! [`Session::prepare`] pays the SQL front end **once**: lex → parse → bind
-//! (parameter placeholders `?`/`$n` become typed [`BoundExpr::Param`] nodes)
-//! → physical planning for both engines. The resulting parameterized plans
-//! land in the system-wide LRU [`PlanCache`], keyed by SQL fingerprint, so a
-//! second session preparing the same statement gets a cache hit and shares
-//! the same `Arc`'d plans.
+//! (parameter placeholders `?`/`$n` become typed parameter nodes) → the
+//! system's one planning function, which plans a read for both engines (a
+//! write for TP) and records the design epoch of every table it touched.
+//! The resulting [`CachedStatement`] lands in the system-wide LRU
+//! [`PlanCache`], keyed by SQL fingerprint, so a second session preparing
+//! the same statement gets a cache hit and shares the same `Arc`'d plans.
 //!
-//! [`PreparedStatement::execute`] then does only the per-call work: validate
-//! and coerce the parameter values (the same widening rules INSERT literals
-//! go through — mismatches surface as structured
+//! A [`PreparedStatement`] executes through the system's one statement
+//! site — the same one [`HtapSystem::run_sql`] and
+//! [`HtapSystem::execute_statement`] reach with an unparameterized,
+//! freshly planned statement. Per call it does only the per-call work:
+//! validate and coerce the parameter values (the same widening rules
+//! INSERT literals go through — mismatches surface as structured
 //! [`HtapError::ParamTypeMismatch`] / [`HtapError::ParamCountMismatch`]
 //! errors), inject them into a clone of the cached plans
-//! ([`crate::plan::PlanNode::substitute_params`]) and execute. Because
-//! injection happens *below* the planner but *above* the executors, the
-//! executed plan's predicates, pushed scan conjunctions and index keys are
-//! exactly what planning the literal-inlined SQL would have produced — zone
-//! map pruning re-specializes per execution against the concrete values
+//! ([`crate::plan::PlanNode::substitute_params`]) and execute on the route
+//! the call names: the session's engine pin ([`Session::pin_engine`]) for
+//! [`PreparedStatement::execute`], one engine for
+//! [`PreparedStatement::execute_on`], both for
+//! [`PreparedStatement::execute_dual_with`]. Because injection happens
+//! *below* the planner but *above* the executors, the executed plan's
+//! predicates, pushed scan conjunctions and index keys are exactly what
+//! planning the literal-inlined SQL would have produced — zone map pruning
+//! re-specializes per execution against the concrete values
 //! ([`crate::storage::ScanPruner`] extracts conjuncts from the substituted
 //! pushed predicate), so pruning quality, result rows and
 //! [`crate::exec::WorkCounters`] are identical to the unprepared run
@@ -47,12 +55,11 @@
 //! poisoned the database write lock additionally trips read-only degraded
 //! mode — see [`HtapSystem::health`]).
 
-use crate::engine::{plan_on, EngineKind, Engines, HtapError, HtapSystem, StatementOutcome};
+use crate::engine::{EngineKind, HtapError, HtapSystem, StatementOutcome};
 use crate::exec::{CancelHandle, ExecGuard, StatementLimits};
-use crate::opt::tp;
 use crate::plan::PlanNode;
 use crate::storage::durable_io::lock_unpoisoned;
-use qpe_sql::binder::{coerce_param, substitute_params, BoundDml, BoundExpr, BoundQuery, BoundStatement};
+use qpe_sql::binder::{coerce_param, BoundDml, BoundQuery};
 use qpe_sql::catalog::DataType;
 use qpe_sql::value::Value;
 use std::collections::{HashMap, VecDeque};
@@ -116,7 +123,7 @@ struct PlanCacheInner {
 /// least-recently-used entry — but only for statements that have earned
 /// admission: once the cache is full, a first-seen statement goes on
 /// doorkeeper probation rather than evicting a resident entry (see
-/// [`PlanCacheInner::probation`]). Hit/miss counters are lock-free.
+/// `PlanCacheInner::probation`). Hit/miss counters are lock-free.
 pub struct PlanCache {
     inner: Mutex<PlanCacheInner>,
     capacity: usize,
@@ -249,20 +256,22 @@ impl PlanCache {
 
 /// One fully-front-ended statement: the parameterized bound form plus its
 /// physical plan(s). Shared via `Arc` between the plan cache and every
-/// prepared handle.
+/// prepared handle; ad-hoc statements build one per call through the same
+/// `HtapSystem::plan_statement`.
 pub struct CachedStatement {
-    /// The fingerprint SQL (trimmed, trailing `;` stripped).
-    sql: String,
+    /// The SQL the statement was bound from (for prepared statements, the
+    /// fingerprint: trimmed, trailing `;` stripped).
+    pub(crate) sql: String,
     /// Each referenced table's design epoch at plan time
     /// ([`crate::engine::Database::design_epoch`]). A cache hit is only
     /// served while every entry still matches, so a physical-design change
     /// (index build, zone/bloom/encoding reconfiguration) invalidates
     /// exactly the statements that touch the changed table.
-    design_epochs: Vec<(String, u64)>,
-    kind: CachedKind,
+    pub(crate) design_epochs: Vec<(String, u64)>,
+    pub(crate) kind: CachedKind,
 }
 
-enum CachedKind {
+pub(crate) enum CachedKind {
     /// A read: both engines' parameterized plans. The bound query is
     /// `Arc`-shared into every execution's `QueryOutcome` — no per-call
     /// clone.
@@ -293,6 +302,28 @@ impl CachedStatement {
     pub fn is_query(&self) -> bool {
         matches!(self.kind, CachedKind::Query { .. })
     }
+
+    /// Validates count and coerces every value to its context-inferred type
+    /// (the INSERT literal rules: NULL passes, Int widens to Float,
+    /// everything else must match exactly).
+    pub(crate) fn coerce(&self, params: &[Value]) -> Result<Vec<Value>, HtapError> {
+        let tys = self.param_types();
+        if params.len() != tys.len() {
+            return Err(HtapError::ParamCountMismatch {
+                expected: tys.len(),
+                got: params.len(),
+            });
+        }
+        params
+            .iter()
+            .zip(tys)
+            .enumerate()
+            .map(|(idx, (v, ty))| {
+                coerce_param(v.clone(), *ty)
+                    .map_err(|(expected, got)| HtapError::ParamTypeMismatch { idx, expected, got })
+            })
+            .collect()
+    }
 }
 
 impl HtapSystem {
@@ -316,50 +347,12 @@ impl HtapSystem {
                 return Ok(hit);
             }
         }
-        let (kind, design_epochs) = match self.bind_statement(fingerprint)? {
-            BoundStatement::Query(bound) => {
-                let db = self.database();
-                let tp = plan_on(&db, &bound, EngineKind::Tp, self.pruning())?;
-                let ap = plan_on(&db, &bound, EngineKind::Ap, self.pruning())?;
-                let epochs = design_epochs_for(&db, bound.tables.iter().map(|t| t.name.as_str()));
-                drop(db);
-                (CachedKind::Query { bound: Arc::new(bound), tp, ap }, epochs)
-            }
-            BoundStatement::Dml(dml) => {
-                let db = self.database();
-                let plan = tp::plan_dml(&dml, db.stats(), db.catalog())?;
-                let epochs = design_epochs_for(&db, std::iter::once(dml.table_name()));
-                drop(db);
-                (CachedKind::Dml { dml, plan }, epochs)
-            }
-        };
-        let stmt = Arc::new(CachedStatement {
-            sql: fingerprint.to_string(),
-            design_epochs,
-            kind,
-        });
+        let bound = self.bind_statement(fingerprint)?;
+        let stmt = Arc::new(self.plan_statement(fingerprint, bound)?);
         self.plan_cache()
             .insert(fingerprint.to_string(), Arc::clone(&stmt));
         Ok(stmt)
     }
-}
-
-/// The deduplicated `(table, design_epoch)` pairs a statement was planned
-/// against, captured under the same guard the planner used.
-fn design_epochs_for<'a>(
-    db: &crate::engine::Database,
-    tables: impl Iterator<Item = &'a str>,
-) -> Vec<(String, u64)> {
-    let mut out: Vec<(String, u64)> = Vec::new();
-    for name in tables {
-        if out.iter().any(|(n, _)| n == name) {
-            continue;
-        }
-        if let Some(epoch) = db.design_epoch(name) {
-            out.push((name.to_string(), epoch));
-        }
-    }
-    out
 }
 
 // ---------------------------------------------------------------------------
@@ -457,8 +450,7 @@ impl Session {
     /// with no parameters under the system-default limits. Repeated calls
     /// with identical SQL skip the front end after the first.
     pub fn execute_sql(&self, sql: &str) -> Result<StatementOutcome, HtapError> {
-        let limits = self.system.statement_limits().clone();
-        self.execute_sql_with(sql, &limits)
+        self.execute_sql_with(sql, self.system.statement_limits())
     }
 
     /// [`Session::execute_sql`] with explicit per-statement limits (timeout,
@@ -468,7 +460,7 @@ impl Session {
         sql: &str,
         limits: &StatementLimits,
     ) -> Result<StatementOutcome, HtapError> {
-        self.prepare(sql)?.execute_with(&[], limits)
+        self.prepare(sql)?.execute_with(&[], limits, self.engine_pin())
     }
 }
 
@@ -543,23 +535,11 @@ impl PreparedStatement {
 
     /// Executes with the given parameter values: validate + coerce, inject
     /// into the cached plans, run. No re-lex, re-parse, re-bind or re-plan.
-    /// Governed by the system-default [`StatementLimits`].
+    /// Governed by the system-default [`StatementLimits`] and routed by the
+    /// owning session's engine pin ([`Session::pin_engine`]).
     pub fn execute(&self, params: &[Value]) -> Result<StatementOutcome, HtapError> {
-        let limits = self.system.statement_limits().clone();
-        self.execute_with(params, &limits)
-    }
-
-    /// [`PreparedStatement::execute`] with explicit per-call limits. The
-    /// whole execution runs under one [`ExecGuard`] (cancel flag, deadline
-    /// and memory budget) and inside the session's panic-containment
-    /// boundary. Honors the owning session's engine pin
-    /// ([`Session::pin_engine`]): pinned reads run on one engine only.
-    pub fn execute_with(
-        &self,
-        params: &[Value],
-        limits: &StatementLimits,
-    ) -> Result<StatementOutcome, HtapError> {
-        self.execute_routed(params, limits, pin_engine_of(self.pin.load(Ordering::SeqCst)))
+        let route = pin_engine_of(self.pin.load(Ordering::SeqCst));
+        self.execute_with(params, self.system.statement_limits(), route)
     }
 
     /// Executes this statement's read on **one** engine only (no dual-run,
@@ -571,18 +551,7 @@ impl PreparedStatement {
         engine: EngineKind,
         params: &[Value],
     ) -> Result<StatementOutcome, HtapError> {
-        let limits = self.system.statement_limits().clone();
-        self.execute_on_with(engine, params, &limits)
-    }
-
-    /// [`PreparedStatement::execute_on`] with explicit per-call limits.
-    pub fn execute_on_with(
-        &self,
-        engine: EngineKind,
-        params: &[Value],
-        limits: &StatementLimits,
-    ) -> Result<StatementOutcome, HtapError> {
-        self.execute_routed(params, limits, Some(engine))
+        self.execute_with(params, self.system.statement_limits(), Some(engine))
     }
 
     /// Executes with an explicit dual-run (both engines + agreement check),
@@ -592,131 +561,23 @@ impl PreparedStatement {
         params: &[Value],
         limits: &StatementLimits,
     ) -> Result<StatementOutcome, HtapError> {
-        self.execute_routed(params, limits, None)
+        self.execute_with(params, limits, None)
     }
 
-    /// The shared execute path: coerce, arm the guard, substitute the
-    /// cached plan(s), run — dual or pinned.
-    fn execute_routed(
+    /// Executes with explicit per-call limits on `route`: one engine, or
+    /// both (`None`, agreement-checked). The whole execution runs under one
+    /// [`ExecGuard`] (cancel flag, deadline and memory budget) and inside
+    /// the session's panic-containment boundary.
+    pub fn execute_with(
         &self,
         params: &[Value],
         limits: &StatementLimits,
-        pin: Option<EngineKind>,
+        route: Option<EngineKind>,
     ) -> Result<StatementOutcome, HtapError> {
-        let params = self.coerce(params)?;
         // Starting a statement lowers any stale cancel from a previous one.
         self.cancel.store(false, Ordering::SeqCst);
         let guard = ExecGuard::with_cancel(limits, Arc::clone(&self.cancel));
-        let plan = |cached: &PlanNode| substituted(cached, &params, PlanNode::substitute_params);
-        contain(|| match &self.stmt.kind {
-            CachedKind::Query { bound, tp, ap } => {
-                let engines = match pin {
-                    None => Engines::Dual(Some(plan(tp)), Some(plan(ap))),
-                    Some(EngineKind::Tp) => Engines::Pinned(EngineKind::Tp, Some(plan(tp))),
-                    Some(EngineKind::Ap) => Engines::Pinned(EngineKind::Ap, Some(plan(ap))),
-                };
-                let runs = self.system.read(bound, engines, &guard)?;
-                Ok(runs.into_outcome(bound.sql.clone(), Arc::clone(bound)))
-            }
-            CachedKind::Dml { dml, plan: cached } => {
-                let dml = substituted(dml, &params, substitute_dml_params);
-                let outcome = self.system.execute_dml_with_plan(
-                    self.stmt.sql(),
-                    &dml,
-                    Some(plan(cached)),
-                    &guard,
-                )?;
-                Ok(StatementOutcome::Dml(Box::new(outcome)))
-            }
-        })
-    }
-
-    /// Validates count and coerces every value to its context-inferred type
-    /// (the INSERT literal rules: NULL passes, Int widens to Float,
-    /// everything else must match exactly).
-    fn coerce(&self, params: &[Value]) -> Result<Vec<Value>, HtapError> {
-        let tys = self.stmt.param_types();
-        if params.len() != tys.len() {
-            return Err(HtapError::ParamCountMismatch {
-                expected: tys.len(),
-                got: params.len(),
-            });
-        }
-        params
-            .iter()
-            .zip(tys)
-            .enumerate()
-            .map(|(idx, (v, ty))| {
-                coerce_param(v.clone(), *ty)
-                    .map_err(|(expected, got)| HtapError::ParamTypeMismatch { idx, expected, got })
-            })
-            .collect()
-    }
-}
-
-/// `cached` with `params` injected by `subst` — or a plain clone when the
-/// statement takes no parameters, which skips the substitution walk.
-fn substituted<T: Clone>(cached: &T, params: &[Value], subst: impl Fn(&T, &[Value]) -> T) -> T {
-    if params.is_empty() {
-        cached.clone()
-    } else {
-        subst(cached, params)
-    }
-}
-
-/// Clones a bound write statement with parameters injected: `VALUES`
-/// placeholders patch their (already column-typed) values into the row
-/// buffer, assignment and predicate expressions substitute like any other.
-fn substitute_dml_params(dml: &BoundDml, params: &[Value]) -> BoundDml {
-    match dml {
-        BoundDml::Insert(ins) => {
-            let mut ins = ins.clone();
-            for slot in &ins.param_slots {
-                if let Some(v) = params.get(slot.idx) {
-                    ins.rows[slot.row][slot.col] = v.clone();
-                }
-            }
-            BoundDml::Insert(ins)
-        }
-        BoundDml::Update(up) => {
-            let mut up = up.clone();
-            for (_, expr) in &mut up.assignments {
-                *expr = substitute_params(expr, params);
-            }
-            substitute_query_params(&mut up.scan, params);
-            BoundDml::Update(up)
-        }
-        BoundDml::Delete(del) => {
-            let mut del = del.clone();
-            substitute_query_params(&mut del.scan, params);
-            BoundDml::Delete(del)
-        }
-    }
-}
-
-/// In-place parameter substitution over a bound query's expression trees
-/// (the DML scan query — the executors read its filters through the plan,
-/// but `collect_target_rids` re-evaluates plan predicates, so both must
-/// agree).
-fn substitute_query_params(q: &mut BoundQuery, params: &[Value]) {
-    let subst = |e: &mut BoundExpr| *e = substitute_params(e, params);
-    for f in &mut q.filters {
-        subst(&mut f.expr);
-    }
-    for r in &mut q.residual_predicates {
-        subst(r);
-    }
-    for p in &mut q.projections {
-        subst(&mut p.expr);
-    }
-    for g in &mut q.group_by {
-        subst(g);
-    }
-    if let Some(h) = &mut q.having {
-        subst(h);
-    }
-    for (o, _) in &mut q.order_by {
-        subst(o);
+        contain(|| self.system.run(&self.stmt, params, route, &guard))
     }
 }
 

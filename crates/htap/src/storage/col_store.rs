@@ -12,7 +12,7 @@
 //! [`crate::storage::zone::default_block_rows`]). Each block carries a
 //! stats header — min/max, NULL count, constant hint
 //! ([`crate::storage::zone::BlockZone`]) — built at load and rebuilt by
-//! [`ColumnTable::compact`]. Scans with a pushed-down predicate consult the
+//! every compaction. Scans with a pushed-down predicate consult the
 //! headers through [`crate::storage::zone::ScanPruner`] and skip whole
 //! blocks without touching a cell.
 //!
@@ -46,8 +46,8 @@
 //!
 //! A monotonically increasing **version stamp** advances on every write and
 //! on compaction; it is the freshness signal the system surfaces per table.
-//! [`ColumnTable::compact`] merges live delta rows into fresh base columns
-//! and clears the bitmap, restoring the zero-copy clean-scan fast path.
+//! Compaction merges live delta rows into fresh base columns and clears the
+//! end stamps, restoring the zero-copy clean-scan fast path.
 //! Readers see every write immediately — scans cover both regions through
 //! [`ColRef`] — so AP reads are always fresh without waiting for compaction.
 //! Zone-map pruning never touches the delta (it has no headers), which is
@@ -735,14 +735,6 @@ impl ColumnData {
         }
     }
 
-    /// Zero-copy typed view when the column stores strings.
-    pub fn as_str_slice(&self) -> Option<&[String]> {
-        match self {
-            ColumnData::Str(v) => Some(v),
-            _ => None,
-        }
-    }
-
     /// Zero-copy typed view when the column stores dates.
     pub fn as_date_slice(&self) -> Option<&[i32]> {
         match self {
@@ -986,17 +978,6 @@ impl<'a> ColRef<'a> {
             }
         }
     }
-
-    /// Materializes the whole view as one dense owned column.
-    pub fn to_dense(&self) -> ColumnData {
-        match self {
-            ColRef::Single(c) => (*c).clone(),
-            ColRef::Chunked { .. } => {
-                let all: Vec<u32> = (0..self.len() as u32).collect();
-                self.gather_rows(&all)
-            }
-        }
-    }
 }
 
 /// A column-store table: immutable typed base columns (block-structured,
@@ -1008,12 +989,12 @@ pub struct ColumnTable {
     /// checkpoints and background compaction snapshot it in O(1) under the
     /// write lock and do their heavy work (serialization, re-encoding)
     /// without blocking writers.
-    base: Arc<Vec<ColumnData>>,
+    pub(super) base: Arc<Vec<ColumnData>>,
     /// Delta segment — append-only typed builders, one per column. Behind
     /// an `Arc` with copy-on-write ([`Arc::make_mut`]): pinned snapshot
     /// views share it for free, and a writer only pays for a copy while a
     /// snapshot is actually outstanding.
-    delta: Arc<Vec<ColumnData>>,
+    pub(super) delta: Arc<Vec<ColumnData>>,
     base_rows: usize,
     delta_rows: usize,
     /// Per-row begin version over the combined `base + delta` rid space:
@@ -1042,7 +1023,7 @@ pub struct ColumnTable {
     /// unless pinned by [`ColumnTable::set_block_rows`]).
     block_rows: usize,
     /// Explicit block-size override (tests / experiments).
-    block_rows_override: Option<usize>,
+    pub(super) block_rows_override: Option<usize>,
     /// Per-column block stats headers over the base segment, rebuilt at
     /// load and at compaction. `Arc`-shared so snapshot views pin them in
     /// O(1); always replaced wholesale, never edited in place.
@@ -1238,11 +1219,6 @@ impl ColumnTable {
         self.rebuild_zones();
     }
 
-    /// True when per-block bloom filters are enabled.
-    pub fn bloom_filters_enabled(&self) -> bool {
-        self.blooms_enabled
-    }
-
     /// Pins a base-segment [`EncodingPolicy`], re-encoding the existing base
     /// under it and rebuilding zones/blooms over the new representation.
     /// Subsequent compactions keep applying the policy; logical content and
@@ -1373,42 +1349,39 @@ impl ColumnTable {
         self.insert(row)
     }
 
-    /// Merges live delta rows into fresh base columns and drops dead
-    /// versions — the freshness mechanism made explicit, and the moment old
-    /// row versions are reclaimed: every surviving row restarts at
-    /// `begin = new version`, so the history floor advances and epochs older
-    /// than this compaction can no longer be pinned (outstanding pinned
-    /// views keep their own `Arc`s and are unaffected). Physical rids
-    /// re-pack to `0..row_count()`; subsequent scans take the zero-copy
-    /// clean path. The merged base re-runs the encoding cost rule and
-    /// rebuilds every block stats header, so zone maps left stale by deletes
-    /// (conservative but loose) tighten back to exact.
-    pub fn compact(&mut self) {
-        if self.is_clean() {
-            return;
-        }
+    /// The one delta → base merge: gathers the rows visible at this
+    /// handle's epoch into fresh base columns, re-running the encoding cost
+    /// rule and rebuilding every block stats header (so zone maps left
+    /// loose by deletes tighten back to exact). Reads only `Arc`-shared
+    /// state, so compaction runs it on a pinned head view — off the write
+    /// lock in the background, or under it for a synchronous compact — and
+    /// [`ColumnTable::install_compacted`] swaps the result in.
+    pub(crate) fn compacted(&self) -> CompactedCols {
         let live = self.live_rids();
-        let mut new_base = Vec::with_capacity(self.base.len());
-        for ci in 0..self.base.len() {
-            new_base.push(
+        let base: Vec<ColumnData> = (0..self.width())
+            .map(|ci| {
                 self.column_ref(ci)
                     .gather_rows(&live)
-                    .encoded_with(self.encoding_policy),
-            );
-        }
-        self.base_rows = live.len();
-        self.delta = Arc::new(new_base.iter().map(|c| c.empty_like()).collect());
-        self.base = Arc::new(new_base);
-        self.delta_rows = 0;
-        self.version += 1;
-        self.history_floor = self.version;
-        self.row_begin = Arc::new(vec![self.version; self.base_rows]);
-        self.row_end = Arc::new(vec![u64::MAX; self.base_rows]);
-        self.n_deleted = 0;
-        self.block_rows = self
+                    .encoded_with(self.encoding_policy)
+            })
+            .collect();
+        let block_rows = self
             .block_rows_override
-            .unwrap_or_else(|| zone::default_block_rows(self.base_rows));
-        self.rebuild_zones();
+            .unwrap_or_else(|| zone::default_block_rows(live.len()));
+        let zones = base.iter().map(|c| zone::column_zones(c, block_rows)).collect();
+        let blooms = if self.blooms_enabled {
+            base.iter().map(|c| zone::column_blooms(c, block_rows)).collect()
+        } else {
+            Vec::new()
+        };
+        CompactedCols {
+            base,
+            n_live: live.len(),
+            block_rows,
+            zones,
+            blooms,
+            new_version: self.version + 1,
+        }
     }
 
     /// Materializes the selected physical rids restricted to `needed`
@@ -1423,29 +1396,6 @@ impl ColumnTable {
                     .collect()
             })
             .collect()
-    }
-
-    /// O(width) consistent snapshot of the full physical state: base
-    /// columns, delta builders and the begin/end version vectors are all
-    /// shared (`Arc` bumps; the live table copies-on-write if it mutates
-    /// while the snapshot is out). Checkpoints serialize from this and
-    /// background compaction rebuilds from this, so neither holds the write
-    /// lock while working.
-    pub fn snapshot(&self) -> ColumnTableSnapshot {
-        ColumnTableSnapshot {
-            name: self.name.clone(),
-            base: Arc::clone(&self.base),
-            delta: Arc::clone(&self.delta),
-            row_begin: Arc::clone(&self.row_begin),
-            row_end: Arc::clone(&self.row_end),
-            base_rows: self.base_rows,
-            delta_rows: self.delta_rows,
-            version: self.version,
-            history_floor: self.history_floor,
-            block_rows_override: self.block_rows_override,
-            blooms_enabled: self.blooms_enabled,
-            encoding_policy: self.encoding_policy,
-        }
     }
 
     /// Rebuilds a table from recovered (deserialized) physical state.
@@ -1492,10 +1442,11 @@ impl ColumnTable {
         t
     }
 
-    /// Atomically installs a compacted base built *offline* by background
-    /// compaction (from a snapshot taken at `new_version - 1`). Equivalent
-    /// to what [`ColumnTable::compact`] would have produced at snapshot
-    /// time: fresh empty delta, clear bitmap, precomputed zones.
+    /// Installs a base built by [`ColumnTable::compacted`] from a view
+    /// pinned at `new_version - 1`: fresh empty delta, every row live from
+    /// `new_version` on, and the history floor advanced to it — epochs
+    /// older than the compaction can no longer be pinned (outstanding views
+    /// keep their own `Arc`s). Physical rids re-pack to `0..row_count()`.
     pub(crate) fn install_compacted(&mut self, built: CompactedCols) {
         debug_assert_eq!(built.base.len(), self.base.len(), "width preserved");
         self.base_rows = built.n_live;
@@ -1513,74 +1464,8 @@ impl ColumnTable {
     }
 }
 
-/// Consistent point-in-time view of a [`ColumnTable`]'s physical state
-/// (everything `Arc`-shared; the live table copies-on-write). See
-/// [`ColumnTable::snapshot`].
-#[derive(Debug, Clone)]
-pub struct ColumnTableSnapshot {
-    /// Table name.
-    pub name: String,
-    /// Shared immutable base columns.
-    pub base: Arc<Vec<ColumnData>>,
-    /// Shared delta builders (as of snapshot time).
-    pub delta: Arc<Vec<ColumnData>>,
-    /// Shared per-row begin versions over `base + delta`.
-    pub row_begin: Arc<Vec<u64>>,
-    /// Shared per-row end versions (`u64::MAX` = live at snapshot time).
-    pub row_end: Arc<Vec<u64>>,
-    /// Rows in the base segment.
-    pub base_rows: usize,
-    /// Rows in the delta segment.
-    pub delta_rows: usize,
-    /// Version stamp at snapshot time.
-    pub version: u64,
-    /// Oldest pinnable epoch at snapshot time (last compaction's version).
-    pub history_floor: u64,
-    /// Pinned zone block size, if any.
-    pub block_rows_override: Option<usize>,
-    /// Whether the table builds bloom filters (an offline compact must
-    /// precompute what the install expects).
-    pub blooms_enabled: bool,
-    /// Encoding policy at snapshot time (an offline compact must re-encode
-    /// under the same policy the table will keep).
-    pub encoding_policy: EncodingPolicy,
-}
-
-impl ColumnTableSnapshot {
-    /// Delta-aware column view over the snapshot (same shape as
-    /// [`ColumnTable::column_ref`]).
-    pub fn column_ref(&self, ci: usize) -> ColRef<'_> {
-        if self.delta_rows == 0 {
-            ColRef::Single(&self.base[ci])
-        } else {
-            ColRef::Chunked { base: &self.base[ci], delta: &self.delta[ci] }
-        }
-    }
-
-    /// Physical rids of live rows, ascending (the order compaction packs).
-    pub fn live_rids(&self) -> Vec<u32> {
-        (0..(self.base_rows + self.delta_rows) as u32)
-            .filter(|&rid| self.row_end[rid as usize] == u64::MAX)
-            .collect()
-    }
-
-    /// Tombstone bitmap over the physical rid space (true = dead at
-    /// snapshot time), for rid-remap construction.
-    pub(crate) fn deleted_mask(&self) -> Vec<bool> {
-        self.row_end[..self.base_rows + self.delta_rows]
-            .iter()
-            .map(|&e| e != u64::MAX)
-            .collect()
-    }
-
-    /// Number of columns.
-    pub fn width(&self) -> usize {
-        self.base.len()
-    }
-}
-
-/// A compacted base built offline from a [`ColumnTableSnapshot`], ready for
-/// [`ColumnTable::install_compacted`] under a brief write lock.
+/// A compacted base built by [`ColumnTable::compacted`], ready for
+/// [`ColumnTable::install_compacted`] under the write lock.
 #[derive(Debug)]
 pub(crate) struct CompactedCols {
     /// Re-gathered, re-encoded base columns (live rows only).
@@ -1853,6 +1738,15 @@ mod tests {
         );
     }
 
+    /// A synchronous compaction through the one merge (build, install);
+    /// a clean table is left alone, as `StoredTable::compact`'s callers do.
+    fn compact(t: &mut ColumnTable) {
+        if !t.is_clean() {
+            let built = t.compacted();
+            t.install_compacted(built);
+        }
+    }
+
     fn two_col_table() -> ColumnTable {
         ColumnTable::from_columns(
             "t",
@@ -1908,7 +1802,7 @@ mod tests {
         t.insert(&[Value::Int(3), Value::Str("c".into())]);
         t.delete(0);
         let v = t.version();
-        t.compact();
+        compact(&mut t);
         assert!(t.is_clean());
         assert_eq!(t.version(), v + 1);
         assert_eq!(t.row_count(), 2);
@@ -1918,7 +1812,7 @@ mod tests {
         assert_eq!(t.value(0, 0), Value::Int(2));
         assert_eq!(t.value(0, 1), Value::Int(3));
         // compaction of a clean table is a no-op (no version bump)
-        t.compact();
+        compact(&mut t);
         assert_eq!(t.version(), v + 1);
     }
 
@@ -1935,7 +1829,7 @@ mod tests {
         t.insert(&[Value::Int(999)]);
         assert_eq!(t.zones(0)[2].max, Some(Value::Int(19)));
         // Compaction folds the delta in and rebuilds headers.
-        t.compact();
+        compact(&mut t);
         assert_eq!(t.n_blocks(), 3);
         let last = t.zones(0).last().unwrap();
         assert_eq!(last.max, Some(Value::Int(999)));
@@ -1950,7 +1844,7 @@ mod tests {
         assert!(matches!(gathered, ColumnData::Int(_)));
         assert_eq!(gathered.get(0), Value::Int(3));
         assert_eq!(gathered.get(1), Value::Int(1));
-        let dense = t.column_ref(1).to_dense();
+        let dense = t.column_ref(1).gather_rows(&[0, 1, 2]);
         assert_eq!(dense.len(), 3);
         assert_eq!(dense.get(2), Value::Str("c".into()));
     }
@@ -1969,7 +1863,7 @@ mod tests {
         assert_eq!(g.get(1), Value::Str("warm".into()));
         assert_eq!(g.get(2), Value::Str("cold".into()));
         // Compaction re-runs the cost rule over the merged column.
-        t.compact();
+        compact(&mut t);
         assert!(matches!(t.column(0), ColumnData::Dict(_)));
         assert_eq!(t.value(0, 100), Value::Str("warm".into()));
     }

@@ -182,11 +182,6 @@ impl FailPoints {
         lock_unpoisoned(&self.inner.err_armed).remove(site);
     }
 
-    /// Remaining transient-error count armed at `site` (0 = healed).
-    pub fn transient_remaining(&self, site: &str) -> u32 {
-        lock_unpoisoned(&self.inner.err_armed).get(site).copied().unwrap_or(0)
-    }
-
     /// Consumes one transient-error charge at `site`, if armed.
     pub(crate) fn transient_error(&self, site: &str) -> Option<DurabilityError> {
         let mut errs = lock_unpoisoned(&self.inner.err_armed);

@@ -107,12 +107,13 @@
 //!    checksummed log *while holding the database write lock* — record
 //!    order equals apply order — and is acknowledged only after a batched
 //!    group-commit fsync ([`wal::Wal::commit`]) that runs off the lock.
-//! 2. **Segments** ([`persist`]): a checkpoint snapshots every table's
-//!    physical column-store state (shared-`Arc` base + copied delta +
-//!    bitmap) and serializes it, off the lock, to per-table segment files
-//!    (`<table>.v<N>.seg`, CRC-trailed). The row store is *not* persisted:
-//!    it is derivable — tuples decode from the column state, indexes
-//!    rebuild from the catalog — and recovery does exactly that.
+//! 2. **Segments** ([`persist`]): a checkpoint pins every table's head
+//!    [`ColumnTable::view_at`] — the same O(width) `Arc`-shared view an
+//!    MVCC read pins — and serializes it, off the lock, to per-table
+//!    segment files (`<table>.v<N>.seg`, CRC-trailed). The row store is
+//!    *not* persisted: it is derivable — tuples decode from the column
+//!    state, indexes rebuild from the catalog — and recovery does exactly
+//!    that.
 //! 3. **Manifest** (`manifest.json`): the catalog, statistics, config and
 //!    segment list publish atomically via write-temp + rename. The manifest
 //!    names the WAL generation (`wal.<N>`) replay starts from.
@@ -133,17 +134,22 @@
 //! (`tests/crash_recovery.rs` pins this against an oracle, across all
 //! executors).
 //!
-//! # Background compaction
+//! # Compaction: one view, one build
 //!
-//! [`StoredTable::begin_background_compact`] snapshots a dirty table in
-//! O(delta) under the lock; a worker thread then gathers/re-encodes the new
-//! base, rebuilds indexes, zones and stats *offline*, and the swap installs
-//! the result under a brief lock. Writes arriving during the build are
-//! captured in a window (and WAL-logged through a [`RidRemap`] into the
-//! post-compaction rid space) and re-applied on top of the swapped state;
-//! a synchronous `compact()` racing the build bumps an epoch so the stale
-//! swap aborts harmlessly. Writers therefore never stall for O(table) work
-//! — the bench pins p99 write latency during a concurrent compaction.
+//! Every compaction reads one view and runs one build: the table's head
+//! [`ColumnTable::view_at`], merged by `ColumnTable::compacted` (gather
+//! the visible rows, re-encode, rebuild zones and blooms), from which the
+//! row store's tuples, its indexes and the table statistics are decoded.
+//! A synchronous `StoredTable::compact` builds and installs under the
+//! write lock it already holds. In the background,
+//! `StoredTable::begin_background_compact` pins the view in O(width)
+//! under the lock, a worker thread runs the build *offline*, and the swap
+//! installs the result under a brief lock. Writes arriving during the build
+//! are captured in a window (and WAL-logged through a [`RidRemap`] into the
+//! post-compaction rid space) and re-applied on top of the swapped state; a
+//! synchronous compact racing the build bumps an epoch so the stale swap
+//! aborts harmlessly. Writers therefore never stall for O(table) work — the
+//! bench pins p99 write latency during a concurrent compaction.
 //!
 //! # Error handling: retry, then degrade — never lose an acked write
 //!
@@ -193,7 +199,7 @@ pub mod row_store;
 pub mod wal;
 pub mod zone;
 
-pub use col_store::{ColRef, ColumnData, ColumnTable, ColumnTableSnapshot, DictColumn, RleRuns};
+pub use col_store::{ColRef, ColumnData, ColumnTable, DictColumn, RleRuns};
 pub use durable_io::{crc32, DurabilityError, DurableFile, FailPoints};
 pub use index::{BTreeIndex, KeyVal};
 pub use row_store::RowTable;
@@ -342,12 +348,21 @@ struct BgState {
     epoch: u64,
     /// A background build is running for this table.
     in_flight: bool,
-    /// Ops applied since the snapshot (old rid space), re-applied on top of
-    /// the swapped state.
-    window: Option<Vec<TableOp>>,
-    /// Translation for WAL records written during the build, so the log
-    /// stays consistent with the `Compact` record at the snapshot point.
-    wal_remap: Option<Arc<RidRemap>>,
+    /// Writes landing while the build runs, while it is still current.
+    window: Option<Window>,
+}
+
+/// The writes a background build must re-apply on top of its swap.
+#[derive(Debug)]
+struct Window {
+    /// Ops applied since the snapshot (old rid space).
+    ops: Vec<TableOp>,
+    /// Translation from the snapshot's rid space into the build's.
+    remap: Arc<RidRemap>,
+    /// WAL records written during the build translate through `remap`, so
+    /// the log stays consistent with the `Compact` record at the snapshot
+    /// point.
+    durable: bool,
 }
 
 /// Both physical representations of one logical table.
@@ -457,19 +472,44 @@ impl StoredTable {
         rid_rows
     }
 
-    /// Compacts both copies together: the column store merges its delta into
-    /// the base, the row store drops tombstones, and the shared rid space
-    /// re-packs to `0..row_count()`. A racing background build (if any) is
+    /// Compacts both copies together, returning the table's recomputed
+    /// statistics: builds from the head view and installs under the
+    /// caller's lock — the background path's build and swap, run in one
+    /// step. The column store merges its delta into the base, the row store
+    /// drops tombstones, and the shared rid space re-packs to
+    /// `0..row_count()`. A racing background build (if any) is
     /// invalidated: its snapshot epoch goes stale, so its swap aborts.
-    pub fn compact(&mut self) {
-        self.cols.compact();
-        self.rows.compact();
-        debug_assert_eq!(self.rows.physical_len(), self.cols.physical_len());
-        // The rid spaces reconverge here (live rows pack identically from
-        // either lineage), so pending window/translation state is obsolete.
+    pub(crate) fn compact(&mut self) -> TableStats {
+        let built = self.compact_snapshot().build();
+        self.install(built).expect("a build of the head view is current")
+    }
+
+    /// What a compaction build reads, in O(width): the head
+    /// [`ColumnTable::view_at`] — the same view MVCC reads pin — and the
+    /// indexed columns.
+    fn compact_snapshot(&self) -> CompactSnapshot {
+        CompactSnapshot {
+            cols: self
+                .cols
+                .view_at(self.cols.version())
+                .expect("head epoch is always pinnable"),
+            indexed: self.rows.indexed_columns(),
+            epoch: self.bg.epoch,
+        }
+    }
+
+    /// Swaps a build in unless a compaction since its snapshot made it
+    /// stale. Either way no window survives: the rid spaces reconverge.
+    fn install(&mut self, built: CompactedTable) -> Option<TableStats> {
+        if built.epoch != self.bg.epoch {
+            return None;
+        }
         self.bg.epoch += 1;
         self.bg.window = None;
-        self.bg.wal_remap = None;
+        self.cols.install_compacted(built.cols);
+        self.rows.install_compacted(built.rows, built.indexes);
+        debug_assert_eq!(self.rows.physical_len(), self.cols.physical_len());
+        Some(built.stats)
     }
 
     /// True when DML against this table must be recorded into a
@@ -481,14 +521,14 @@ impl StoredTable {
     /// Records one applied op into the build window, if one is open.
     pub(crate) fn record_op(&mut self, op: &TableOp) {
         if let Some(w) = &mut self.bg.window {
-            w.push(op.clone());
+            w.ops.push(op.clone());
         }
     }
 
     /// Rid translation WAL records must apply while a durable background
     /// build is in flight.
     pub(crate) fn wal_remap(&self) -> Option<&Arc<RidRemap>> {
-        self.bg.wal_remap.as_ref()
+        self.bg.window.as_ref().filter(|w| w.durable).map(|w| &w.remap)
     }
 
     /// True when the table has compaction debt (delta rows or tombstones).
@@ -502,26 +542,25 @@ impl StoredTable {
         self.cols.delta_len() + (self.rows.physical_len() - self.rows.row_count())
     }
 
-    /// Opens a background compaction: snapshots the column-store state in
-    /// O(delta), starts window capture, and (when `durable`) arms the WAL
-    /// rid translation. Returns `None` when the table is clean or a build
-    /// is already in flight.
-    pub(crate) fn begin_background_compact(
-        &mut self,
-        def: &TableDef,
-        durable: bool,
-    ) -> Option<CompactSnapshot> {
+    /// Opens a background compaction: pins the head view in O(width),
+    /// starts window capture, and (when `durable`) arms the WAL rid
+    /// translation. Returns `None` when the table is clean or a build is
+    /// already in flight.
+    pub(crate) fn begin_background_compact(&mut self, durable: bool) -> Option<CompactSnapshot> {
         if self.bg.in_flight || !self.is_dirty() {
             return None;
         }
-        let cols = self.cols.snapshot();
-        let remap = Arc::new(RidRemap::from_deleted(&cols.deleted_mask()));
+        let snap = self.compact_snapshot();
+        let dead: Vec<bool> = (0..snap.cols.physical_len())
+            .map(|rid| snap.cols.is_deleted(rid))
+            .collect();
         self.bg.in_flight = true;
-        self.bg.window = Some(Vec::new());
-        if durable {
-            self.bg.wal_remap = Some(Arc::clone(&remap));
-        }
-        Some(CompactSnapshot { cols, def: def.clone(), remap, epoch: self.bg.epoch })
+        self.bg.window = Some(Window {
+            ops: Vec::new(),
+            remap: Arc::new(RidRemap::from_deleted(&dead)),
+            durable,
+        });
+        Some(snap)
     }
 
     /// Rolls back [`StoredTable::begin_background_compact`] before anything
@@ -530,29 +569,20 @@ impl StoredTable {
     pub(crate) fn abort_background_compact(&mut self) {
         self.bg.in_flight = false;
         self.bg.window = None;
-        self.bg.wal_remap = None;
     }
 
     /// Swaps in an offline-built compaction. Returns the captured window
-    /// (old rid space) + the offline stats + the remap to re-apply it with,
-    /// or `None` when a synchronous compact invalidated the build.
+    /// ops (old rid space) + the offline stats + the remap to re-apply the
+    /// ops with, or `None` when a synchronous compact invalidated the build.
     pub(crate) fn finish_background_compact(
         &mut self,
         built: CompactedTable,
     ) -> Option<(Vec<TableOp>, TableStats, Arc<RidRemap>)> {
         self.bg.in_flight = false;
-        if built.epoch != self.bg.epoch {
-            // A sync compact already reconverged the rid spaces and cleared
-            // the window/remap; the stale build is simply dropped.
-            return None;
-        }
-        let window = self.bg.window.take().unwrap_or_default();
-        self.bg.wal_remap = None;
-        self.bg.epoch += 1;
-        self.cols.install_compacted(built.cols);
-        self.rows.install_compacted(built.rows, built.indexes);
-        debug_assert_eq!(self.rows.physical_len(), self.cols.physical_len());
-        Some((window, built.stats, built.remap))
+        let window = self.bg.window.take();
+        let stats = self.install(built)?;
+        let window = window.expect("a current build keeps its window");
+        Some((window.ops, stats, window.remap))
     }
 
     /// Current freshness snapshot of the column-store side.
@@ -568,92 +598,51 @@ impl StoredTable {
     }
 }
 
-/// Everything a background compaction build needs, captured under the write
-/// lock in O(delta) time. [`CompactSnapshot::build`] runs off-lock.
+/// Everything a compaction build needs, captured under the write lock in
+/// O(width) time. [`CompactSnapshot::build`] may run off-lock.
 #[derive(Debug)]
 pub(crate) struct CompactSnapshot {
-    cols: ColumnTableSnapshot,
-    def: TableDef,
-    remap: Arc<RidRemap>,
+    /// The head view the build merges.
+    cols: ColumnTable,
+    /// Columns the rebuilt row store indexes.
+    indexed: Vec<usize>,
     epoch: u64,
 }
 
 impl CompactSnapshot {
-    /// The rid translation for ops logged while this build runs.
-    #[cfg(test)]
-    pub(crate) fn remap(&self) -> &Arc<RidRemap> {
-        &self.remap
-    }
-
-    /// The expensive part, off the lock: gather live rows, re-run the
-    /// encoding cost rule, rebuild zones, decode tuples for the row store,
-    /// rebuild indexes, and recompute table statistics — byte-for-byte what
-    /// a synchronous [`StoredTable::compact`] at snapshot time produces.
+    /// The expensive part: merge the column store
+    /// ([`ColumnTable::compacted`]), decode tuples for the row store,
+    /// rebuild indexes, and recompute table statistics.
     pub(crate) fn build(self) -> CompactedTable {
-        let live = self.cols.live_rids();
-        let n_live = live.len();
-        let width = self.cols.width();
-        let mut base = Vec::with_capacity(width);
-        for ci in 0..width {
-            base.push(
-                self.cols
-                    .column_ref(ci)
-                    .gather_rows(&live)
-                    .encoded_with(self.cols.encoding_policy),
-            );
-        }
-        let block_rows = self
-            .cols
-            .block_rows_override
-            .unwrap_or_else(|| zone::default_block_rows(n_live));
-        let zones = base.iter().map(|c| zone::column_zones(c, block_rows)).collect();
-        let blooms = if self.cols.blooms_enabled {
-            base.iter().map(|c| zone::column_blooms(c, block_rows)).collect()
-        } else {
-            Vec::new()
-        };
+        let cols = self.cols.compacted();
+        let n_live = cols.n_live;
         // Decode columns once; rows, indexes and stats all derive from it.
-        let decoded: Vec<Vec<Value>> = base
+        let decoded: Vec<Vec<Value>> = cols
+            .base
             .iter()
             .map(|c| (0..n_live).map(|i| c.get(i)).collect())
             .collect();
         let rows: Vec<Vec<Value>> = (0..n_live)
             .map(|r| decoded.iter().map(|col| col[r].clone()).collect())
             .collect();
-        let mut indexes = HashMap::new();
-        for (ci, col) in self.def.columns.iter().enumerate() {
-            if self.def.has_index(&col.name) {
-                indexes.insert(ci, BTreeIndex::build(&decoded[ci]));
-            }
-        }
-        let stats = TableStats::collect(self.cols.name.as_str(), &decoded);
-        CompactedTable {
-            cols: CompactedCols {
-                base,
-                n_live,
-                block_rows,
-                zones,
-                blooms,
-                new_version: self.cols.version + 1,
-            },
-            rows,
-            indexes,
-            stats,
-            remap: self.remap,
-            epoch: self.epoch,
-        }
+        let indexes = self
+            .indexed
+            .iter()
+            .map(|&ci| (ci, BTreeIndex::build(&decoded[ci])))
+            .collect();
+        let stats = TableStats::collect(self.cols.name(), &decoded);
+        CompactedTable { cols, rows, indexes, stats, epoch: self.epoch }
     }
 }
 
-/// The offline-built result of a background compaction, ready for
-/// [`StoredTable::finish_background_compact`].
+/// A built compaction, ready for [`StoredTable::finish_background_compact`]
+/// or a synchronous [`StoredTable::compact`]'s install.
 #[derive(Debug)]
 pub(crate) struct CompactedTable {
     cols: CompactedCols,
     rows: Vec<Vec<Value>>,
     indexes: HashMap<usize, BTreeIndex>,
     stats: TableStats,
-    remap: Arc<RidRemap>,
     epoch: u64,
 }
 
@@ -757,6 +746,23 @@ mod tests {
         assert_eq!(st.rows.index_on(0).unwrap().lookup(&Value::Int(11)), &[3]);
     }
 
+    /// The row side of the one compaction: tombstones drop, rids re-pack,
+    /// and every index rebuilds over the new rid space.
+    #[test]
+    fn compact_repacks_rids_and_rebuilds_indexes() {
+        let (def, data) = tiny_table();
+        let mut st = StoredTable::load(&def, &data);
+        st.delete(0);
+        st.insert(vec![Value::Int(40), Value::Str("w".into())]);
+        st.compact();
+        assert_eq!(st.rows.row_count(), 4);
+        assert_eq!(st.rows.physical_len(), 4);
+        assert!(!st.rows.has_deletions());
+        assert_eq!(st.rows.index_on(0).unwrap().lookup(&Value::Int(2)), &[0]);
+        assert_eq!(st.rows.index_on(0).unwrap().lookup(&Value::Int(40)), &[3]);
+        assert_eq!(st.rows.index_on(1).unwrap().lookup(&Value::Str("w".into())), &[3]);
+    }
+
     #[test]
     fn rid_remap_packs_live_and_extends_tail() {
         let remap = RidRemap::from_deleted(&[false, true, false, true, false]);
@@ -782,7 +788,7 @@ mod tests {
             st.delete(1);
         }
         // bg: snapshot, then apply window ops *before* the swap.
-        let snap = bg.begin_background_compact(&def, false).expect("dirty table");
+        let snap = bg.begin_background_compact(false).expect("dirty table");
         assert!(bg.captures_window());
         let window_ops = [
             TableOp::Insert { rows: vec![vec![Value::Int(6), Value::Str("d".into())]] },
@@ -799,7 +805,7 @@ mod tests {
         // sync: compact at the snapshot point, then the same ops replayed
         // through the remap (the swap path below does exactly this).
         sync.compact();
-        let remap = Arc::clone(snap.remap());
+        let remap = Arc::clone(&bg.bg.window.as_ref().expect("window open").remap);
         for op in &window_ops {
             match op.translate(&remap) {
                 TableOp::Insert { rows } => {
@@ -859,7 +865,7 @@ mod tests {
         let (def, data) = tiny_table();
         let mut st = StoredTable::load(&def, &data);
         st.delete(0);
-        let snap = st.begin_background_compact(&def, true).expect("dirty");
+        let snap = st.begin_background_compact(true).expect("dirty");
         assert!(st.wal_remap().is_some());
         // A synchronous compact intervenes: epoch bumps, window clears.
         st.compact();
@@ -869,6 +875,6 @@ mod tests {
         assert!(st.finish_background_compact(built).is_none(), "stale build must abort");
         // The table is usable and a new build can start after more writes.
         st.insert(vec![Value::Int(9), Value::Str("z".into())]);
-        assert!(st.begin_background_compact(&def, false).is_some());
+        assert!(st.begin_background_compact(false).is_some());
     }
 }

@@ -7,8 +7,8 @@
 //! magic or checksum does not verify; a half-written segment therefore reads
 //! as [`DurabilityError::Corrupt`], never as silently wrong data. Zone maps
 //! are *not* persisted: they are deterministic over the base and recomputed
-//! by [`ColumnTable::from_parts`], keeping segments smaller and the format
-//! simpler.
+//! when [`read_segment`] rebuilds the table, keeping segments smaller and
+//! the format simpler.
 //!
 //! The **manifest** (`manifest.json`) is the durable root pointer: catalog,
 //! statistics, generator config, the WAL generation replay starts from, and
@@ -19,7 +19,7 @@
 //! only deleted (see [`clean_stale`]) after the rename lands.
 
 use super::codec::{self, Reader};
-use super::col_store::{ColumnData, ColumnTable, ColumnTableSnapshot, DictColumn, ForInt, RleRuns};
+use super::col_store::{ColumnData, ColumnTable, DictColumn, ForInt, RleRuns};
 use super::durable_io::{crc32, DurabilityError, DurableFile, FailPoints};
 use crate::stats::DbStats;
 use crate::tpch::TpchConfig;
@@ -294,41 +294,44 @@ fn check_runs(ends: &[u32]) -> Result<(), DurabilityError> {
 // Segment files
 // ---------------------------------------------------------------------------
 
-/// Serializes one table's snapshot to `path` through the crash-injectable
-/// file layer (flush site `"seg"`), framed `magic + payload + crc32`.
+/// Serializes one table's physical state — checkpoints pass the head view
+/// ([`ColumnTable::view_at`]) that MVCC reads pin — to `path` through the
+/// crash-injectable file layer (flush site `"seg"`), framed
+/// `magic + payload + crc32`.
 pub fn write_segment(
     path: &Path,
-    snap: &ColumnTableSnapshot,
+    table: &ColumnTable,
     fp: FailPoints,
 ) -> Result<(), DurabilityError> {
     let mut payload = Vec::new();
-    codec::put_str(&mut payload, &snap.name);
-    codec::put_u64(&mut payload, snap.version);
-    codec::put_u64(&mut payload, snap.history_floor);
-    match snap.block_rows_override {
+    codec::put_str(&mut payload, table.name());
+    codec::put_u64(&mut payload, table.version());
+    codec::put_u64(&mut payload, table.history_floor());
+    match table.block_rows_override {
         Some(b) => {
             codec::put_u8(&mut payload, 1);
             codec::put_u64(&mut payload, b as u64);
         }
         None => codec::put_u8(&mut payload, 0),
     }
-    codec::put_u64(&mut payload, snap.base_rows as u64);
-    codec::put_u64(&mut payload, snap.delta_rows as u64);
-    codec::put_u32(&mut payload, snap.width() as u32);
-    for col in snap.base.iter() {
+    codec::put_u64(&mut payload, table.base_len() as u64);
+    codec::put_u64(&mut payload, table.delta_len() as u64);
+    codec::put_u32(&mut payload, table.width() as u32);
+    for col in table.base.iter() {
         put_col(&mut payload, col);
     }
-    for col in snap.delta.iter() {
+    for col in table.delta.iter() {
         put_col(&mut payload, col);
     }
     // Per-row MVCC version stamps (begin/end) over the physical rid space;
     // replay on top of a recovered segment must see the exact visibility
     // history the live table had at checkpoint time.
-    codec::put_u32(&mut payload, snap.row_begin.len() as u32);
-    for &b in snap.row_begin.iter() {
+    let (begin, end) = table.row_versions();
+    codec::put_u32(&mut payload, begin.len() as u32);
+    for &b in begin {
         codec::put_u64(&mut payload, b);
     }
-    for &e in snap.row_end.iter() {
+    for &e in end {
         codec::put_u64(&mut payload, e);
     }
     let mut f = DurableFile::create(path, fp, "seg")?;
@@ -618,7 +621,7 @@ mod tests {
         let dir = tempdir("roundtrip");
         let t = exotic_table();
         let path = dir.join(segment_file_name("exotic", 1));
-        write_segment(&path, &t.snapshot(), FailPoints::default()).expect("write");
+        write_segment(&path, &t, FailPoints::default()).expect("write");
         let back = read_segment(&path).expect("read");
         assert_tables_identical(&t, &back);
         let _ = fs::remove_dir_all(&dir);
@@ -633,7 +636,7 @@ mod tests {
         let fp = FailPoints::default();
         fp.arm_partial("seg", 1, 0.5);
         assert!(matches!(
-            write_segment(&path, &t.snapshot(), fp),
+            write_segment(&path, &t, fp),
             Err(DurabilityError::Crashed)
         ));
         assert!(matches!(
@@ -641,7 +644,7 @@ mod tests {
             Err(DurabilityError::Corrupt(_))
         ));
         // A full write with one flipped byte fails the checksum.
-        write_segment(&path, &t.snapshot(), FailPoints::default()).expect("write");
+        write_segment(&path, &t, FailPoints::default()).expect("write");
         let mut bytes = fs::read(&path).expect("read bytes");
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0xFF;

@@ -8,11 +8,11 @@
 //! append, deletes tombstone the slot (rids stay stable for the indexes),
 //! updates relocate the tuple (tombstone + append, the classic heap-update
 //! discipline), and every B-tree index is maintained in place on each write.
-//! [`RowTable::compact`] drops tombstones and rebuilds the indexes over the
-//! re-packed rid space.
+//! Compaction rebuilds the live rows and indexes from the column store's
+//! merged base and installs them over the re-packed rid space
+//! ([`crate::storage::StoredTable`]).
 
 use super::index::BTreeIndex;
-use crate::tpch::GeneratedTable;
 use qpe_sql::catalog::TableDef;
 use qpe_sql::value::Value;
 use std::collections::HashMap;
@@ -59,11 +59,6 @@ impl RowTable {
             indexes,
             width,
         }
-    }
-
-    /// Loads from a [`GeneratedTable`] (convenience for tests).
-    pub fn from_generated(def: &TableDef, data: &GeneratedTable) -> Self {
-        Self::from_columns(def, &data.columns)
     }
 
     /// Table name.
@@ -168,27 +163,6 @@ impl RowTable {
         self.insert(new_row)
     }
 
-    /// Drops tombstones, re-packing rids to `0..row_count()` and rebuilding
-    /// every index over the new rid space.
-    pub fn compact(&mut self) {
-        if self.n_deleted == 0 {
-            return;
-        }
-        let mut rows = Vec::with_capacity(self.row_count());
-        for (rid, row) in self.rows.drain(..).enumerate() {
-            if !self.deleted[rid] {
-                rows.push(row);
-            }
-        }
-        self.rows = rows;
-        self.deleted = vec![false; self.rows.len()];
-        self.n_deleted = 0;
-        let indexed = self.indexed_columns();
-        for ci in indexed {
-            self.rebuild_index(ci);
-        }
-    }
-
     fn rebuild_index(&mut self, ci: usize) {
         let mut idx = BTreeIndex::default();
         for (rid, row) in self.rows.iter().enumerate() {
@@ -236,8 +210,8 @@ impl RowTable {
         t
     }
 
-    /// Atomically installs compacted state built offline by background
-    /// compaction: re-packed live rows and their rebuilt indexes.
+    /// Installs compacted state built from the merged column store:
+    /// re-packed live rows and their rebuilt indexes.
     pub(crate) fn install_compacted(
         &mut self,
         rows: Vec<Vec<Value>>,
@@ -336,20 +310,5 @@ mod tests {
         assert_eq!(t.row_count(), 3);
         assert!(t.index_on(0).unwrap().lookup(&Value::Int(10)).is_empty());
         assert_eq!(t.index_on(0).unwrap().lookup(&Value::Int(11)), &[3]);
-    }
-
-    #[test]
-    fn compact_repacks_rids_and_rebuilds_indexes() {
-        let mut t = RowTable::from_columns(&def(), &data());
-        t.create_index(1);
-        t.delete(0);
-        t.insert(vec![Value::Int(40), Value::Str("w".into())]);
-        t.compact();
-        assert_eq!(t.row_count(), 3);
-        assert_eq!(t.physical_len(), 3);
-        assert!(!t.has_deletions());
-        assert_eq!(t.index_on(0).unwrap().lookup(&Value::Int(20)), &[0]);
-        assert_eq!(t.index_on(0).unwrap().lookup(&Value::Int(40)), &[2]);
-        assert_eq!(t.index_on(1).unwrap().lookup(&Value::Str("w".into())), &[2]);
     }
 }

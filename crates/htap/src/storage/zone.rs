@@ -55,7 +55,7 @@ fn bloom_bits_for(block_rows: usize) -> usize {
 }
 
 /// A small bloom filter over one block of one column (sized to the block by
-/// [`bloom_bits_for`]), built at
+/// `bloom_bits_for`), built at
 /// load/compact beside the [`BlockZone`] headers (and, like them, never
 /// persisted — recomputed deterministically from the base). It answers
 /// "might a row equal to this value live in the block?" for `=`/`IN`
@@ -63,7 +63,7 @@ fn bloom_bits_for(block_rows: usize) -> usize {
 /// straddles the literal. A false positive only costs reading the block; a
 /// false negative is forbidden — every row value is inserted at build time,
 /// and probing is restricted to literal types whose `sql_eq` matches are
-/// guaranteed hash-identical (see [`bloom_probe_hash`]).
+/// guaranteed hash-identical (see `bloom_probe_hash`).
 #[derive(Debug, Clone)]
 pub struct BlockBloom {
     words: Box<[u64]>,

@@ -59,16 +59,6 @@ impl From<FrameError> for ClientError {
     }
 }
 
-impl ClientError {
-    /// The server-side typed error, if that is what this is.
-    pub fn as_server(&self) -> Option<&WireError> {
-        match self {
-            ClientError::Server(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
 type ClientResult<T> = Result<T, ClientError>;
 
 /// Session options negotiated at `Hello`.

@@ -892,8 +892,8 @@ const OP_ERROR: u8 = 137;
 pub enum ClientFrame {
     /// Handshake: must be the first frame on a connection (except
     /// [`ClientFrame::Cancel`], which needs no session). Negotiates the
-    /// session's [`StatementLimits`] (0 = unlimited; the server additionally
-    /// applies its own caps) and default engine preference.
+    /// session's [`qpe_htap::StatementLimits`] (0 = unlimited; the server
+    /// additionally applies its own caps) and default engine preference.
     Hello {
         /// Client protocol version.
         version: u16,

@@ -37,7 +37,7 @@
 //! ~100 ms even by idle connections. Partial reads across a timeout are
 //! preserved — a frame straddling poll ticks decodes intact. Once the
 //! stop flag is up, a mid-frame read is abandoned after a bounded drain
-//! window ([`STOP_DRAIN_POLLS`] ticks): the stream desync that would
+//! window (`STOP_DRAIN_POLLS` ticks): the stream desync that would
 //! normally forbid abandoning a partial read is irrelevant when the
 //! connection is being torn down.
 
@@ -201,7 +201,7 @@ impl Server {
     /// Graceful shutdown: stop accepting, cancel every in-flight
     /// statement, drain connection threads (each finishes its current
     /// reply), join everything. Handlers still blocked on a socket after
-    /// [`SHUTDOWN_GRACE`] — a peer that sent a partial frame and went
+    /// `SHUTDOWN_GRACE` — a peer that sent a partial frame and went
     /// silent, or stopped reading its reply — get their sockets forced
     /// shut, so this never hangs on a misbehaving client. Idempotent.
     pub fn shutdown(&mut self) {
@@ -722,12 +722,14 @@ impl Connection {
             Ok(s) => s,
             Err(busy) => return self.send(ServerFrame::Error(busy)).is_ok(),
         };
-        let outcome = match engine {
-            EnginePref::Default => stmt.execute_with(params, &self.limits),
-            EnginePref::Tp => stmt.execute_on_with(EngineKind::Tp, params, &self.limits),
-            EnginePref::Ap => stmt.execute_on_with(EngineKind::Ap, params, &self.limits),
-            EnginePref::Dual => stmt.execute_dual_with(params, &self.limits),
+        // `Default` follows the session pin set at Hello; `Dual` names no
+        // engine, so it runs both.
+        let route = if engine == EnginePref::Default {
+            self.session.as_ref().expect("session after Hello").engine_pin()
+        } else {
+            engine.engine()
         };
+        let outcome = stmt.execute_with(params, &self.limits, route);
         drop(slot);
         ServerStats::bump(&self.shared.stats.statements_executed);
         ServerStats::bump(&self.session_stats.statements);

@@ -237,17 +237,6 @@ impl EquiJoin {
             (b, a)
         }
     }
-
-    /// The column on the side of `slot`, if the join touches it.
-    pub fn column_for(&self, slot: usize) -> Option<ColumnRef> {
-        if self.left.table_slot == slot {
-            Some(self.left)
-        } else if self.right.table_slot == slot {
-            Some(self.right)
-        } else {
-            None
-        }
-    }
 }
 
 /// How the projection aggregates.

@@ -33,11 +33,6 @@ impl SmartRouter {
         (SmartRouter { network }, report)
     }
 
-    /// Wraps an already-trained network.
-    pub fn from_network(network: RouterNetwork) -> Self {
-        SmartRouter { network }
-    }
-
     /// Predicts the faster engine with its confidence.
     pub fn route(&self, tp_plan: &PlanNode, ap_plan: &PlanNode) -> (EngineKind, f64) {
         let probs = self

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # CI gate: release build, full test suite, equivalence/fault sweeps, lint,
-# and the repo benchmark's correctness gates. Leaves the tracked tree
+# rustdoc, and the repo benchmark's correctness gates. Leaves the tracked tree
 # untouched.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -95,6 +95,9 @@ echo "==> repo benchmark correctness gates (analytic: AP ≡ TP per statement cl
 bash benchmark/run.sh --workload analytic --seconds 3 --trace 0
 bash benchmark/run.sh --workload serve_mixed --seconds 3 --trace 0
 bash benchmark/run.sh --workload explain --seconds 3 --trace 0
+
+echo "==> rustdoc -D warnings (broken and private intra-doc links)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 echo "==> cargo clippy -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings

@@ -376,7 +376,7 @@ pub mod collection {
     use rand::Rng;
     use std::ops::{Range, RangeInclusive};
 
-    /// Length specification accepted by [`vec`].
+    /// Length specification accepted by [`vec()`].
     #[derive(Clone, Copy)]
     pub struct SizeRange {
         lo: usize,

@@ -2,7 +2,7 @@
 //!
 //! Parses the derive input with nothing but `proc_macro` (no `syn`/`quote`
 //! — unreachable in this environment) and emits impls against the shim's
-//! [`Content`] data model. Supports exactly the shapes this workspace
+//! `Content` data model. Supports exactly the shapes this workspace
 //! derives: non-generic and simply-generic structs (named, tuple, unit) and
 //! enums whose variants are unit, tuple, or struct-like.
 

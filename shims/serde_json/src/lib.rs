@@ -1,6 +1,6 @@
 //! Offline stand-in for `serde_json`: a JSON [`Value`] tree, the `json!`
 //! macro, and `to_string` / `to_string_pretty` / `to_vec` / `from_str` over
-//! the serde shim's [`Content`](serde::Content) data model.
+//! the serde shim's [`Content`] data model.
 
 use serde::{Content, DeError, Deserialize, Serialize};
 use std::fmt;

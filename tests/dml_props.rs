@@ -18,6 +18,7 @@ use qpe_htap::exec::{execute_parallel, execute_scalar, vector, ExecConfig, Row, 
 use qpe_htap::opt::{ap, PlannerCtx};
 use qpe_htap::tpch::TpchConfig;
 use qpe_htap::PlanNode;
+use qpe_sql::binder::BoundQuery;
 use qpe_sql::catalog::Catalog;
 
 /// One randomized write operation against the `customer` table.
@@ -115,10 +116,16 @@ fn sorted(mut rows: Vec<Row>) -> Vec<Row> {
     rows
 }
 
+/// Plans `bound` for one engine and runs it there, returning its rows.
+fn run_rows(sys: &HtapSystem, bound: &BoundQuery, engine: EngineKind) -> Vec<Row> {
+    let plan = sys.explain(bound, engine).expect("plans");
+    sys.run_engine_with_plan(plan, bound, engine).expect("runs").rows
+}
+
 /// Full-table scan through one engine, returning its rows.
 fn scan_rows(sys: &HtapSystem, engine: EngineKind) -> Vec<Row> {
     let bound = sys.bind("SELECT * FROM customer").expect("binds");
-    sys.run_engine(&bound, engine).expect("scan runs").rows
+    run_rows(sys, &bound, engine)
 }
 
 /// Asserts the AP plan produces identical rows AND counters on the row
@@ -197,7 +204,7 @@ fn assert_pruning_equivalence(sys: &HtapSystem, sql: &str) {
     );
     assert_eq!(plain_c.blocks_checked, 0, "unpruned plan consulted zones");
 
-    let tp_rows = sorted(sys.run_engine(&bound, EngineKind::Tp).expect("tp runs").rows);
+    let tp_rows = sorted(run_rows(sys, &bound, EngineKind::Tp));
     let ap_rows = sorted(pruned_rows);
     // Floats compare with a relative tolerance: the engines fold SUM/AVG in
     // different orders (same rule the system's own agreement check uses).
@@ -340,14 +347,12 @@ proptest! {
         // must not move.
         let before: Vec<Vec<Row>> = queries
             .iter()
-            .map(|sql| sorted(sys.run_engine(&sys.bind(sql).unwrap(), EngineKind::Ap).unwrap().rows))
+            .map(|sql| sorted(run_rows(&sys, &sys.bind(sql).unwrap(), EngineKind::Ap)))
             .collect();
         sys.compact("customer");
         for (sql, rows) in queries.iter().zip(before) {
             assert_pruning_equivalence(&sys, sql);
-            let after = sorted(
-                sys.run_engine(&sys.bind(sql).unwrap(), EngineKind::Ap).unwrap().rows,
-            );
+            let after = sorted(run_rows(&sys, &sys.bind(sql).unwrap(), EngineKind::Ap));
             prop_assert_eq!(rows, after, "compaction changed {}", sql);
         }
     }

@@ -1,6 +1,6 @@
 //! Engine pinning ≡ dual-run equivalence: a read executed on **one**
-//! pinned engine — via [`HtapSystem::execute_on`], a session-level
-//! [`Session::pin_engine`], or a prepared statement's `execute_on` — must
+//! pinned engine — via a session-level [`Session::pin_engine`], or a
+//! prepared statement's `execute_on` — must
 //! return rows, WorkCounters and simulated latency byte-identical to the
 //! same engine's side of a dual run. Pinning skips the other engine's
 //! execution and the cross-engine agreement check; it must never change
@@ -84,13 +84,14 @@ fn assert_same_run(got: &EngineRun, want: &EngineRun, what: &str) {
 
 /// Every read entry point returns exactly `run_sql`'s side(s) — rows,
 /// counters, latency — for both engines, across the matrix, on a clean and
-/// on a dirty system: `run_engine`, `run_engine_with_plan(explain(..))`,
-/// `execute_statement`, `execute_on`, `Session::execute_sql`, and a
+/// on a dirty system: `run_engine_with_plan(explain(..))`,
+/// `execute_statement`, `Session::execute_sql` (unpinned and pinned), and a
 /// prepared statement's `execute`, `execute_on` and `execute_dual_with`.
 #[test]
 fn execute_on_matches_the_dual_run_side() {
     for (label, sys) in [("clean", system()), ("dirty", dirty_system())] {
         let session = Session::new(Arc::clone(sys));
+        let pinned_session = Session::new(Arc::clone(sys));
         let limits = sys.statement_limits().clone();
         for (sql, params) in queries() {
             if !params.is_empty() {
@@ -113,13 +114,15 @@ fn execute_on_matches_the_dual_run_side() {
             for engine in [EngineKind::Tp, EngineKind::Ap] {
                 let side = dual.run(engine);
                 let what = |entry: &str| format!("{label} {entry} on {engine:?}: {sql}");
-                let run = sys.run_engine(&bound, engine).expect("run_engine");
-                assert_same_run(&run, side, &what("run_engine"));
                 let plan = sys.explain(&bound, engine).expect("explain");
                 let run = sys.run_engine_with_plan(plan, &bound, engine).expect("with_plan");
                 assert_same_run(&run, side, &what("run_engine_with_plan"));
+                pinned_session.pin_engine(Some(engine));
                 for (entry, out) in [
-                    ("execute_on", sys.execute_on(sql, engine).expect("execute_on")),
+                    (
+                        "pinned Session::execute_sql",
+                        pinned_session.execute_sql(sql).expect("pinned session"),
+                    ),
                     ("prepared execute_on", stmt.execute_on(engine, &[]).expect("pinned")),
                 ] {
                     let pinned = out.as_pinned().expect("pinned outcome");
@@ -219,11 +222,14 @@ fn pinning_skips_the_other_engines_work() {
     assert!(dual.tp.counters.rows_scanned > 0, "TP side scans rows");
     assert!(dual.ap.counters.cells_scanned > 0, "AP side scans cells");
 
-    let tp = sys.execute_on(sql, EngineKind::Tp).expect("tp pinned");
+    let session = Session::new(Arc::clone(sys));
+    session.pin_engine(Some(EngineKind::Tp));
+    let tp = session.execute_sql(sql).expect("tp pinned");
     let tp = tp.as_pinned().expect("pinned");
     assert_eq!(tp.run.counters.cells_scanned, 0, "TP pin must not touch the column store");
 
-    let ap = sys.execute_on(sql, EngineKind::Ap).expect("ap pinned");
+    session.pin_engine(Some(EngineKind::Ap));
+    let ap = session.execute_sql(sql).expect("ap pinned");
     let ap = ap.as_pinned().expect("pinned");
     assert_eq!(ap.run.counters.rows_scanned, 0, "AP pin must not touch the row store");
 }
