@@ -8,7 +8,7 @@ use crate::plan::PlanNode;
 use crate::stats::{DbStats, TableStats};
 use crate::storage::durable_io::DurabilityError;
 use crate::storage::wal::WalRecord;
-use crate::storage::{CompactSnapshot, CompactedTable, StoredTable, TableOp};
+use crate::storage::{ColumnTable, CompactSnapshot, CompactedTable, StoredTable, TableOp};
 use crate::tpch::{self, TpchConfig};
 use qpe_sql::binder::{Binder, BoundQuery};
 use qpe_sql::catalog::{Catalog, MemoryCatalog};
@@ -279,6 +279,16 @@ impl Database {
         self.tables.get(table).map(|st| st.design_epoch())
     }
 
+    /// Tables whose compaction debt (delta rows plus tombstones) reaches
+    /// `min_debt` rows.
+    pub(super) fn indebted(&self, min_debt: usize) -> Vec<String> {
+        self.tables
+            .iter()
+            .filter(|(_, st)| st.compaction_debt() >= min_debt)
+            .map(|(name, _)| name.clone())
+            .collect()
+    }
+
     /// Opens a background compaction on one table (see
     /// [`StoredTable::begin_background_compact`]).
     pub(crate) fn begin_background_compact(
@@ -338,14 +348,7 @@ impl Database {
     /// benchmarks use it so tiny tables still yield multiple prunable
     /// blocks. Returns false for an unknown table.
     pub fn set_zone_block_rows(&mut self, table: &str, rows: usize) -> bool {
-        match self.tables.get_mut(table) {
-            Some(st) => {
-                st.cols.set_block_rows(rows);
-                st.bump_design_epoch();
-                true
-            }
-            None => false,
-        }
+        self.redesign(table, |cols| cols.set_block_rows(rows))
     }
 
     /// Enables/disables one table's per-block bloom filters (the `_nobloom`
@@ -353,14 +356,7 @@ impl Database {
     /// pruning stays correct either way). Returns false for an unknown
     /// table.
     pub fn set_bloom_filters(&mut self, table: &str, enabled: bool) -> bool {
-        match self.tables.get_mut(table) {
-            Some(st) => {
-                st.cols.set_bloom_filters(enabled);
-                st.bump_design_epoch();
-                true
-            }
-            None => false,
-        }
+        self.redesign(table, |cols| cols.set_bloom_filters(enabled))
     }
 
     /// Pins one table's base-segment encoding policy, re-encoding the
@@ -372,14 +368,18 @@ impl Database {
         table: &str,
         policy: crate::storage::col_store::EncodingPolicy,
     ) -> bool {
-        match self.tables.get_mut(table) {
-            Some(st) => {
-                st.cols.set_encoding_policy(policy);
-                st.bump_design_epoch();
-                true
-            }
-            None => false,
-        }
+        self.redesign(table, |cols| cols.set_encoding_policy(policy))
+    }
+
+    /// Applies a plan-relevant change to one table's column-store design
+    /// and bumps its design epoch. Returns false for an unknown table.
+    fn redesign(&mut self, table: &str, change: impl FnOnce(&mut ColumnTable)) -> bool {
+        let Some(st) = self.tables.get_mut(table) else {
+            return false;
+        };
+        change(&mut st.cols);
+        st.bump_design_epoch();
+        true
     }
 
     /// Current freshness snapshot of a table's column-store side.

@@ -346,14 +346,7 @@ impl HtapSystem {
                     if durability.is_some() && health.is_degraded() {
                         continue;
                     }
-                    let candidates: Vec<String> = {
-                        let db = read_recovered(&db, &health);
-                        db.tables
-                            .iter()
-                            .filter(|(_, st)| st.compaction_debt() >= cfg.min_delta_rows)
-                            .map(|(name, _)| name.clone())
-                            .collect()
-                    };
+                    let candidates = read_recovered(&db, &health).indebted(cfg.min_delta_rows);
                     for table in candidates {
                         if skip_until.get(&table).is_some_and(|&until| tick < until) {
                             health.compactor_backoffs.fetch_add(1, Ordering::Relaxed);
@@ -388,14 +381,7 @@ impl HtapSystem {
     /// timer.
     pub fn background_compact_all(&self) -> Result<usize, HtapError> {
         self.check_writable()?;
-        let tables: Vec<String> = {
-            let db = self.database();
-            db.tables
-                .iter()
-                .filter(|(_, st)| st.compaction_debt() > 0)
-                .map(|(name, _)| name.clone())
-                .collect()
-        };
+        let tables = self.database().indebted(1);
         let mut n = 0;
         for table in tables {
             if background_compact_once(&self.db, self.durability.as_deref(), &self.health, &table)?
@@ -411,40 +397,28 @@ impl HtapSystem {
     /// for an unknown table. On a durable system the compaction is
     /// WAL-logged (replay re-runs it at the same point in the op stream).
     pub fn compact(&self, table: &str) -> bool {
+        let Some(d) = &self.durability else {
+            return self.db_write().compact_table(table);
+        };
         // Degraded mode: a durable compact cannot log its Compact record.
-        if self.durability.is_some() && self.health.is_degraded() {
+        if self.health.is_degraded() {
             return false;
         }
-        match &self.durability {
-            None => self.db_write().compact_table(table),
-            Some(d) => {
-                // ckpt_lock: a durable sync compact must not interleave with
-                // a background build's armed remap (see DurabilityCtx).
-                let _ckpt = lock_unpoisoned(&d.ckpt_lock);
-                let mut db = self.db_write();
-                let Some(st) = db.tables.get(table) else {
-                    return false;
-                };
-                let lsn = if st.is_dirty() {
-                    match d.wal.append(&[WalRecord::Compact {
-                        table: table.to_string(),
-                    }]) {
-                        Ok(lsn) => Some(lsn),
-                        Err(_) => return false,
-                    }
-                } else {
-                    None
-                };
-                let ok = db.compact_table(table);
-                drop(db);
-                if let Some(lsn) = lsn {
-                    if d.wal.commit(lsn).is_err() {
-                        return false;
-                    }
-                }
-                ok
-            }
-        }
+        // ckpt_lock: a durable sync compact must not interleave with a
+        // background build's armed remap (see DurabilityCtx).
+        let _ckpt = lock_unpoisoned(&d.ckpt_lock);
+        let mut db = self.db_write();
+        let Some(dirty) = db.tables.get(table).map(|st| st.is_dirty()) else {
+            return false;
+        };
+        // Only a dirty table's compaction changes state, so only it is logged.
+        let log = || d.wal.append(&[WalRecord::Compact { table: table.to_string() }]);
+        let Ok(lsn) = dirty.then(log).transpose() else {
+            return false;
+        };
+        db.compact_table(table);
+        drop(db);
+        lsn.is_none_or(|lsn| d.wal.commit(lsn).is_ok())
     }
 }
 

@@ -5,7 +5,7 @@ use super::{Database, HtapError, HtapSystem};
 use crate::storage::durable_io::{lock_unpoisoned, DurabilityError};
 use crate::storage::wal::WalRecord;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{LockResult, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Shared mutable health status: degraded-mode latch plus fault counters.
 /// One `Arc` is held by the system, another by the compactor thread.
@@ -192,17 +192,7 @@ pub(super) fn read_recovered<'a>(
     db: &'a RwLock<Database>,
     health: &HealthState,
 ) -> RwLockReadGuard<'a, Database> {
-    match db.read() {
-        Ok(g) => g,
-        Err(poisoned) => {
-            health.note_poisoned_db_lock();
-            // Clear the flag so one panic is one incident: without this,
-            // every access after `resume_writes()` would re-trip degraded
-            // mode on the same long-dead poison.
-            db.clear_poison();
-            poisoned.into_inner()
-        }
-    }
+    recovered(db, health, db.read())
 }
 
 /// Write-lock twin of [`read_recovered`].
@@ -210,12 +200,17 @@ pub(super) fn write_recovered<'a>(
     db: &'a RwLock<Database>,
     health: &HealthState,
 ) -> RwLockWriteGuard<'a, Database> {
-    match db.write() {
-        Ok(g) => g,
-        Err(poisoned) => {
-            health.note_poisoned_db_lock();
-            db.clear_poison();
-            poisoned.into_inner()
-        }
-    }
+    recovered(db, health, db.write())
+}
+
+/// The guard of either lock, poisoned or not.
+fn recovered<G>(db: &RwLock<Database>, health: &HealthState, locked: LockResult<G>) -> G {
+    locked.unwrap_or_else(|poisoned| {
+        health.note_poisoned_db_lock();
+        // Clear the flag so one panic is one incident: without this,
+        // every access after `resume_writes()` would re-trip degraded
+        // mode on the same long-dead poison.
+        db.clear_poison();
+        poisoned.into_inner()
+    })
 }

@@ -17,6 +17,7 @@ use crate::storage::TableFreshness;
 use crate::tpch::TpchConfig;
 use qpe_sql::binder::{substitute_params, Binder, BoundDml, BoundExpr, BoundQuery, BoundStatement};
 use qpe_sql::value::Value;
+use qpe_sql::SqlError;
 use std::sync::{Arc, RwLock};
 
 /// The HTAP system: database + latency model + per-engine pipelines.
@@ -171,11 +172,6 @@ impl HtapSystem {
         Ok(Binder::new(self.database().catalog()).bind_sql(sql)?)
     }
 
-    /// Binds any statement (read or write) against the system catalog.
-    pub fn bind_statement(&self, sql: &str) -> Result<BoundStatement, HtapError> {
-        Ok(Binder::new(self.database().catalog()).bind_statement(sql)?)
-    }
-
     /// Optimizes a bound query for one engine (EXPLAIN without execution).
     pub fn explain(&self, bound: &BoundQuery, engine: EngineKind) -> Result<PlanNode, HtapError> {
         plan_on(&self.database(), bound, engine, self.pruning)
@@ -198,7 +194,11 @@ impl HtapSystem {
     /// Full pipeline: bind, run on both engines, check result agreement.
     /// Governed by the system-default [`StatementLimits`].
     pub fn run_sql(&self, sql: &str) -> Result<QueryOutcome, HtapError> {
-        let stmt = self.plan_statement(sql, BoundStatement::Query(self.bind(sql)?))?;
+        let stmt = self.plan_statement(sql)?;
+        if !stmt.is_query() {
+            let e = "run_sql runs reads only; execute_statement runs writes";
+            return Err(SqlError::Unsupported(e.into()).into());
+        }
         match self.run(&stmt, &[], None, &self.statement_guard())? {
             StatementOutcome::Query(q) => Ok(*q),
             _ => unreachable!("a dual read returns both runs"),
@@ -212,21 +212,17 @@ impl HtapSystem {
     /// change through its delta region, so the next AP read is fresh without
     /// blocking readers of other tables.
     pub fn execute_statement(&self, sql: &str) -> Result<StatementOutcome, HtapError> {
-        let stmt = self.plan_statement(sql, self.bind_statement(sql)?)?;
+        let stmt = self.plan_statement(sql)?;
         self.run(&stmt, &[], None, &self.statement_guard())
     }
 
-    /// The statement path's one planning function: optimizes a bound
-    /// statement — a read for both engines, a write for TP — and records
-    /// the design epoch of every table it was planned against, all under
-    /// one read guard.
-    pub(crate) fn plan_statement(
-        &self,
-        sql: &str,
-        bound: BoundStatement,
-    ) -> Result<CachedStatement, HtapError> {
+    /// The statement path's one planning function: binds `sql`, optimizes
+    /// it — a read for both engines, a write for TP — and records the
+    /// design epoch of every table it was planned against, all under one
+    /// read guard.
+    pub(crate) fn plan_statement(&self, sql: &str) -> Result<CachedStatement, HtapError> {
         let db = self.database();
-        let (kind, design_epochs) = match bound {
+        let (kind, design_epochs) = match Binder::new(db.catalog()).bind_statement(sql)? {
             BoundStatement::Query(bound) => {
                 let tp = plan_on(&db, &bound, EngineKind::Tp, self.pruning)?;
                 let ap = plan_on(&db, &bound, EngineKind::Ap, self.pruning)?;
@@ -277,7 +273,7 @@ impl HtapSystem {
     /// — a writer waits for the TP run plus an O(tables × width) pin, never
     /// for an analytical scan. One guard governs both sides of a dual read,
     /// which is then agreement-checked.
-    pub(crate) fn read(
+    fn read(
         &self,
         bound: &BoundQuery,
         engines: Engines,
@@ -432,7 +428,7 @@ impl HtapSystem {
 /// This and [`Runs`] only travel between `read` and its caller, so their
 /// variants stay unboxed: boxing would cost a heap allocation per read.
 #[allow(clippy::large_enum_variant)]
-pub(crate) enum Engines {
+enum Engines {
     /// Both engines (TP plan, AP plan), agreement-checked.
     Dual(PlanNode, PlanNode),
     /// One engine only.
@@ -441,7 +437,7 @@ pub(crate) enum Engines {
 
 /// What one [`HtapSystem::read`] ran, shaped like its [`Engines`].
 #[allow(clippy::large_enum_variant)]
-pub(crate) enum Runs {
+enum Runs {
     /// The TP and AP runs of a dual read.
     Dual(EngineRun, EngineRun),
     /// The single run of a pinned read.

@@ -63,7 +63,7 @@ use qpe_sql::binder::{coerce_param, BoundDml, BoundQuery};
 use qpe_sql::catalog::DataType;
 use qpe_sql::value::Value;
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 // ---------------------------------------------------------------------------
@@ -347,8 +347,7 @@ impl HtapSystem {
                 return Ok(hit);
             }
         }
-        let bound = self.bind_statement(fingerprint)?;
-        let stmt = Arc::new(self.plan_statement(fingerprint, bound)?);
+        let stmt = Arc::new(self.plan_statement(fingerprint)?);
         self.plan_cache()
             .insert(fingerprint.to_string(), Arc::clone(&stmt));
         Ok(stmt)
@@ -367,31 +366,11 @@ pub struct Session {
     /// cleared when the next statement starts. Prepared statements from
     /// this session share it.
     cancel: Arc<AtomicBool>,
-    /// Session-level engine pin (see [`Session::pin_engine`]): `PIN_DUAL`
-    /// runs reads on both engines, `PIN_TP`/`PIN_AP` on one. Shared with
-    /// prepared statements like the cancel flag, so re-pinning a session
-    /// re-routes statements it already prepared.
-    pin: Arc<AtomicU8>,
-}
-
-const PIN_DUAL: u8 = 0;
-const PIN_TP: u8 = 1;
-const PIN_AP: u8 = 2;
-
-fn pin_code(engine: Option<EngineKind>) -> u8 {
-    match engine {
-        None => PIN_DUAL,
-        Some(EngineKind::Tp) => PIN_TP,
-        Some(EngineKind::Ap) => PIN_AP,
-    }
-}
-
-fn pin_engine_of(code: u8) -> Option<EngineKind> {
-    match code {
-        PIN_TP => Some(EngineKind::Tp),
-        PIN_AP => Some(EngineKind::Ap),
-        _ => None,
-    }
+    /// Session-level engine pin (see [`Session::pin_engine`]): `None` runs
+    /// reads on both engines, `Some` on one. Shared with prepared
+    /// statements like the cancel flag, so re-pinning a session re-routes
+    /// statements it already prepared.
+    pin: Arc<Mutex<Option<EngineKind>>>,
 }
 
 impl Session {
@@ -400,7 +379,7 @@ impl Session {
         Session {
             system,
             cancel: Arc::new(AtomicBool::new(false)),
-            pin: Arc::new(AtomicU8::new(PIN_DUAL)),
+            pin: Arc::new(Mutex::new(None)),
         }
     }
 
@@ -411,12 +390,12 @@ impl Session {
     /// run. Writes are unaffected (DML is TP-only on every path). Pinned
     /// results are byte-identical to the same engine's side of a dual run.
     pub fn pin_engine(&self, engine: Option<EngineKind>) {
-        self.pin.store(pin_code(engine), Ordering::SeqCst);
+        *lock_unpoisoned(&self.pin) = engine;
     }
 
     /// The current engine pin (`None` = dual-run).
     pub fn engine_pin(&self) -> Option<EngineKind> {
-        pin_engine_of(self.pin.load(Ordering::SeqCst))
+        *lock_unpoisoned(&self.pin)
     }
 
     /// The underlying system.
@@ -502,7 +481,7 @@ pub struct PreparedStatement {
     cancel: Arc<AtomicBool>,
     /// The owning session's engine pin (shared — re-pinning the session
     /// re-routes statements prepared earlier).
-    pin: Arc<AtomicU8>,
+    pin: Arc<Mutex<Option<EngineKind>>>,
     stmt: Arc<CachedStatement>,
 }
 
@@ -538,7 +517,7 @@ impl PreparedStatement {
     /// Governed by the system-default [`StatementLimits`] and routed by the
     /// owning session's engine pin ([`Session::pin_engine`]).
     pub fn execute(&self, params: &[Value]) -> Result<StatementOutcome, HtapError> {
-        let route = pin_engine_of(self.pin.load(Ordering::SeqCst));
+        let route = *lock_unpoisoned(&self.pin);
         self.execute_with(params, self.system.statement_limits(), route)
     }
 

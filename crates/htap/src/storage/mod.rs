@@ -774,6 +774,17 @@ mod tests {
         assert_eq!(remap.translate_rid(7), 5);
     }
 
+    /// Applies one logged op the way replay does, row by row.
+    fn apply(st: &mut StoredTable, op: TableOp) {
+        match op {
+            TableOp::Insert { rows } => rows.into_iter().for_each(|r| _ = st.insert(r)),
+            TableOp::Delete { rids } => rids.into_iter().for_each(|r| _ = st.delete(r)),
+            TableOp::Update { changes } => {
+                changes.into_iter().for_each(|(r, row)| _ = st.update(r, row))
+            }
+        }
+    }
+
     /// Background compaction must land on the exact state a synchronous
     /// compaction (then the same ops) would produce — including when writes
     /// arrive between snapshot and swap.
@@ -807,46 +818,14 @@ mod tests {
         sync.compact();
         let remap = Arc::clone(&bg.bg.window.as_ref().expect("window open").remap);
         for op in &window_ops {
-            match op.translate(&remap) {
-                TableOp::Insert { rows } => {
-                    for r in rows {
-                        sync.insert(r);
-                    }
-                }
-                TableOp::Delete { rids } => {
-                    for r in rids {
-                        sync.delete(r);
-                    }
-                }
-                TableOp::Update { changes } => {
-                    for (r, row) in changes {
-                        sync.update(r, row);
-                    }
-                }
-            }
+            apply(&mut sync, op.translate(&remap));
         }
         // Swap the offline build in and re-apply the captured window.
         let built = snap.build();
         let (window, _stats, remap2) = bg.finish_background_compact(built).expect("fresh epoch");
         assert_eq!(window.len(), 3);
         for op in &window {
-            match op.translate(&remap2) {
-                TableOp::Insert { rows } => {
-                    for r in rows {
-                        bg.insert(r);
-                    }
-                }
-                TableOp::Delete { rids } => {
-                    for r in rids {
-                        bg.delete(r);
-                    }
-                }
-                TableOp::Update { changes } => {
-                    for (r, row) in changes {
-                        bg.update(r, row);
-                    }
-                }
-            }
+            apply(&mut bg, op.translate(&remap2));
         }
         assert_aligned(&bg);
         assert_aligned(&sync);
