@@ -7,6 +7,7 @@
 use crate::factors::FactorKind;
 use qpe_htap::engine::EngineKind;
 use serde::{Deserialize, Serialize};
+use std::fmt;
 
 /// One historical query with its expert explanation.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -33,22 +34,27 @@ impl KnowledgeEntry {
     /// Renders the entry as a KNOWLEDGE block for the prompt (paper format:
     /// historical query + plan pair + execution result + expert explanation).
     pub fn render(&self) -> String {
-        format!(
+        let mut out = String::new();
+        self.write_to(&mut out).expect(crate::prompt::INFALLIBLE);
+        out
+    }
+
+    /// Writes the KNOWLEDGE block [`KnowledgeEntry::render`] returns; the
+    /// prompt streams it through the same writer.
+    pub(crate) fn write_to(&self, out: &mut impl fmt::Write) -> fmt::Result {
+        write!(
+            out,
             "KNOWLEDGE:\n  historical query: {}\n  historical TP plan: {}\n  \
              historical AP plan: {}\n  historical execution result: {} is faster \
              ({:.1}x)\n  historical expert explanation: {}\n",
             self.sql,
-            compact_json(&self.tp_plan),
-            compact_json(&self.ap_plan),
+            self.tp_plan,
+            self.ap_plan,
             self.winner,
             self.speedup,
             self.explanation
         )
     }
-}
-
-fn compact_json(v: &serde_json::Value) -> String {
-    serde_json::to_string(v).unwrap_or_else(|_| "{}".into())
 }
 
 #[cfg(test)]

@@ -43,6 +43,10 @@ impl<V: Clone + Serialize + DeserializeOwned> KnowledgeStore<V> {
     }
 
     /// Inserts an entry; returns its id (insertion order).
+    ///
+    /// # Panics
+    /// If `vector`'s dimension differs from the stored vectors': every
+    /// store built by `insert` can be searched, saved and loaded again.
     pub fn insert(&mut self, vector: Vec<f64>, value: V) -> u32 {
         let id = self.exact.add(vector);
         self.values.push(value);
@@ -75,6 +79,9 @@ impl<V: Clone + Serialize + DeserializeOwned> KnowledgeStore<V> {
     }
 
     /// Top-`k` most similar entries (exact, by squared Euclidean distance).
+    ///
+    /// # Panics
+    /// If `query`'s dimension differs from the stored vectors'.
     pub fn search(&self, query: &[f64], k: usize) -> Vec<SearchHit<'_, V>> {
         self.exact
             .search(query, k)
@@ -219,6 +226,18 @@ mod tests {
         let s: KnowledgeStore<Payload> = KnowledgeStore::new();
         assert!(s.is_empty());
         assert!(s.search(&[1.0, 2.0], 5).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "vector dimension 3 differs from the index's 2")]
+    fn insert_rejects_a_vector_of_another_dimension() {
+        store().insert(vec![0.0, 0.0, 1.0], Payload { name: "up".into() });
+    }
+
+    #[test]
+    #[should_panic(expected = "query dimension 3 differs from the index's 2")]
+    fn search_rejects_a_query_of_another_dimension() {
+        store().search(&[1.0, 0.0, 7.0], 2);
     }
 
     #[test]

@@ -78,7 +78,7 @@ echo "==> network front end (wire ≡ in-process byte-identity, typed errors, fu
 cargo test -q -p qpe_server
 cargo test -q --test engine_pinning
 
-echo "==> repo benchmark correctness gates (analytic: AP ≡ TP per statement class; serve_mixed: wire ≡ in-process, reopen keeps every acked write; explain: TP ≡ AP on every generated query; zero failed ops)"
+echo "==> repo benchmark correctness gates (analytic: AP ≡ TP per statement class; serve_mixed: wire ≡ in-process, reopen keeps every acked write; explain: TP ≡ AP on every generated query; explain_retrieval: every KB write lands; zero failed ops)"
 # The exit code is the gate: run.sh fails when a class disagrees across
 # engines, a wire answer differs from the in-process oracle, the reopened
 # store lost an acknowledged insert, or any operation fails. serve_mixed
@@ -89,12 +89,15 @@ echo "==> repo benchmark correctness gates (analytic: AP ≡ TP per statement cl
 # mode as failed ops. Multi-client wire identity stays in qpe_server's
 # server_integration suite above. explain runs every generated filter,
 # top-N and group-by query on both engines and fails an operation on any
-# TP/AP disagreement.
+# TP/AP disagreement. explain_retrieval searches, prompts and grades while
+# expert corrections grow the KB, and fails unless the KB ends at its 20
+# seed entries plus one per write.
 # Three seconds each, untraced — the timings it prints are ignored here (a
 # perf PR compares them with benchmark/compare.sh).
 bash benchmark/run.sh --workload analytic --seconds 3 --trace 0
 bash benchmark/run.sh --workload serve_mixed --seconds 3 --trace 0
 bash benchmark/run.sh --workload explain --seconds 3 --trace 0
+bash benchmark/run.sh --workload explain_retrieval --seconds 3 --trace 0
 
 echo "==> rustdoc -D warnings (broken and private intra-doc links)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline

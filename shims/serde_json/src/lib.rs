@@ -194,6 +194,43 @@ impl Deserialize for Value {
     }
 }
 
+/// Compact JSON text, byte for byte what [`to_string`] gives, written
+/// straight from the tree: no intermediate copy and no `String` unless the
+/// sink is one. `format!("{value}")` and `write!(sink, "{value}")` both use it.
+impl fmt::Display for Value {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        use fmt::Write;
+        match self {
+            Value::Null => f.write_str("null"),
+            Value::Bool(b) => f.write_str(if *b { "true" } else { "false" }),
+            Value::Number(n) => write_number(*n, f),
+            Value::String(s) => write_escaped(s, f),
+            Value::Array(items) => {
+                f.write_char('[')?;
+                for (i, item) in items.iter().enumerate() {
+                    if i > 0 {
+                        f.write_char(',')?;
+                    }
+                    item.fmt(f)?;
+                }
+                f.write_char(']')
+            }
+            Value::Object(m) => {
+                f.write_char('{')?;
+                for (i, (k, v)) in m.entries.iter().enumerate() {
+                    if i > 0 {
+                        f.write_char(',')?;
+                    }
+                    write_escaped(k, f)?;
+                    f.write_char(':')?;
+                    v.fmt(f)?;
+                }
+                f.write_char('}')
+            }
+        }
+    }
+}
+
 static NULL_VALUE: Value = Value::Null;
 
 impl std::ops::Index<&str> for Value {
@@ -378,21 +415,43 @@ pub fn from_str<T: serde::de::DeserializeOwned>(s: &str) -> Result<T> {
     T::deserialize(&content).map_err(Error::from)
 }
 
-fn write_escaped(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+/// Writes `s` as a quoted JSON string, copying each run of characters that
+/// need no escape in one `write_str` (every escaped character is ASCII, so
+/// the byte offsets are char boundaries).
+fn write_escaped<W: fmt::Write>(s: &str, out: &mut W) -> fmt::Result {
+    out.write_char('"')?;
+    let mut run = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        if !matches!(b, b'"' | b'\\' | 0..=0x1f) {
+            continue;
         }
+        out.write_str(&s[run..i])?;
+        match b {
+            b'"' => out.write_str("\\\"")?,
+            b'\\' => out.write_str("\\\\")?,
+            b'\n' => out.write_str("\\n")?,
+            b'\r' => out.write_str("\\r")?,
+            b'\t' => out.write_str("\\t")?,
+            _ => write!(out, "\\u{b:04x}")?,
+        }
+        run = i + 1;
     }
-    out.push('"');
+    out.write_str(&s[run..])?;
+    out.write_char('"')
 }
+
+/// Writes a number as JSON: floats keep their `{:?}` shape (a trailing `.0`
+/// survives round-trips) and non-finite floats become `null`.
+fn write_number<W: fmt::Write>(n: Number, out: &mut W) -> fmt::Result {
+    match n {
+        Number::I(v) => write!(out, "{v}"),
+        Number::U(v) => write!(out, "{v}"),
+        Number::F(v) if v.is_finite() => write!(out, "{v:?}"),
+        Number::F(_) => out.write_str("null"),
+    }
+}
+
+const INFALLIBLE: &str = "writing to a String cannot fail";
 
 fn write_content(c: &Content, out: &mut String, indent: Option<usize>, depth: usize) {
     let (nl, pad, pad_in) = match indent {
@@ -407,17 +466,10 @@ fn write_content(c: &Content, out: &mut String, indent: Option<usize>, depth: us
         Content::Null => out.push_str("null"),
         Content::Bool(true) => out.push_str("true"),
         Content::Bool(false) => out.push_str("false"),
-        Content::I64(v) => out.push_str(&v.to_string()),
-        Content::U64(v) => out.push_str(&v.to_string()),
-        Content::F64(v) => {
-            if v.is_finite() {
-                // `{:?}` keeps a trailing `.0` so floats survive round-trips.
-                out.push_str(&format!("{v:?}"));
-            } else {
-                out.push_str("null");
-            }
-        }
-        Content::Str(s) => write_escaped(s, out),
+        Content::I64(v) => write_number(Number::I(*v), out).expect(INFALLIBLE),
+        Content::U64(v) => write_number(Number::U(*v), out).expect(INFALLIBLE),
+        Content::F64(v) => write_number(Number::F(*v), out).expect(INFALLIBLE),
+        Content::Str(s) => write_escaped(s, out).expect(INFALLIBLE),
         Content::Seq(items) => {
             if items.is_empty() {
                 out.push_str("[]");
@@ -448,7 +500,7 @@ fn write_content(c: &Content, out: &mut String, indent: Option<usize>, depth: us
                 }
                 out.push_str(nl);
                 out.push_str(&pad_in);
-                write_escaped(k, out);
+                write_escaped(k, out).expect(INFALLIBLE);
                 out.push(':');
                 if indent.is_some() {
                     out.push(' ');
