@@ -247,9 +247,9 @@ fn eval_with_aggs(
 /// comparable (hash-group output is canonicalized the same way real engines
 /// do when asked for deterministic tests).
 #[allow(clippy::too_many_arguments)]
-pub fn aggregate(
+pub fn aggregate<'r>(
     counters: &mut WorkCounters,
-    input: &[Row],
+    input: impl IntoIterator<Item = &'r [Value]>,
     schema: &Schema,
     group_by: &[BoundExpr],
     outputs: &[AggSpec],
@@ -263,7 +263,7 @@ pub fn aggregate(
     // both strategies; the sort-vs-hash distinction is carried by the work
     // counters, which is what the latency model consumes.
     let mut groups: BTreeMap<Vec<KeyWrap>, Vec<AggState>> = BTreeMap::new();
-    for (i, row) in input.iter().enumerate() {
+    for (i, row) in input.into_iter().enumerate() {
         if i % GUARD_CHECK_ROWS == 0 {
             guard.check()?;
         }

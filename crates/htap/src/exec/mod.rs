@@ -3,7 +3,10 @@
 //! Three execution modes share one plan vocabulary and one set of counters:
 //!
 //! * the **row interpreter** ([`execute_scalar`]) runs both engines' plans
-//!   row-at-a-time — TP plans always take this path;
+//!   row-at-a-time — TP plans always take this path. It reads row-store
+//!   tuples in place: scans, filters, sorts and limits pass borrowed tuples
+//!   up, and a row is copied once, by the operator that keeps it (a join's
+//!   output, a projection, the root);
 //! * the **vectorized batch executor** ([`vector`]) runs AP plans
 //!   column-at-a-time over typed batches with selection vectors and late
 //!   materialization;
@@ -47,7 +50,7 @@ pub use parallel::ExecConfig;
 use crate::engine::{Database, EngineKind};
 use crate::eval::{eval, eval_predicate, EvalError, Schema};
 use crate::plan::{IndexLookup, PlanNode, PlanOp, PlanTerm};
-use crate::storage::{ScanPruner, StoredTable};
+use crate::storage::{BTreeIndex, ScanPruner, StoredTable};
 use qpe_sql::binder::{BoundDml, BoundExpr, BoundQuery};
 use qpe_sql::catalog::Catalog;
 use qpe_sql::value::Value;
@@ -225,7 +228,7 @@ pub(crate) fn execute_scalar_guarded(
     guard: &ExecGuard,
 ) -> Result<(Vec<Row>, WorkCounters), ExecError> {
     let mut ex = Executor { query, db, engine, counters: WorkCounters::default(), guard };
-    let rows = ex.run(plan)?;
+    let rows = ex.run(plan)?.into_owned();
     ex.counters.output_rows = rows.len() as u64;
     Ok((rows, ex.counters))
 }
@@ -263,11 +266,12 @@ fn term_values(terms: &[PlanTerm]) -> Result<Vec<&Value>, ExecError> {
     terms.iter().map(term_value).collect()
 }
 
-/// A join key cell as both executors' hash joins match it: keys of two
-/// types never match (what the batch join's `Disjoint` class answers for
-/// `Int`↔`Date`), `-0.0` matches `0.0`, and NULL and NaN are no key at all
-/// — they match nothing. `Hash` and `Eq` agree, so no answer depends on
-/// which keys happen to collide.
+/// A join key cell as every join matches it — both executors' hash joins,
+/// the nested loop and the index nested loop: keys of two types never match
+/// (what the batch join's `Disjoint` class answers for `Int`↔`Date`), `-0.0`
+/// matches `0.0`, and NULL and NaN are no key at all — they match nothing.
+/// `Hash` and `Eq` agree, so no answer depends on which keys happen to
+/// collide.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub(crate) enum JoinKey<'a> {
     Int(i64),
@@ -376,6 +380,139 @@ pub(crate) fn hash_join_rows<'r>(
     Ok(out)
 }
 
+/// Rows one interpreter operator hands its parent: rows it built, or stored
+/// tuples it reads in place from the row store (late materialization, as in
+/// Abadi et al., ICDE 2007). Counters charge whole tuples either way; the
+/// form only decides who copies — the parent that keeps a row, once.
+enum Rows<'a> {
+    Owned(Vec<Row>),
+    Borrowed(Vec<&'a [Value]>),
+}
+
+/// Applies one operation, generic over the row type, to either form of
+/// [`Rows`], keeping the form: `keep_form!(rows, |v| f(v)?)`.
+macro_rules! keep_form {
+    ($rows:expr, |$v:ident| $body:expr) => {
+        match $rows {
+            Rows::Owned($v) => Rows::Owned($body),
+            Rows::Borrowed($v) => Rows::Borrowed($body),
+        }
+    };
+}
+
+impl<'a> Rows<'a> {
+    fn len(&self) -> usize {
+        match self {
+            Rows::Owned(v) => v.len(),
+            Rows::Borrowed(v) => v.len(),
+        }
+    }
+
+    fn get(&self, i: usize) -> &[Value] {
+        match self {
+            Rows::Owned(v) => &v[i],
+            Rows::Borrowed(v) => v[i],
+        }
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &[Value]> + '_ {
+        (0..self.len()).map(|i| self.get(i))
+    }
+
+    /// The rows as owned vectors; borrowed tuples are copied here.
+    fn into_owned(self) -> Vec<Row> {
+        match self {
+            Rows::Owned(v) => v,
+            Rows::Borrowed(v) => v.into_iter().map(<[Value]>::to_vec).collect(),
+        }
+    }
+
+    /// Stored tuples as a scan's `columns` read them: borrowed when the
+    /// columns are the whole tuple in order (every TP plan reads whole
+    /// tuples), else copies of those columns.
+    fn stored(tuples: impl Iterator<Item = &'a [Value]>, columns: &[usize], width: usize) -> Self {
+        if columns.iter().copied().eq(0..width) {
+            Rows::Borrowed(tuples.collect())
+        } else {
+            Rows::Owned(tuples.map(|t| columns.iter().map(|&c| t[c].clone()).collect()).collect())
+        }
+    }
+}
+
+/// The schema of a whole stored tuple of the table in `slot`: predicates
+/// over any of the scan's columns evaluate on the tuple in place.
+fn tuple_schema(slot: usize, width: usize) -> Schema {
+    Schema::new((0..width).map(|c| (slot, c)).collect())
+}
+
+/// The row interpreter's nested-loop matching: every (outer, inner) pair of
+/// rows that have a key, in outer-major order, compared as pre-extracted
+/// keys; `emit` gets each matching pair's row positions. Polls the guard
+/// every [`GUARD_CHECK_ROWS`] pairs; the caller charges the pairs.
+fn nested_loop_matches<K: PartialEq>(
+    guard: &ExecGuard,
+    outer: &[(u32, K)],
+    inner: &[(u32, K)],
+    emit: &mut impl FnMut(u32, u32) -> Result<(), ExecError>,
+) -> Result<(), ExecError> {
+    let mut pairs_since_check = 0usize;
+    for (o, ok) in outer {
+        pairs_since_check += inner.len();
+        if pairs_since_check >= GUARD_CHECK_ROWS {
+            pairs_since_check = 0;
+            guard.check()?;
+        }
+        for (i, ik) in inner {
+            if ik == ok {
+                emit(*o, *i)?;
+            }
+        }
+    }
+    Ok(())
+}
+
+/// One side's keys for [`nested_loop_matches`], pulled out once: each row
+/// with a key, keyed by `key`. Rows without one (a NULL or NaN cell) match
+/// nothing and drop out.
+fn side_keys<'r, K>(rows: &'r Rows, key: impl Fn(&'r [Value]) -> Option<K>) -> Vec<(u32, K)> {
+    rows.iter().enumerate().filter_map(|(i, r)| Some((i as u32, key(r)?))).collect()
+}
+
+/// [`nested_loop_matches`] of a join on `keys` (outer, inner positions),
+/// under [`JoinKey`] equality. A single integer key on both sides — every
+/// TPC-H join — compares plain `i64`s.
+fn nested_loop_pairs(
+    guard: &ExecGuard,
+    outer: &Rows,
+    inner: &Rows,
+    keys: &[(usize, usize)],
+    emit: &mut impl FnMut(u32, u32) -> Result<(), ExecError>,
+) -> Result<(), ExecError> {
+    let &[(l, r)] = keys else {
+        let outer_keys = side_keys(outer, |row| {
+            keys.iter().map(|k| JoinKey::of(&row[k.0])).collect::<Option<Vec<_>>>()
+        });
+        let inner_keys = side_keys(inner, |row| {
+            keys.iter().map(|k| JoinKey::of(&row[k.1])).collect::<Option<Vec<_>>>()
+        });
+        return nested_loop_matches(guard, &outer_keys, &inner_keys, emit);
+    };
+    let outer_keys = side_keys(outer, |row| JoinKey::of(&row[l]));
+    let inner_keys = side_keys(inner, |row| JoinKey::of(&row[r]));
+    let ints = |keys: &[(u32, JoinKey)]| -> Option<Vec<(u32, i64)>> {
+        keys.iter()
+            .map(|(i, k)| match k {
+                JoinKey::Int(x) => Some((*i, *x)),
+                _ => None,
+            })
+            .collect()
+    };
+    match (ints(&outer_keys), ints(&inner_keys)) {
+        (Some(o), Some(i)) => nested_loop_matches(guard, &o, &i, emit),
+        _ => nested_loop_matches(guard, &outer_keys, &inner_keys, emit),
+    }
+}
+
 pub(crate) struct Executor<'a> {
     query: &'a BoundQuery,
     db: &'a Database,
@@ -384,35 +521,30 @@ pub(crate) struct Executor<'a> {
     guard: &'a ExecGuard,
 }
 
-impl Executor<'_> {
-    fn run(&mut self, node: &PlanNode) -> Result<Vec<Row>, ExecError> {
+impl<'a> Executor<'a> {
+    fn run(&mut self, node: &PlanNode) -> Result<Rows<'a>, ExecError> {
         self.guard.check()?;
-        match &node.op {
+        Ok(match &node.op {
             PlanOp::TableScan { table_slot, columns, pushed } => {
-                self.table_scan(*table_slot, columns, pushed.as_ref())
+                self.table_scan(*table_slot, columns, pushed.as_ref())?
             }
             PlanOp::IndexScan { table_slot, column_idx, lookup, columns } => {
-                self.index_scan(*table_slot, *column_idx, lookup, columns)
+                self.index_scan(*table_slot, *column_idx, lookup, columns)?
             }
-            PlanOp::IndexProbe { .. } => Err(ExecError::BadPlan(
-                "IndexProbe executed outside IndexNLJoin".into(),
-            )),
+            PlanOp::IndexProbe { .. } => {
+                return Err(ExecError::BadPlan("IndexProbe executed outside IndexNLJoin".into()))
+            }
+            // Tests each row in its input's form: over a scan the survivors
+            // stay borrowed, and whoever keeps one copies it.
             PlanOp::Filter { predicate } => {
                 let child = &node.children[0];
                 let schema = child.output_schema();
                 let input = self.run(child)?;
-                let mut out = Vec::new();
-                for (i, row) in input.into_iter().enumerate() {
-                    if i % GUARD_CHECK_ROWS == 0 {
-                        self.guard.check()?;
-                    }
-                    self.counters.filter_evals += 1;
-                    if eval_predicate(predicate, &schema, &row)? {
-                        out.push(row);
-                    }
-                }
-                Ok(out)
+                keep_form!(input, |rows| self.filter(rows, predicate, &schema)?)
             }
+            // Compares pre-extracted keys over every pair — TP has no hash
+            // join — charging |outer|·|inner| pairs, and copies only the
+            // joined rows.
             PlanOp::NestedLoopJoin { conds, residual } => {
                 let outer_node = &node.children[0];
                 let inner_node = &node.children[1];
@@ -434,31 +566,28 @@ impl Executor<'_> {
                         Ok((l, r))
                     })
                     .collect::<Result<_, ExecError>>()?;
+                let (counters, guard) = (&mut self.counters, self.guard);
+                counters.nlj_pairs += (outer.len() * inner.len()) as u64;
                 let mut out = Vec::new();
-                let mut pairs_since_check = 0usize;
-                for o in &outer {
-                    pairs_since_check += inner.len();
-                    if pairs_since_check >= GUARD_CHECK_ROWS {
-                        pairs_since_check = 0;
-                        self.guard.check()?;
-                    }
-                    for i in &inner {
-                        self.counters.nlj_pairs += 1;
-                        if keys.iter().all(|&(l, r)| o[l].sql_eq(&i[r])) {
-                            let mut row = o.clone();
-                            row.extend_from_slice(i);
-                            if let Some(resid) = residual {
-                                self.counters.filter_evals += 1;
-                                if !eval_predicate(resid, &out_schema, &row)? {
-                                    continue;
-                                }
-                            }
-                            out.push(row);
+                nested_loop_pairs(guard, &outer, &inner, &keys, &mut |o, i| {
+                    let (o, i) = (outer.get(o as usize), inner.get(i as usize));
+                    let mut row = Vec::with_capacity(o.len() + i.len());
+                    row.extend_from_slice(o);
+                    row.extend_from_slice(i);
+                    if let Some(resid) = residual {
+                        counters.filter_evals += 1;
+                        if !eval_predicate(resid, &out_schema, &row)? {
+                            return Ok(());
                         }
                     }
-                }
-                Ok(out)
+                    out.push(row);
+                    Ok(())
+                })?;
+                Rows::Owned(out)
             }
+            // Probes the inner index per outer row, tests the residual on
+            // the stored tuple in place, and builds only the joined rows
+            // that pass.
             PlanOp::IndexNLJoin { outer_key } => {
                 let outer_node = &node.children[0];
                 let probe_node = &node.children[1];
@@ -470,7 +599,6 @@ impl Executor<'_> {
                     ));
                 };
                 let outer_schema = outer_node.output_schema();
-                let probe_schema = probe_node.output_schema();
                 let key_pos = outer_schema
                     .position(outer_key.table_slot, outer_key.column_idx)
                     .ok_or_else(|| ExecError::BadPlan("IndexNLJ outer key missing".into()))?;
@@ -484,6 +612,7 @@ impl Executor<'_> {
                 let index = table.index_on(*column_idx).ok_or_else(|| {
                     ExecError::BadPlan(format!("no index on {table_name}.{column_idx}"))
                 })?;
+                let tuple = tuple_schema(*table_slot, table.width());
                 let mut out = Vec::new();
                 let out_width = outer_schema.len() + columns.len();
                 for (oi, o) in outer.iter().enumerate() {
@@ -491,27 +620,26 @@ impl Executor<'_> {
                         self.guard.check()?;
                     }
                     self.counters.index_probes += 1;
-                    let rids = index.lookup(&o[key_pos]);
+                    let rids = index.join_lookup(&o[key_pos]);
                     self.counters.index_fetches += rids.len() as u64;
                     for &rid in rids {
                         self.counters.rows_scanned += 1;
                         let full = table.row(rid as usize);
-                        // Build the joined row in place: outer prefix plus
-                        // fetched inner cells, one allocation, no
-                        // intermediate inner-row vector.
-                        let mut row: Row = Vec::with_capacity(out_width);
-                        row.extend_from_slice(o);
-                        row.extend(columns.iter().map(|&c| full[c].clone()));
                         if let Some(resid) = residual {
                             self.counters.filter_evals += 1;
-                            if !eval_predicate(resid, &probe_schema, &row[o.len()..])? {
+                            if !eval_predicate(resid, &tuple, full)? {
                                 continue;
                             }
                         }
+                        // The joined row in one allocation: outer prefix
+                        // plus the probe's columns of the stored tuple.
+                        let mut row: Row = Vec::with_capacity(out_width);
+                        row.extend_from_slice(o);
+                        row.extend(columns.iter().map(|&c| full[c].clone()));
                         out.push(row);
                     }
                 }
-                Ok(out)
+                Rows::Owned(out)
             }
             PlanOp::HashJoin { probe_keys, build_keys } => {
                 let probe_node = &node.children[0];
@@ -519,8 +647,8 @@ impl Executor<'_> {
                 let probe_schema = probe_node.output_schema();
                 let build_schema = hash_node.output_schema();
                 // Hash node is a pass-through marker; execute its child.
-                let build_rows = self.run(&hash_node.children[0])?;
-                let probe_rows = self.run(probe_node)?;
+                let build_rows = self.run(&hash_node.children[0])?.into_owned();
+                let probe_rows = self.run(probe_node)?.into_owned();
                 let bpos: Vec<usize> = build_keys
                     .iter()
                     .map(|k| {
@@ -540,37 +668,51 @@ impl Executor<'_> {
                 self.guard
                     .charge_cells(build_rows.len() as u64 * build_schema.len().max(1) as u64)?;
                 let (counters, guard) = (&mut self.counters, self.guard);
-                hash_join_rows(counters, guard, &build_rows, &probe_rows, &bpos, &ppos)
+                Rows::Owned(hash_join_rows(counters, guard, &build_rows, &probe_rows, &bpos, &ppos)?)
             }
-            PlanOp::Hash => self.run(&node.children[0]),
+            PlanOp::Hash => self.run(&node.children[0])?,
             PlanOp::Aggregate { group_by, outputs, having, hash } => {
                 let child = &node.children[0];
                 let schema = child.output_schema();
                 let input = self.run(child)?;
-                agg::aggregate(
+                Rows::Owned(agg::aggregate(
                     &mut self.counters,
-                    &input,
+                    input.iter(),
                     &schema,
                     group_by,
                     outputs,
                     having.as_ref(),
                     *hash,
                     self.guard,
-                )
+                )?)
             }
             PlanOp::Sort { keys } => {
                 let child = &node.children[0];
                 let schema = child.output_schema();
                 let input = self.run(child)?;
-                sort::full_sort(&mut self.counters, input, &schema, keys, self.guard)
+                keep_form!(input, |rows| sort::full_sort(
+                    &mut self.counters,
+                    rows,
+                    &schema,
+                    keys,
+                    self.guard
+                )?)
             }
             PlanOp::TopNSort { keys, limit, offset } => {
                 let child = &node.children[0];
                 let schema = child.output_schema();
                 let input = self.run(child)?;
-                sort::top_n(&mut self.counters, input, &schema, keys, *limit, *offset, self.guard)
+                keep_form!(input, |rows| sort::top_n(
+                    &mut self.counters,
+                    rows,
+                    &schema,
+                    keys,
+                    *limit,
+                    *offset,
+                    self.guard
+                )?)
             }
-            PlanOp::Limit { limit, offset } => self.limit(node, *limit, *offset),
+            PlanOp::Limit { limit, offset } => self.limit(node, *limit, *offset)?,
             PlanOp::Projection { exprs, .. } => {
                 let child = &node.children[0];
                 // Aggregates / output sorts already produce final rows.
@@ -581,28 +723,49 @@ impl Executor<'_> {
                 let input = self.run(child)?;
                 self.guard.charge_cells(input.len() as u64 * exprs.len().max(1) as u64)?;
                 let mut out = Vec::with_capacity(input.len());
-                for (i, row) in input.into_iter().enumerate() {
+                for (i, row) in input.iter().enumerate() {
                     if i % GUARD_CHECK_ROWS == 0 {
                         self.guard.check()?;
                     }
                     let mut projected = Vec::with_capacity(exprs.len());
                     for e in exprs {
-                        projected.push(eval(e, &schema, &row)?);
+                        projected.push(eval(e, &schema, row)?);
                     }
                     out.push(projected);
                 }
-                Ok(out)
+                Rows::Owned(out)
             }
             PlanOp::OutputSort { keys } => {
-                let input = self.run(&node.children[0])?;
-                sort::output_sort(&mut self.counters, input, keys, self.guard)
+                let input = self.run(&node.children[0])?.into_owned();
+                Rows::Owned(sort::output_sort(&mut self.counters, input, keys, self.guard)?)
             }
             PlanOp::Insert { .. } | PlanOp::Update { .. } | PlanOp::Delete { .. } => {
-                Err(ExecError::BadPlan(
+                return Err(ExecError::BadPlan(
                     "DML node reached the read executor; use execute_dml".into(),
                 ))
             }
+        })
+    }
+
+    /// The rows of `rows` that satisfy `predicate`, in order and in the
+    /// form they came in.
+    fn filter<R: AsRef<[Value]>>(
+        &mut self,
+        rows: Vec<R>,
+        predicate: &BoundExpr,
+        schema: &Schema,
+    ) -> Result<Vec<R>, ExecError> {
+        let mut out = Vec::new();
+        for (i, row) in rows.into_iter().enumerate() {
+            if i % GUARD_CHECK_ROWS == 0 {
+                self.guard.check()?;
+            }
+            self.counters.filter_evals += 1;
+            if eval_predicate(predicate, schema, row.as_ref())? {
+                out.push(row);
+            }
         }
+        Ok(out)
     }
 
     fn table_scan(
@@ -610,14 +773,14 @@ impl Executor<'_> {
         slot: usize,
         columns: &[usize],
         pushed: Option<&BoundExpr>,
-    ) -> Result<Vec<Row>, ExecError> {
+    ) -> Result<Rows<'a>, ExecError> {
         let name: &str = &self.query.tables[slot].name;
-        let stored = self
-            .db
+        let db: &'a Database = self.db;
+        let stored = db
             .stored_table(name)
             .ok_or_else(|| ExecError::MissingTable(name.to_string()))?;
-        // Both scan shapes materialize the touched cells; charge the guard's
-        // memory budget before allocating. Count rows on the side this
+        // Charge the guard's memory budget for the touched cells up front,
+        // whether the scan copies them or not. Count rows on the side this
         // engine scans: AP-only snapshot views keep their row store empty,
         // so the combined `row_count()` invariant doesn't hold here.
         let scan_rows = match self.engine {
@@ -625,25 +788,14 @@ impl Executor<'_> {
             EngineKind::Ap => stored.cols.row_count(),
         } as u64;
         self.guard.charge_cells(scan_rows * columns.len().max(1) as u64)?;
-        match self.engine {
+        Ok(match self.engine {
             EngineKind::Tp => {
-                // Row-store scan: full tuples are touched even if the plan
-                // only materializes a subset. Tombstoned slots are skipped.
+                // Row-store scan: full tuples are touched (and charged) even
+                // if the plan only reads a subset; they are read in place.
+                // Tombstoned slots are skipped.
                 self.counters.rows_scanned += stored.row_count() as u64;
-                let full_width = stored.rows.width();
-                if columns.len() == full_width && columns.iter().copied().eq(0..full_width) {
-                    if !stored.rows.has_deletions() {
-                        Ok(stored.rows.rows().to_vec())
-                    } else {
-                        Ok(stored.rows.iter_live().map(|(_, r)| r.clone()).collect())
-                    }
-                } else {
-                    Ok(stored
-                        .rows
-                        .iter_live()
-                        .map(|(_, r)| columns.iter().map(|&c| r[c].clone()).collect())
-                        .collect())
-                }
+                let live = stored.rows.iter_live().map(|(_, r)| r.as_slice());
+                Rows::stored(live, columns, stored.rows.width())
             }
             EngineKind::Ap => {
                 // Column-store scan: touch only the referenced columns of
@@ -655,9 +807,9 @@ impl Executor<'_> {
                     ap_scan_access(stored, slot, pushed, columns.len(), &mut self.counters);
                 let rids = sel
                     .unwrap_or_else(|| (0..stored.cols.physical_len() as u32).collect());
-                Ok(stored.cols.gather(columns, &rids))
+                Rows::Owned(stored.cols.gather(columns, &rids))
             }
-        }
+        })
     }
 
     fn index_scan(
@@ -666,66 +818,43 @@ impl Executor<'_> {
         column_idx: usize,
         lookup: &IndexLookup,
         columns: &[usize],
-    ) -> Result<Vec<Row>, ExecError> {
+    ) -> Result<Rows<'a>, ExecError> {
         let name: &str = &self.query.tables[slot].name;
-        let table = self
-            .db
+        let db: &'a Database = self.db;
+        let table = db
             .row_table(name)
             .ok_or_else(|| ExecError::MissingTable(name.to_string()))?;
         let index = table
             .index_on(column_idx)
             .ok_or_else(|| ExecError::BadPlan(format!("no index on {name}.{column_idx}")))?;
-        let rids: Vec<u32> = match lookup {
-            IndexLookup::Keys(keys) => {
-                self.counters.index_probes += keys.len() as u64;
-                index.lookup_many_refs(term_values(keys)?.into_iter())
-            }
-            IndexLookup::Range { low, high } => {
-                self.counters.index_probes += 1;
-                let lo = low.as_ref().map(term_value).transpose()?;
-                let hi = high.as_ref().map(term_value).transpose()?;
-                index.range(lo, hi)
-            }
-            IndexLookup::Ordered { descending } => {
-                self.counters.index_probes += 1;
-                index.ordered_row_ids(*descending)
-            }
-        };
-        self.counters.index_fetches += rids.len() as u64;
-        self.counters.rows_scanned += rids.len() as u64;
-        Ok(rids
-            .iter()
-            .map(|&rid| {
-                let full = table.row(rid as usize);
-                columns.iter().map(|&c| full[c].clone()).collect()
-            })
-            .collect())
+        let rids = index_access(&mut self.counters, index, lookup)?;
+        let tuples = rids.iter().map(|&rid| table.row(rid as usize));
+        Ok(Rows::stored(tuples, columns, table.width()))
     }
 
     /// Limit with a streaming fast path for index-ordered top-N: when the
     /// input is `Filter(IndexScan(Ordered))` or `IndexScan(Ordered)`, rows
     /// are fetched in index order and the scan stops as soon as
     /// `limit + offset` rows qualify.
-    fn limit(&mut self, node: &PlanNode, limit: u64, offset: u64) -> Result<Vec<Row>, ExecError> {
+    fn limit(&mut self, node: &PlanNode, limit: u64, offset: u64) -> Result<Rows<'a>, ExecError> {
         let child = &node.children[0];
         let need = (limit + offset) as usize;
-        let streamed = self.try_streaming_topn(child, need)?;
-        let rows = match streamed {
+        let rows = match self.try_streaming_topn(child, need)? {
             Some(rows) => rows,
             None => self.run(child)?,
         };
-        Ok(rows
+        Ok(keep_form!(rows, |rows| rows
             .into_iter()
             .skip(offset as usize)
             .take(limit as usize)
-            .collect())
+            .collect()))
     }
 
     fn try_streaming_topn(
         &mut self,
         child: &PlanNode,
         need: usize,
-    ) -> Result<Option<Vec<Row>>, ExecError> {
+    ) -> Result<Option<Rows<'a>>, ExecError> {
         // Unwrap an optional Filter above the ordered index scan.
         let (filter, scan) = match &child.op {
             PlanOp::Filter { predicate } => (Some(predicate), &child.children[0]),
@@ -740,19 +869,19 @@ impl Executor<'_> {
         else {
             return Ok(None);
         };
-        let schema = scan.output_schema();
         let name: &str = &self.query.tables[*table_slot].name;
-        let table = self
-            .db
+        let db: &'a Database = self.db;
+        let table = db
             .row_table(name)
             .ok_or_else(|| ExecError::MissingTable(name.to_string()))?;
         let index = table
             .index_on(*column_idx)
             .ok_or_else(|| ExecError::BadPlan(format!("no index on {name}.{column_idx}")))?;
+        let tuple = tuple_schema(*table_slot, table.width());
         self.counters.index_probes += 1;
-        let mut out = Vec::with_capacity(need);
-        for (i, rid) in index.ordered_row_ids(*descending).into_iter().enumerate() {
-            if out.len() >= need {
+        let mut kept = Vec::with_capacity(need);
+        for (i, rid) in index.iter_ordered(*descending).enumerate() {
+            if kept.len() >= need {
                 break;
             }
             if i % GUARD_CHECK_ROWS == 0 {
@@ -761,17 +890,46 @@ impl Executor<'_> {
             self.counters.index_fetches += 1;
             self.counters.rows_scanned += 1;
             let full = table.row(rid as usize);
-            let row: Row = columns.iter().map(|&c| full[c].clone()).collect();
             if let Some(pred) = filter {
                 self.counters.filter_evals += 1;
-                if !eval_predicate(pred, &schema, &row)? {
+                if !eval_predicate(pred, &tuple, full)? {
                     continue;
                 }
             }
-            out.push(row);
+            kept.push(full);
         }
-        Ok(Some(out))
+        Ok(Some(Rows::stored(kept.into_iter(), columns, table.width())))
     }
+}
+
+/// Resolves one TP index access to its row ids, in the order the scan
+/// reads them, charging one probe per key (one per range or ordered walk)
+/// and one fetch and one scanned row per rid — the read path's and the DML
+/// access path's one formula.
+fn index_access(
+    counters: &mut WorkCounters,
+    index: &BTreeIndex,
+    lookup: &IndexLookup,
+) -> Result<Vec<u32>, ExecError> {
+    let rids: Vec<u32> = match lookup {
+        IndexLookup::Keys(keys) => {
+            counters.index_probes += keys.len() as u64;
+            index.lookup_many_refs(term_values(keys)?.into_iter())
+        }
+        IndexLookup::Range { low, high } => {
+            counters.index_probes += 1;
+            let lo = low.as_ref().map(term_value).transpose()?;
+            let hi = high.as_ref().map(term_value).transpose()?;
+            index.range(lo, hi)
+        }
+        IndexLookup::Ordered { descending } => {
+            counters.index_probes += 1;
+            index.iter_ordered(*descending).collect()
+        }
+    };
+    counters.index_fetches += rids.len() as u64;
+    counters.rows_scanned += rids.len() as u64;
+    Ok(rids)
 }
 
 /// Plans one AP columnar scan's physical access: applies zone-map pruning
@@ -1061,25 +1219,7 @@ fn collect_target_rids(
             let index = row_table.index_on(*column_idx).ok_or_else(|| {
                 ExecError::BadPlan(format!("no index on {table}.{column_idx}"))
             })?;
-            let rids: Vec<u32> = match lookup {
-                IndexLookup::Keys(keys) => {
-                    counters.index_probes += keys.len() as u64;
-                    index.lookup_many_refs(term_values(keys)?.into_iter())
-                }
-                IndexLookup::Range { low, high } => {
-                    counters.index_probes += 1;
-                    let lo = low.as_ref().map(term_value).transpose()?;
-                    let hi = high.as_ref().map(term_value).transpose()?;
-                    index.range(lo, hi)
-                }
-                IndexLookup::Ordered { descending } => {
-                    counters.index_probes += 1;
-                    index.ordered_row_ids(*descending)
-                }
-            };
-            counters.index_fetches += rids.len() as u64;
-            counters.rows_scanned += rids.len() as u64;
-            rids
+            index_access(counters, index, lookup)?
         }
         other => {
             return Err(ExecError::BadPlan(format!(

@@ -36,22 +36,22 @@ pub(crate) fn charge_sort_comparisons(counters: &mut WorkCounters, n: u64) {
 
 /// Full sort on expression keys (TP's only ORDER BY strategy without an
 /// index; also AP's when no LIMIT bounds the sort).
-pub fn full_sort(
+pub fn full_sort<R: AsRef<[Value]>>(
     counters: &mut WorkCounters,
-    input: Vec<Row>,
+    input: Vec<R>,
     schema: &Schema,
     keys: &[(BoundExpr, bool)],
     guard: &ExecGuard,
-) -> Result<Vec<Row>, ExecError> {
+) -> Result<Vec<R>, ExecError> {
     let descs: Vec<bool> = keys.iter().map(|(_, d)| *d).collect();
-    let mut keyed: Vec<(Vec<Value>, Row)> = Vec::with_capacity(input.len());
+    let mut keyed: Vec<(Vec<Value>, R)> = Vec::with_capacity(input.len());
     for (i, row) in input.into_iter().enumerate() {
         if i % GUARD_CHECK_ROWS == 0 {
             guard.check()?;
         }
         let kv: Vec<Value> = keys
             .iter()
-            .map(|(k, _)| eval(k, schema, &row))
+            .map(|(k, _)| eval(k, schema, row.as_ref()))
             .collect::<Result<_, _>>()?;
         keyed.push((kv, row));
     }
@@ -161,15 +161,15 @@ pub(crate) fn full_sort_indices_par(
 
 /// Bounded top-N selection (AP's dedicated operator): keeps the best
 /// `limit + offset` rows, then drops the first `offset`.
-pub fn top_n(
+pub fn top_n<R: AsRef<[Value]>>(
     counters: &mut WorkCounters,
-    input: Vec<Row>,
+    input: Vec<R>,
     schema: &Schema,
     keys: &[(BoundExpr, bool)],
     limit: u64,
     offset: u64,
     guard: &ExecGuard,
-) -> Result<Vec<Row>, ExecError> {
+) -> Result<Vec<R>, ExecError> {
     let need = (limit + offset) as usize;
     if need == 0 {
         return Ok(Vec::new());
@@ -177,7 +177,7 @@ pub fn top_n(
     let descs: Vec<bool> = keys.iter().map(|(_, d)| *d).collect();
     // Simple bounded selection: maintain a sorted buffer of at most `need`
     // rows. Each push charges one heap operation.
-    let mut buf: Vec<(Vec<Value>, Row)> = Vec::with_capacity(need + 1);
+    let mut buf: Vec<(Vec<Value>, R)> = Vec::with_capacity(need + 1);
     for (i, row) in input.into_iter().enumerate() {
         if i % GUARD_CHECK_ROWS == 0 {
             guard.check()?;
@@ -185,7 +185,7 @@ pub fn top_n(
         counters.topn_pushes += 1;
         let kv: Vec<Value> = keys
             .iter()
-            .map(|(k, _)| eval(k, schema, &row))
+            .map(|(k, _)| eval(k, schema, row.as_ref()))
             .collect::<Result<_, _>>()?;
         if buf.len() < need {
             let pos = buf

@@ -456,7 +456,7 @@ proptest! {
             let outputs = outputs(&group_by);
             let mut want_c = WorkCounters::default();
             let want = aggregate(
-                &mut want_c, &fx.rows, &fx.schema, &group_by, &outputs, having.as_ref(), hash, guard,
+                &mut want_c, fx.rows.iter().map(Vec::as_slice), &fx.schema, &group_by, &outputs, having.as_ref(), hash, guard,
             ).expect("row interpreter aggregates");
 
             let leaves = collect_all_leaves(&outputs, having.as_ref());

@@ -121,9 +121,11 @@
 //! One plan vocabulary, three execution modes ([`exec`]):
 //!
 //! * **Row interpreter** ([`exec::execute_scalar`]) — the reference
-//!   semantics. Every operator materializes its output as `Vec<Vec<Value>>`
-//!   rows; TP plans always execute here (index probes are inherently
-//!   row-at-a-time).
+//!   semantics, row-at-a-time; TP plans always execute here (index probes
+//!   are inherently row-at-a-time). Row-store tuples are read in place and
+//!   copied only by the operator that keeps a row, and every join matches
+//!   keys by one equality: NULL and NaN match nothing, keys of two types
+//!   never match, `-0.0` matches `0.0`.
 //! * **Vectorized batch executor** ([`exec::vector`]) — AP plans execute
 //!   over *batches*: typed column arrays (borrowed zero-copy from the column
 //!   store) plus a selection vector. Filters write the rows that pass

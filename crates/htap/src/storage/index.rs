@@ -6,6 +6,7 @@
 //! explanations repeatedly hinge on ("TP has to use nested loop join with no
 //! index available").
 
+use crate::exec::JoinKey;
 use qpe_sql::value::Value;
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
@@ -120,20 +121,39 @@ impl BTreeIndex {
             .collect()
     }
 
-    /// Row ids in key order (ascending or descending) — used for
-    /// index-ordered top-N scans.
-    pub fn ordered_row_ids(&self, descending: bool) -> Vec<u32> {
-        let mut out = Vec::with_capacity(self.entries);
-        if descending {
-            for (_, rids) in self.map.iter().rev() {
-                out.extend_from_slice(rids);
-            }
-        } else {
-            for rids in self.map.values() {
-                out.extend_from_slice(rids);
-            }
+    /// Row ids whose key equals `key` as the joins compare keys
+    /// ([`crate::exec::JoinKey`]): NULL and NaN match nothing, keys of two
+    /// types never match, and `-0.0` matches `0.0`. The index probe of an
+    /// `IndexNLJoin`, so that it answers like the nested loop and the hash
+    /// joins.
+    pub(crate) fn join_lookup(&self, key: &Value) -> &[u32] {
+        let Some(want) = JoinKey::of(key) else {
+            return &[];
+        };
+        // `total_cmp` keeps the two zeros apart; look the other one up too.
+        // An index over one column holds one type, so at most one of the two
+        // entries exists.
+        let probe = match want {
+            JoinKey::Float(0) => self
+                .map
+                .get_key_value(&KeyVal(Value::Float(0.0)))
+                .or_else(|| self.map.get_key_value(&KeyVal(Value::Float(-0.0)))),
+            _ => self.map.get_key_value(&KeyVal(key.clone())),
+        };
+        match probe {
+            // `total_cmp` also equates numbers across types; the join does not.
+            Some((stored, rids)) if JoinKey::of(&stored.0).as_ref() == Some(&want) => rids,
+            _ => &[],
         }
-        out
+    }
+
+    /// Row ids in key order (ascending or descending), rids ascending within
+    /// a key — walked lazily, so an index-ordered top-N reads only the rows
+    /// it keeps.
+    pub fn iter_ordered(&self, descending: bool) -> impl Iterator<Item = u32> + '_ {
+        let mut keys = self.map.values();
+        std::iter::from_fn(move || if descending { keys.next_back() } else { keys.next() })
+            .flat_map(|rids| rids.iter().copied())
     }
 
     /// Number of distinct keys.
@@ -205,11 +225,60 @@ mod tests {
         assert_eq!(idx.range(None, None).len(), 5);
     }
 
+    /// The eager reference for [`BTreeIndex::iter_ordered`]: every key's
+    /// rids collected into one vector, keys in order or reversed.
+    fn ordered_vector(idx: &BTreeIndex, descending: bool) -> Vec<u32> {
+        let mut out = Vec::new();
+        let keys: Vec<&Vec<u32>> = idx.map.values().collect();
+        let keys: Vec<&Vec<u32>> =
+            if descending { keys.into_iter().rev().collect() } else { keys };
+        for rids in keys {
+            out.extend_from_slice(rids);
+        }
+        out
+    }
+
     #[test]
-    fn ordered_row_ids_both_directions() {
-        let idx = sample();
-        assert_eq!(idx.ordered_row_ids(false), vec![3, 1, 4, 0, 2]);
-        assert_eq!(idx.ordered_row_ids(true), vec![0, 2, 4, 1, 3]);
+    fn ordered_iterator_equals_the_materialized_vector() {
+        let mut idx = sample();
+        assert_eq!(idx.iter_ordered(false).collect::<Vec<_>>(), vec![3, 1, 4, 0, 2]);
+        assert_eq!(idx.iter_ordered(true).collect::<Vec<_>>(), vec![0, 2, 4, 1, 3]);
+        // Duplicate keys, an emptied key and a NULL key after writes.
+        idx.insert(Value::Int(3), 9);
+        idx.insert(Value::Null, 7);
+        idx.insert(Value::Int(5), 6);
+        assert!(idx.remove(&Value::Int(4), 4));
+        for descending in [false, true] {
+            let lazy: Vec<u32> = idx.iter_ordered(descending).collect();
+            assert_eq!(lazy, ordered_vector(&idx, descending), "descending: {descending}");
+            assert_eq!(lazy.len(), idx.len());
+            // A prefix is the vector's prefix: early stops see the same rows.
+            let head: Vec<u32> = idx.iter_ordered(descending).take(3).collect();
+            assert_eq!(head, lazy[..3]);
+        }
+        assert_eq!(BTreeIndex::build(&[]).iter_ordered(true).count(), 0);
+    }
+
+    #[test]
+    fn join_lookup_matches_like_the_joins() {
+        let (f, i) = (Value::Float, Value::Int);
+        let ints = BTreeIndex::build(&[i(1), Value::Null, i(2), Value::Null, i(1)]);
+        assert_eq!(ints.join_lookup(&i(1)), &[0, 4]);
+        // NULL matches nothing, though the index holds NULL keys.
+        assert_eq!(ints.lookup(&Value::Null), &[1, 3]);
+        assert!(ints.join_lookup(&Value::Null).is_empty());
+        // No widening across types.
+        assert_eq!(ints.lookup(&f(1.0)), &[0, 4]);
+        assert!(ints.join_lookup(&f(1.0)).is_empty());
+        assert!(ints.join_lookup(&Value::Date(1)).is_empty());
+        // The two zeros are one key; NaN is none.
+        let floats = BTreeIndex::build(&[f(0.0), f(f64::NAN), f(1.5)]);
+        assert_eq!(floats.join_lookup(&f(-0.0)), &[0]);
+        assert_eq!(floats.join_lookup(&f(0.0)), &[0]);
+        assert!(floats.join_lookup(&f(f64::NAN)).is_empty());
+        let neg = BTreeIndex::build(&[f(-0.0)]);
+        assert_eq!(neg.join_lookup(&f(0.0)), &[0]);
+        assert!(floats.join_lookup(&i(0)).is_empty());
     }
 
     #[test]
@@ -247,6 +316,6 @@ mod tests {
             Value::Str("a".into()),
             Value::Str("c".into()),
         ]);
-        assert_eq!(idx.ordered_row_ids(false), vec![1, 0, 2]);
+        assert_eq!(idx.iter_ordered(false).collect::<Vec<_>>(), vec![1, 0, 2]);
     }
 }

@@ -2,7 +2,10 @@
 //!
 //! Rows are materialized `Vec<Value>` tuples; every access touches the whole
 //! row (the latency model charges full tuple width per row read), which is
-//! what makes wide analytical scans expensive on this side.
+//! what makes wide analytical scans expensive on this side. The charge is a
+//! model, not a copy: the row interpreter reads tuples in place through
+//! [`RowTable::iter_live`] and [`RowTable::row`], and copies only the rows
+//! an operator keeps.
 //!
 //! The row store is the *write-applying* side of the HTAP pair: inserts
 //! append, deletes tombstone the slot (rids stay stable for the indexes),
@@ -96,13 +99,6 @@ impl RowTable {
     /// scan paths and indexes never hand out tombstoned rids).
     pub fn row(&self, rid: usize) -> &[Value] {
         &self.rows[rid]
-    }
-
-    /// All physical slots in rid order, tombstones included — pair with
-    /// [`RowTable::has_deletions`] / [`RowTable::is_deleted`], or use
-    /// [`RowTable::iter_live`] for scan semantics.
-    pub fn rows(&self) -> &[Vec<Value>] {
-        &self.rows
     }
 
     /// Live rows in rid order (sequential scan order).

@@ -78,7 +78,7 @@ echo "==> network front end (wire ≡ in-process byte-identity, typed errors, fu
 cargo test -q -p qpe_server
 cargo test -q --test engine_pinning
 
-echo "==> repo benchmark correctness gates (analytic: AP ≡ TP per statement class; serve_mixed: wire ≡ in-process, reopen keeps every acked write; explain: TP ≡ AP on every generated query; explain_retrieval: every KB write lands; zero failed ops)"
+echo "==> repo benchmark correctness gates (analytic: AP ≡ TP per statement class; serve_mixed: wire ≡ in-process, reopen keeps every acked write; explain: TP ≡ AP on every generated query; explain_retrieval: every KB write lands; serve_point: wire ≡ in-process for TP-pinned point reads; zero failed ops)"
 # The exit code is the gate: run.sh fails when a class disagrees across
 # engines, a wire answer differs from the in-process oracle, the reopened
 # store lost an acknowledged insert, or any operation fails. serve_mixed
@@ -91,13 +91,17 @@ echo "==> repo benchmark correctness gates (analytic: AP ≡ TP per statement cl
 # top-N and group-by query on both engines and fails an operation on any
 # TP/AP disagreement. explain_retrieval searches, prompts and grades while
 # expert corrections grow the KB, and fails unless the KB ends at its 20
-# seed entries plus one per write.
+# seed entries plus one per write. serve_point checks wire ≡ in-process for
+# the point lookup (dual, TP- and AP-pinned) before two connections of
+# TP-pinned prepared lookups — the row store's IndexScan path — and counts
+# protocol errors and rejections as failed ops.
 # Three seconds each, untraced — the timings it prints are ignored here (a
 # perf PR compares them with benchmark/compare.sh).
 bash benchmark/run.sh --workload analytic --seconds 3 --trace 0
 bash benchmark/run.sh --workload serve_mixed --seconds 3 --trace 0
 bash benchmark/run.sh --workload explain --seconds 3 --trace 0
 bash benchmark/run.sh --workload explain_retrieval --seconds 3 --trace 0
+bash benchmark/run.sh --workload serve_point --seconds 3 --trace 0
 
 echo "==> rustdoc -D warnings (broken and private intra-doc links)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline

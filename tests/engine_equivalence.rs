@@ -326,3 +326,110 @@ fn order_by_is_respected_by_both_engines() {
         }
     }
 }
+
+// ---------------------------------------------------------------------------
+// One join-key equality on every executor
+// ---------------------------------------------------------------------------
+//
+// TP's nested loop and index nested loop match keys exactly as the hash
+// joins do (`exec::JoinKey`): NULL and NaN match nothing, keys of two types
+// never match, and `-0.0` matches `0.0`. No generated query joins on NULL or
+// across types, so these cases are written here: a NULL inserted into an
+// indexed join column on both sides, a Float key against Int keys through a
+// nested loop and through an index, and a `-0.0` key probing an index that
+// holds `0.0`.
+
+mod join_keys {
+    use qpe_htap::engine::{EngineKind, HtapSystem};
+    use qpe_htap::exec::{execute_parallel, execute_scalar, ExecConfig, Row};
+    use qpe_htap::plan::NodeType;
+    use qpe_htap::tpch::TpchConfig;
+    use qpe_sql::value::Value;
+
+    fn system() -> HtapSystem {
+        let mut sys = HtapSystem::new(&TpchConfig::with_scale(0.002));
+        assert!(sys.database_mut().create_index("supplier", "s_nationkey"));
+        assert!(sys.database_mut().create_index("lineitem", "l_discount"));
+        for dml in [
+            "INSERT INTO supplier (s_suppkey, s_name, s_nationkey, s_acctbal) \
+             VALUES (9001, 'no nation', NULL, 10.5)",
+            "INSERT INTO customer (c_custkey, c_name, c_nationkey, c_phone, c_acctbal, \
+             c_mktsegment) VALUES (90001, 'no nation', NULL, '20-000-000-0000', 7.0, 'machinery')",
+            "INSERT INTO customer (c_custkey, c_name, c_nationkey, c_phone, c_acctbal, \
+             c_mktsegment) VALUES (90002, 'negative zero', 3, '20-000-000-0000', 0.0, 'machinery')",
+            "UPDATE customer SET c_acctbal = -0.0 WHERE c_custkey = 90002",
+        ] {
+            sys.execute_statement(dml).expect(dml);
+        }
+        let db = sys.database();
+        let customer = db.row_table("customer").expect("customer");
+        let negative_zero = customer
+            .iter_live()
+            .any(|(_, r)| matches!(r[4], Value::Float(x) if x == 0.0 && x.is_sign_negative()));
+        assert!(negative_zero, "the UPDATE stores -0.0");
+        drop(db);
+        sys
+    }
+
+    fn count(rows: &[Row]) -> i64 {
+        rows[0][0].as_int().expect("COUNT(*)")
+    }
+
+    /// Runs `sql` on TP's row interpreter (asserting its join operator),
+    /// on AP's row interpreter and on the batch executor at 1 and 2 threads,
+    /// then dual through the system; each must count `want`.
+    fn assert_count(sys: &HtapSystem, sql: &str, tp_join: NodeType, want: i64) {
+        let bound = sys.bind(sql).expect(sql);
+        let tp = sys.explain(&bound, EngineKind::Tp).expect(sql);
+        let ap = sys.explain(&bound, EngineKind::Ap).expect(sql);
+        assert_eq!(tp.count_type(tp_join), 1, "TP plan of {sql}: {tp:#?}");
+        let db = sys.database();
+        let mut counts = vec![
+            ("TP row interpreter", execute_scalar(&tp, &bound, &db, EngineKind::Tp)),
+            ("AP row interpreter", execute_scalar(&ap, &bound, &db, EngineKind::Ap)),
+        ];
+        for threads in [1, 2] {
+            let cfg = ExecConfig { threads, morsel_rows: 64, ..ExecConfig::serial() };
+            counts.push(("batch executor", execute_parallel(&ap, &bound, &db, &cfg)));
+        }
+        for (executor, out) in counts {
+            let (rows, _) = out.expect(sql);
+            assert_eq!(count(&rows), want, "{executor} on {sql}");
+        }
+        drop(db);
+        let dual = sys.run_sql(sql).expect(sql);
+        assert_eq!(count(&dual.tp.rows), want, "dual run of {sql}");
+    }
+
+    #[test]
+    fn null_keys_match_nothing_through_an_index() {
+        let sys = system();
+        let sql = "SELECT COUNT(*) FROM customer, supplier \
+                   WHERE c_nationkey = s_nationkey AND c_custkey = 90001";
+        assert_count(&sys, sql, NodeType::IndexNLJoin, 0);
+    }
+
+    #[test]
+    fn float_keys_never_match_int_keys() {
+        let sys = system();
+        // c_acctbal 7.0 against l_quantity 7 (no index: a nested loop) and
+        // against n_nationkey 7 (nation's primary-key index).
+        let sql = "SELECT COUNT(*) FROM customer, lineitem \
+                   WHERE c_acctbal = l_quantity AND c_custkey = 90001";
+        assert_count(&sys, sql, NodeType::NestedLoopJoin, 0);
+        let sql = "SELECT COUNT(*) FROM customer, nation \
+                   WHERE c_acctbal = n_nationkey AND c_custkey = 90001";
+        assert_count(&sys, sql, NodeType::IndexNLJoin, 0);
+    }
+
+    #[test]
+    fn negative_zero_matches_zero_through_an_index() {
+        let sys = system();
+        let zeros = sys.run_sql("SELECT COUNT(*) FROM lineitem WHERE l_discount = 0.0").unwrap();
+        let want = count(&zeros.tp.rows);
+        assert!(want > 0, "some lineitem has no discount");
+        let sql = "SELECT COUNT(*) FROM customer, lineitem \
+                   WHERE c_acctbal = l_discount AND c_custkey = 90002";
+        assert_count(&sys, sql, NodeType::IndexNLJoin, want);
+    }
+}
