@@ -183,6 +183,45 @@ mod scalar_vs_batch {
         );
     }
 
+    /// Join shapes the generator never emits, each read by a different
+    /// parent — the statements `tests/tp_work_golden.rs` pins on TP: string
+    /// columns from both sides, `ORDER BY … LIMIT`, a residual over three
+    /// tables, `GROUP BY` on an inner-side string, a filter reading both
+    /// sides, a bare `LIMIT … OFFSET`, string `MIN`/`MAX` and
+    /// `COUNT(DISTINCT …)`, a full sort, a filtered cross product, and
+    /// `HAVING` with `ORDER BY`.
+    #[test]
+    fn join_shapes_agree_across_executors() {
+        for sql in [
+            "SELECT c_name, o_orderstatus, SUBSTRING(c_phone, 1, 2), o_totalprice - c_acctbal \
+             FROM customer, orders WHERE o_custkey = c_custkey AND o_orderkey < 40",
+            "SELECT o_orderkey, c_name FROM orders, customer \
+             WHERE o_custkey = c_custkey AND c_mktsegment = 'machinery' \
+             ORDER BY o_totalprice DESC LIMIT 7",
+            "SELECT c_name, n_name, o_totalprice FROM customer, nation, orders \
+             WHERE o_custkey = c_custkey AND n_nationkey = c_nationkey \
+             AND o_totalprice > c_acctbal * (n_regionkey + 1) AND o_orderkey < 300",
+            "SELECT l_linestatus, COUNT(*), SUM(l_extendedprice), MIN(o_orderpriority) \
+             FROM orders, lineitem WHERE l_orderkey = o_orderkey AND o_orderstatus = 'f' \
+             GROUP BY l_linestatus",
+            "SELECT COUNT(*), SUM(c_acctbal) FROM customer, orders \
+             WHERE o_custkey = c_custkey AND o_totalprice < c_acctbal * 10",
+            "SELECT n_name, s_name FROM supplier, nation \
+             WHERE s_nationkey = n_nationkey LIMIT 5 OFFSET 2",
+            "SELECT MIN(c_name), MAX(o_orderpriority), COUNT(DISTINCT c_mktsegment) \
+             FROM customer, orders WHERE o_custkey = c_custkey AND o_orderkey < 500",
+            "SELECT l_orderkey, l_extendedprice, o_orderstatus FROM orders, lineitem \
+             WHERE l_orderkey = o_orderkey AND o_orderkey < 30 ORDER BY l_extendedprice",
+            "SELECT r_name, n_name FROM nation, region WHERE n_regionkey < r_regionkey \
+             ORDER BY n_name, r_name",
+            "SELECT o_orderpriority, COUNT(*), AVG(l_discount) FROM orders, lineitem \
+             WHERE l_orderkey = o_orderkey AND o_orderkey < 200 \
+             GROUP BY o_orderpriority HAVING COUNT(*) > 2 ORDER BY o_orderpriority",
+        ] {
+            assert_executors_agree(sql);
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
 

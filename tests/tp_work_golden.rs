@@ -8,7 +8,9 @@
 //! was. This test pins it: [`QUERIES`] `WorkloadGenerator` queries, covering
 //! every template, run on TP against a clean database, and again against
 //! one where a DELETE/UPDATE prefix has left tombstoned and relocated rows
-//! in every table the templates read. Each run writes one line:
+//! in every table the templates read. [`SHAPES`], join shapes the
+//! generator never emits, run in both passes too; their lines follow the
+//! generated ones, `s<n>` in the query column. Each run writes one line:
 //!
 //! ```text
 //! <pass>  <query#>  <rows hash>  <18 WorkCounters fields>  <EXPLAIN JSON hash>
@@ -49,6 +51,39 @@ const DML_PREFIX: &[&str] = &[
     "UPDATE lineitem SET l_discount = 0.09 WHERE l_orderkey > 40 AND l_orderkey < 50",
     "DELETE FROM supplier WHERE s_suppkey = 3",
     "UPDATE supplier SET s_acctbal = 4999 WHERE s_suppkey < 5",
+];
+
+/// Joins read by each kind of parent the generator's templates never put
+/// above one: a projection of string columns from both sides, `ORDER BY …
+/// LIMIT`, a three-way join under a residual reading all three tables, a
+/// `GROUP BY` on an inner-side string column, a filter reading both sides,
+/// a bare `LIMIT … OFFSET`, string `MIN`/`MAX` and `COUNT(DISTINCT …)`, a
+/// full sort, a filtered cross product, and `HAVING` with `ORDER BY`.
+const SHAPES: &[&str] = &[
+    "SELECT c_name, o_orderstatus, SUBSTRING(c_phone, 1, 2), o_totalprice - c_acctbal \
+     FROM customer, orders WHERE o_custkey = c_custkey AND o_orderkey < 40",
+    "SELECT o_orderkey, c_name FROM orders, customer \
+     WHERE o_custkey = c_custkey AND c_mktsegment = 'machinery' \
+     ORDER BY o_totalprice DESC LIMIT 7",
+    "SELECT c_name, n_name, o_totalprice FROM customer, nation, orders \
+     WHERE o_custkey = c_custkey AND n_nationkey = c_nationkey \
+     AND o_totalprice > c_acctbal * (n_regionkey + 1) AND o_orderkey < 300",
+    "SELECT l_linestatus, COUNT(*), SUM(l_extendedprice), MIN(o_orderpriority) \
+     FROM orders, lineitem WHERE l_orderkey = o_orderkey AND o_orderstatus = 'f' \
+     GROUP BY l_linestatus",
+    "SELECT COUNT(*), SUM(c_acctbal) FROM customer, orders \
+     WHERE o_custkey = c_custkey AND o_totalprice < c_acctbal * 10",
+    "SELECT n_name, s_name FROM supplier, nation \
+     WHERE s_nationkey = n_nationkey LIMIT 5 OFFSET 2",
+    "SELECT MIN(c_name), MAX(o_orderpriority), COUNT(DISTINCT c_mktsegment) \
+     FROM customer, orders WHERE o_custkey = c_custkey AND o_orderkey < 500",
+    "SELECT l_orderkey, l_extendedprice, o_orderstatus FROM orders, lineitem \
+     WHERE l_orderkey = o_orderkey AND o_orderkey < 30 ORDER BY l_extendedprice",
+    "SELECT r_name, n_name FROM nation, region WHERE n_regionkey < r_regionkey \
+     ORDER BY n_name, r_name",
+    "SELECT o_orderpriority, COUNT(*), AVG(l_discount) FROM orders, lineitem \
+     WHERE l_orderkey = o_orderkey AND o_orderkey < 200 \
+     GROUP BY o_orderpriority HAVING COUNT(*) > 2 ORDER BY o_orderpriority",
 ];
 
 fn golden_path() -> PathBuf {
@@ -194,16 +229,26 @@ fn template_of(sql: &str) -> String {
 }
 
 /// One pass's lines: `writes` applied to a fresh system, then every query
-/// run on TP.
-fn pass(name: &str, writes: &[&str], queries: &[String]) -> Vec<String> {
+/// and every shape run on TP — the queries' lines and the shapes' lines.
+fn pass(name: &str, writes: &[&str], queries: &[String]) -> (Vec<String>, Vec<String>) {
     let sys = HtapSystem::new(&TpchConfig::with_scale(SCALE));
     for dml in writes {
         let out = sys.execute_statement(dml).expect(dml);
         let affected = out.as_dml().expect("a write").result.rows_affected;
         assert!(affected > 0, "{dml} touched no row");
     }
+    let shapes: Vec<(String, &str)> =
+        SHAPES.iter().enumerate().map(|(i, sql)| (format!("s{i}"), *sql)).collect();
+    let queries: Vec<(String, &str)> =
+        queries.iter().enumerate().map(|(i, sql)| (i.to_string(), sql.as_str())).collect();
+    (run_tp(&sys, name, &queries), run_tp(&sys, name, &shapes))
+}
+
+/// One line per `(query id, sql)`, each run on `sys`'s TP engine.
+fn run_tp(sys: &HtapSystem, name: &str, queries: &[(String, &str)]) -> Vec<String> {
     let mut lines = Vec::with_capacity(queries.len());
-    for (i, sql) in queries.iter().enumerate() {
+    for (i, sql) in queries {
+        let sql = *sql;
         let bound = sys.bind(sql).expect(sql);
         let plan = sys.explain(&bound, EngineKind::Tp).expect(sql);
         let plan_hash = text_hash(&plan.explain_json().to_string());
@@ -250,8 +295,10 @@ fn capture() -> Vec<String> {
         )
     });
     std::iter::once(HEADER.to_string())
-        .chain(clean)
-        .chain(dirty)
+        .chain(clean.0)
+        .chain(dirty.0)
+        .chain(clean.1)
+        .chain(dirty.1)
         .collect()
 }
 
@@ -275,10 +322,10 @@ fn tp_work_matches_the_golden() {
             .filter(|(_, (a, b))| a != b)
             .map(|(name, (a, b))| format!("{name}: golden {b}, now {a}"))
             .collect();
-        let sql = gf
-            .get(1)
-            .and_then(|i| i.parse::<usize>().ok())
-            .and_then(|i| queries.get(i));
+        let sql = gf.get(1).and_then(|id| match id.strip_prefix('s') {
+            Some(i) => i.parse::<usize>().ok().and_then(|i| SHAPES.get(i)).map(|s| s.to_string()),
+            None => id.parse::<usize>().ok().and_then(|i| queries.get(i)).cloned(),
+        });
         report.push(format!(
             "{} {}: {sql:?}\n    {}",
             gf[0],
