@@ -2,16 +2,26 @@
 //!
 //! Both engines share these semantics — the paper's two engines differ in
 //! *how* they execute plans, not in what a predicate means — so result
-//! equivalence between TP and AP is testable as an invariant. The scalar
-//! entry points ([`eval`], [`eval_predicate`]) serve the row interpreter;
-//! the batch entry points ([`eval_batch`], [`eval_predicate_sel`]) serve
-//! the AP engine's vectorized executor and evaluate column-at-a-time over
-//! typed slices with per-element `Cell` views (no `Value` boxing on the
-//! hot comparison kernels). Predicates write the surviving physical rows
-//! straight into a selection, deciding dictionary codes, RLE runs and FOR
-//! blocks whole where the encoding allows. The batch kernels are
-//! element-wise ports of the scalar semantics, so both executors produce
-//! identical results.
+//! equivalence between TP and AP is testable as an invariant.
+//!
+//! The row interpreter compiles each expression once per operator into a
+//! `RowExpr`: every column is resolved to the `Slot` it occupies in a row
+//! read in place (one slice per joined input), and evaluation returns a
+//! borrowed `Cell`. A column or literal operand is read by reference, so
+//! comparisons, `IN`, `LIKE`, `BETWEEN` and `SUBSTRING` clone nothing.
+//! [`eval`] and [`eval_predicate`] wrap it for one owned row.
+//!
+//! The batch entry points ([`eval_batch`], [`eval_predicate_sel`]) serve the
+//! AP engine's vectorized executor and evaluate column-at-a-time over typed
+//! slices. Predicates write the surviving physical rows straight into a
+//! selection, deciding dictionary codes, RLE runs and FOR blocks whole where
+//! the encoding allows.
+//!
+//! Both evaluators apply one element semantics — `Cell` and its comparison,
+//! arithmetic and truthiness functions — and one `AND` rule: the right side
+//! is skipped on rows the left side rejects unless `can_fail_per_row` says
+//! it could fail there. So both executors produce identical results and
+//! raise the same errors on the same rows.
 
 use crate::exec::typed::Cursor;
 use crate::storage::col_store::{ColRef, ColumnData, ForInt, FOR_BLOCK_ROWS};
@@ -103,166 +113,206 @@ impl std::fmt::Display for EvalError {
 
 impl std::error::Error for EvalError {}
 
-/// Evaluates `expr` against `row` laid out by `schema`.
+/// Evaluates `expr` against `row` laid out by `schema`: a `RowExpr` over one
+/// slice, its result copied out.
 pub fn eval(expr: &BoundExpr, schema: &Schema, row: &[Value]) -> Result<Value, EvalError> {
-    match expr {
-        BoundExpr::Column(c) => {
-            let pos = schema
-                .position(c.table_slot, c.column_idx)
-                .ok_or(EvalError::MissingColumn {
-                    table_slot: c.table_slot,
-                    column_idx: c.column_idx,
-                })?;
-            Ok(row[pos].clone())
-        }
-        BoundExpr::Literal(v) => Ok(v.clone()),
-        BoundExpr::Binary { left, op, right } => {
-            let l = eval(left, schema, row)?;
-            let r = eval(right, schema, row)?;
-            eval_binary(&l, *op, &r)
-        }
-        BoundExpr::Not(inner) => {
-            let v = eval(inner, schema, row)?;
-            Ok(Value::Int(if truthy(&v) { 0 } else { 1 }))
-        }
-        BoundExpr::InList { expr, list, negated } => {
-            let v = eval(expr, schema, row)?;
-            let found = list.iter().any(|item| v.sql_eq(item));
-            Ok(bool_val(found != *negated && !(v.is_null())))
-        }
-        // Parameterized IN lists are lowered to `InList` by parameter
-        // substitution before execution; reaching one here means a
-        // placeholder was never bound.
-        BoundExpr::InListParam { items, .. } => {
-            Err(EvalError::UnboundParam(first_param_idx(items)))
-        }
-        BoundExpr::Between { expr, low, high } => {
-            let v = eval(expr, schema, row)?;
-            let lo = eval(low, schema, row)?;
-            let hi = eval(high, schema, row)?;
-            if v.is_null() || lo.is_null() || hi.is_null() {
-                return Ok(bool_val(false));
-            }
-            let ge = v.total_cmp(&lo) != std::cmp::Ordering::Less;
-            let le = v.total_cmp(&hi) != std::cmp::Ordering::Greater;
-            Ok(bool_val(ge && le))
-        }
-        BoundExpr::Like { expr, pattern, negated } => {
-            let v = eval(expr, schema, row)?;
-            match v.as_str() {
-                Some(s) => Ok(bool_val(like_match(s, pattern) != *negated)),
-                None => Ok(bool_val(false)),
-            }
-        }
-        BoundExpr::IsNull { expr, negated } => {
-            let v = eval(expr, schema, row)?;
-            Ok(bool_val(v.is_null() != *negated))
-        }
-        BoundExpr::Substring { expr, start, len } => {
-            let v = eval(expr, schema, row)?;
-            match v {
-                Value::Str(s) => {
-                    let chars: Vec<char> = s.chars().collect();
-                    let from = (*start as usize).saturating_sub(1).min(chars.len());
-                    let to = (from + *len as usize).min(chars.len());
-                    Ok(Value::Str(chars[from..to].iter().collect()))
-                }
-                Value::Null => Ok(Value::Null),
-                other => Err(EvalError::Type(format!(
-                    "SUBSTRING expects a string, got {other}"
-                ))),
-            }
-        }
-        BoundExpr::Aggregate { .. } => Err(EvalError::AggregateInScalarContext),
-        BoundExpr::Param { idx, .. } => Err(EvalError::UnboundParam(*idx)),
-    }
+    RowExpr::new(expr, &Layout::flat(schema)).eval(&[row]).map(Cell::to_value)
 }
 
-/// Evaluates a predicate to a boolean.
+/// Evaluates a predicate to a boolean (see [`eval`]).
 pub fn eval_predicate(expr: &BoundExpr, schema: &Schema, row: &[Value]) -> Result<bool, EvalError> {
-    Ok(truthy(&eval(expr, schema, row)?))
-}
-
-fn bool_val(b: bool) -> Value {
-    Value::Int(if b { 1 } else { 0 })
+    RowExpr::new(expr, &Layout::flat(schema)).test(&[row])
 }
 
 /// SQL truthiness of an evaluated value.
 pub fn truthy(v: &Value) -> bool {
-    match v {
-        Value::Null => false,
-        Value::Int(x) => *x != 0,
-        Value::Float(x) => *x != 0.0,
-        Value::Str(s) => !s.is_empty(),
-        Value::Date(_) => true,
+    cell_truthy(Cell::from_value(v))
+}
+
+/// Where one column's cell lives in a row the interpreter reads in place.
+/// Such a row is a list of slices — one stored tuple or built row per
+/// joined input, outermost first — and the cell is at `off` in slice `seg`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Slot {
+    seg: usize,
+    off: usize,
+}
+
+impl Slot {
+    /// The cell of `row` at this slot.
+    #[inline]
+    pub(crate) fn read<'v>(self, row: &[&'v [Value]]) -> &'v Value {
+        &row[self.seg][self.off]
     }
 }
 
-fn eval_binary(l: &Value, op: BinaryOp, r: &Value) -> Result<Value, EvalError> {
-    use BinaryOp::*;
-    match op {
-        And => Ok(bool_val(truthy(l) && truthy(r))),
-        Or => Ok(bool_val(truthy(l) || truthy(r))),
-        Eq => Ok(bool_val(l.sql_eq(r))),
-        NotEq => Ok(bool_val(!l.sql_eq(r) && !l.is_null() && !r.is_null())),
-        Lt | LtEq | Gt | GtEq => {
-            if l.is_null() || r.is_null() {
-                return Ok(bool_val(false));
+/// A schema's positions as the [`Slot`]s they occupy in rows made of
+/// slices of the given widths; `RowExpr::new` resolves each column once
+/// through it.
+pub(crate) struct Layout<'s> {
+    schema: &'s Schema,
+    /// The slices' widths, in order; empty when a row is one slice.
+    widths: Vec<usize>,
+}
+
+impl<'s> Layout<'s> {
+    /// `schema` over rows of slices `widths` wide, in order.
+    pub(crate) fn new(schema: &'s Schema, widths: Vec<usize>) -> Layout<'s> {
+        debug_assert_eq!(widths.iter().sum::<usize>(), schema.len(), "slices cover the schema");
+        Layout { schema, widths }
+    }
+
+    /// `schema` over rows of one slice.
+    pub(crate) fn flat(schema: &'s Schema) -> Layout<'s> {
+        Layout { schema, widths: Vec::new() }
+    }
+
+    /// The slot of a bound column, if the schema holds it.
+    pub(crate) fn slot(&self, table_slot: usize, column_idx: usize) -> Option<Slot> {
+        let pos = self.schema.position(table_slot, column_idx)?;
+        let mut start = 0;
+        for (seg, &w) in self.widths.iter().enumerate() {
+            if pos < start + w {
+                return Some(Slot { seg, off: pos - start });
             }
-            let ord = l.total_cmp(r);
-            let b = match op {
-                Lt => ord == std::cmp::Ordering::Less,
-                LtEq => ord != std::cmp::Ordering::Greater,
-                Gt => ord == std::cmp::Ordering::Greater,
-                GtEq => ord != std::cmp::Ordering::Less,
-                _ => unreachable!(),
-            };
-            Ok(bool_val(b))
+            start += w;
         }
-        Add | Sub | Mul | Div => {
-            if l.is_null() || r.is_null() {
-                return Ok(Value::Null);
-            }
-            match (l, r) {
-                (Value::Int(a), Value::Int(b)) => Ok(match op {
-                    Add => Value::Int(a.wrapping_add(*b)),
-                    Sub => Value::Int(a.wrapping_sub(*b)),
-                    Mul => Value::Int(a.wrapping_mul(*b)),
-                    Div => {
-                        if *b == 0 {
-                            Value::Null
-                        } else {
-                            Value::Int(a / b)
-                        }
-                    }
-                    _ => unreachable!(),
+        self.widths.is_empty().then_some(Slot { seg: 0, off: pos })
+    }
+}
+
+/// An expression compiled for the row interpreter: columns resolved to
+/// [`Slot`]s once, literals held as cells. It evaluates to a [`Cell`] that
+/// borrows the row's cells and the literals — comparisons, `IN`, `LIKE`,
+/// `BETWEEN` and `SUBSTRING` read strings in place and clone nothing.
+///
+/// `AND` follows the batch executor's rule: its right side is skipped on a
+/// row the left side rejects unless `can_fail_per_row` says it could fail
+/// there, so both executors raise the same errors on the same rows. Errors
+/// that do not depend on the row (a column missing from the schema, an
+/// unbound parameter, an aggregate) surface when a row reaches them.
+pub(crate) enum RowExpr<'e> {
+    Col(Slot),
+    Lit(Cell<'e>),
+    And { left: Box<RowExpr<'e>>, right: Box<RowExpr<'e>>, right_can_fail: bool },
+    Binary { left: Box<RowExpr<'e>>, op: BinaryOp, right: Box<RowExpr<'e>> },
+    Not(Box<RowExpr<'e>>),
+    InList { expr: Box<RowExpr<'e>>, list: &'e [Value], negated: bool },
+    Between { expr: Box<RowExpr<'e>>, low: Box<RowExpr<'e>>, high: Box<RowExpr<'e>> },
+    Like { expr: Box<RowExpr<'e>>, pattern: &'e str, negated: bool },
+    IsNull { expr: Box<RowExpr<'e>>, negated: bool },
+    Substring { expr: Box<RowExpr<'e>>, start: i64, len: i64 },
+    Fail(EvalError),
+}
+
+impl<'e> RowExpr<'e> {
+    /// Compiles `expr` for rows laid out by `layout`.
+    pub(crate) fn new(expr: &'e BoundExpr, layout: &Layout) -> RowExpr<'e> {
+        let sub = |e: &'e BoundExpr| Box::new(RowExpr::new(e, layout));
+        match expr {
+            BoundExpr::Column(c) => match layout.slot(c.table_slot, c.column_idx) {
+                Some(slot) => RowExpr::Col(slot),
+                None => RowExpr::Fail(EvalError::MissingColumn {
+                    table_slot: c.table_slot,
+                    column_idx: c.column_idx,
                 }),
-                _ => {
-                    let (a, b) = match (l.as_float(), r.as_float()) {
-                        (Some(a), Some(b)) => (a, b),
-                        _ => {
-                            return Err(EvalError::Type(format!(
-                                "arithmetic on non-numeric values {l} {op} {r}"
-                            )))
-                        }
-                    };
-                    Ok(match op {
-                        Add => Value::Float(a + b),
-                        Sub => Value::Float(a - b),
-                        Mul => Value::Float(a * b),
-                        Div => {
-                            if b == 0.0 {
-                                Value::Null
-                            } else {
-                                Value::Float(a / b)
-                            }
-                        }
-                        _ => unreachable!(),
-                    })
-                }
+            },
+            BoundExpr::Literal(v) => RowExpr::Lit(Cell::from_value(v)),
+            BoundExpr::Binary { left, op: BinaryOp::And, right } => RowExpr::And {
+                left: sub(left),
+                right: sub(right),
+                right_can_fail: can_fail_per_row(right),
+            },
+            BoundExpr::Binary { left, op, right } => {
+                RowExpr::Binary { left: sub(left), op: *op, right: sub(right) }
             }
+            BoundExpr::Not(inner) => RowExpr::Not(sub(inner)),
+            BoundExpr::InList { expr, list, negated } => {
+                RowExpr::InList { expr: sub(expr), list, negated: *negated }
+            }
+            // Parameterized IN lists are lowered to `InList` by parameter
+            // substitution before execution; reaching one here means a
+            // placeholder was never bound.
+            BoundExpr::InListParam { items, .. } => {
+                RowExpr::Fail(EvalError::UnboundParam(first_param_idx(items)))
+            }
+            BoundExpr::Between { expr, low, high } => {
+                RowExpr::Between { expr: sub(expr), low: sub(low), high: sub(high) }
+            }
+            BoundExpr::Like { expr, pattern, negated } => {
+                RowExpr::Like { expr: sub(expr), pattern, negated: *negated }
+            }
+            BoundExpr::IsNull { expr, negated } => {
+                RowExpr::IsNull { expr: sub(expr), negated: *negated }
+            }
+            BoundExpr::Substring { expr, start, len } => {
+                RowExpr::Substring { expr: sub(expr), start: *start, len: *len }
+            }
+            BoundExpr::Aggregate { .. } => RowExpr::Fail(EvalError::AggregateInScalarContext),
+            BoundExpr::Param { idx, .. } => RowExpr::Fail(EvalError::UnboundParam(*idx)),
         }
     }
+
+    /// The value of this expression on `row`.
+    pub(crate) fn eval<'v>(&'v self, row: &[&'v [Value]]) -> Result<Cell<'v>, EvalError> {
+        Ok(match self {
+            RowExpr::Col(slot) => Cell::from_value(slot.read(row)),
+            RowExpr::Lit(c) => *c,
+            RowExpr::And { left, right, right_can_fail } => {
+                let l = left.test(row)?;
+                if !l && !right_can_fail {
+                    return Ok(bool_cell(false));
+                }
+                let r = right.test(row)?;
+                bool_cell(l && r)
+            }
+            RowExpr::Binary { left, op, right } => {
+                let (l, r) = (left.eval(row)?, right.eval(row)?);
+                match op {
+                    BinaryOp::Or => bool_cell(cell_truthy(l) || cell_truthy(r)),
+                    BinaryOp::Add | BinaryOp::Sub | BinaryOp::Mul | BinaryOp::Div => {
+                        arith_cells(l, *op, r)?
+                    }
+                    cmp => bool_cell(cmp_cells(l, *cmp, r)),
+                }
+            }
+            RowExpr::Not(inner) => bool_cell(!inner.test(row)?),
+            RowExpr::InList { expr, list, negated } => {
+                bool_cell(in_list_cell(expr.eval(row)?, list, *negated))
+            }
+            RowExpr::Between { expr, low, high } => {
+                let v = expr.eval(row)?;
+                let (lo, hi) = (low.eval(row)?, high.eval(row)?);
+                bool_cell(between_cells(v, lo, hi))
+            }
+            RowExpr::Like { expr, pattern, negated } => bool_cell(match expr.eval(row)? {
+                Cell::Str(s) => like_match(s, pattern) != *negated,
+                _ => false,
+            }),
+            RowExpr::IsNull { expr, negated } => bool_cell(expr.eval(row)?.is_null() != *negated),
+            RowExpr::Substring { expr, start, len } => match expr.eval(row)? {
+                Cell::Str(s) => Cell::Str(substring_slice(s, *start, *len)),
+                Cell::Null => Cell::Null,
+                other => return Err(substring_type_error(other)),
+            },
+            RowExpr::Fail(e) => return Err(e.clone()),
+        })
+    }
+
+    /// This expression as a predicate on `row`.
+    pub(crate) fn test(&self, row: &[&[Value]]) -> Result<bool, EvalError> {
+        Ok(cell_truthy(self.eval(row)?))
+    }
+}
+
+/// A predicate's 0/1 integer result.
+#[inline]
+fn bool_cell(b: bool) -> Cell<'static> {
+    Cell::Int(i64::from(b))
+}
+
+fn substring_type_error(other: Cell<'_>) -> EvalError {
+    EvalError::Type(format!("SUBSTRING expects a string, got {}", other.to_value()))
 }
 
 // ---------------------------------------------------------------------------
@@ -350,9 +400,9 @@ impl<'a> Rows<'a> {
 }
 
 /// Borrowed scalar view of one cell — the zero-allocation counterpart of
-/// [`Value`] used by the batch kernels.
+/// [`Value`] that the batch kernels and `RowExpr` evaluate over.
 #[derive(Clone, Copy, Debug)]
-enum Cell<'a> {
+pub(crate) enum Cell<'a> {
     Null,
     Int(i64),
     Float(f64),
@@ -362,7 +412,7 @@ enum Cell<'a> {
 
 impl<'a> Cell<'a> {
     #[inline]
-    fn from_col(col: &'a ColumnData, idx: usize) -> Cell<'a> {
+    pub(crate) fn from_col(col: &'a ColumnData, idx: usize) -> Cell<'a> {
         match col {
             ColumnData::Int(v) => Cell::Int(v[idx]),
             ColumnData::Float(v) => Cell::Float(v[idx]),
@@ -403,7 +453,7 @@ impl<'a> Cell<'a> {
     }
 
     #[inline]
-    fn from_value(v: &'a Value) -> Cell<'a> {
+    pub(crate) fn from_value(v: &'a Value) -> Cell<'a> {
         match v {
             Value::Null => Cell::Null,
             Value::Int(x) => Cell::Int(*x),
@@ -413,7 +463,7 @@ impl<'a> Cell<'a> {
         }
     }
 
-    fn to_value(self) -> Value {
+    pub(crate) fn to_value(self) -> Value {
         match self {
             Cell::Null => Value::Null,
             Cell::Int(x) => Value::Int(x),
@@ -424,12 +474,12 @@ impl<'a> Cell<'a> {
     }
 
     #[inline]
-    fn is_null(self) -> bool {
+    pub(crate) fn is_null(self) -> bool {
         matches!(self, Cell::Null)
     }
 
     #[inline]
-    fn as_float(self) -> Option<f64> {
+    pub(crate) fn as_float(self) -> Option<f64> {
         match self {
             Cell::Float(v) => Some(v),
             Cell::Int(v) => Some(v as f64),
@@ -451,7 +501,7 @@ impl<'a> Cell<'a> {
 
 /// Element-wise port of [`Value::total_cmp`].
 #[inline]
-fn cell_total_cmp(a: Cell<'_>, b: Cell<'_>) -> std::cmp::Ordering {
+pub(crate) fn cell_total_cmp(a: Cell<'_>, b: Cell<'_>) -> std::cmp::Ordering {
     use std::cmp::Ordering;
     match (a, b) {
         (Cell::Null, Cell::Null) => Ordering::Equal,
@@ -482,9 +532,9 @@ fn cell_sql_eq(a: Cell<'_>, b: Cell<'_>) -> bool {
     }
 }
 
-/// Element-wise port of [`truthy`].
+/// SQL truthiness of a cell.
 #[inline]
-fn cell_truthy(c: Cell<'_>) -> bool {
+pub(crate) fn cell_truthy(c: Cell<'_>) -> bool {
     match c {
         Cell::Null => false,
         Cell::Int(x) => x != 0,
@@ -494,21 +544,22 @@ fn cell_truthy(c: Cell<'_>) -> bool {
     }
 }
 
-/// Element-wise port of the scalar SUBSTRING semantics (1-based char start,
-/// char-count length, clipped at both ends) — without allocating.
+/// `SUBSTRING(s, start, len)`: `len` chars from the 1-based char `start`
+/// (a `start` below 1 reads from the first char), clipped at the end of
+/// the string. The slice is cut at char boundaries found by walking only
+/// to its end — no allocation, no count of the whole string.
 #[inline]
 fn substring_slice(s: &str, start: i64, len: i64) -> &str {
-    let n_chars = s.chars().count();
-    let from = (start as usize).saturating_sub(1).min(n_chars);
-    let to = (from + len as usize).min(n_chars);
-    let mut idx = s.char_indices().skip(from);
-    let Some((byte_from, _)) = idx.next() else {
+    let from = (start as usize).saturating_sub(1);
+    let mut bounds = s.char_indices().map(|(b, _)| b).chain(std::iter::once(s.len()));
+    let Some(lo) = bounds.nth(from) else {
         return "";
     };
-    match s.char_indices().nth(to.saturating_sub(1)) {
-        Some((byte_to, c)) if to > from => &s[byte_from..byte_to + c.len_utf8()],
-        _ => "",
-    }
+    let hi = match (len as usize).checked_sub(1) {
+        None => lo,
+        Some(last) => bounds.nth(last).unwrap_or(s.len()),
+    };
+    &s[lo..hi]
 }
 
 /// One operand of a batch kernel: a physical column (read through the
@@ -741,8 +792,9 @@ pub fn eval_predicate_sel(
             eval_predicate_sel(left, schema, view, out)?;
             let passed = out.split_off(start);
             if can_fail_per_row(right) {
-                // The row interpreter evaluates the right side on every row,
-                // so an error on a row the left side rejects must surface too.
+                // The right side could fail on a row the left side rejects:
+                // it runs on every row, as `RowExpr` runs it, so the error
+                // surfaces on both executors.
                 let mut right_rows = Vec::new();
                 eval_predicate_sel(right, schema, view, &mut right_rows)?;
                 merge(rows, &passed, &right_rows, out, |l, r| l && r);
@@ -1278,7 +1330,7 @@ pub fn eval_batch(
             let mut b = ColBuilder::with_capacity(n);
             for j in 0..n {
                 let phys = view.phys(j);
-                b.push(arith_cells(l.cell(j, phys), *op, r.cell(j, phys))?);
+                b.push(arith_cells(l.cell(j, phys), *op, r.cell(j, phys))?.to_value());
             }
             Ok(b.finish())
         }
@@ -1291,12 +1343,7 @@ pub fn eval_batch(
                         b.push(Value::Str(substring_slice(s, *start, *len).to_string()))
                     }
                     Cell::Null => b.push(Value::Null),
-                    other => {
-                        return Err(EvalError::Type(format!(
-                            "SUBSTRING expects a string, got {}",
-                            other.to_value()
-                        )))
-                    }
+                    other => return Err(substring_type_error(other)),
                 }
             }
             Ok(b.finish())
@@ -1342,20 +1389,20 @@ fn first_param_idx(items: &[BoundExpr]) -> usize {
 }
 
 #[inline]
-fn arith_cells(l: Cell<'_>, op: BinaryOp, r: Cell<'_>) -> Result<Value, EvalError> {
+fn arith_cells(l: Cell<'_>, op: BinaryOp, r: Cell<'_>) -> Result<Cell<'static>, EvalError> {
     if l.is_null() || r.is_null() {
-        return Ok(Value::Null);
+        return Ok(Cell::Null);
     }
     match (l, r) {
         (Cell::Int(a), Cell::Int(b)) => Ok(match op {
-            BinaryOp::Add => Value::Int(a.wrapping_add(b)),
-            BinaryOp::Sub => Value::Int(a.wrapping_sub(b)),
-            BinaryOp::Mul => Value::Int(a.wrapping_mul(b)),
+            BinaryOp::Add => Cell::Int(a.wrapping_add(b)),
+            BinaryOp::Sub => Cell::Int(a.wrapping_sub(b)),
+            BinaryOp::Mul => Cell::Int(a.wrapping_mul(b)),
             BinaryOp::Div => {
                 if b == 0 {
-                    Value::Null
+                    Cell::Null
                 } else {
-                    Value::Int(a / b)
+                    Cell::Int(a / b)
                 }
             }
             _ => unreachable!("arith_cells called with non-arithmetic op"),
@@ -1372,14 +1419,14 @@ fn arith_cells(l: Cell<'_>, op: BinaryOp, r: Cell<'_>) -> Result<Value, EvalErro
                 }
             };
             Ok(match op {
-                BinaryOp::Add => Value::Float(a + b),
-                BinaryOp::Sub => Value::Float(a - b),
-                BinaryOp::Mul => Value::Float(a * b),
+                BinaryOp::Add => Cell::Float(a + b),
+                BinaryOp::Sub => Cell::Float(a - b),
+                BinaryOp::Mul => Cell::Float(a * b),
                 BinaryOp::Div => {
                     if b == 0.0 {
-                        Value::Null
+                        Cell::Null
                     } else {
-                        Value::Float(a / b)
+                        Cell::Float(a / b)
                     }
                 }
                 _ => unreachable!("arith_cells called with non-arithmetic op"),
@@ -1600,6 +1647,116 @@ mod tests {
         let view = BatchView { cols: &cols, rows: Rows::Range(0..2) };
         let out = eval_batch(expr, &one_col_schema, &view).unwrap();
         assert!(matches!(&out, ColumnData::Mixed(v) if v == &vec![Value::Null, Value::Null]));
+    }
+
+    fn column(column_idx: usize, data_type: DataType) -> BoundExpr {
+        BoundExpr::Column(qpe_sql::binder::ColumnRef { table_slot: 0, column_idx, data_type })
+    }
+
+    /// `SUBSTRING` as it was computed before it sliced at char boundaries:
+    /// through a vector of the string's chars.
+    fn substring_by_chars(s: &str, start: i64, len: i64) -> String {
+        let chars: Vec<char> = s.chars().collect();
+        let from = (start as usize).saturating_sub(1).min(chars.len());
+        let to = (from + len as usize).min(chars.len());
+        chars[from..to].iter().collect()
+    }
+
+    /// `SUBSTRING(s, start, len)` of `s` through the row evaluator.
+    fn substring_row(s: &str, start: i64, len: i64) -> Value {
+        let expr = BoundExpr::Substring {
+            expr: Box::new(column(1, DataType::Str)),
+            start,
+            len,
+        };
+        eval(&expr, &schema(), &row(0, s, 0.0)).unwrap()
+    }
+
+    /// Every `start` from 0 to past the end and every `len` from 0 to past
+    /// the end, on ASCII strings and on strings of two-, three- and
+    /// four-byte chars.
+    #[test]
+    fn substring_slices_like_the_char_vector() {
+        let strings = ["", "a", "hello", "20-123-456-7890", "é", "naïve café", "日本語の文", "a🙂b🙂"];
+        for s in strings {
+            let n = s.chars().count() as i64;
+            for start in [0, 1, 2, n, n + 1, n + 5] {
+                for len in [0, 1, 2, n, n + 3] {
+                    let want = substring_by_chars(s, start, len);
+                    let got = substring_slice(s, start, len);
+                    assert_eq!(got, want, "{s:?} from {start} for {len}");
+                    assert_eq!(substring_row(s, start, len), Value::Str(want));
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig { cases: 256, ..Default::default() })]
+
+        /// Random strings over ASCII and multibyte chars, random bounds.
+        #[test]
+        fn substring_matches_the_char_vector_on_random_strings(
+            picks in proptest::prelude::prop::collection::vec(0usize..6, 0..12),
+            start in 0i64..16,
+            len in 0i64..16,
+        ) {
+            const CHARS: [char; 6] = ['a', '7', '-', 'é', '日', '🙂'];
+            let ascii: String = picks.iter().map(|&i| CHARS[i % 3]).collect();
+            let mixed: String = picks.iter().map(|&i| CHARS[i]).collect();
+            for s in [ascii, mixed] {
+                let want = substring_by_chars(&s, start, len);
+                proptest::prop_assert_eq!(substring_slice(&s, start, len), want.as_str());
+                proptest::prop_assert_eq!(substring_row(&s, start, len), Value::Str(want));
+            }
+        }
+    }
+
+    /// `AND`'s right side can fail only on the rows its left side rejects
+    /// (arithmetic on the string cells): both evaluators still evaluate it
+    /// there and raise the same error. A right side that cannot fail is
+    /// skipped on those rows by both, and nothing is raised.
+    #[test]
+    fn and_raises_the_right_sides_per_row_error_on_both_evaluators() {
+        let a = ColumnData::Int(vec![9, 1, 8, 2]);
+        let s = ColumnData::from_values(&[
+            Value::Int(3),
+            Value::Str("x".into()),
+            Value::Int(4),
+            Value::Str("y".into()),
+        ]);
+        let cols = [Some(ColRef::Single(&a)), Some(ColRef::Single(&s))];
+        let schema = Schema::new(vec![(0, 0), (0, 1)]);
+        let rows: Vec<Vec<Value>> = (0..4).map(|i| vec![a.get(i), s.get(i)]).collect();
+        let col = |c| Box::new(column(c, DataType::Int));
+        let lit = |v| Box::new(BoundExpr::Literal(v));
+        let bin = |l, op, r| Box::new(BoundExpr::Binary { left: l, op, right: r });
+        let left = bin(col(0), BinaryOp::Gt, lit(Value::Int(5)));
+        let plus_one = bin(col(1), BinaryOp::Add, lit(Value::Int(1)));
+        let failing = bin(plus_one, BinaryOp::Gt, lit(Value::Int(0)));
+        let safe = bin(col(1), BinaryOp::Eq, lit(Value::Int(4)));
+        let row_sel = |pred: &BoundExpr| -> Result<Vec<u32>, EvalError> {
+            let mut out = Vec::new();
+            for (i, r) in rows.iter().enumerate() {
+                if eval_predicate(pred, &schema, r)? {
+                    out.push(i as u32);
+                }
+            }
+            Ok(out)
+        };
+        let batch_sel = |pred: &BoundExpr| -> Result<Vec<u32>, EvalError> {
+            let view = BatchView { cols: &cols, rows: Rows::Range(0..4) };
+            let mut out = Vec::new();
+            eval_predicate_sel(pred, &schema, &view, &mut out).map(|_| out)
+        };
+        let and = |right| *bin(left.clone(), BinaryOp::And, right);
+        let fails = and(failing);
+        let want = Err(EvalError::Type("arithmetic on non-numeric values 'x' + 1".into()));
+        assert_eq!(row_sel(&fails), want);
+        assert_eq!(batch_sel(&fails), want);
+        let passes = and(safe);
+        assert_eq!(row_sel(&passes), Ok(vec![2]));
+        assert_eq!(batch_sel(&passes), Ok(vec![2]));
     }
 
     #[test]

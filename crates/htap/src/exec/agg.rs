@@ -7,13 +7,14 @@
 
 use super::guard::ExecGuard;
 use super::typed::{each_block, with_numeric, ExprCol, Num};
-use super::{ExecError, Row, WorkCounters, GUARD_CHECK_ROWS};
-use crate::eval::{eval, truthy, EvalError, Schema};
+use super::{ExecError, Row, Rows, WorkCounters, GUARD_CHECK_ROWS};
+use crate::eval::{cell_total_cmp, eval, truthy, Cell, EvalError, RowExpr, Schema};
 use crate::plan::AggSpec;
 use crate::storage::col_store::ColumnData;
 use qpe_sql::ast::AggFunc;
 use qpe_sql::binder::BoundExpr;
 use qpe_sql::value::Value;
+use std::borrow::Borrow;
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::marker::PhantomData;
@@ -87,43 +88,39 @@ impl AggState {
         }
     }
 
-    fn update(&mut self, leaf: &AggLeaf, v: Option<Value>) {
+    /// Folds one row's argument in (`None` for `COUNT(*)`). The cell is read
+    /// in place; it is copied only when it becomes the new minimum or
+    /// maximum, or a new DISTINCT value.
+    fn update(&mut self, leaf: &AggLeaf, v: Option<Cell<'_>>) {
         match v {
             None => {
                 // COUNT(*) counts every row.
                 self.count += 1;
             }
-            Some(Value::Null) => {
+            Some(Cell::Null) => {
                 // SQL aggregates skip NULL inputs.
             }
             Some(val) => {
-                if leaf.distinct && !self.distinct.insert(val.clone()) {
+                if leaf.distinct && !self.distinct.insert(val.to_value()) {
                     return;
                 }
                 self.count += 1;
                 if let Some(x) = val.as_float() {
                     self.sum += x;
                 }
-                if let Value::Int(i) = val {
+                if let Cell::Int(i) = val {
                     self.int_sum = self.int_sum.wrapping_add(i);
                 } else {
                     self.sum_is_int = false;
                 }
-                match &self.min {
-                    None => self.min = Some(val.clone()),
-                    Some(m) => {
-                        if val.total_cmp(m) == std::cmp::Ordering::Less {
-                            self.min = Some(val.clone());
-                        }
-                    }
+                let beats = |m: &Option<Value>, wins: Ordering| {
+                    m.as_ref().is_none_or(|m| cell_total_cmp(val, Cell::from_value(m)) == wins)
+                };
+                if beats(&self.min, Ordering::Less) {
+                    self.min = Some(val.to_value());
                 }
-                match &self.max {
-                    None => self.max = Some(val.clone()),
-                    Some(m) => {
-                        if val.total_cmp(m) == std::cmp::Ordering::Greater {
-                            self.max = Some(val.clone());
-                        }
-                    }
+                if beats(&self.max, Ordering::Greater) {
+                    self.max = Some(val.to_value());
                 }
             }
         }
@@ -240,16 +237,19 @@ fn eval_with_aggs(
     }
 }
 
-/// Executes grouping + aggregation, returning final projected rows.
+/// Executes grouping + aggregation over the interpreter's rows in whatever
+/// form they came — a join's output included — returning final projected
+/// rows. Group keys and arguments are read in place; a key is copied only
+/// when it opens a group.
 ///
 /// `hash = true` uses hash grouping (AP), `false` sorts first (TP). Both
 /// return rows ordered by group key so engine outputs are directly
 /// comparable (hash-group output is canonicalized the same way real engines
 /// do when asked for deterministic tests).
 #[allow(clippy::too_many_arguments)]
-pub fn aggregate<'r>(
+pub(super) fn aggregate(
     counters: &mut WorkCounters,
-    input: impl IntoIterator<Item = &'r [Value]>,
+    input: &Rows<'_>,
     schema: &Schema,
     group_by: &[BoundExpr],
     outputs: &[AggSpec],
@@ -258,12 +258,17 @@ pub fn aggregate<'r>(
     guard: &ExecGuard,
 ) -> Result<Vec<Row>, ExecError> {
     let leaves = collect_all_leaves(outputs, having);
+    let layout = input.layout(schema);
+    let keys: Vec<RowExpr> = group_by.iter().map(|g| RowExpr::new(g, &layout)).collect();
+    let args: Vec<Option<RowExpr>> =
+        leaves.iter().map(|l| l.arg.as_ref().map(|a| RowExpr::new(a, &layout))).collect();
 
     // Group rows. BTreeMap keys give deterministic (key-sorted) output for
     // both strategies; the sort-vs-hash distinction is carried by the work
     // counters, which is what the latency model consumes.
     let mut groups: BTreeMap<Vec<KeyWrap>, Vec<AggState>> = BTreeMap::new();
-    for (i, row) in input.into_iter().enumerate() {
+    let mut key: Vec<Cell> = Vec::with_capacity(keys.len());
+    input.try_for_each(|i, row| {
         if i % GUARD_CHECK_ROWS == 0 {
             guard.check()?;
         }
@@ -272,21 +277,21 @@ pub fn aggregate<'r>(
             // sort-based grouping pays comparison costs
             counters.sort_comparisons += 1;
         }
-        let key: Vec<KeyWrap> = group_by
-            .iter()
-            .map(|g| eval(g, schema, row).map(KeyWrap))
-            .collect::<Result<_, _>>()?;
-        let states = groups
-            .entry(key)
-            .or_insert_with(|| leaves.iter().map(|_| AggState::new()).collect());
-        for (leaf, state) in leaves.iter().zip(states.iter_mut()) {
-            let v = match &leaf.arg {
-                Some(a) => Some(eval(a, schema, row)?),
-                None => None,
-            };
-            state.update(leaf, v);
+        key.clear();
+        for k in &keys {
+            key.push(k.eval(row)?);
         }
-    }
+        let states = match groups.get_mut(&key as &dyn GroupKey) {
+            Some(states) => states,
+            None => groups
+                .entry(key.iter().map(|c| KeyWrap(c.to_value())).collect())
+                .or_insert_with(|| leaves.iter().map(|_| AggState::new()).collect()),
+        };
+        for ((leaf, state), arg) in leaves.iter().zip(states).zip(&args) {
+            state.update(leaf, arg.as_ref().map(|a| a.eval(row)).transpose()?);
+        }
+        Ok::<_, ExecError>(())
+    })?;
 
     finish_groups(groups, &leaves, group_by, outputs, having)
 }
@@ -546,7 +551,7 @@ impl LeafFold for StateFold<'_> {
         for (k, j) in rows.enumerate() {
             let g = gids.map_or(0, |g| g[k] as usize);
             let i = self.idx.map_or(j, |s| s[j] as usize);
-            self.states[g].update(self.leaf, Some(self.col.data().get(i)));
+            self.states[g].update(self.leaf, Some(Cell::from_col(self.col.data(), i)));
         }
     }
 
@@ -761,6 +766,65 @@ fn finish_groups(
 #[derive(Debug, Clone)]
 struct KeyWrap(Value);
 
+/// A group key as the map is probed with it: the stored [`KeyWrap`]s, or a
+/// row's cells read in place. Both order as the stored keys do, so a row
+/// finds its group without copying its key.
+trait GroupKey {
+    fn width(&self) -> usize;
+    fn cell(&self, i: usize) -> Cell<'_>;
+}
+
+impl GroupKey for Vec<KeyWrap> {
+    fn width(&self) -> usize {
+        self.len()
+    }
+
+    fn cell(&self, i: usize) -> Cell<'_> {
+        Cell::from_value(&self[i].0)
+    }
+}
+
+impl GroupKey for Vec<Cell<'_>> {
+    fn width(&self) -> usize {
+        self.len()
+    }
+
+    fn cell(&self, i: usize) -> Cell<'_> {
+        self[i]
+    }
+}
+
+impl<'a> Borrow<dyn GroupKey + 'a> for Vec<KeyWrap> {
+    fn borrow(&self) -> &(dyn GroupKey + 'a) {
+        self
+    }
+}
+
+/// `Vec<KeyWrap>`'s order: cell by cell, then the shorter first.
+impl Ord for dyn GroupKey + '_ {
+    fn cmp(&self, other: &Self) -> Ordering {
+        let common = self.width().min(other.width());
+        (0..common)
+            .map(|i| cell_total_cmp(self.cell(i), other.cell(i)))
+            .find(|o| o.is_ne())
+            .unwrap_or_else(|| self.width().cmp(&other.width()))
+    }
+}
+
+impl PartialOrd for dyn GroupKey + '_ {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for dyn GroupKey + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for dyn GroupKey + '_ {}
+
 impl PartialEq for KeyWrap {
     fn eq(&self, other: &Self) -> bool {
         self.cmp(other) == Ordering::Equal
@@ -789,9 +853,9 @@ mod tests {
     fn agg_state_count_sum_avg() {
         let leaf = AggLeaf { func: AggFunc::Sum, arg: None, distinct: false };
         let mut s = AggState::new();
-        s.update(&leaf, Some(Value::Int(3)));
-        s.update(&leaf, Some(Value::Int(4)));
-        s.update(&leaf, Some(Value::Null)); // skipped
+        s.update(&leaf, Some(Cell::Int(3)));
+        s.update(&leaf, Some(Cell::Int(4)));
+        s.update(&leaf, Some(Cell::Null)); // skipped
         assert_eq!(s.finish(AggFunc::Count), Value::Int(2));
         assert_eq!(s.finish(AggFunc::Sum), Value::Int(7));
         assert_eq!(s.finish(AggFunc::Avg), Value::Float(3.5));
@@ -802,7 +866,7 @@ mod tests {
         let leaf = AggLeaf { func: AggFunc::Min, arg: None, distinct: false };
         let mut s = AggState::new();
         for v in [5, 2, 9] {
-            s.update(&leaf, Some(Value::Int(v)));
+            s.update(&leaf, Some(Cell::Int(v)));
         }
         assert_eq!(s.finish(AggFunc::Min), Value::Int(2));
         assert_eq!(s.finish(AggFunc::Max), Value::Int(9));
@@ -813,7 +877,7 @@ mod tests {
         let leaf = AggLeaf { func: AggFunc::Count, arg: None, distinct: true };
         let mut s = AggState::new();
         for v in [1, 1, 2, 2, 3] {
-            s.update(&leaf, Some(Value::Int(v)));
+            s.update(&leaf, Some(Cell::Int(v)));
         }
         assert_eq!(s.finish(AggFunc::Count), Value::Int(3));
     }
@@ -831,8 +895,8 @@ mod tests {
     fn float_sum_stays_float() {
         let leaf = AggLeaf { func: AggFunc::Sum, arg: None, distinct: false };
         let mut s = AggState::new();
-        s.update(&leaf, Some(Value::Float(1.5)));
-        s.update(&leaf, Some(Value::Float(2.0)));
+        s.update(&leaf, Some(Cell::Float(1.5)));
+        s.update(&leaf, Some(Cell::Float(2.0)));
         assert_eq!(s.finish(AggFunc::Sum), Value::Float(3.5));
     }
 

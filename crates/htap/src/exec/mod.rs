@@ -4,9 +4,14 @@
 //!
 //! * the **row interpreter** ([`execute_scalar`]) runs both engines' plans
 //!   row-at-a-time — TP plans always take this path. It reads row-store
-//!   tuples in place: scans, filters, sorts and limits pass borrowed tuples
-//!   up, and a row is copied once, by the operator that keeps it (a join's
-//!   output, a projection, the root);
+//!   tuples in place, and joins do not materialize either: a join hands its
+//!   parent both inputs as they came plus the matched (outer, inner)
+//!   positions — a join's outer input may itself be a join — and filters,
+//!   sorts, limits and aggregates read each joined row where its cells
+//!   live. Only a projection and the root copy cells. Expressions are
+//!   compiled once per operator with their columns resolved, and read
+//!   cells by reference. Counters still charge whole tuples, by the same
+//!   formulas as when every row was built;
 //! * the **vectorized batch executor** ([`vector`]) runs AP plans
 //!   column-at-a-time over typed batches with selection vectors and late
 //!   materialization;
@@ -48,10 +53,10 @@ pub use guard::{CancelHandle, ExecGuard, GovernError, StatementLimits};
 pub use parallel::ExecConfig;
 
 use crate::engine::{Database, EngineKind};
-use crate::eval::{eval, eval_predicate, EvalError, Schema};
+use crate::eval::{EvalError, Layout, RowExpr, Schema, Slot};
 use crate::plan::{IndexLookup, PlanNode, PlanOp, PlanTerm};
 use crate::storage::{BTreeIndex, ScanPruner, StoredTable};
-use qpe_sql::binder::{BoundDml, BoundExpr, BoundQuery};
+use qpe_sql::binder::{BoundDml, BoundExpr, BoundQuery, ColumnRef};
 use qpe_sql::catalog::Catalog;
 use qpe_sql::value::Value;
 use std::borrow::Cow;
@@ -303,101 +308,116 @@ impl<'a> JoinKey<'a> {
     }
 }
 
-/// The row interpreter's hash join: a table over `build_rows` keyed on the
-/// cells at `bpos`, probed with `probe_rows`' cells at `ppos`; each probe
-/// row is emitted joined with its matches in build order. Keys match as
-/// [`JoinKey`]s, so NULL keys never match.
-pub(crate) fn hash_join_rows<'r>(
+/// The row interpreter's hash join: a table over `build`'s keys at `bkeys`,
+/// probed with `probe`'s keys at `pkeys`; each probe row pairs with its
+/// matches in build order. Returns the matched (probe, build) positions.
+/// Keys match as [`JoinKey`]s, so NULL keys never match.
+fn hash_join_pairs<'r>(
     counters: &mut WorkCounters,
     guard: &ExecGuard,
-    build_rows: &'r [Row],
-    probe_rows: &'r [Row],
-    bpos: &[usize],
-    ppos: &[usize],
-) -> Result<Vec<Row>, ExecError> {
-    // Keys borrow from the build/probe rows — no per-row
-    // `Vec<Value>` clone. Single-key joins (the common case)
-    // skip the key vector entirely.
-    let mut out = Vec::new();
-    if let (&[bp], &[pp]) = (bpos, ppos) {
-        let mut table: HashMap<JoinKey, Vec<&Row>> = HashMap::with_capacity(build_rows.len());
-        for (i, row) in build_rows.iter().enumerate() {
-            if i % GUARD_CHECK_ROWS == 0 {
-                guard.check()?;
-            }
-            counters.hash_build_rows += 1;
-            if let Some(key) = JoinKey::of(&row[bp]) {
-                table.entry(key).or_default().push(row);
-            }
-        }
-        for (i, row) in probe_rows.iter().enumerate() {
-            if i % GUARD_CHECK_ROWS == 0 {
-                guard.check()?;
-            }
-            counters.hash_probe_rows += 1;
-            let Some(key) = JoinKey::of(&row[pp]) else {
-                continue;
-            };
-            if let Some(matches) = table.get(&key) {
-                for m in matches {
-                    let mut r = row.clone();
-                    r.extend_from_slice(m);
-                    out.push(r);
-                }
-            }
-        }
-    } else {
-        let key_of = |row: &'r Row, pos: &[usize]| -> Option<Vec<JoinKey<'r>>> {
-            pos.iter().map(|&p| JoinKey::of(&row[p])).collect()
-        };
-        let mut table: HashMap<Vec<JoinKey>, Vec<&Row>> = HashMap::with_capacity(build_rows.len());
-        for (i, row) in build_rows.iter().enumerate() {
-            if i % GUARD_CHECK_ROWS == 0 {
-                guard.check()?;
-            }
-            counters.hash_build_rows += 1;
-            if let Some(key) = key_of(row, bpos) {
-                table.entry(key).or_default().push(row);
-            }
-        }
-        for (i, row) in probe_rows.iter().enumerate() {
-            if i % GUARD_CHECK_ROWS == 0 {
-                guard.check()?;
-            }
-            counters.hash_probe_rows += 1;
-            let Some(key) = key_of(row, ppos) else {
-                continue;
-            };
-            if let Some(matches) = table.get(&key) {
-                for m in matches {
-                    let mut r = row.clone();
-                    r.extend_from_slice(m);
-                    out.push(r);
-                }
-            }
-        }
+    build: &'r Rows<'_>,
+    probe: &'r Rows<'_>,
+    bkeys: &[Slot],
+    pkeys: &[Slot],
+) -> Result<Vec<(u32, u32)>, ExecError> {
+    // Keys borrow from the rows; single-key joins (the common case) skip
+    // the key vector entirely.
+    if let (&[b], &[p]) = (bkeys, pkeys) {
+        return hash_join_on(
+            counters,
+            guard,
+            build,
+            probe,
+            |row| JoinKey::of(b.read(row)),
+            |row| JoinKey::of(p.read(row)),
+        );
     }
-    Ok(out)
+    let key = |slots: &[Slot], row: &[&'r [Value]]| {
+        slots.iter().map(|s| JoinKey::of(s.read(row))).collect::<Option<Vec<_>>>()
+    };
+    hash_join_on(counters, guard, build, probe, |row| key(bkeys, row), |row| key(pkeys, row))
 }
 
-/// Rows one interpreter operator hands its parent: rows it built, or stored
-/// tuples it reads in place from the row store (late materialization, as in
-/// Abadi et al., ICDE 2007). Counters charge whole tuples either way; the
-/// form only decides who copies — the parent that keeps a row, once.
+/// [`hash_join_pairs`] under any key: `bkey` and `pkey` read a row's key,
+/// `None` for a row that matches nothing.
+fn hash_join_on<'r, K: std::hash::Hash + Eq>(
+    counters: &mut WorkCounters,
+    guard: &ExecGuard,
+    build: &'r Rows<'_>,
+    probe: &'r Rows<'_>,
+    bkey: impl Fn(&[&'r [Value]]) -> Option<K>,
+    pkey: impl Fn(&[&'r [Value]]) -> Option<K>,
+) -> Result<Vec<(u32, u32)>, ExecError> {
+    let mut table: HashMap<K, Vec<u32>> = HashMap::with_capacity(build.len());
+    build.try_for_each(|i, row| {
+        if i % GUARD_CHECK_ROWS == 0 {
+            guard.check()?;
+        }
+        counters.hash_build_rows += 1;
+        if let Some(key) = bkey(row) {
+            table.entry(key).or_default().push(i as u32);
+        }
+        Ok::<_, ExecError>(())
+    })?;
+    let mut pairs = Vec::new();
+    probe.try_for_each(|i, row| {
+        if i % GUARD_CHECK_ROWS == 0 {
+            guard.check()?;
+        }
+        counters.hash_probe_rows += 1;
+        if let Some(matches) = pkey(row).and_then(|key| table.get(&key)) {
+            pairs.extend(matches.iter().map(|&m| (i as u32, m)));
+        }
+        Ok::<_, ExecError>(())
+    })?;
+    Ok(pairs)
+}
+
+/// Rows one interpreter operator hands its parent: rows it built, stored
+/// tuples it reads in place from the row store, or a join's output left
+/// unbuilt (late materialization, as in Abadi et al., ICDE 2007). A row is
+/// read as a list of slices where its cells live — one per joined input —
+/// through a `Layout` resolved once per operator. Filters, sorts and limits
+/// keep the form they are given; only a projection and the root copy
+/// cells. Counters charge whole tuples whatever the form.
 enum Rows<'a> {
     Owned(Vec<Row>),
     Borrowed(Vec<&'a [Value]>),
+    Joined(Box<Joined<'a>>),
 }
 
-/// Applies one operation, generic over the row type, to either form of
-/// [`Rows`], keeping the form: `keep_form!(rows, |v| f(v)?)`.
-macro_rules! keep_form {
-    ($rows:expr, |$v:ident| $body:expr) => {
-        match $rows {
-            Rows::Owned($v) => Rows::Owned($body),
-            Rows::Borrowed($v) => Rows::Borrowed($body),
-        }
-    };
+/// A join's output, unbuilt: both inputs as they came and the matched
+/// (outer, inner) positions in output order. A joined row is the outer
+/// row's slices followed by the inner row's. Either input may itself be a
+/// join.
+struct Joined<'a> {
+    outer: Rows<'a>,
+    inner: Rows<'a>,
+    /// The outer input's columns; the inner input's follow them.
+    outer_width: usize,
+    pairs: Vec<(u32, u32)>,
+}
+
+impl<'a> Joined<'a> {
+    /// Appends the slices of the joined row of `pair` to `out`.
+    fn segs<'s>(&'s self, (o, i): (u32, u32), out: &mut Vec<&'s [Value]>) {
+        self.outer.segs(o as usize, out);
+        self.inner.segs(i as usize, out);
+    }
+
+    /// Appends the widths of its rows' slices, for rows `width` columns
+    /// wide.
+    fn widths(&self, width: usize, out: &mut Vec<usize>) {
+        self.outer.widths(self.outer_width, out);
+        self.inner.widths(width - self.outer_width, out);
+    }
+
+    /// `schema`, the join's output schema, resolved for its rows.
+    fn layout<'s>(&self, schema: &'s Schema) -> Layout<'s> {
+        let mut widths = Vec::new();
+        self.widths(schema.len(), &mut widths);
+        Layout::new(schema, widths)
+    }
 }
 
 impl<'a> Rows<'a> {
@@ -405,25 +425,104 @@ impl<'a> Rows<'a> {
         match self {
             Rows::Owned(v) => v.len(),
             Rows::Borrowed(v) => v.len(),
+            Rows::Joined(j) => j.pairs.len(),
         }
     }
 
-    fn get(&self, i: usize) -> &[Value] {
+    /// Appends the slices of row `i` to `out`.
+    fn segs<'s>(&'s self, i: usize, out: &mut Vec<&'s [Value]>) {
         match self {
-            Rows::Owned(v) => &v[i],
-            Rows::Borrowed(v) => v[i],
+            Rows::Owned(v) => out.push(&v[i]),
+            Rows::Borrowed(v) => out.push(v[i]),
+            Rows::Joined(j) => j.segs(j.pairs[i], out),
         }
     }
 
-    fn iter(&self) -> impl Iterator<Item = &[Value]> + '_ {
-        (0..self.len()).map(|i| self.get(i))
+    /// Appends the widths of its rows' slices, for rows `width` columns
+    /// wide.
+    fn widths(&self, width: usize, out: &mut Vec<usize>) {
+        match self {
+            Rows::Joined(j) => j.widths(width, out),
+            _ => out.push(width),
+        }
     }
 
-    /// The rows as owned vectors; borrowed tuples are copied here.
+    /// `schema`, the producing operator's output schema, resolved for these
+    /// rows.
+    fn layout<'s>(&self, schema: &'s Schema) -> Layout<'s> {
+        match self {
+            Rows::Joined(j) => j.layout(schema),
+            _ => Layout::flat(schema),
+        }
+    }
+
+    /// Calls `f(i, row i's slices)` for every row, in order, until it fails.
+    fn try_for_each<'s, E>(
+        &'s self,
+        mut f: impl FnMut(usize, &[&'s [Value]]) -> Result<(), E>,
+    ) -> Result<(), E> {
+        match self {
+            Rows::Owned(v) => v.iter().enumerate().try_for_each(|(i, r)| f(i, &[r])),
+            Rows::Borrowed(v) => v.iter().enumerate().try_for_each(|(i, r)| f(i, &[r])),
+            Rows::Joined(j) => {
+                let mut row = Vec::new();
+                j.pairs.iter().enumerate().try_for_each(|(i, &pair)| {
+                    row.clear();
+                    j.segs(pair, &mut row);
+                    f(i, &row)
+                })
+            }
+        }
+    }
+
+    /// [`Rows::try_for_each`] of an `f` that cannot fail.
+    fn for_each<'s>(&'s self, mut f: impl FnMut(usize, &[&'s [Value]])) {
+        let Ok(()) = self.try_for_each(|i, row| {
+            f(i, row);
+            Ok::<_, std::convert::Infallible>(())
+        });
+    }
+
+    /// The rows at positions `keep`, in that order and in this form. No
+    /// position repeats.
+    fn select(self, keep: impl IntoIterator<Item = usize>) -> Rows<'a> {
+        match self {
+            Rows::Owned(mut v) => {
+                Rows::Owned(keep.into_iter().map(|i| std::mem::take(&mut v[i])).collect())
+            }
+            Rows::Borrowed(v) => Rows::Borrowed(keep.into_iter().map(|i| v[i]).collect()),
+            Rows::Joined(mut j) => {
+                j.pairs = keep.into_iter().map(|i| j.pairs[i]).collect();
+                Rows::Joined(j)
+            }
+        }
+    }
+
+    /// Rows `from..to`, cut in place.
+    fn slice(mut self, from: usize, to: usize) -> Rows<'a> {
+        fn cut<T>(v: &mut Vec<T>, from: usize, to: usize) {
+            v.truncate(to);
+            v.drain(..from.min(v.len()));
+        }
+        match &mut self {
+            Rows::Owned(v) => cut(v, from, to),
+            Rows::Borrowed(v) => cut(v, from, to),
+            Rows::Joined(j) => cut(&mut j.pairs, from, to),
+        }
+        self
+    }
+
+    /// The rows as owned vectors; borrowed tuples and joined rows are
+    /// copied here.
     fn into_owned(self) -> Vec<Row> {
         match self {
             Rows::Owned(v) => v,
             Rows::Borrowed(v) => v.into_iter().map(<[Value]>::to_vec).collect(),
+            Rows::Joined(_) => {
+                let mut out = Vec::with_capacity(self.len());
+                self.for_each(|_, row| out.push(row.concat()));
+                out
+            }
         }
     }
 
@@ -474,31 +573,33 @@ fn nested_loop_matches<K: PartialEq>(
 /// One side's keys for [`nested_loop_matches`], pulled out once: each row
 /// with a key, keyed by `key`. Rows without one (a NULL or NaN cell) match
 /// nothing and drop out.
-fn side_keys<'r, K>(rows: &'r Rows, key: impl Fn(&'r [Value]) -> Option<K>) -> Vec<(u32, K)> {
-    rows.iter().enumerate().filter_map(|(i, r)| Some((i as u32, key(r)?))).collect()
+fn side_keys<'r, K>(rows: &'r Rows, key: impl Fn(&[&'r [Value]]) -> Option<K>) -> Vec<(u32, K)> {
+    let mut keys = Vec::with_capacity(rows.len());
+    rows.for_each(|i, row| keys.extend(key(row).map(|k| (i as u32, k))));
+    keys
 }
 
-/// [`nested_loop_matches`] of a join on `keys` (outer, inner positions),
-/// under [`JoinKey`] equality. A single integer key on both sides — every
-/// TPC-H join — compares plain `i64`s.
+/// [`nested_loop_matches`] of a join on `keys` (outer, inner slots), under
+/// [`JoinKey`] equality. A single integer key on both sides — every TPC-H
+/// join — compares plain `i64`s.
 fn nested_loop_pairs(
     guard: &ExecGuard,
     outer: &Rows,
     inner: &Rows,
-    keys: &[(usize, usize)],
+    keys: &[(Slot, Slot)],
     emit: &mut impl FnMut(u32, u32) -> Result<(), ExecError>,
 ) -> Result<(), ExecError> {
     let &[(l, r)] = keys else {
         let outer_keys = side_keys(outer, |row| {
-            keys.iter().map(|k| JoinKey::of(&row[k.0])).collect::<Option<Vec<_>>>()
+            keys.iter().map(|k| JoinKey::of(k.0.read(row))).collect::<Option<Vec<_>>>()
         });
         let inner_keys = side_keys(inner, |row| {
-            keys.iter().map(|k| JoinKey::of(&row[k.1])).collect::<Option<Vec<_>>>()
+            keys.iter().map(|k| JoinKey::of(k.1.read(row))).collect::<Option<Vec<_>>>()
         });
         return nested_loop_matches(guard, &outer_keys, &inner_keys, emit);
     };
-    let outer_keys = side_keys(outer, |row| JoinKey::of(&row[l]));
-    let inner_keys = side_keys(inner, |row| JoinKey::of(&row[r]));
+    let outer_keys = side_keys(outer, |row| JoinKey::of(l.read(row)));
+    let inner_keys = side_keys(inner, |row| JoinKey::of(r.read(row)));
     let ints = |keys: &[(u32, JoinKey)]| -> Option<Vec<(u32, i64)>> {
         keys.iter()
             .map(|(i, k)| match k {
@@ -511,6 +612,13 @@ fn nested_loop_pairs(
         (Some(o), Some(i)) => nested_loop_matches(guard, &o, &i, emit),
         _ => nested_loop_matches(guard, &outer_keys, &inner_keys, emit),
     }
+}
+
+/// The slot of join key `col` in rows laid out by `layout`.
+fn key_slot(layout: &Layout, col: &ColumnRef, what: &str) -> Result<Slot, ExecError> {
+    layout
+        .slot(col.table_slot, col.column_idx)
+        .ok_or_else(|| ExecError::BadPlan(format!("{what} key missing")))
 }
 
 pub(crate) struct Executor<'a> {
@@ -534,60 +642,71 @@ impl<'a> Executor<'a> {
             PlanOp::IndexProbe { .. } => {
                 return Err(ExecError::BadPlan("IndexProbe executed outside IndexNLJoin".into()))
             }
-            // Tests each row in its input's form: over a scan the survivors
-            // stay borrowed, and whoever keeps one copies it.
+            // Tests each row where its cells live and keeps the survivors
+            // in their input's form.
             PlanOp::Filter { predicate } => {
                 let child = &node.children[0];
                 let schema = child.output_schema();
                 let input = self.run(child)?;
-                keep_form!(input, |rows| self.filter(rows, predicate, &schema)?)
+                let predicate = RowExpr::new(predicate, &input.layout(&schema));
+                let (counters, guard) = (&mut self.counters, self.guard);
+                let mut keep = Vec::new();
+                input.try_for_each(|i, row| {
+                    if i % GUARD_CHECK_ROWS == 0 {
+                        guard.check()?;
+                    }
+                    counters.filter_evals += 1;
+                    if predicate.test(row)? {
+                        keep.push(i);
+                    }
+                    Ok::<_, ExecError>(())
+                })?;
+                input.select(keep)
             }
             // Compares pre-extracted keys over every pair — TP has no hash
-            // join — charging |outer|·|inner| pairs, and copies only the
-            // joined rows.
+            // join — charging |outer|·|inner| pairs, tests the residual on
+            // each matched pair in place, and builds nothing.
             PlanOp::NestedLoopJoin { conds, residual } => {
                 let outer_node = &node.children[0];
                 let inner_node = &node.children[1];
                 let outer_schema = outer_node.output_schema();
                 let inner_schema = inner_node.output_schema();
-                let out_schema = outer_schema.concat(&inner_schema);
                 let outer = self.run(outer_node)?;
                 let inner = self.run(inner_node)?;
-                // Pre-resolve key positions.
-                let keys: Vec<(usize, usize)> = conds
+                let (ol, il) = (outer.layout(&outer_schema), inner.layout(&inner_schema));
+                let keys: Vec<(Slot, Slot)> = conds
                     .iter()
                     .map(|c| {
-                        let l = outer_schema
-                            .position(c.left.table_slot, c.left.column_idx)
-                            .ok_or_else(|| ExecError::BadPlan("NLJ left key not in outer".into()))?;
-                        let r = inner_schema
-                            .position(c.right.table_slot, c.right.column_idx)
-                            .ok_or_else(|| ExecError::BadPlan("NLJ right key not in inner".into()))?;
-                        Ok((l, r))
+                        let l = key_slot(&ol, &c.left, "NLJ outer")?;
+                        Ok((l, key_slot(&il, &c.right, "NLJ inner")?))
                     })
                     .collect::<Result<_, ExecError>>()?;
+                self.counters.nlj_pairs += (outer.len() * inner.len()) as u64;
+                let outer_width = outer_schema.len();
+                let mut joined = Joined { outer, inner, outer_width, pairs: Vec::new() };
+                let out_schema = outer_schema.concat(&inner_schema);
+                let layout = joined.layout(&out_schema);
+                let residual = residual.as_ref().map(|r| RowExpr::new(r, &layout));
                 let (counters, guard) = (&mut self.counters, self.guard);
-                counters.nlj_pairs += (outer.len() * inner.len()) as u64;
-                let mut out = Vec::new();
-                nested_loop_pairs(guard, &outer, &inner, &keys, &mut |o, i| {
-                    let (o, i) = (outer.get(o as usize), inner.get(i as usize));
-                    let mut row = Vec::with_capacity(o.len() + i.len());
-                    row.extend_from_slice(o);
-                    row.extend_from_slice(i);
-                    if let Some(resid) = residual {
+                let (mut pairs, mut row) = (Vec::new(), Vec::new());
+                nested_loop_pairs(guard, &joined.outer, &joined.inner, &keys, &mut |o, i| {
+                    if let Some(resid) = &residual {
                         counters.filter_evals += 1;
-                        if !eval_predicate(resid, &out_schema, &row)? {
+                        row.clear();
+                        joined.segs((o, i), &mut row);
+                        if !resid.test(&row)? {
                             return Ok(());
                         }
                     }
-                    out.push(row);
+                    pairs.push((o, i));
                     Ok(())
                 })?;
-                Rows::Owned(out)
+                joined.pairs = pairs;
+                Rows::Joined(Box::new(joined))
             }
-            // Probes the inner index per outer row, tests the residual on
-            // the stored tuple in place, and builds only the joined rows
-            // that pass.
+            // Probes the inner index per outer row and tests the residual on
+            // the stored tuple in place; the inner side is the borrowed
+            // tuples that pass.
             PlanOp::IndexNLJoin { outer_key } => {
                 let outer_node = &node.children[0];
                 let probe_node = &node.children[1];
@@ -599,76 +718,70 @@ impl<'a> Executor<'a> {
                     ));
                 };
                 let outer_schema = outer_node.output_schema();
-                let key_pos = outer_schema
-                    .position(outer_key.table_slot, outer_key.column_idx)
-                    .ok_or_else(|| ExecError::BadPlan("IndexNLJ outer key missing".into()))?;
                 let outer = self.run(outer_node)?;
-                // Borrow the name once — no per-execution String rebuild.
+                let key = key_slot(&outer.layout(&outer_schema), outer_key, "IndexNLJ outer")?;
                 let table_name: &str = &self.query.tables[*table_slot].name;
-                let table = self
-                    .db
+                let db: &'a Database = self.db;
+                let table = db
                     .row_table(table_name)
                     .ok_or_else(|| ExecError::MissingTable(table_name.to_string()))?;
                 let index = table.index_on(*column_idx).ok_or_else(|| {
                     ExecError::BadPlan(format!("no index on {table_name}.{column_idx}"))
                 })?;
                 let tuple = tuple_schema(*table_slot, table.width());
-                let mut out = Vec::new();
-                let out_width = outer_schema.len() + columns.len();
-                for (oi, o) in outer.iter().enumerate() {
+                let residual = residual.as_ref().map(|r| RowExpr::new(r, &Layout::flat(&tuple)));
+                let (counters, guard) = (&mut self.counters, self.guard);
+                let (mut pairs, mut matched) = (Vec::new(), Vec::new());
+                outer.try_for_each(|oi, o| {
                     if oi % GUARD_CHECK_ROWS == 0 {
-                        self.guard.check()?;
+                        guard.check()?;
                     }
-                    self.counters.index_probes += 1;
-                    let rids = index.join_lookup(&o[key_pos]);
-                    self.counters.index_fetches += rids.len() as u64;
+                    counters.index_probes += 1;
+                    let rids = index.join_lookup(key.read(o));
+                    counters.index_fetches += rids.len() as u64;
                     for &rid in rids {
-                        self.counters.rows_scanned += 1;
+                        counters.rows_scanned += 1;
                         let full = table.row(rid as usize);
-                        if let Some(resid) = residual {
-                            self.counters.filter_evals += 1;
-                            if !eval_predicate(resid, &tuple, full)? {
+                        if let Some(resid) = &residual {
+                            counters.filter_evals += 1;
+                            if !resid.test(&[full])? {
                                 continue;
                             }
                         }
-                        // The joined row in one allocation: outer prefix
-                        // plus the probe's columns of the stored tuple.
-                        let mut row: Row = Vec::with_capacity(out_width);
-                        row.extend_from_slice(o);
-                        row.extend(columns.iter().map(|&c| full[c].clone()));
-                        out.push(row);
+                        pairs.push((oi as u32, matched.len() as u32));
+                        matched.push(full);
                     }
-                }
-                Rows::Owned(out)
+                    Ok::<_, ExecError>(())
+                })?;
+                let inner = Rows::stored(matched.into_iter(), columns, table.width());
+                let outer_width = outer_schema.len();
+                Rows::Joined(Box::new(Joined { outer, inner, outer_width, pairs }))
             }
+            // The probe side is the outer input, the build side the inner.
             PlanOp::HashJoin { probe_keys, build_keys } => {
                 let probe_node = &node.children[0];
                 let hash_node = &node.children[1];
                 let probe_schema = probe_node.output_schema();
                 let build_schema = hash_node.output_schema();
                 // Hash node is a pass-through marker; execute its child.
-                let build_rows = self.run(&hash_node.children[0])?.into_owned();
-                let probe_rows = self.run(probe_node)?.into_owned();
-                let bpos: Vec<usize> = build_keys
-                    .iter()
-                    .map(|k| {
-                        build_schema
-                            .position(k.table_slot, k.column_idx)
-                            .ok_or_else(|| ExecError::BadPlan("hash build key missing".into()))
-                    })
-                    .collect::<Result<_, _>>()?;
-                let ppos: Vec<usize> = probe_keys
-                    .iter()
-                    .map(|k| {
-                        probe_schema
-                            .position(k.table_slot, k.column_idx)
-                            .ok_or_else(|| ExecError::BadPlan("hash probe key missing".into()))
-                    })
-                    .collect::<Result<_, _>>()?;
+                let build = self.run(&hash_node.children[0])?;
+                let probe = self.run(probe_node)?;
+                let (bl, pl) = (build.layout(&build_schema), probe.layout(&probe_schema));
+                let slots = |keys: &[ColumnRef], layout: &Layout, what: &str| {
+                    keys.iter().map(|k| key_slot(layout, k, what)).collect::<Result<Vec<_>, _>>()
+                };
+                let bkeys = slots(build_keys, &bl, "hash build")?;
+                let pkeys = slots(probe_keys, &pl, "hash probe")?;
                 self.guard
-                    .charge_cells(build_rows.len() as u64 * build_schema.len().max(1) as u64)?;
+                    .charge_cells(build.len() as u64 * build_schema.len().max(1) as u64)?;
                 let (counters, guard) = (&mut self.counters, self.guard);
-                Rows::Owned(hash_join_rows(counters, guard, &build_rows, &probe_rows, &bpos, &ppos)?)
+                let pairs = hash_join_pairs(counters, guard, &build, &probe, &bkeys, &pkeys)?;
+                Rows::Joined(Box::new(Joined {
+                    outer: probe,
+                    inner: build,
+                    outer_width: probe_schema.len(),
+                    pairs,
+                }))
             }
             PlanOp::Hash => self.run(&node.children[0])?,
             PlanOp::Aggregate { group_by, outputs, having, hash } => {
@@ -677,7 +790,7 @@ impl<'a> Executor<'a> {
                 let input = self.run(child)?;
                 Rows::Owned(agg::aggregate(
                     &mut self.counters,
-                    input.iter(),
+                    &input,
                     &schema,
                     group_by,
                     outputs,
@@ -690,27 +803,23 @@ impl<'a> Executor<'a> {
                 let child = &node.children[0];
                 let schema = child.output_schema();
                 let input = self.run(child)?;
-                keep_form!(input, |rows| sort::full_sort(
-                    &mut self.counters,
-                    rows,
-                    &schema,
-                    keys,
-                    self.guard
-                )?)
+                let order = sort::full_sort(&mut self.counters, &input, &schema, keys, self.guard)?;
+                input.select(order)
             }
             PlanOp::TopNSort { keys, limit, offset } => {
                 let child = &node.children[0];
                 let schema = child.output_schema();
                 let input = self.run(child)?;
-                keep_form!(input, |rows| sort::top_n(
+                let top = sort::top_n(
                     &mut self.counters,
-                    rows,
+                    &input,
                     &schema,
                     keys,
                     *limit,
                     *offset,
-                    self.guard
-                )?)
+                    self.guard,
+                )?;
+                input.select(top)
             }
             PlanOp::Limit { limit, offset } => self.limit(node, *limit, *offset)?,
             PlanOp::Projection { exprs, .. } => {
@@ -722,17 +831,21 @@ impl<'a> Executor<'a> {
                 let schema = child.output_schema();
                 let input = self.run(child)?;
                 self.guard.charge_cells(input.len() as u64 * exprs.len().max(1) as u64)?;
+                let layout = input.layout(&schema);
+                let exprs: Vec<RowExpr> = exprs.iter().map(|e| RowExpr::new(e, &layout)).collect();
+                let guard = self.guard;
                 let mut out = Vec::with_capacity(input.len());
-                for (i, row) in input.iter().enumerate() {
+                input.try_for_each(|i, row| {
                     if i % GUARD_CHECK_ROWS == 0 {
-                        self.guard.check()?;
+                        guard.check()?;
                     }
                     let mut projected = Vec::with_capacity(exprs.len());
-                    for e in exprs {
-                        projected.push(eval(e, &schema, row)?);
+                    for e in &exprs {
+                        projected.push(e.eval(row)?.to_value());
                     }
                     out.push(projected);
-                }
+                    Ok::<_, ExecError>(())
+                })?;
                 Rows::Owned(out)
             }
             PlanOp::OutputSort { keys } => {
@@ -745,27 +858,6 @@ impl<'a> Executor<'a> {
                 ))
             }
         })
-    }
-
-    /// The rows of `rows` that satisfy `predicate`, in order and in the
-    /// form they came in.
-    fn filter<R: AsRef<[Value]>>(
-        &mut self,
-        rows: Vec<R>,
-        predicate: &BoundExpr,
-        schema: &Schema,
-    ) -> Result<Vec<R>, ExecError> {
-        let mut out = Vec::new();
-        for (i, row) in rows.into_iter().enumerate() {
-            if i % GUARD_CHECK_ROWS == 0 {
-                self.guard.check()?;
-            }
-            self.counters.filter_evals += 1;
-            if eval_predicate(predicate, schema, row.as_ref())? {
-                out.push(row);
-            }
-        }
-        Ok(out)
     }
 
     fn table_scan(
@@ -838,16 +930,14 @@ impl<'a> Executor<'a> {
     /// `limit + offset` rows qualify.
     fn limit(&mut self, node: &PlanNode, limit: u64, offset: u64) -> Result<Rows<'a>, ExecError> {
         let child = &node.children[0];
-        let need = (limit + offset) as usize;
+        // `OFFSET` without `LIMIT` plans `limit = u64::MAX`.
+        let need = limit.saturating_add(offset) as usize;
         let rows = match self.try_streaming_topn(child, need)? {
             Some(rows) => rows,
             None => self.run(child)?,
         };
-        Ok(keep_form!(rows, |rows| rows
-            .into_iter()
-            .skip(offset as usize)
-            .take(limit as usize)
-            .collect()))
+        let from = offset as usize;
+        Ok(rows.slice(from, from.saturating_add(limit as usize)))
     }
 
     fn try_streaming_topn(
@@ -878,6 +968,7 @@ impl<'a> Executor<'a> {
             .index_on(*column_idx)
             .ok_or_else(|| ExecError::BadPlan(format!("no index on {name}.{column_idx}")))?;
         let tuple = tuple_schema(*table_slot, table.width());
+        let filter = filter.map(|f| RowExpr::new(f, &Layout::flat(&tuple)));
         self.counters.index_probes += 1;
         let mut kept = Vec::with_capacity(need);
         for (i, rid) in index.iter_ordered(*descending).enumerate() {
@@ -890,9 +981,9 @@ impl<'a> Executor<'a> {
             self.counters.index_fetches += 1;
             self.counters.rows_scanned += 1;
             let full = table.row(rid as usize);
-            if let Some(pred) = filter {
+            if let Some(pred) = &filter {
                 self.counters.filter_evals += 1;
-                if !eval_predicate(pred, &tuple, full)? {
+                if !pred.test(&[full])? {
                     continue;
                 }
             }
@@ -1078,7 +1169,10 @@ pub(crate) fn execute_dml_guarded(
                 .ok_or_else(|| ExecError::MissingTable(table.clone()))?;
             let types: Vec<_> = def.columns.iter().map(|c| (c.data_type, c.name.clone())).collect();
             let stored = db.stored_table(&table).expect("checked above");
-            let schema = Schema::new((0..stored.rows.width()).map(|c| (0, c)).collect());
+            let tuple = tuple_schema(0, stored.rows.width());
+            let layout = Layout::flat(&tuple);
+            let assignments: Vec<(usize, RowExpr)> =
+                up.assignments.iter().map(|(ci, e)| (*ci, RowExpr::new(e, &layout))).collect();
             guard.charge_cells(rids.len() as u64 * stored.rows.width().max(1) as u64)?;
             let mut changes = Vec::with_capacity(rids.len());
             for (i, &rid) in rids.iter().enumerate() {
@@ -1087,8 +1181,8 @@ pub(crate) fn execute_dml_guarded(
                 }
                 let old = stored.rows.row(rid as usize);
                 let mut new_row = old.to_vec();
-                for (ci, expr) in &up.assignments {
-                    let v = eval(expr, &schema, old)?;
+                for (ci, expr) in &assignments {
+                    let v = expr.eval(&[old])?.to_value();
                     let (ty, name) = &types[*ci];
                     new_row[*ci] = qpe_sql::binder::coerce_literal(v, *ty, name)
                         .map_err(|e| ExecError::Write(e.to_string()))?;
@@ -1230,14 +1324,14 @@ fn collect_target_rids(
     let Some(pred) = filter else {
         return Ok(candidates);
     };
-    let schema = scan.output_schema();
+    let pred = RowExpr::new(pred, &Layout::flat(&scan.output_schema()));
     let mut out = Vec::new();
     for (i, rid) in candidates.into_iter().enumerate() {
         if i % GUARD_CHECK_ROWS == 0 {
             guard.check()?;
         }
         counters.filter_evals += 1;
-        if eval_predicate(pred, &schema, row_table.row(rid as usize))? {
+        if pred.test(&[row_table.row(rid as usize)])? {
             out.push(rid);
         }
     }
@@ -1394,6 +1488,17 @@ mod tests {
         assert_eq!(tp[0][0], Value::Int(11));
     }
 
+    /// `OFFSET` without `LIMIT` (planned as `limit = u64::MAX`) skips the
+    /// offset and keeps every row after it.
+    #[test]
+    fn engines_agree_on_offset_without_limit() {
+        let db = db();
+        let sql = "SELECT o_orderkey FROM orders ORDER BY o_orderkey OFFSET 2995";
+        let (tp, ap, _, _) = run_both(&db, sql);
+        assert_eq!(tp, ap);
+        assert_eq!(tp, (2996..=3000).map(|k| vec![Value::Int(k)]).collect::<Vec<_>>());
+    }
+
     #[test]
     fn ap_scan_touches_fewer_cells_than_tp_rows_imply() {
         let db = db();
@@ -1448,6 +1553,33 @@ mod tests {
             "SELECT COUNT(*) FROM nation, region WHERE n_regionkey < r_regionkey",
         );
         assert_eq!(tp, ap);
+    }
+
+    /// An `AND` whose right side fails only on rows its left side rejects
+    /// raises the same error on the TP interpreter, the AP interpreter and
+    /// the batch executor; one whose right side cannot fail raises nothing.
+    #[test]
+    fn and_right_side_errors_agree_across_executors() {
+        let db = db();
+        let run_all = |sql: &str| {
+            let q = Binder::new(db.catalog()).bind_sql(sql).unwrap();
+            let ctx = PlannerCtx::new(&q, db.stats(), db.catalog());
+            let (tp_plan, ap_plan) = (tp::plan(&ctx).unwrap(), ap::plan(&ctx).unwrap());
+            [
+                execute(&tp_plan, &q, &db, EngineKind::Tp),
+                execute_scalar(&ap_plan, &q, &db, EngineKind::Ap),
+                execute(&ap_plan, &q, &db, EngineKind::Ap),
+            ]
+            .map(|r| r.map(|(rows, _)| rows).map_err(|e| e.to_string()))
+        };
+        let failing =
+            run_all("SELECT COUNT(*) FROM customer WHERE c_custkey * 2 < 0 AND c_name + 1 > 0");
+        let err = failing[0].clone().expect_err("string arithmetic fails");
+        assert!(err.contains("arithmetic on non-numeric values"), "{err}");
+        assert!(failing.iter().all(|r| r.as_ref().err() == Some(&err)), "{failing:?}");
+        let safe = run_all("SELECT COUNT(*) FROM customer WHERE c_custkey * 2 < 0 AND c_name = 'x'");
+        let zero = vec![vec![Value::Int(0)]];
+        assert!(safe.iter().all(|r| r.as_ref().ok() == Some(&zero)), "{safe:?}");
     }
 
     #[test]

@@ -1,24 +1,44 @@
 //! Sort, top-N and output-sort execution.
 //!
-//! Two flavors share one comparator: the row interpreter sorts materialized
-//! rows; the vectorized executor sorts *selection vectors* over column
-//! batches ([`full_sort_indices`], [`top_n_indices`]) and defers row
-//! materialization to the consumer. Both use the same key comparison and the
-//! same (stable sort / bounded-buffer) algorithms so tie-breaking — and
-//! therefore output order — is identical across executors.
+//! Two flavors share one comparator: the row interpreter orders the
+//! positions of its input rows, whatever their form, by keys read in place
+//! ([`full_sort`], [`top_n`]); the vectorized executor sorts *selection
+//! vectors* over column batches ([`full_sort_indices`], [`top_n_indices`]).
+//! Both defer row materialization to the consumer, and both use the same
+//! key comparison and the same (stable sort / bounded-buffer) algorithms so
+//! tie-breaking — and therefore output order — is identical across
+//! executors.
 
 use super::guard::ExecGuard;
 use super::typed::{each_block, each_row, with_numeric, ExprCol, Num};
-use super::{ExecError, Row, WorkCounters, GUARD_CHECK_ROWS};
-use crate::eval::{eval, Schema};
+use super::{ExecError, Row, Rows, WorkCounters, GUARD_CHECK_ROWS};
+use crate::eval::{cell_total_cmp, Cell, RowExpr, Schema};
 use qpe_sql::binder::BoundExpr;
 use qpe_sql::value::Value;
 use std::cmp::Ordering;
 
+/// A sort key cell: a [`Value`], or a `Cell` read in place. Both order by
+/// `Value::total_cmp`.
+trait KeyCell {
+    fn key_cmp(&self, other: &Self) -> Ordering;
+}
+
+impl KeyCell for Value {
+    fn key_cmp(&self, other: &Self) -> Ordering {
+        self.total_cmp(other)
+    }
+}
+
+impl KeyCell for Cell<'_> {
+    fn key_cmp(&self, other: &Self) -> Ordering {
+        cell_total_cmp(*self, *other)
+    }
+}
+
 /// Compares two rows on pre-computed key values.
-fn cmp_keys(a: &[Value], b: &[Value], descs: &[bool]) -> Ordering {
+fn cmp_keys<K: KeyCell>(a: &[K], b: &[K], descs: &[bool]) -> Ordering {
     for ((x, y), desc) in a.iter().zip(b.iter()).zip(descs.iter()) {
-        let o = x.total_cmp(y);
+        let o = x.key_cmp(y);
         let o = if *desc { o.reverse() } else { o };
         if o != Ordering::Equal {
             return o;
@@ -34,30 +54,45 @@ pub(crate) fn charge_sort_comparisons(counters: &mut WorkCounters, n: u64) {
     counters.sort_comparisons += n * (64 - n.max(1).leading_zeros() as u64).max(1);
 }
 
+/// Compiles sort `keys` for `rows` laid out by `schema`, with their
+/// directions.
+fn row_keys<'e>(
+    rows: &Rows<'_>,
+    schema: &Schema,
+    keys: &'e [(BoundExpr, bool)],
+) -> (Vec<RowExpr<'e>>, Vec<bool>) {
+    let layout = rows.layout(schema);
+    keys.iter().map(|(k, desc)| (RowExpr::new(k, &layout), *desc)).unzip()
+}
+
 /// Full sort on expression keys (TP's only ORDER BY strategy without an
-/// index; also AP's when no LIMIT bounds the sort).
-pub fn full_sort<R: AsRef<[Value]>>(
+/// index; also AP's when no LIMIT bounds the sort): the positions of `rows`
+/// in key order, ties in input order. Keys are read in place.
+pub(super) fn full_sort(
     counters: &mut WorkCounters,
-    input: Vec<R>,
+    rows: &Rows<'_>,
     schema: &Schema,
     keys: &[(BoundExpr, bool)],
     guard: &ExecGuard,
-) -> Result<Vec<R>, ExecError> {
-    let descs: Vec<bool> = keys.iter().map(|(_, d)| *d).collect();
-    let mut keyed: Vec<(Vec<Value>, R)> = Vec::with_capacity(input.len());
-    for (i, row) in input.into_iter().enumerate() {
+) -> Result<Vec<usize>, ExecError> {
+    let (exprs, descs) = row_keys(rows, schema, keys);
+    let width = exprs.len();
+    // Every row's key cells, row after row.
+    let mut cells: Vec<Cell> = Vec::with_capacity(rows.len() * width);
+    rows.try_for_each(|i, row| {
         if i % GUARD_CHECK_ROWS == 0 {
             guard.check()?;
         }
-        let kv: Vec<Value> = keys
-            .iter()
-            .map(|(k, _)| eval(k, schema, row.as_ref()))
-            .collect::<Result<_, _>>()?;
-        keyed.push((kv, row));
-    }
-    charge_sort_comparisons(counters, keyed.len() as u64);
-    keyed.sort_by(|(ka, _), (kb, _)| cmp_keys(ka, kb, &descs));
-    Ok(keyed.into_iter().map(|(_, r)| r).collect())
+        for e in &exprs {
+            cells.push(e.eval(row)?);
+        }
+        Ok::<_, ExecError>(())
+    })?;
+    charge_sort_comparisons(counters, rows.len() as u64);
+    let key = |i: usize| &cells[i * width..(i + 1) * width];
+    let mut order: Vec<usize> = (0..rows.len()).collect();
+    order.sort_by(|&a, &b| cmp_keys(key(a), key(b), &descs));
+    Ok(order)
 }
 
 /// Vectorized full sort: stable-sorts the selection by its key columns.
@@ -159,51 +194,50 @@ pub(crate) fn full_sort_indices_par(
     out
 }
 
-/// Bounded top-N selection (AP's dedicated operator): keeps the best
-/// `limit + offset` rows, then drops the first `offset`.
-pub fn top_n<R: AsRef<[Value]>>(
+/// Bounded top-N selection (AP's dedicated operator): the positions of the
+/// best `limit + offset` rows of `rows`, best first, less the first
+/// `offset`. Keys are read in place.
+pub(super) fn top_n(
     counters: &mut WorkCounters,
-    input: Vec<R>,
+    rows: &Rows<'_>,
     schema: &Schema,
     keys: &[(BoundExpr, bool)],
     limit: u64,
     offset: u64,
     guard: &ExecGuard,
-) -> Result<Vec<R>, ExecError> {
+) -> Result<Vec<usize>, ExecError> {
     let need = (limit + offset) as usize;
     if need == 0 {
         return Ok(Vec::new());
     }
-    let descs: Vec<bool> = keys.iter().map(|(_, d)| *d).collect();
+    let (exprs, descs) = row_keys(rows, schema, keys);
     // Simple bounded selection: maintain a sorted buffer of at most `need`
     // rows. Each push charges one heap operation.
-    let mut buf: Vec<(Vec<Value>, R)> = Vec::with_capacity(need + 1);
-    for (i, row) in input.into_iter().enumerate() {
+    let mut buf: Vec<(Vec<Cell>, usize)> = Vec::with_capacity(need + 1);
+    rows.try_for_each(|i, row| {
         if i % GUARD_CHECK_ROWS == 0 {
             guard.check()?;
         }
         counters.topn_pushes += 1;
-        let kv: Vec<Value> = keys
-            .iter()
-            .map(|(k, _)| eval(k, schema, row.as_ref()))
-            .collect::<Result<_, _>>()?;
+        let kv: Vec<Cell> = exprs.iter().map(|e| e.eval(row)).collect::<Result<_, _>>()?;
         if buf.len() < need {
             let pos = buf
                 .binary_search_by(|(k, _)| cmp_keys(k, &kv, &descs))
                 .unwrap_or_else(|p| p);
-            buf.insert(pos, (kv, row));
+            buf.insert(pos, (kv, i));
         } else if cmp_keys(&kv, &buf[need - 1].0, &descs) == Ordering::Less {
             let pos = buf
                 .binary_search_by(|(k, _)| cmp_keys(k, &kv, &descs))
                 .unwrap_or_else(|p| p);
-            buf.insert(pos, (kv, row));
+            buf.insert(pos, (kv, i));
             buf.pop();
         }
-    }
+        Ok::<_, ExecError>(())
+    })?;
     Ok(buf
         .into_iter()
         .skip(offset as usize)
-        .map(|(_, r)| r)
+        .map(|(_, i)| i)
         .collect())
 }
 

@@ -3,7 +3,7 @@
 //! accepts, [`aggregate_cols`] must return the rows **and** counters of
 //! [`aggregate`], [`top_n_indices`] / [`full_sort_indices_par`] the row
 //! order of [`top_n`] / [`full_sort`], and [`join_pairs`] the rows and
-//! counters of [`hash_join_rows`], over every column shape the kernels
+//! counters of `hash_join_pairs`, over every column shape the kernels
 //! dispatch on — each encoding policy, nullable and mixed columns, clean
 //! (one segment) and dirty (base + delta) views, dense and selected
 //! batches, one to four threads. The morsel splice behind `par_eval_batch`
@@ -19,8 +19,8 @@ use super::parallel::{par_eval_batch, par_filter_sel, par_gather};
 use super::sort::{full_sort, full_sort_indices_par, top_n, top_n_indices};
 use super::typed::{eval_col, ExprCol};
 use super::vector::{classify_join, join_pairs, JoinKeys, JoinSide};
-use super::{hash_join_rows, ExecConfig, ExecGuard, Row, WorkCounters};
-use crate::eval::{eval_predicate, EvalError, Schema};
+use super::{hash_join_pairs, ExecConfig, ExecGuard, Row, Rows, WorkCounters};
+use crate::eval::{eval_predicate, EvalError, Layout, Schema, Slot};
 use crate::plan::AggSpec;
 use crate::storage::col_store::{ColRef, ColumnData, EncodingPolicy};
 use proptest::prelude::*;
@@ -248,6 +248,16 @@ impl Fixture {
     fn phys_row(&self, i: u32) -> Row {
         self.stored.iter().map(|s| s.col_ref().get(i as usize)).collect()
     }
+
+    /// The interpreter's slots of row positions `cols`.
+    fn slots(&self, cols: &[usize]) -> Vec<Slot> {
+        let layout = Layout::flat(&self.schema);
+        let slot = |c: usize| {
+            let (table_slot, column_idx) = self.schema.columns()[c];
+            layout.slot(table_slot, column_idx).expect("a schema column")
+        };
+        cols.iter().map(|&c| slot(c)).collect()
+    }
 }
 
 /// Join-table columns: one key in each shape the join dispatches on, the
@@ -456,7 +466,7 @@ proptest! {
             let outputs = outputs(&group_by);
             let mut want_c = WorkCounters::default();
             let want = aggregate(
-                &mut want_c, fx.rows.iter().map(Vec::as_slice), &fx.schema, &group_by, &outputs, having.as_ref(), hash, guard,
+                &mut want_c, &Rows::Owned(fx.rows.clone()), &fx.schema, &group_by, &outputs, having.as_ref(), hash, guard,
             ).expect("row interpreter aggregates");
 
             let leaves = collect_all_leaves(&outputs, having.as_ref());
@@ -495,7 +505,8 @@ proptest! {
         let guard = ExecGuard::unlimited();
         let sel: Vec<u32> = fx.sel.clone().unwrap_or_else(|| (0..n as u32).collect());
         let rids = |idxs: &[u32]| idxs.iter().map(|&i| Value::Int(i as i64)).collect::<Vec<_>>();
-        let rid_col = |rows: &[Row]| rows.iter().map(|r| r[RID].clone()).collect::<Vec<_>>();
+        let rid_col =
+            |idxs: &[usize]| idxs.iter().map(|&i| fx.rows[i][RID].clone()).collect::<Vec<_>>();
         let key_sets = [
             vec![K_INT], vec![K_DATE], vec![K_FLOAT], vec![K_NINT], vec![K_STR], vec![K_MIXED],
             vec![K_FLOAT, K_INT],
@@ -505,9 +516,10 @@ proptest! {
                 key_set.iter().enumerate().map(|(i, &k)| (col(k), desc ^ (i == 1))).collect();
             let descs: Vec<bool> = keys.iter().map(|(_, d)| *d).collect();
             let mut want_c = WorkCounters::default();
-            let want_top = top_n(&mut want_c, fx.rows.clone(), &fx.schema, &keys, limit, offset, guard)
+            let rows = Rows::Owned(fx.rows.clone());
+            let want_top = top_n(&mut want_c, &rows, &fx.schema, &keys, limit, offset, guard)
                 .expect("row top-N");
-            let want_sorted = full_sort(&mut want_c, fx.rows.clone(), &fx.schema, &keys, guard)
+            let want_sorted = full_sort(&mut want_c, &rows, &fx.schema, &keys, guard)
                 .expect("row sort");
             for threads in [1, 2, 4] {
                 let cfg = cfg(threads);
@@ -572,8 +584,14 @@ proptest! {
                 prop_assert_eq!(path, want_path, "keys {:?}/{:?}", pk, bk);
             }
             let mut want_c = WorkCounters::default();
-            let want = hash_join_rows(&mut want_c, guard, &build.rows, &probe.rows, bk, pk)
+            let (brows, prows) = (Rows::Owned(build.rows.clone()), Rows::Owned(probe.rows.clone()));
+            let (bslots, pslots) = (build.slots(bk), probe.slots(pk));
+            let pairs = hash_join_pairs(&mut want_c, guard, &brows, &prows, &bslots, &pslots)
                 .expect("row interpreter joins");
+            let want: Vec<Row> = pairs
+                .into_iter()
+                .map(|(p, b)| [&probe.rows[p as usize][..], &build.rows[b as usize][..]].concat())
+                .collect();
             for threads in [1, 2, 4] {
                 let cfg = ExecConfig { threads, morsel_rows: 64, ..ExecConfig::serial() };
                 let mut got_c = WorkCounters::default();

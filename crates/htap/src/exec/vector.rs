@@ -928,7 +928,8 @@ mod tests {
     /// happen to share a hash.
     #[test]
     fn join_keys_match_within_one_type_and_across_zero_signs() {
-        use crate::exec::hash_join_rows;
+        use crate::eval::{Layout, Schema};
+        use crate::exec::{hash_join_pairs, Rows};
         let (f, i, d) = (Value::Float, Value::Int, Value::Date);
         // (probe keys, build keys, the matching (probe, build) key pairs)
         type Case = (Vec<Value>, Vec<Value>, Vec<(Value, Value)>);
@@ -958,19 +959,21 @@ mod tests {
             );
             let batch: Vec<(Value, Value)> =
                 pi.iter().zip(&bi).map(|(&x, &y)| (p.get(x as usize), b.get(y as usize))).collect();
-            let rows = |vals: &[Value]| vals.iter().map(|v| vec![v.clone()]).collect::<Vec<Row>>();
-            let (build_rows, probe_rows) = (rows(&build), rows(&probe));
-            let joined = hash_join_rows(
+            let rows = |vals: &[Value]| Rows::Owned(vals.iter().map(|v| vec![v.clone()]).collect());
+            let key = Layout::flat(&Schema::new(vec![(0, 0)])).slot(0, 0).expect("one column");
+            let pairs = hash_join_pairs(
                 &mut WorkCounters::default(),
                 ExecGuard::unlimited(),
-                &build_rows,
-                &probe_rows,
-                &[0],
-                &[0],
+                &rows(&build),
+                &rows(&probe),
+                &[key],
+                &[key],
             )
             .expect("joins");
-            let interpreted: Vec<(Value, Value)> =
-                joined.into_iter().map(|r| (r[0].clone(), r[1].clone())).collect();
+            let interpreted: Vec<(Value, Value)> = pairs
+                .into_iter()
+                .map(|(p, b)| (probe[p as usize].clone(), build[b as usize].clone()))
+                .collect();
             assert_eq!(exact(batch), exact(want.clone()), "batch join of {probe:?} ⋈ {build:?}");
             assert_eq!(exact(interpreted), exact(want), "row join of {probe:?} ⋈ {build:?}");
         }

@@ -122,10 +122,15 @@
 //!
 //! * **Row interpreter** ([`exec::execute_scalar`]) — the reference
 //!   semantics, row-at-a-time; TP plans always execute here (index probes
-//!   are inherently row-at-a-time). Row-store tuples are read in place and
-//!   copied only by the operator that keeps a row, and every join matches
-//!   keys by one equality: NULL and NaN match nothing, keys of two types
-//!   never match, `-0.0` matches `0.0`.
+//!   are inherently row-at-a-time). Row-store tuples are read in place,
+//!   and joins no longer materialize: a join hands its parent both inputs
+//!   and the matched (outer, inner) positions, joins nest, and filters,
+//!   sorts, limits and aggregates read a joined row where its cells live.
+//!   Only a projection and the root copy cells. Expressions are compiled
+//!   once per operator and evaluate to borrowed cells, so a comparison
+//!   clones no string. Counters still charge whole tuples, by the same
+//!   formulas. Every join matches keys by one equality: NULL and NaN match
+//!   nothing, keys of two types never match, `-0.0` matches `0.0`.
 //! * **Vectorized batch executor** ([`exec::vector`]) — AP plans execute
 //!   over *batches*: typed column arrays (borrowed zero-copy from the column
 //!   store) plus a selection vector. Filters write the rows that pass
