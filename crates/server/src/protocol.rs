@@ -18,12 +18,27 @@
 //!
 //! # Body encoding
 //!
-//! All integers are little-endian. Strings and byte blobs are
-//! `u32`-length-prefixed; since they are sliced out of an
-//! already-length-capped payload, decoding allocates at most one frame's
-//! worth of memory. [`Value`]s are tagged (`0`=NULL, `1`=Int, `2`=Float as
-//! IEEE bits, `3`=Str, `4`=Date), so every parameter and result cell —
-//! NULL included — round-trips typed.
+//! Each layout is stated once, and both directions of the codec derive
+//! from it. The frames ([`ClientFrame`], [`ServerFrame`]) and the error
+//! frame's body ([`WireError`]) are declared by `wire_enum!`: every variant
+//! with its opcode or error code and its fields in wire order, a list field
+//! with the width of its count. [`StatsSnapshot`] is declared by
+//! `wire_struct!`, and the one-byte codes of [`EnginePref`], `EngineKind`,
+//! `DataType`, [`SqlStage`] and [`BusyWhat`] by `code_tables!`. Fields
+//! travel by their type's `Wire` impl:
+//!
+//! - integers are little-endian, fixed width; `bool` is one byte;
+//! - strings are `u32`-length-prefixed UTF-8; since they are sliced out of
+//!   an already-length-capped payload, decoding allocates at most one
+//!   frame's worth of memory;
+//! - [`Value`]s are tagged (`0`=NULL, `1`=Int, `2`=Float as IEEE bits,
+//!   `3`=Str, `4`=Date), so every parameter and result cell — NULL
+//!   included — round-trips typed; a row is a `u32` cell count, then cells;
+//! - [`WorkCounters`] are a `u8` field count, then the fields in a fixed,
+//!   append-only order;
+//! - a `Duration` is `u64` nanoseconds.
+//!
+//! Decoding rejects unknown tags, truncated bodies and trailing bytes.
 //!
 //! Errors travel as first-class frames: every [`qpe_htap::HtapError`]
 //! variant has a wire form ([`WireError`]) that preserves its structure —
@@ -49,6 +64,11 @@ pub const MAX_FRAME_LEN: u32 = 8 * 1024 * 1024;
 /// Default number of rows per `Rows`/`RowsChunk` frame when the client
 /// does not ask for a specific chunk size.
 pub const DEFAULT_FETCH_ROWS: u32 = 1024;
+
+/// Most parameters a statement may have over the wire: `Prepared` and
+/// `Execute` count them in a `u16`. The server refuses to prepare a wider
+/// statement, and the client refuses to send a wider `Execute`.
+pub const MAX_PARAMS: usize = u16::MAX as usize;
 
 // ---------------------------------------------------------------------------
 // Frame envelope I/O
@@ -140,7 +160,7 @@ pub fn read_frame(r: &mut impl Read) -> Result<Vec<u8>, FrameError> {
 }
 
 // ---------------------------------------------------------------------------
-// Body primitives
+// Body codec
 // ---------------------------------------------------------------------------
 
 /// Append-only payload builder.
@@ -150,80 +170,9 @@ pub struct Writer {
 }
 
 impl Writer {
-    /// A builder starting with `opcode`.
-    pub fn with_opcode(opcode: u8) -> Writer {
-        Writer { buf: vec![opcode] }
-    }
-
     /// The finished payload.
     pub fn finish(self) -> Vec<u8> {
         self.buf
-    }
-
-    fn put_u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-    fn put_u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn put_u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn put_u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn put_i64(&mut self, v: i64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn put_i32(&mut self, v: i32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn put_f64(&mut self, v: f64) {
-        self.buf.extend_from_slice(&v.to_bits().to_le_bytes());
-    }
-    fn put_bool(&mut self, v: bool) {
-        self.put_u8(v as u8);
-    }
-    fn put_str(&mut self, s: &str) {
-        self.put_u32(s.len() as u32);
-        self.buf.extend_from_slice(s.as_bytes());
-    }
-
-    fn put_value(&mut self, v: &Value) {
-        match v {
-            Value::Null => self.put_u8(0),
-            Value::Int(i) => {
-                self.put_u8(1);
-                self.put_i64(*i);
-            }
-            Value::Float(f) => {
-                self.put_u8(2);
-                self.put_f64(*f);
-            }
-            Value::Str(s) => {
-                self.put_u8(3);
-                self.put_str(s);
-            }
-            Value::Date(d) => {
-                self.put_u8(4);
-                self.put_i32(*d);
-            }
-        }
-    }
-
-    fn put_row(&mut self, row: &[Value]) {
-        self.put_u32(row.len() as u32);
-        for v in row {
-            self.put_value(v);
-        }
-    }
-
-    fn put_counters(&mut self, c: &WorkCounters) {
-        let fields = counters_to_array(c);
-        self.put_u8(fields.len() as u8);
-        for f in fields {
-            self.put_u64(f);
-        }
     }
 }
 
@@ -245,8 +194,12 @@ impl<'a> Reader<'a> {
         Reader { buf, pos: 0 }
     }
 
+    fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
+    }
+
     fn take(&mut self, n: usize) -> DecodeResult<&'a [u8]> {
-        if self.buf.len() - self.pos < n {
+        if self.remaining() < n {
             return Err(malformed(format!(
                 "body truncated: wanted {n} bytes at offset {}, frame has {}",
                 self.pos,
@@ -258,173 +211,353 @@ impl<'a> Reader<'a> {
         Ok(s)
     }
 
-    fn u8(&mut self) -> DecodeResult<u8> {
-        Ok(self.take(1)?[0])
-    }
-    fn u16(&mut self) -> DecodeResult<u16> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().expect("2 bytes")))
-    }
-    fn u32(&mut self) -> DecodeResult<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
-    }
-    fn u64(&mut self) -> DecodeResult<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
-    }
-    fn i64(&mut self) -> DecodeResult<i64> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
-    }
-    fn i32(&mut self) -> DecodeResult<i32> {
-        Ok(i32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
-    }
-    fn f64(&mut self) -> DecodeResult<f64> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-    fn bool(&mut self) -> DecodeResult<bool> {
-        Ok(self.u8()? != 0)
-    }
-
-    fn string(&mut self) -> DecodeResult<String> {
-        let n = self.u32()? as usize;
-        // `take` bounds n against the remaining frame, so the allocation
-        // below is capped by the (already capped) frame length.
-        let bytes = self.take(n)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| malformed("string is not UTF-8"))
-    }
-
-    fn value(&mut self) -> DecodeResult<Value> {
-        Ok(match self.u8()? {
-            0 => Value::Null,
-            1 => Value::Int(self.i64()?),
-            2 => Value::Float(self.f64()?),
-            3 => Value::Str(self.string()?),
-            4 => Value::Date(self.i32()?),
-            t => return Err(malformed(format!("unknown value tag {t}"))),
-        })
-    }
-
-    fn row(&mut self) -> DecodeResult<Vec<Value>> {
-        let n = self.u32()? as usize;
-        // Each value is ≥1 byte, so a row longer than the remaining frame
-        // cannot decode; cap the pre-allocation the same way.
-        let mut row = Vec::with_capacity(n.min(self.buf.len() - self.pos));
-        for _ in 0..n {
-            row.push(self.value()?);
-        }
-        Ok(row)
-    }
-
-    fn counters(&mut self) -> DecodeResult<WorkCounters> {
-        let n = self.u8()? as usize;
-        let mut fields = [0u64; COUNTER_FIELDS];
-        // A longer list than we know (a newer peer) decodes its known
-        // prefix; the surplus is consumed and dropped.
-        for i in 0..n {
-            let v = self.u64()?;
-            if let Some(slot) = fields.get_mut(i) {
-                *slot = v;
-            }
-        }
-        Ok(counters_from_array(&fields))
-    }
-
     /// Fails unless the whole payload was consumed — trailing garbage after
     /// a valid body means the peer and we disagree on the format.
     pub fn expect_end(&self) -> DecodeResult<()> {
         if self.pos != self.buf.len() {
             return Err(malformed(format!(
                 "{} trailing byte(s) after a complete body",
-                self.buf.len() - self.pos
+                self.remaining()
             )));
         }
         Ok(())
     }
 }
 
-/// Number of [`WorkCounters`] fields carried on the wire.
-const COUNTER_FIELDS: usize = 18;
-
-/// The wire order of [`WorkCounters`] fields (append-only: new counters go
-/// at the end so old readers keep decoding the prefix they know).
-fn counters_to_array(c: &WorkCounters) -> [u64; COUNTER_FIELDS] {
-    [
-        c.rows_scanned,
-        c.cells_scanned,
-        c.index_probes,
-        c.index_fetches,
-        c.filter_evals,
-        c.nlj_pairs,
-        c.hash_build_rows,
-        c.hash_probe_rows,
-        c.sort_comparisons,
-        c.topn_pushes,
-        c.agg_rows,
-        c.output_rows,
-        c.rows_inserted,
-        c.rows_updated,
-        c.rows_deleted,
-        c.index_updates,
-        c.blocks_checked,
-        c.blocks_pruned,
-    ]
+/// A type with one wire layout: `put` writes it, `get` reads it back.
+trait Wire: Sized {
+    fn put(&self, w: &mut Writer);
+    fn get(r: &mut Reader) -> DecodeResult<Self>;
 }
 
-fn counters_from_array(f: &[u64; COUNTER_FIELDS]) -> WorkCounters {
-    WorkCounters {
-        rows_scanned: f[0],
-        cells_scanned: f[1],
-        index_probes: f[2],
-        index_fetches: f[3],
-        filter_evals: f[4],
-        nlj_pairs: f[5],
-        hash_build_rows: f[6],
-        hash_probe_rows: f[7],
-        sort_comparisons: f[8],
-        topn_pushes: f[9],
-        agg_rows: f[10],
-        output_rows: f[11],
-        rows_inserted: f[12],
-        rows_updated: f[13],
-        rows_deleted: f[14],
-        index_updates: f[15],
-        blocks_checked: f[16],
-        blocks_pruned: f[17],
+/// A whole payload: the value, and nothing after it.
+fn decode<T: Wire>(payload: &[u8]) -> DecodeResult<T> {
+    let mut r = Reader::new(payload);
+    let value = T::get(&mut r)?;
+    r.expect_end()?;
+    Ok(value)
+}
+
+fn encode(value: &impl Wire) -> Vec<u8> {
+    let mut w = Writer::default();
+    value.put(&mut w);
+    w.finish()
+}
+
+macro_rules! wire_le {
+    ($($t:ty),*) => {$(
+        impl Wire for $t {
+            fn put(&self, w: &mut Writer) {
+                w.buf.extend_from_slice(&self.to_le_bytes());
+            }
+            fn get(r: &mut Reader) -> DecodeResult<Self> {
+                let bytes = r.take(std::mem::size_of::<$t>())?;
+                Ok(<$t>::from_le_bytes(bytes.try_into().expect("sized take")))
+            }
+        }
+    )*};
+}
+
+// `f64` travels as its IEEE bits.
+wire_le!(u8, u16, u32, u64, i32, i64, f64);
+
+impl Wire for bool {
+    fn put(&self, w: &mut Writer) {
+        u8::from(*self).put(w);
+    }
+    fn get(r: &mut Reader) -> DecodeResult<Self> {
+        Ok(u8::get(r)? != 0)
     }
 }
 
-/// Exact encoded size of one value cell, matching `Writer::put_value`.
-pub(crate) fn encoded_value_len(v: &Value) -> usize {
-    1 + match v {
+impl Wire for String {
+    fn put(&self, w: &mut Writer) {
+        (self.len() as u32).put(w);
+        w.buf.extend_from_slice(self.as_bytes());
+    }
+    fn get(r: &mut Reader) -> DecodeResult<Self> {
+        let n = u32::get(r)? as usize;
+        // `take` bounds n against the remaining frame, so the allocation
+        // below is capped by the (already capped) frame length.
+        let bytes = r.take(n)?;
+        String::from_utf8(bytes.to_vec()).map_err(|_| malformed("string is not UTF-8"))
+    }
+}
+
+/// Nanoseconds, saturating at `u64::MAX`.
+impl Wire for Duration {
+    fn put(&self, w: &mut Writer) {
+        u64::try_from(self.as_nanos()).unwrap_or(u64::MAX).put(w);
+    }
+    fn get(r: &mut Reader) -> DecodeResult<Self> {
+        Ok(Duration::from_nanos(u64::get(r)?))
+    }
+}
+
+impl<T: Wire> Wire for Box<T> {
+    fn put(&self, w: &mut Writer) {
+        (**self).put(w);
+    }
+    fn get(r: &mut Reader) -> DecodeResult<Self> {
+        T::get(r).map(Box::new)
+    }
+}
+
+impl Wire for Value {
+    fn put(&self, w: &mut Writer) {
+        match self {
+            Value::Null => 0u8.put(w),
+            Value::Int(i) => {
+                1u8.put(w);
+                i.put(w);
+            }
+            Value::Float(f) => {
+                2u8.put(w);
+                f.put(w);
+            }
+            Value::Str(s) => {
+                3u8.put(w);
+                s.put(w);
+            }
+            Value::Date(d) => {
+                4u8.put(w);
+                d.put(w);
+            }
+        }
+    }
+    fn get(r: &mut Reader) -> DecodeResult<Self> {
+        Ok(match u8::get(r)? {
+            0 => Value::Null,
+            1 => Value::Int(i64::get(r)?),
+            2 => Value::Float(f64::get(r)?),
+            3 => Value::Str(String::get(r)?),
+            4 => Value::Date(i32::get(r)?),
+            t => return Err(malformed(format!("unknown value tag {t}"))),
+        })
+    }
+}
+
+/// A list: its count as an `N`, then the items. Senders keep a list within
+/// its count (see [`MAX_PARAMS`]): a longer one is a bug, not a frame.
+fn put_list<N: Wire + TryFrom<usize>, T: Wire>(w: &mut Writer, items: &[T]) {
+    let n = N::try_from(items.len())
+        .unwrap_or_else(|_| panic!("{} items overflow their list count", items.len()));
+    n.put(w);
+    for item in items {
+        item.put(w);
+    }
+}
+
+fn get_list<N: Wire + Into<u64>, T: Wire>(r: &mut Reader) -> DecodeResult<Vec<T>> {
+    let n = N::get(r)?.into() as usize;
+    // Each item is ≥1 byte, so a list longer than the rest of the frame
+    // cannot decode; cap the pre-allocation the same way.
+    let mut items = Vec::with_capacity(n.min(r.remaining()));
+    for _ in 0..n {
+        items.push(T::get(r)?);
+    }
+    Ok(items)
+}
+
+/// A row: a `u32` cell count, then the cells.
+impl Wire for Vec<Value> {
+    fn put(&self, w: &mut Writer) {
+        put_list::<u32, _>(w, self);
+    }
+    fn get(r: &mut Reader) -> DecodeResult<Self> {
+        get_list::<u32, _>(r)
+    }
+}
+
+/// Exact encoded size of one row, matching its `Wire` impl (checked by
+/// `encoded_row_len_matches_the_writer`).
+pub(crate) fn encoded_row_len(row: &[Value]) -> usize {
+    let cell = |v: &Value| match v {
         Value::Null => 0,
         Value::Int(_) | Value::Float(_) => 8,
         Value::Str(s) => 4 + s.len(),
         Value::Date(_) => 4,
+    };
+    4 + row.iter().map(|v| 1 + cell(v)).sum::<usize>()
+}
+
+/// The wire order of [`WorkCounters`] fields (append-only: new counters go
+/// at the end so old readers keep decoding the prefix they know).
+fn counter_fields(c: &mut WorkCounters) -> [&mut u64; 18] {
+    [
+        &mut c.rows_scanned,
+        &mut c.cells_scanned,
+        &mut c.index_probes,
+        &mut c.index_fetches,
+        &mut c.filter_evals,
+        &mut c.nlj_pairs,
+        &mut c.hash_build_rows,
+        &mut c.hash_probe_rows,
+        &mut c.sort_comparisons,
+        &mut c.topn_pushes,
+        &mut c.agg_rows,
+        &mut c.output_rows,
+        &mut c.rows_inserted,
+        &mut c.rows_updated,
+        &mut c.rows_deleted,
+        &mut c.index_updates,
+        &mut c.blocks_checked,
+        &mut c.blocks_pruned,
+    ]
+}
+
+/// A `u8` field count, then the fields in [`counter_fields`] order.
+impl Wire for WorkCounters {
+    fn put(&self, w: &mut Writer) {
+        let mut c = *self;
+        let fields = counter_fields(&mut c);
+        (fields.len() as u8).put(w);
+        for f in fields {
+            f.put(w);
+        }
+    }
+    fn get(r: &mut Reader) -> DecodeResult<Self> {
+        let mut c = WorkCounters::default();
+        let mut fields = counter_fields(&mut c);
+        // A longer list than we know (a newer peer) decodes its known
+        // prefix; the surplus is consumed and dropped.
+        for i in 0..u8::get(r)? as usize {
+            let v = u64::get(r)?;
+            if let Some(slot) = fields.get_mut(i) {
+                **slot = v;
+            }
+        }
+        Ok(c)
     }
 }
 
-/// Exact encoded size of one row, matching `Writer::put_row`.
-pub(crate) fn encoded_row_len(row: &[Value]) -> usize {
-    4 + row.iter().map(encoded_value_len).sum::<usize>()
+/// One-byte code tables, one line per type: `Type("what") { Variant = code }`.
+macro_rules! code_tables {
+    ($($ty:ident($what:literal) { $($v:ident = $code:literal),* })*) => {$(
+        impl Wire for $ty {
+            fn put(&self, w: &mut Writer) {
+                u8::put(&match self { $($ty::$v => $code),* }, w);
+            }
+            fn get(r: &mut Reader) -> DecodeResult<Self> {
+                Ok(match u8::get(r)? {
+                    $($code => $ty::$v,)*
+                    t => return Err(malformed(format!(concat!("unknown ", $what, " {}"), t))),
+                })
+            }
+        }
+    )*};
 }
 
-fn put_data_type(w: &mut Writer, ty: Option<DataType>) {
-    w.put_u8(match ty {
-        None => 255,
-        Some(DataType::Int) => 0,
-        Some(DataType::Float) => 1,
-        Some(DataType::Str) => 2,
-        Some(DataType::Date) => 3,
-    });
+code_tables! {
+    EnginePref("engine preference") { Default = 0, Tp = 1, Ap = 2, Dual = 3 }
+    EngineKind("engine kind") { Tp = 1, Ap = 2 }
+    DataType("data type tag") { Int = 0, Float = 1, Str = 2, Date = 3 }
+    SqlStage("sql stage") { Lex = 0, Parse = 1, Bind = 2, Unsupported = 3, ParamNotSupported = 4 }
+    BusyWhat("busy kind") { Connections = 0, Statements = 1, PreparedStatements = 2 }
 }
 
-fn data_type(r: &mut Reader) -> DecodeResult<Option<DataType>> {
-    Ok(match r.u8()? {
-        255 => None,
-        0 => Some(DataType::Int),
-        1 => Some(DataType::Float),
-        2 => Some(DataType::Str),
-        3 => Some(DataType::Date),
-        t => return Err(malformed(format!("unknown data type tag {t}"))),
-    })
+/// An unconstrained parameter type: the tag after `DataType`'s.
+const NO_DATA_TYPE: u8 = 255;
+
+impl Wire for Option<DataType> {
+    fn put(&self, w: &mut Writer) {
+        match self {
+            Some(t) => t.put(w),
+            None => NO_DATA_TYPE.put(w),
+        }
+    }
+    fn get(r: &mut Reader) -> DecodeResult<Self> {
+        if r.buf.get(r.pos) == Some(&NO_DATA_TYPE) {
+            r.pos += 1;
+            return Ok(None);
+        }
+        DataType::get(r).map(Some)
+    }
+}
+
+/// Declares an enum in which each variant is one wire layout: its tag
+/// byte, then its fields in declaration order, each by its `Wire` impl — a
+/// list field's count in the width written after it
+/// (`params: Vec<Value> [u16]`). Variants are unit, one-field tuple, or
+/// struct variants; `what` names the tag in the unknown-tag error.
+macro_rules! wire_enum {
+    // The pattern binding a variant's fields (`$x`: a tuple variant's one).
+    (@pat $x:ident $e:ident::$v:ident) => { $e::$v };
+    (@pat $x:ident $e:ident::$v:ident ($t:ty)) => { $e::$v($x) };
+    (@pat $x:ident $e:ident::$v:ident { $($f:ident $([$n:ty])?),* }) => { $e::$v { $($f),* } };
+    // Writes the bound fields.
+    (@put $w:ident $x:ident) => {};
+    (@put $w:ident $x:ident ($t:ty)) => { $x.put($w) };
+    (@put $w:ident $x:ident { $($f:ident $([$n:ty])?),* }) => {
+        $(wire_enum!(@put_field $w $f $([$n])?);)*
+    };
+    (@put_field $w:ident $f:ident) => { $f.put($w) };
+    (@put_field $w:ident $f:ident [$n:ty]) => { put_list::<$n, _>($w, $f) };
+    // Reads the fields, in order, into the variant.
+    (@get $r:ident $e:ident::$v:ident) => { $e::$v };
+    (@get $r:ident $e:ident::$v:ident ($t:ty)) => { $e::$v(Wire::get($r)?) };
+    (@get $r:ident $e:ident::$v:ident { $($f:ident $([$n:ty])?),* }) => {
+        $e::$v { $($f: wire_enum!(@get_field $r $([$n])?)),* }
+    };
+    (@get_field $r:ident) => { Wire::get($r)? };
+    (@get_field $r:ident [$n:ty]) => { get_list::<$n, _>($r)? };
+    (
+        $(#[$meta:meta])*
+        $vis:vis enum $name:ident($what:literal) {
+            $(
+                $(#[$vmeta:meta])*
+                $tag:literal => $v:ident
+                $(($t:ty))?
+                $({ $($(#[$fmeta:meta])* $f:ident: $ft:ty $([$n:ty])?),* $(,)? })?
+            ),* $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        $vis enum $name {
+            $($(#[$vmeta])* $v $(($t))? $({ $($(#[$fmeta])* $f: $ft),* })?,)*
+        }
+
+        impl Wire for $name {
+            fn put(&self, w: &mut Writer) {
+                match self {
+                    $(wire_enum!(@pat x $name::$v $(($t))? $({ $($f $([$n])?),* })?) => {
+                        u8::put(&$tag, w);
+                        wire_enum!(@put w x $(($t))? $({ $($f $([$n])?),* })?);
+                    })*
+                }
+            }
+            fn get(r: &mut Reader) -> DecodeResult<Self> {
+                Ok(match u8::get(r)? {
+                    $($tag => wire_enum!(@get r $name::$v $(($t))? $({ $($f $([$n])?),* })?),)*
+                    t => return Err(malformed(format!(concat!("unknown ", $what, " {}"), t))),
+                })
+            }
+        }
+    };
+}
+
+/// Declares a struct whose layout is its fields in declaration order.
+macro_rules! wire_struct {
+    (
+        $(#[$meta:meta])*
+        $vis:vis struct $name:ident {
+            $($(#[$fmeta:meta])* $fvis:vis $f:ident: $ft:ty),* $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        $vis struct $name {
+            $($(#[$fmeta])* $fvis $f: $ft),*
+        }
+
+        impl Wire for $name {
+            fn put(&self, w: &mut Writer) {
+                $(self.$f.put(w);)*
+            }
+            fn get(r: &mut Reader) -> DecodeResult<Self> {
+                Ok($name { $($f: Wire::get(r)?),* })
+            }
+        }
+    };
 }
 
 // ---------------------------------------------------------------------------
@@ -449,25 +582,6 @@ pub enum EnginePref {
 }
 
 impl EnginePref {
-    fn code(self) -> u8 {
-        match self {
-            EnginePref::Default => 0,
-            EnginePref::Tp => 1,
-            EnginePref::Ap => 2,
-            EnginePref::Dual => 3,
-        }
-    }
-
-    fn from_code(c: u8) -> DecodeResult<EnginePref> {
-        Ok(match c {
-            0 => EnginePref::Default,
-            1 => EnginePref::Tp,
-            2 => EnginePref::Ap,
-            3 => EnginePref::Dual,
-            t => return Err(malformed(format!("unknown engine preference {t}"))),
-        })
-    }
-
     /// The pinned engine, if this preference names one.
     pub fn engine(self) -> Option<EngineKind> {
         match self {
@@ -509,93 +623,95 @@ pub enum BusyWhat {
     PreparedStatements,
 }
 
-/// The wire form of every error the server can send. [`HtapError`]
-/// variants map 1:1 (via [`WireError::from`]) so governance and
-/// degraded-mode errors — `Cancelled`, `Timeout`, `MemoryBudget`,
-/// `ReadOnly` — stay typed across the wire; the protocol adds its own
-/// variants for admission (`Busy`), framing (`Protocol`) and statement
-/// bookkeeping (`UnknownStatement`, `NoCursor`).
-#[derive(Debug, Clone, PartialEq)]
-pub enum WireError {
-    /// SQL front-end failure.
-    Sql {
-        /// The stage that rejected the statement.
-        stage: SqlStage,
-        /// Byte offset for lex/parse errors (0 otherwise).
-        pos: u64,
-        /// Human-readable description (the clause, for `ParamNotSupported`).
-        message: String,
-    },
-    /// Planner failure.
-    Opt(String),
-    /// Executor failure.
-    Exec(String),
-    /// Dual-run engines disagreed (an engine bug surfacing loudly).
-    EngineMismatch {
-        /// The query.
-        sql: String,
-        /// TP row count.
-        tp_rows: u64,
-        /// AP row count.
-        ap_rows: u64,
-    },
-    /// Wrong number of parameter values.
-    ParamCountMismatch {
-        /// Declared parameter count.
-        expected: u32,
-        /// Supplied value count.
-        got: u32,
-    },
-    /// A parameter value does not fit its inferred type.
-    ParamTypeMismatch {
-        /// 0-based parameter index.
-        idx: u32,
-        /// The inferred type.
-        expected: DataType,
-        /// The offending value.
-        got: Value,
-    },
-    /// Durable storage failure.
-    Durability(String),
-    /// The statement was cancelled (session cancel or out-of-band
-    /// `Cancel` frame).
-    Cancelled,
-    /// The statement exceeded its wall-clock budget.
-    Timeout {
-        /// The configured limit.
-        limit: Duration,
-    },
-    /// The statement exceeded its memory budget.
-    MemoryBudget {
-        /// The configured budget in approximate bytes.
-        budget_bytes: u64,
-        /// What the statement had charged when it tripped.
-        attempted_bytes: u64,
-    },
-    /// The system is in read-only degraded mode; writes are rejected.
-    ReadOnly {
-        /// Root cause of the degradation.
-        cause: String,
-    },
-    /// A contained executor panic.
-    Internal(String),
-    /// Admission control rejected the request; retry later.
-    Busy {
-        /// Which limit was hit.
-        what: BusyWhat,
-        /// The configured cap.
-        limit: u32,
-    },
-    /// Protocol violation (bad frame, bad opcode, handshake out of order).
-    Protocol(String),
-    /// `Execute`/`CloseStmt` named a statement id this connection never
-    /// prepared (or already closed).
-    UnknownStatement {
-        /// The offending id.
-        stmt_id: u32,
-    },
-    /// `Fetch` with no open cursor.
-    NoCursor,
+wire_enum! {
+    /// The wire form of every error the server can send. [`HtapError`]
+    /// variants map 1:1 (via [`WireError::from`]) so governance and
+    /// degraded-mode errors — `Cancelled`, `Timeout`, `MemoryBudget`,
+    /// `ReadOnly` — stay typed across the wire; the protocol adds its own
+    /// variants for admission (`Busy`), framing (`Protocol`) and statement
+    /// bookkeeping (`UnknownStatement`, `NoCursor`).
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum WireError("error code") {
+        /// SQL front-end failure.
+        1 => Sql {
+            /// The stage that rejected the statement.
+            stage: SqlStage,
+            /// Byte offset for lex/parse errors (0 otherwise).
+            pos: u64,
+            /// Human-readable description (the clause, for `ParamNotSupported`).
+            message: String,
+        },
+        /// Planner failure.
+        2 => Opt(String),
+        /// Executor failure.
+        3 => Exec(String),
+        /// Dual-run engines disagreed (an engine bug surfacing loudly).
+        4 => EngineMismatch {
+            /// The query.
+            sql: String,
+            /// TP row count.
+            tp_rows: u64,
+            /// AP row count.
+            ap_rows: u64,
+        },
+        /// Wrong number of parameter values.
+        5 => ParamCountMismatch {
+            /// Declared parameter count.
+            expected: u32,
+            /// Supplied value count.
+            got: u32,
+        },
+        /// A parameter value does not fit its inferred type.
+        6 => ParamTypeMismatch {
+            /// 0-based parameter index.
+            idx: u32,
+            /// The inferred type.
+            expected: DataType,
+            /// The offending value.
+            got: Value,
+        },
+        /// Durable storage failure.
+        7 => Durability(String),
+        /// The statement was cancelled (session cancel or out-of-band
+        /// `Cancel` frame).
+        8 => Cancelled,
+        /// The statement exceeded its wall-clock budget.
+        9 => Timeout {
+            /// The configured limit.
+            limit: Duration,
+        },
+        /// The statement exceeded its memory budget.
+        10 => MemoryBudget {
+            /// The configured budget in approximate bytes.
+            budget_bytes: u64,
+            /// What the statement had charged when it tripped.
+            attempted_bytes: u64,
+        },
+        /// The system is in read-only degraded mode; writes are rejected.
+        11 => ReadOnly {
+            /// Root cause of the degradation.
+            cause: String,
+        },
+        /// A contained executor panic.
+        12 => Internal(String),
+        /// Admission control rejected the request; retry later.
+        13 => Busy {
+            /// Which limit was hit.
+            what: BusyWhat,
+            /// The configured cap.
+            limit: u32,
+        },
+        /// Protocol violation (bad frame, bad opcode, handshake out of order).
+        14 => Protocol(String),
+        /// `Execute`/`CloseStmt` named a statement id this connection never
+        /// prepared (or already closed).
+        15 => UnknownStatement {
+            /// The offending id.
+            stmt_id: u32,
+        },
+        /// `Fetch` with no open cursor.
+        16 => NoCursor,
+    }
 }
 
 impl std::fmt::Display for WireError {
@@ -707,656 +823,222 @@ impl From<&HtapError> for WireError {
     }
 }
 
-const ERR_SQL: u8 = 1;
-const ERR_OPT: u8 = 2;
-const ERR_EXEC: u8 = 3;
-const ERR_ENGINE_MISMATCH: u8 = 4;
-const ERR_PARAM_COUNT: u8 = 5;
-const ERR_PARAM_TYPE: u8 = 6;
-const ERR_DURABILITY: u8 = 7;
-const ERR_CANCELLED: u8 = 8;
-const ERR_TIMEOUT: u8 = 9;
-const ERR_MEMORY: u8 = 10;
-const ERR_READ_ONLY: u8 = 11;
-const ERR_INTERNAL: u8 = 12;
-const ERR_BUSY: u8 = 13;
-const ERR_PROTOCOL: u8 = 14;
-const ERR_UNKNOWN_STMT: u8 = 15;
-const ERR_NO_CURSOR: u8 = 16;
-
-fn put_wire_error(w: &mut Writer, e: &WireError) {
-    match e {
-        WireError::Sql { stage, pos, message } => {
-            w.put_u8(ERR_SQL);
-            w.put_u8(match stage {
-                SqlStage::Lex => 0,
-                SqlStage::Parse => 1,
-                SqlStage::Bind => 2,
-                SqlStage::Unsupported => 3,
-                SqlStage::ParamNotSupported => 4,
-            });
-            w.put_u64(*pos);
-            w.put_str(message);
-        }
-        WireError::Opt(m) => {
-            w.put_u8(ERR_OPT);
-            w.put_str(m);
-        }
-        WireError::Exec(m) => {
-            w.put_u8(ERR_EXEC);
-            w.put_str(m);
-        }
-        WireError::EngineMismatch { sql, tp_rows, ap_rows } => {
-            w.put_u8(ERR_ENGINE_MISMATCH);
-            w.put_str(sql);
-            w.put_u64(*tp_rows);
-            w.put_u64(*ap_rows);
-        }
-        WireError::ParamCountMismatch { expected, got } => {
-            w.put_u8(ERR_PARAM_COUNT);
-            w.put_u32(*expected);
-            w.put_u32(*got);
-        }
-        WireError::ParamTypeMismatch { idx, expected, got } => {
-            w.put_u8(ERR_PARAM_TYPE);
-            w.put_u32(*idx);
-            put_data_type(w, Some(*expected));
-            w.put_value(got);
-        }
-        WireError::Durability(m) => {
-            w.put_u8(ERR_DURABILITY);
-            w.put_str(m);
-        }
-        WireError::Cancelled => w.put_u8(ERR_CANCELLED),
-        WireError::Timeout { limit } => {
-            w.put_u8(ERR_TIMEOUT);
-            w.put_u64(limit.as_nanos().min(u64::MAX as u128) as u64);
-        }
-        WireError::MemoryBudget { budget_bytes, attempted_bytes } => {
-            w.put_u8(ERR_MEMORY);
-            w.put_u64(*budget_bytes);
-            w.put_u64(*attempted_bytes);
-        }
-        WireError::ReadOnly { cause } => {
-            w.put_u8(ERR_READ_ONLY);
-            w.put_str(cause);
-        }
-        WireError::Internal(m) => {
-            w.put_u8(ERR_INTERNAL);
-            w.put_str(m);
-        }
-        WireError::Busy { what, limit } => {
-            w.put_u8(ERR_BUSY);
-            w.put_u8(match what {
-                BusyWhat::Connections => 0,
-                BusyWhat::Statements => 1,
-                BusyWhat::PreparedStatements => 2,
-            });
-            w.put_u32(*limit);
-        }
-        WireError::Protocol(m) => {
-            w.put_u8(ERR_PROTOCOL);
-            w.put_str(m);
-        }
-        WireError::UnknownStatement { stmt_id } => {
-            w.put_u8(ERR_UNKNOWN_STMT);
-            w.put_u32(*stmt_id);
-        }
-        WireError::NoCursor => w.put_u8(ERR_NO_CURSOR),
-    }
-}
-
-fn wire_error(r: &mut Reader) -> DecodeResult<WireError> {
-    Ok(match r.u8()? {
-        ERR_SQL => WireError::Sql {
-            stage: match r.u8()? {
-                0 => SqlStage::Lex,
-                1 => SqlStage::Parse,
-                2 => SqlStage::Bind,
-                3 => SqlStage::Unsupported,
-                4 => SqlStage::ParamNotSupported,
-                t => return Err(malformed(format!("unknown sql stage {t}"))),
-            },
-            pos: r.u64()?,
-            message: r.string()?,
-        },
-        ERR_OPT => WireError::Opt(r.string()?),
-        ERR_EXEC => WireError::Exec(r.string()?),
-        ERR_ENGINE_MISMATCH => WireError::EngineMismatch {
-            sql: r.string()?,
-            tp_rows: r.u64()?,
-            ap_rows: r.u64()?,
-        },
-        ERR_PARAM_COUNT => WireError::ParamCountMismatch {
-            expected: r.u32()?,
-            got: r.u32()?,
-        },
-        ERR_PARAM_TYPE => WireError::ParamTypeMismatch {
-            idx: r.u32()?,
-            expected: data_type(r)?.ok_or_else(|| malformed("param type cannot be None"))?,
-            got: r.value()?,
-        },
-        ERR_DURABILITY => WireError::Durability(r.string()?),
-        ERR_CANCELLED => WireError::Cancelled,
-        ERR_TIMEOUT => WireError::Timeout {
-            limit: Duration::from_nanos(r.u64()?),
-        },
-        ERR_MEMORY => WireError::MemoryBudget {
-            budget_bytes: r.u64()?,
-            attempted_bytes: r.u64()?,
-        },
-        ERR_READ_ONLY => WireError::ReadOnly { cause: r.string()? },
-        ERR_INTERNAL => WireError::Internal(r.string()?),
-        ERR_BUSY => WireError::Busy {
-            what: match r.u8()? {
-                0 => BusyWhat::Connections,
-                1 => BusyWhat::Statements,
-                2 => BusyWhat::PreparedStatements,
-                t => return Err(malformed(format!("unknown busy kind {t}"))),
-            },
-            limit: r.u32()?,
-        },
-        ERR_PROTOCOL => WireError::Protocol(r.string()?),
-        ERR_UNKNOWN_STMT => WireError::UnknownStatement { stmt_id: r.u32()? },
-        ERR_NO_CURSOR => WireError::NoCursor,
-        t => return Err(malformed(format!("unknown error code {t}"))),
-    })
-}
-
 // ---------------------------------------------------------------------------
 // Frames
 // ---------------------------------------------------------------------------
 
-const OP_HELLO: u8 = 1;
-const OP_PREPARE: u8 = 2;
-const OP_EXECUTE: u8 = 3;
-const OP_FETCH: u8 = 4;
-const OP_CLOSE_STMT: u8 = 5;
-const OP_CANCEL: u8 = 6;
-const OP_STATS: u8 = 7;
-const OP_GOODBYE: u8 = 8;
-
-const OP_HELLO_OK: u8 = 128;
-const OP_PREPARED: u8 = 129;
-const OP_ROWS: u8 = 130;
-const OP_DML_OK: u8 = 131;
-const OP_ROWS_CHUNK: u8 = 132;
-const OP_CLOSED: u8 = 133;
-const OP_CANCEL_OK: u8 = 134;
-const OP_STATS_REPLY: u8 = 135;
-const OP_GOODBYE_OK: u8 = 136;
-const OP_ERROR: u8 = 137;
-
-/// A client → server message.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ClientFrame {
-    /// Handshake: must be the first frame on a connection (except
-    /// [`ClientFrame::Cancel`], which needs no session). Negotiates the
-    /// session's [`qpe_htap::StatementLimits`] (0 = unlimited; the server
-    /// additionally applies its own caps) and default engine preference.
-    Hello {
-        /// Client protocol version.
-        version: u16,
-        /// Requested statement timeout in nanoseconds (0 = none).
-        timeout_ns: u64,
-        /// Requested memory budget in approximate bytes (0 = none).
-        memory_budget: u64,
-        /// Session-default engine routing (`Default` = dual-run).
-        engine: EnginePref,
-    },
-    /// Runs the SQL front end once; the statement is cached server-side
-    /// (and in the system-wide plan cache).
-    Prepare {
-        /// The SQL text, `?`/`$n` placeholders included.
-        sql: String,
-    },
-    /// Executes a prepared statement with typed parameter values.
-    Execute {
-        /// Id from [`ServerFrame::Prepared`].
-        stmt_id: u32,
-        /// Engine routing for this execution (`Default` = session default).
-        engine: EnginePref,
-        /// Max rows in the inline first chunk (0 = server default).
-        max_rows: u32,
-        /// Parameter values, in declaration order.
-        params: Vec<Value>,
-    },
-    /// Pulls the next chunk of the open result cursor.
-    Fetch {
-        /// Max rows in the reply (0 = server default).
-        max_rows: u32,
-    },
-    /// Drops a prepared statement's connection-local handle.
-    CloseStmt {
-        /// Id from [`ServerFrame::Prepared`].
-        stmt_id: u32,
-    },
-    /// Out-of-band cancellation of *another* connection's in-flight
-    /// statement, addressed by the target's `Hello` credentials. Valid as
-    /// the first frame of a fresh connection (the canceling side cannot
-    /// wait for its own in-flight request to finish).
-    Cancel {
-        /// Target connection id.
-        conn_id: u64,
-        /// Target's secret (anti-spoofing).
-        secret: u64,
-    },
-    /// Requests server-wide + session counters and health.
-    Stats,
-    /// Clean disconnect.
-    Goodbye,
+wire_enum! {
+    /// A client → server message.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum ClientFrame("client opcode") {
+        /// Handshake: must be the first frame on a connection (except
+        /// [`ClientFrame::Cancel`], which needs no session). Negotiates the
+        /// session's [`qpe_htap::StatementLimits`] (0 = unlimited; the server
+        /// additionally applies its own caps) and default engine preference.
+        1 => Hello {
+            /// Client protocol version.
+            version: u16,
+            /// Requested statement timeout in nanoseconds (0 = none).
+            timeout_ns: u64,
+            /// Requested memory budget in approximate bytes (0 = none).
+            memory_budget: u64,
+            /// Session-default engine routing (`Default` = dual-run).
+            engine: EnginePref,
+        },
+        /// Runs the SQL front end once; the statement is cached server-side
+        /// (and in the system-wide plan cache).
+        2 => Prepare {
+            /// The SQL text, `?`/`$n` placeholders included.
+            sql: String,
+        },
+        /// Executes a prepared statement with typed parameter values.
+        3 => Execute {
+            /// Id from [`ServerFrame::Prepared`].
+            stmt_id: u32,
+            /// Engine routing for this execution (`Default` = session default).
+            engine: EnginePref,
+            /// Max rows in the inline first chunk (0 = server default).
+            max_rows: u32,
+            /// Parameter values, in declaration order (at most [`MAX_PARAMS`]).
+            params: Vec<Value> [u16],
+        },
+        /// Pulls the next chunk of the open result cursor.
+        4 => Fetch {
+            /// Max rows in the reply (0 = server default).
+            max_rows: u32,
+        },
+        /// Drops a prepared statement's connection-local handle.
+        5 => CloseStmt {
+            /// Id from [`ServerFrame::Prepared`].
+            stmt_id: u32,
+        },
+        /// Out-of-band cancellation of *another* connection's in-flight
+        /// statement, addressed by the target's `Hello` credentials. Valid as
+        /// the first frame of a fresh connection (the canceling side cannot
+        /// wait for its own in-flight request to finish).
+        6 => Cancel {
+            /// Target connection id.
+            conn_id: u64,
+            /// Target's secret (anti-spoofing).
+            secret: u64,
+        },
+        /// Requests server-wide + session counters and health.
+        7 => Stats,
+        /// Clean disconnect.
+        8 => Goodbye,
+    }
 }
 
-/// A server → client message.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ServerFrame {
-    /// Handshake accepted; `conn_id`/`secret` are the cancellation
-    /// credentials another connection may use against this one.
-    HelloOk {
-        /// This connection's id.
-        conn_id: u64,
-        /// This connection's cancel secret.
-        secret: u64,
-        /// Server protocol version.
-        version: u16,
-    },
-    /// Statement prepared.
-    Prepared {
-        /// Connection-local statement id.
-        stmt_id: u32,
-        /// Per-parameter inferred types (`None` = unconstrained).
-        param_types: Vec<Option<DataType>>,
-    },
-    /// A query's result header plus its first row chunk.
-    Rows {
-        /// Engine whose run produced these rows (dual runs report the
-        /// winner; both engines' rows are verified identical first).
-        engine: EngineKind,
-        /// True when this was a dual run (both latencies populated).
-        dual: bool,
-        /// Simulated TP latency in ns (0 when not run).
-        tp_latency_ns: u64,
-        /// Simulated AP latency in ns (0 when not run).
-        ap_latency_ns: u64,
-        /// Work performed. Dual runs always carry the TP run's counters
-        /// (the deterministic side, matching what an in-process caller
-        /// reads off `QueryOutcome::tp`) even when `engine` names AP as
-        /// the latency winner; pinned runs carry the pinned engine's.
-        counters: WorkCounters,
-        /// Total rows in the result (across all chunks).
-        total_rows: u64,
-        /// This chunk's rows.
-        rows: Vec<Vec<Value>>,
-        /// True when more chunks remain (use [`ClientFrame::Fetch`]).
-        more: bool,
-    },
-    /// A write statement's outcome.
-    DmlOk {
-        /// Rows affected.
-        rows_affected: u64,
-        /// Simulated TP latency in ns.
-        latency_ns: u64,
-        /// Work performed (scan + write counters).
-        counters: WorkCounters,
-    },
-    /// A follow-up chunk of the open cursor.
-    RowsChunk {
-        /// This chunk's rows.
-        rows: Vec<Vec<Value>>,
-        /// True when more chunks remain.
-        more: bool,
-    },
-    /// Statement closed.
-    Closed {
-        /// The closed statement id.
-        stmt_id: u32,
-    },
-    /// Cancellation processed.
-    CancelOk {
-        /// Whether a live connection matched the credentials.
-        matched: bool,
-    },
-    /// Counters + health snapshot.
-    StatsReply(Box<StatsSnapshot>),
-    /// Clean disconnect acknowledged; the server closes after sending.
-    GoodbyeOk,
-    /// The request failed; the connection stays usable unless the error is
-    /// a framing-integrity one (CRC/oversize), after which the server
-    /// disconnects.
-    Error(WireError),
+wire_enum! {
+    /// A server → client message.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum ServerFrame("server opcode") {
+        /// Handshake accepted; `conn_id`/`secret` are the cancellation
+        /// credentials another connection may use against this one.
+        128 => HelloOk {
+            /// This connection's id.
+            conn_id: u64,
+            /// This connection's cancel secret.
+            secret: u64,
+            /// Server protocol version.
+            version: u16,
+        },
+        /// Statement prepared.
+        129 => Prepared {
+            /// Connection-local statement id.
+            stmt_id: u32,
+            /// Per-parameter inferred types (`None` = unconstrained; at most
+            /// [`MAX_PARAMS`]).
+            param_types: Vec<Option<DataType>> [u16],
+        },
+        /// A query's result header plus its first row chunk.
+        130 => Rows {
+            /// Engine whose run produced these rows (dual runs report the
+            /// winner; both engines' rows are verified identical first).
+            engine: EngineKind,
+            /// True when this was a dual run (both latencies populated).
+            dual: bool,
+            /// Simulated TP latency in ns (0 when not run).
+            tp_latency_ns: u64,
+            /// Simulated AP latency in ns (0 when not run).
+            ap_latency_ns: u64,
+            /// Work performed. Dual runs always carry the TP run's counters
+            /// (the deterministic side, matching what an in-process caller
+            /// reads off `QueryOutcome::tp`) even when `engine` names AP as
+            /// the latency winner; pinned runs carry the pinned engine's.
+            counters: WorkCounters,
+            /// Total rows in the result (across all chunks).
+            total_rows: u64,
+            /// This chunk's rows.
+            rows: Vec<Vec<Value>> [u32],
+            /// True when more chunks remain (use [`ClientFrame::Fetch`]).
+            more: bool,
+        },
+        /// A write statement's outcome.
+        131 => DmlOk {
+            /// Rows affected.
+            rows_affected: u64,
+            /// Simulated TP latency in ns.
+            latency_ns: u64,
+            /// Work performed (scan + write counters).
+            counters: WorkCounters,
+        },
+        /// A follow-up chunk of the open cursor.
+        132 => RowsChunk {
+            /// This chunk's rows.
+            rows: Vec<Vec<Value>> [u32],
+            /// True when more chunks remain.
+            more: bool,
+        },
+        /// Statement closed.
+        133 => Closed {
+            /// The closed statement id.
+            stmt_id: u32,
+        },
+        /// Cancellation processed.
+        134 => CancelOk {
+            /// Whether a live connection matched the credentials.
+            matched: bool,
+        },
+        /// Counters + health snapshot.
+        135 => StatsReply(Box<StatsSnapshot>),
+        /// Clean disconnect acknowledged; the server closes after sending.
+        136 => GoodbyeOk,
+        /// The request failed; the connection stays usable unless the error is
+        /// a framing-integrity one (CRC/oversize), after which the server
+        /// disconnects.
+        137 => Error(WireError),
+    }
 }
 
-/// Server-wide and per-session counters plus system health, as carried by
-/// [`ServerFrame::StatsReply`].
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct StatsSnapshot {
-    /// Connections accepted since start.
-    pub connections_accepted: u64,
-    /// Connections rejected by admission control.
-    pub connections_rejected: u64,
-    /// Currently open connections.
-    pub connections_active: u64,
-    /// Statements executed to completion (success or statement error).
-    pub statements_executed: u64,
-    /// Statements rejected by admission control (in-flight or
-    /// prepared-statement caps).
-    pub statements_rejected: u64,
-    /// Out-of-band cancel requests that matched a live connection.
-    pub cancels_matched: u64,
-    /// Frames that failed to decode (malformed, bad CRC, oversized).
-    pub protocol_errors: u64,
-    /// Error frames sent (statement errors included).
-    pub errors_sent: u64,
-    /// Total bytes read from clients.
-    pub bytes_read: u64,
-    /// Total bytes written to clients.
-    pub bytes_written: u64,
-    /// Statements this session executed (success or error).
-    pub session_statements: u64,
-    /// Result + DML rows this session received.
-    pub session_rows: u64,
-    /// Bytes read from this session's connection.
-    pub session_bytes_read: u64,
-    /// Bytes written to this session's connection.
-    pub session_bytes_written: u64,
-    /// True while the system is in read-only degraded mode.
-    pub degraded: bool,
-    /// Root cause when degraded (empty otherwise).
-    pub degraded_cause: String,
-    /// Writer panics absorbed by the engine.
-    pub writer_panics: u64,
-    /// WAL flush retries absorbed by the engine.
-    pub wal_flush_retries: u64,
+wire_struct! {
+    /// Server-wide and per-session counters plus system health, as carried by
+    /// [`ServerFrame::StatsReply`].
+    #[derive(Debug, Clone, Default, PartialEq, Eq)]
+    pub struct StatsSnapshot {
+        /// Connections accepted since start.
+        pub connections_accepted: u64,
+        /// Connections rejected by admission control.
+        pub connections_rejected: u64,
+        /// Currently open connections.
+        pub connections_active: u64,
+        /// Statements executed to completion (success or statement error).
+        pub statements_executed: u64,
+        /// Statements rejected by admission control (in-flight or
+        /// prepared-statement caps).
+        pub statements_rejected: u64,
+        /// Out-of-band cancel requests that matched a live connection.
+        pub cancels_matched: u64,
+        /// Frames that failed to decode (malformed, bad CRC, oversized).
+        pub protocol_errors: u64,
+        /// Error frames sent (statement errors included).
+        pub errors_sent: u64,
+        /// Total bytes read from clients.
+        pub bytes_read: u64,
+        /// Total bytes written to clients.
+        pub bytes_written: u64,
+        /// Statements this session executed (success or error).
+        pub session_statements: u64,
+        /// Result + DML rows this session received.
+        pub session_rows: u64,
+        /// Bytes read from this session's connection.
+        pub session_bytes_read: u64,
+        /// Bytes written to this session's connection.
+        pub session_bytes_written: u64,
+        /// True while the system is in read-only degraded mode.
+        pub degraded: bool,
+        /// Root cause when degraded (empty otherwise).
+        pub degraded_cause: String,
+        /// Writer panics absorbed by the engine.
+        pub writer_panics: u64,
+        /// WAL flush retries absorbed by the engine.
+        pub wal_flush_retries: u64,
+    }
 }
 
 impl ClientFrame {
     /// Serializes into a frame payload.
     pub fn encode(&self) -> Vec<u8> {
-        match self {
-            ClientFrame::Hello { version, timeout_ns, memory_budget, engine } => {
-                let mut w = Writer::with_opcode(OP_HELLO);
-                w.put_u16(*version);
-                w.put_u64(*timeout_ns);
-                w.put_u64(*memory_budget);
-                w.put_u8(engine.code());
-                w.finish()
-            }
-            ClientFrame::Prepare { sql } => {
-                let mut w = Writer::with_opcode(OP_PREPARE);
-                w.put_str(sql);
-                w.finish()
-            }
-            ClientFrame::Execute { stmt_id, engine, max_rows, params } => {
-                let mut w = Writer::with_opcode(OP_EXECUTE);
-                w.put_u32(*stmt_id);
-                w.put_u8(engine.code());
-                w.put_u32(*max_rows);
-                w.put_u16(params.len() as u16);
-                for p in params {
-                    w.put_value(p);
-                }
-                w.finish()
-            }
-            ClientFrame::Fetch { max_rows } => {
-                let mut w = Writer::with_opcode(OP_FETCH);
-                w.put_u32(*max_rows);
-                w.finish()
-            }
-            ClientFrame::CloseStmt { stmt_id } => {
-                let mut w = Writer::with_opcode(OP_CLOSE_STMT);
-                w.put_u32(*stmt_id);
-                w.finish()
-            }
-            ClientFrame::Cancel { conn_id, secret } => {
-                let mut w = Writer::with_opcode(OP_CANCEL);
-                w.put_u64(*conn_id);
-                w.put_u64(*secret);
-                w.finish()
-            }
-            ClientFrame::Stats => Writer::with_opcode(OP_STATS).finish(),
-            ClientFrame::Goodbye => Writer::with_opcode(OP_GOODBYE).finish(),
-        }
+        encode(self)
     }
 
     /// Decodes a frame payload; rejects unknown opcodes, truncated bodies
     /// and trailing bytes.
     pub fn decode(payload: &[u8]) -> DecodeResult<ClientFrame> {
-        let mut r = Reader::new(payload);
-        let frame = match r.u8()? {
-            OP_HELLO => ClientFrame::Hello {
-                version: r.u16()?,
-                timeout_ns: r.u64()?,
-                memory_budget: r.u64()?,
-                engine: EnginePref::from_code(r.u8()?)?,
-            },
-            OP_PREPARE => ClientFrame::Prepare { sql: r.string()? },
-            OP_EXECUTE => {
-                let stmt_id = r.u32()?;
-                let engine = EnginePref::from_code(r.u8()?)?;
-                let max_rows = r.u32()?;
-                let n = r.u16()? as usize;
-                let mut params = Vec::with_capacity(n.min(payload.len()));
-                for _ in 0..n {
-                    params.push(r.value()?);
-                }
-                ClientFrame::Execute { stmt_id, engine, max_rows, params }
-            }
-            OP_FETCH => ClientFrame::Fetch { max_rows: r.u32()? },
-            OP_CLOSE_STMT => ClientFrame::CloseStmt { stmt_id: r.u32()? },
-            OP_CANCEL => ClientFrame::Cancel {
-                conn_id: r.u64()?,
-                secret: r.u64()?,
-            },
-            OP_STATS => ClientFrame::Stats,
-            OP_GOODBYE => ClientFrame::Goodbye,
-            op => return Err(malformed(format!("unknown client opcode {op}"))),
-        };
-        r.expect_end()?;
-        Ok(frame)
+        decode(payload)
     }
-}
-
-fn put_engine_kind(w: &mut Writer, e: EngineKind) {
-    w.put_u8(match e {
-        EngineKind::Tp => 1,
-        EngineKind::Ap => 2,
-    });
-}
-
-fn engine_kind(r: &mut Reader) -> DecodeResult<EngineKind> {
-    Ok(match r.u8()? {
-        1 => EngineKind::Tp,
-        2 => EngineKind::Ap,
-        t => return Err(malformed(format!("unknown engine kind {t}"))),
-    })
 }
 
 impl ServerFrame {
     /// Serializes into a frame payload.
     pub fn encode(&self) -> Vec<u8> {
-        match self {
-            ServerFrame::HelloOk { conn_id, secret, version } => {
-                let mut w = Writer::with_opcode(OP_HELLO_OK);
-                w.put_u64(*conn_id);
-                w.put_u64(*secret);
-                w.put_u16(*version);
-                w.finish()
-            }
-            ServerFrame::Prepared { stmt_id, param_types } => {
-                let mut w = Writer::with_opcode(OP_PREPARED);
-                w.put_u32(*stmt_id);
-                w.put_u16(param_types.len() as u16);
-                for t in param_types {
-                    put_data_type(&mut w, *t);
-                }
-                w.finish()
-            }
-            ServerFrame::Rows {
-                engine,
-                dual,
-                tp_latency_ns,
-                ap_latency_ns,
-                counters,
-                total_rows,
-                rows,
-                more,
-            } => {
-                let mut w = Writer::with_opcode(OP_ROWS);
-                put_engine_kind(&mut w, *engine);
-                w.put_bool(*dual);
-                w.put_u64(*tp_latency_ns);
-                w.put_u64(*ap_latency_ns);
-                w.put_counters(counters);
-                w.put_u64(*total_rows);
-                w.put_u32(rows.len() as u32);
-                for row in rows {
-                    w.put_row(row);
-                }
-                w.put_bool(*more);
-                w.finish()
-            }
-            ServerFrame::DmlOk { rows_affected, latency_ns, counters } => {
-                let mut w = Writer::with_opcode(OP_DML_OK);
-                w.put_u64(*rows_affected);
-                w.put_u64(*latency_ns);
-                w.put_counters(counters);
-                w.finish()
-            }
-            ServerFrame::RowsChunk { rows, more } => {
-                let mut w = Writer::with_opcode(OP_ROWS_CHUNK);
-                w.put_u32(rows.len() as u32);
-                for row in rows {
-                    w.put_row(row);
-                }
-                w.put_bool(*more);
-                w.finish()
-            }
-            ServerFrame::Closed { stmt_id } => {
-                let mut w = Writer::with_opcode(OP_CLOSED);
-                w.put_u32(*stmt_id);
-                w.finish()
-            }
-            ServerFrame::CancelOk { matched } => {
-                let mut w = Writer::with_opcode(OP_CANCEL_OK);
-                w.put_bool(*matched);
-                w.finish()
-            }
-            ServerFrame::StatsReply(s) => {
-                let mut w = Writer::with_opcode(OP_STATS_REPLY);
-                w.put_u64(s.connections_accepted);
-                w.put_u64(s.connections_rejected);
-                w.put_u64(s.connections_active);
-                w.put_u64(s.statements_executed);
-                w.put_u64(s.statements_rejected);
-                w.put_u64(s.cancels_matched);
-                w.put_u64(s.protocol_errors);
-                w.put_u64(s.errors_sent);
-                w.put_u64(s.bytes_read);
-                w.put_u64(s.bytes_written);
-                w.put_u64(s.session_statements);
-                w.put_u64(s.session_rows);
-                w.put_u64(s.session_bytes_read);
-                w.put_u64(s.session_bytes_written);
-                w.put_bool(s.degraded);
-                w.put_str(&s.degraded_cause);
-                w.put_u64(s.writer_panics);
-                w.put_u64(s.wal_flush_retries);
-                w.finish()
-            }
-            ServerFrame::GoodbyeOk => Writer::with_opcode(OP_GOODBYE_OK).finish(),
-            ServerFrame::Error(e) => {
-                let mut w = Writer::with_opcode(OP_ERROR);
-                put_wire_error(&mut w, e);
-                w.finish()
-            }
-        }
+        encode(self)
     }
 
     /// Decodes a frame payload; rejects unknown opcodes, truncated bodies
     /// and trailing bytes.
     pub fn decode(payload: &[u8]) -> DecodeResult<ServerFrame> {
-        let mut r = Reader::new(payload);
-        let frame = match r.u8()? {
-            OP_HELLO_OK => ServerFrame::HelloOk {
-                conn_id: r.u64()?,
-                secret: r.u64()?,
-                version: r.u16()?,
-            },
-            OP_PREPARED => {
-                let stmt_id = r.u32()?;
-                let n = r.u16()? as usize;
-                let mut param_types = Vec::with_capacity(n.min(payload.len()));
-                for _ in 0..n {
-                    param_types.push(data_type(&mut r)?);
-                }
-                ServerFrame::Prepared { stmt_id, param_types }
-            }
-            OP_ROWS => {
-                let engine = engine_kind(&mut r)?;
-                let dual = r.bool()?;
-                let tp_latency_ns = r.u64()?;
-                let ap_latency_ns = r.u64()?;
-                let counters = r.counters()?;
-                let total_rows = r.u64()?;
-                let n = r.u32()? as usize;
-                let mut rows = Vec::with_capacity(n.min(payload.len()));
-                for _ in 0..n {
-                    rows.push(r.row()?);
-                }
-                let more = r.bool()?;
-                ServerFrame::Rows {
-                    engine,
-                    dual,
-                    tp_latency_ns,
-                    ap_latency_ns,
-                    counters,
-                    total_rows,
-                    rows,
-                    more,
-                }
-            }
-            OP_DML_OK => ServerFrame::DmlOk {
-                rows_affected: r.u64()?,
-                latency_ns: r.u64()?,
-                counters: r.counters()?,
-            },
-            OP_ROWS_CHUNK => {
-                let n = r.u32()? as usize;
-                let mut rows = Vec::with_capacity(n.min(payload.len()));
-                for _ in 0..n {
-                    rows.push(r.row()?);
-                }
-                let more = r.bool()?;
-                ServerFrame::RowsChunk { rows, more }
-            }
-            OP_CLOSED => ServerFrame::Closed { stmt_id: r.u32()? },
-            OP_CANCEL_OK => ServerFrame::CancelOk { matched: r.bool()? },
-            OP_STATS_REPLY => ServerFrame::StatsReply(Box::new(StatsSnapshot {
-                connections_accepted: r.u64()?,
-                connections_rejected: r.u64()?,
-                connections_active: r.u64()?,
-                statements_executed: r.u64()?,
-                statements_rejected: r.u64()?,
-                cancels_matched: r.u64()?,
-                protocol_errors: r.u64()?,
-                errors_sent: r.u64()?,
-                bytes_read: r.u64()?,
-                bytes_written: r.u64()?,
-                session_statements: r.u64()?,
-                session_rows: r.u64()?,
-                session_bytes_read: r.u64()?,
-                session_bytes_written: r.u64()?,
-                degraded: r.bool()?,
-                degraded_cause: r.string()?,
-                writer_panics: r.u64()?,
-                wal_flush_retries: r.u64()?,
-            })),
-            OP_GOODBYE_OK => ServerFrame::GoodbyeOk,
-            OP_ERROR => ServerFrame::Error(wire_error(&mut r)?),
-            op => return Err(malformed(format!("unknown server opcode {op}"))),
-        };
-        r.expect_end()?;
-        Ok(frame)
+        decode(payload)
     }
 }
 
@@ -1567,9 +1249,7 @@ mod tests {
             Value::Str("naïve".into()),
             Value::Date(9501),
         ];
-        let mut w = Writer::default();
-        w.put_row(&row);
-        assert_eq!(encoded_row_len(&row), w.finish().len());
+        assert_eq!(encoded_row_len(&row), encode(&row).len());
     }
 
     #[test]
@@ -1604,11 +1284,6 @@ mod tests {
             blocks_checked: 17,
             blocks_pruned: 18,
         };
-        let mut w = Writer::default();
-        w.put_counters(&c);
-        let buf = w.finish();
-        let mut r = Reader::new(&buf);
-        assert_eq!(r.counters().unwrap(), c);
-        r.expect_end().unwrap();
+        assert_eq!(decode::<WorkCounters>(&encode(&c)).unwrap(), c);
     }
 }
