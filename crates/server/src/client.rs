@@ -11,7 +11,7 @@
 
 use crate::protocol::{
     read_frame, write_frame, ClientFrame, EnginePref, FrameError, ServerFrame, StatsSnapshot,
-    WireError, PROTOCOL_VERSION,
+    WireError, MAX_PARAMS, PROTOCOL_VERSION,
 };
 use qpe_htap::exec::WorkCounters;
 use qpe_htap::EngineKind;
@@ -242,7 +242,9 @@ impl Client {
     }
 
     /// Executes without draining: returns the first chunk (of at most
-    /// `max_rows` rows; 0 = server default) and whether more remain.
+    /// `max_rows` rows; 0 = server default) and whether more remain. More
+    /// than [`MAX_PARAMS`] parameters fail with an `InvalidInput`
+    /// [`ClientError::Io`] before anything is sent.
     pub fn execute_chunked(
         &mut self,
         stmt_id: u32,
@@ -250,6 +252,12 @@ impl Client {
         max_rows: u32,
         params: &[Value],
     ) -> ClientResult<(ExecOutcome, bool)> {
+        if params.len() > MAX_PARAMS {
+            return Err(ClientError::Io(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!("{} parameters; the wire carries at most {MAX_PARAMS}", params.len()),
+            )));
+        }
         let reply = self.round_trip(ClientFrame::Execute {
             stmt_id,
             engine,

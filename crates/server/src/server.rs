@@ -43,7 +43,8 @@
 
 use crate::protocol::{
     encoded_row_len, write_frame, BusyWhat, ClientFrame, EnginePref, FrameError, ServerFrame,
-    StatsSnapshot, WireError, DEFAULT_FETCH_ROWS, MAX_FRAME_LEN, PROTOCOL_VERSION,
+    SqlStage, StatsSnapshot, WireError, DEFAULT_FETCH_ROWS, MAX_FRAME_LEN, MAX_PARAMS,
+    PROTOCOL_VERSION,
 };
 use crate::stats::{ServerStats, SessionStats};
 use qpe_htap::exec::{CancelHandle, StatementLimits, WorkCounters};
@@ -694,6 +695,15 @@ impl Connection {
         }
         let session = self.session.as_ref().expect("session after Hello");
         match session.prepare(sql) {
+            // `Prepared` could not count these parameters.
+            Ok(stmt) if stmt.param_types().len() > MAX_PARAMS => {
+                let message = format!(
+                    "statement has {} parameters; the wire protocol carries at most {MAX_PARAMS}",
+                    stmt.param_types().len()
+                );
+                let e = WireError::Sql { stage: SqlStage::Unsupported, pos: 0, message };
+                self.send(ServerFrame::Error(e)).is_ok()
+            }
             Ok(stmt) => {
                 let stmt_id = self.next_stmt_id;
                 self.next_stmt_id += 1;
