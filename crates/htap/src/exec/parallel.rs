@@ -1,7 +1,7 @@
 //! Morsel-driven parallel execution for the AP batch executor.
 //!
 //! The vectorized executor's kernels (filter selections, hash-join pair finding,
-//! gathers, expression evaluation, sorts) all iterate a dense range of
+//! gathers, expression evaluation) all iterate a dense range of
 //! selected rows. This module splits that range into fixed-size
 //! **morsels** and runs them on a [`std::thread::scope`]d worker pool, with
 //! every parallel strategy chosen so the output is **bit-identical** to the
@@ -21,14 +21,12 @@
 //!   morsel-parallel; the fold over them (`exec::agg`) stays serial,
 //!   column-at-a-time, so every group accumulates in the *global* dense
 //!   order and even float sums keep the serial association order;
-//! * **sorts**: contiguous chunks are stable-sorted in parallel and merged
-//!   with ties taken from the lower chunk — a stable sort's output
-//!   permutation is unique, so this equals the serial stable sort;
-//! * **top-N**: the bounded buffer stays on the critical path (its order
-//!   among tied keys depends on insertion dynamics, which no parallel
-//!   decomposition can reproduce exactly), but the sort-key columns feeding
-//!   it evaluate morsel-parallel — matching the latency model, which prices
-//!   `topn_pushes` as serial work.
+//! * **sorts and top-N**: the full sort and the bounded top-N buffer run
+//!   serially (a full sort is planned only for an `ORDER BY` without a
+//!   `LIMIT`; the top-N buffer's order among tied keys depends on insertion
+//!   dynamics, which no parallel decomposition can reproduce exactly), but
+//!   the sort-key columns feeding them evaluate morsel-parallel — matching
+//!   the latency model, which prices `topn_pushes` as serial work.
 //!
 //! [`WorkCounters`](super::WorkCounters) are charged from input sizes by
 //! the same formulas as the serial executor, so counters — and therefore

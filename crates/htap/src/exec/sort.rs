@@ -120,80 +120,6 @@ pub(crate) fn full_sort_indices(
     keyed.into_iter().map(|(_, phys)| phys).collect()
 }
 
-/// Morsel-parallel variant of [`full_sort_indices`]: contiguous chunks of
-/// the selection are stable-sorted on worker threads, then merged with ties
-/// taken from the lower chunk. A stable sort's output permutation is
-/// *unique* (equal keys keep input order), and lower chunks hold lower
-/// input positions, so the merged result is bit-identical to the serial
-/// stable sort — same rows, same tie order, same counters (the comparison
-/// charge is asymptotic in `n`, not implementation-dependent).
-pub(crate) fn full_sort_indices_par(
-    counters: &mut WorkCounters,
-    cfg: &super::parallel::ExecConfig,
-    key_cols: &[ExprCol<'_>],
-    descs: &[bool],
-    sel: Vec<u32>,
-) -> Vec<u32> {
-    let n = sel.len();
-    let guard = cfg.guard();
-    if !cfg.parallel_for(n) {
-        return full_sort_indices(counters, key_cols, descs, sel, guard);
-    }
-    charge_sort_comparisons(counters, n as u64);
-    // Contiguous equal chunks, one per worker (keys are keyed by *dense*
-    // position j, which is what ties break on).
-    let chunks = cfg.threads.min(n.div_ceil(cfg.morsel_rows)).max(1);
-    let step = n.div_ceil(chunks);
-    let sorted_chunks = super::parallel::run_tasks(cfg.threads, chunks, |c| {
-        if guard.poll() {
-            // Abandon the chunk on trip; the executor's next check discards
-            // the truncated merge below.
-            return Vec::new();
-        }
-        let lo = c * step;
-        let hi = ((c + 1) * step).min(n);
-        let mut keyed: Vec<(Vec<Value>, u32)> = (lo..hi)
-            .map(|j| (key_cols.iter().map(|k| k.value(Some(&sel), j)).collect(), sel[j]))
-            .collect();
-        keyed.sort_by(|(ka, _), (kb, _)| cmp_keys(ka, kb, descs));
-        keyed
-    });
-    // k-way stable merge: scan chunks in order, strictly-less replaces —
-    // so ties go to the lowest (earliest-input) chunk. Merge however many
-    // entries the chunks actually hold — fewer than `n` only when the guard
-    // tripped mid-sort.
-    let total: usize = sorted_chunks.iter().map(|c| c.len()).sum();
-    let mut cursors = vec![0usize; sorted_chunks.len()];
-    let mut out = Vec::with_capacity(total);
-    for i in 0..total {
-        if i % GUARD_CHECK_ROWS == 0 && guard.poll() {
-            return out;
-        }
-        let mut best: Option<usize> = None;
-        for (c, chunk) in sorted_chunks.iter().enumerate() {
-            if cursors[c] >= chunk.len() {
-                continue;
-            }
-            best = match best {
-                None => Some(c),
-                Some(b) => {
-                    let kb = &sorted_chunks[b][cursors[b]].0;
-                    let kc = &chunk[cursors[c]].0;
-                    if cmp_keys(kc, kb, descs) == Ordering::Less {
-                        Some(c)
-                    } else {
-                        Some(b)
-                    }
-                }
-            };
-        }
-        let b = best.expect("n elements remain across chunks");
-        out.push(sorted_chunks[b][cursors[b]].1);
-        cursors[b] += 1;
-    }
-    out
-}
-
 /// Bounded top-N selection (AP's dedicated operator): the positions of the
 /// best `limit + offset` rows of `rows`, best first, less the first
 /// `offset`. Keys are read in place.

@@ -1,7 +1,7 @@
 //! Property tests holding the batch executor's typed kernels to the row
 //! interpreter: [`par_filter_sel`] must select the rows [`eval_predicate`]
 //! accepts, [`aggregate_cols`] must return the rows **and** counters of
-//! [`aggregate`], [`top_n_indices`] / [`full_sort_indices_par`] the row
+//! [`aggregate`], [`top_n_indices`] / [`full_sort_indices`] the row
 //! order of [`top_n`] / [`full_sort`], and [`join_pairs`] the rows and
 //! counters of `hash_join_pairs`, over every column shape the kernels
 //! dispatch on — each encoding policy, nullable and mixed columns, clean
@@ -16,7 +16,7 @@
 
 use super::agg::{aggregate, aggregate_cols, collect_all_leaves};
 use super::parallel::{par_eval_batch, par_filter_sel, par_gather};
-use super::sort::{full_sort, full_sort_indices_par, top_n, top_n_indices};
+use super::sort::{full_sort, full_sort_indices, top_n, top_n_indices};
 use super::typed::{eval_col, ExprCol};
 use super::vector::{classify_join, join_pairs, JoinKeys, JoinSide};
 use super::{hash_join_pairs, ExecConfig, ExecGuard, Row, Rows, WorkCounters};
@@ -528,7 +528,7 @@ proptest! {
                 let top = top_n_indices(
                     &mut got_c, &key_cols, &descs, fx.sel.as_deref(), sel.len(), limit, offset, guard,
                 );
-                let sorted = full_sort_indices_par(&mut got_c, &cfg, &key_cols, &descs, sel.clone());
+                let sorted = full_sort_indices(&mut got_c, &key_cols, &descs, sel.clone(), guard);
                 prop_assert_eq!(rids(&top), rid_col(&want_top), "top-N, keys {:?}", key_set);
                 prop_assert_eq!(rids(&sorted), rid_col(&want_sorted), "sort, keys {:?}", key_set);
                 prop_assert_eq!(got_c, want_c, "counters, keys {:?}", key_set);

@@ -517,7 +517,7 @@ impl<'a> VecExecutor<'a> {
         let sel = batch.take_selection();
         let (key_cols, descs) = self.sort_keys(keys, &child.output_schema(), &batch, Some(&sel))?;
         let sorted =
-            sort::full_sort_indices_par(&mut self.counters, self.cfg, &key_cols, &descs, sel);
+            sort::full_sort_indices(&mut self.counters, &key_cols, &descs, sel, self.cfg.guard());
         drop(key_cols);
         Ok(VOut::Batch(Batch::plain(batch.cols, Some(sorted), batch.rows)))
     }
