@@ -163,21 +163,8 @@ pub fn read_frame(r: &mut impl Read) -> Result<Vec<u8>, FrameError> {
 // Body codec
 // ---------------------------------------------------------------------------
 
-/// Append-only payload builder.
-#[derive(Default)]
-pub struct Writer {
-    buf: Vec<u8>,
-}
-
-impl Writer {
-    /// The finished payload.
-    pub fn finish(self) -> Vec<u8> {
-        self.buf
-    }
-}
-
 /// Cursor over a payload; every read is bounds-checked against the frame.
-pub struct Reader<'a> {
+struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
 }
@@ -189,8 +176,7 @@ fn malformed(msg: impl Into<String>) -> FrameError {
 }
 
 impl<'a> Reader<'a> {
-    /// A reader over one frame payload.
-    pub fn new(buf: &'a [u8]) -> Reader<'a> {
+    fn new(buf: &'a [u8]) -> Reader<'a> {
         Reader { buf, pos: 0 }
     }
 
@@ -213,7 +199,7 @@ impl<'a> Reader<'a> {
 
     /// Fails unless the whole payload was consumed — trailing garbage after
     /// a valid body means the peer and we disagree on the format.
-    pub fn expect_end(&self) -> DecodeResult<()> {
+    fn expect_end(&self) -> DecodeResult<()> {
         if self.pos != self.buf.len() {
             return Err(malformed(format!(
                 "{} trailing byte(s) after a complete body",
@@ -226,7 +212,7 @@ impl<'a> Reader<'a> {
 
 /// A type with one wire layout: `put` writes it, `get` reads it back.
 trait Wire: Sized {
-    fn put(&self, w: &mut Writer);
+    fn put(&self, w: &mut Vec<u8>);
     fn get(r: &mut Reader) -> DecodeResult<Self>;
 }
 
@@ -239,16 +225,16 @@ fn decode<T: Wire>(payload: &[u8]) -> DecodeResult<T> {
 }
 
 fn encode(value: &impl Wire) -> Vec<u8> {
-    let mut w = Writer::default();
+    let mut w = Vec::new();
     value.put(&mut w);
-    w.finish()
+    w
 }
 
 macro_rules! wire_le {
     ($($t:ty),*) => {$(
         impl Wire for $t {
-            fn put(&self, w: &mut Writer) {
-                w.buf.extend_from_slice(&self.to_le_bytes());
+            fn put(&self, w: &mut Vec<u8>) {
+                w.extend_from_slice(&self.to_le_bytes());
             }
             fn get(r: &mut Reader) -> DecodeResult<Self> {
                 let bytes = r.take(std::mem::size_of::<$t>())?;
@@ -262,7 +248,7 @@ macro_rules! wire_le {
 wire_le!(u8, u16, u32, u64, i32, i64, f64);
 
 impl Wire for bool {
-    fn put(&self, w: &mut Writer) {
+    fn put(&self, w: &mut Vec<u8>) {
         u8::from(*self).put(w);
     }
     fn get(r: &mut Reader) -> DecodeResult<Self> {
@@ -271,9 +257,11 @@ impl Wire for bool {
 }
 
 impl Wire for String {
-    fn put(&self, w: &mut Writer) {
+    fn put(&self, w: &mut Vec<u8>) {
+        // A string too long for its prefix is too long for any frame, and
+        // `write_frame` refuses the payload.
         (self.len() as u32).put(w);
-        w.buf.extend_from_slice(self.as_bytes());
+        w.extend_from_slice(self.as_bytes());
     }
     fn get(r: &mut Reader) -> DecodeResult<Self> {
         let n = u32::get(r)? as usize;
@@ -286,7 +274,7 @@ impl Wire for String {
 
 /// Nanoseconds, saturating at `u64::MAX`.
 impl Wire for Duration {
-    fn put(&self, w: &mut Writer) {
+    fn put(&self, w: &mut Vec<u8>) {
         u64::try_from(self.as_nanos()).unwrap_or(u64::MAX).put(w);
     }
     fn get(r: &mut Reader) -> DecodeResult<Self> {
@@ -295,7 +283,7 @@ impl Wire for Duration {
 }
 
 impl<T: Wire> Wire for Box<T> {
-    fn put(&self, w: &mut Writer) {
+    fn put(&self, w: &mut Vec<u8>) {
         (**self).put(w);
     }
     fn get(r: &mut Reader) -> DecodeResult<Self> {
@@ -304,7 +292,7 @@ impl<T: Wire> Wire for Box<T> {
 }
 
 impl Wire for Value {
-    fn put(&self, w: &mut Writer) {
+    fn put(&self, w: &mut Vec<u8>) {
         match self {
             Value::Null => 0u8.put(w),
             Value::Int(i) => {
@@ -339,7 +327,7 @@ impl Wire for Value {
 
 /// A list: its count as an `N`, then the items. Senders keep a list within
 /// its count (see [`MAX_PARAMS`]): a longer one is a bug, not a frame.
-fn put_list<N: Wire + TryFrom<usize>, T: Wire>(w: &mut Writer, items: &[T]) {
+fn put_list<N: Wire + TryFrom<usize>, T: Wire>(w: &mut Vec<u8>, items: &[T]) {
     let n = N::try_from(items.len())
         .unwrap_or_else(|_| panic!("{} items overflow their list count", items.len()));
     n.put(w);
@@ -361,7 +349,7 @@ fn get_list<N: Wire + Into<u64>, T: Wire>(r: &mut Reader) -> DecodeResult<Vec<T>
 
 /// A row: a `u32` cell count, then the cells.
 impl Wire for Vec<Value> {
-    fn put(&self, w: &mut Writer) {
+    fn put(&self, w: &mut Vec<u8>) {
         put_list::<u32, _>(w, self);
     }
     fn get(r: &mut Reader) -> DecodeResult<Self> {
@@ -408,7 +396,7 @@ fn counter_fields(c: &mut WorkCounters) -> [&mut u64; 18] {
 
 /// A `u8` field count, then the fields in [`counter_fields`] order.
 impl Wire for WorkCounters {
-    fn put(&self, w: &mut Writer) {
+    fn put(&self, w: &mut Vec<u8>) {
         let mut c = *self;
         let fields = counter_fields(&mut c);
         (fields.len() as u8).put(w);
@@ -435,7 +423,7 @@ impl Wire for WorkCounters {
 macro_rules! code_tables {
     ($($ty:ident($what:literal) { $($v:ident = $code:literal),* })*) => {$(
         impl Wire for $ty {
-            fn put(&self, w: &mut Writer) {
+            fn put(&self, w: &mut Vec<u8>) {
                 u8::put(&match self { $($ty::$v => $code),* }, w);
             }
             fn get(r: &mut Reader) -> DecodeResult<Self> {
@@ -456,11 +444,11 @@ code_tables! {
     BusyWhat("busy kind") { Connections = 0, Statements = 1, PreparedStatements = 2 }
 }
 
-/// An unconstrained parameter type: the tag after `DataType`'s.
+/// The tag of an unconstrained parameter type, beside `DataType`'s codes.
 const NO_DATA_TYPE: u8 = 255;
 
 impl Wire for Option<DataType> {
-    fn put(&self, w: &mut Writer) {
+    fn put(&self, w: &mut Vec<u8>) {
         match self {
             Some(t) => t.put(w),
             None => NO_DATA_TYPE.put(w),
@@ -518,7 +506,7 @@ macro_rules! wire_enum {
         }
 
         impl Wire for $name {
-            fn put(&self, w: &mut Writer) {
+            fn put(&self, w: &mut Vec<u8>) {
                 match self {
                     $(wire_enum!(@pat x $name::$v $(($t))? $({ $($f $([$n])?),* })?) => {
                         u8::put(&$tag, w);
@@ -550,7 +538,7 @@ macro_rules! wire_struct {
         }
 
         impl Wire for $name {
-            fn put(&self, w: &mut Writer) {
+            fn put(&self, w: &mut Vec<u8>) {
                 $(self.$f.put(w);)*
             }
             fn get(r: &mut Reader) -> DecodeResult<Self> {
