@@ -21,12 +21,12 @@
 //!   morsel-parallel; the fold over them (`exec::agg`) stays serial,
 //!   column-at-a-time, so every group accumulates in the *global* dense
 //!   order and even float sums keep the serial association order;
-//! * **sorts and top-N**: the full sort and the bounded top-N buffer run
-//!   serially (a full sort is planned only for an `ORDER BY` without a
-//!   `LIMIT`; the top-N buffer's order among tied keys depends on insertion
-//!   dynamics, which no parallel decomposition can reproduce exactly), but
-//!   the sort-key columns feeding them evaluate morsel-parallel — matching
-//!   the latency model, which prices `topn_pushes` as serial work.
+//! * **sorts and top-N**: the stable full sort and the bounded top-N
+//!   buffer run serially (the buffer's order among tied keys depends on
+//!   insertion dynamics, which no parallel decomposition can reproduce
+//!   exactly), but the sort-key columns feeding them evaluate
+//!   morsel-parallel — matching the latency model, which prices
+//!   `topn_pushes` as serial work.
 //!
 //! [`WorkCounters`](super::WorkCounters) are charged from input sizes by
 //! the same formulas as the serial executor, so counters — and therefore
