@@ -351,8 +351,8 @@ impl Database {
         self.redesign(table, |cols| cols.set_block_rows(rows))
     }
 
-    /// Enables/disables one table's per-block bloom filters (the `_nobloom`
-    /// benchmark baselines and the forced-encoding test matrix use this;
+    /// Enables/disables one table's per-block bloom filters (the
+    /// forced-encoding test matrix and the bloom pruning test use this;
     /// pruning stays correct either way). Returns false for an unknown
     /// table.
     pub fn set_bloom_filters(&mut self, table: &str, enabled: bool) -> bool {
@@ -470,16 +470,14 @@ impl Database {
     }
 }
 
-/// Optimizes a bound query for one engine against `db`'s statistics, with
-/// AP scan-predicate pushdown (zone-map pruning) on or off.
+/// Optimizes a bound query for one engine against `db`'s statistics. AP
+/// plans push filters into their scans for zone-map pruning.
 pub(crate) fn plan_on(
     db: &Database,
     bound: &BoundQuery,
     engine: EngineKind,
-    pruning: bool,
 ) -> Result<PlanNode, HtapError> {
-    let mut ctx = PlannerCtx::new(bound, db.stats(), db.catalog());
-    ctx.pushdown = pruning;
+    let ctx = PlannerCtx::new(bound, db.stats(), db.catalog());
     Ok(match engine {
         EngineKind::Tp => tp::plan(&ctx)?,
         EngineKind::Ap => ap::plan(&ctx)?,
@@ -494,7 +492,6 @@ pub(crate) fn plan_on(
 pub struct Snapshot {
     pub(super) db: Database,
     pub(super) exec_cfg: ExecConfig,
-    pub(super) pruning: bool,
 }
 
 impl Snapshot {
@@ -514,7 +511,7 @@ impl Snapshot {
     /// identically).
     pub fn plan(&self, sql: &str) -> Result<(PlanNode, BoundQuery), HtapError> {
         let bound = Binder::new(self.db.catalog()).bind_sql(sql)?;
-        let plan = plan_on(&self.db, &bound, EngineKind::Ap, self.pruning)?;
+        let plan = plan_on(&self.db, &bound, EngineKind::Ap)?;
         Ok((plan, bound))
     }
 

@@ -7,7 +7,7 @@ use crate::storage::durable_io::{
     lock_unpoisoned, DurabilityError, DurableFile, FailPoints, RetryPolicy,
 };
 use crate::storage::persist::{self, Manifest, SegmentRef, MANIFEST_FORMAT};
-use crate::storage::wal::{self, SyncPolicy, Wal, WalRecord, WalStats};
+use crate::storage::wal::{self, Wal, WalRecord, WalStats};
 use crate::tpch::TpchConfig;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -15,15 +15,16 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
-/// How and when the WAL makes committed statements durable.
+/// How a durable system logs, retries and compacts.
 ///
-/// See [`SyncPolicy`]: `PerStatement` fsyncs on every commit,
-/// `GroupCommit { interval }` batches concurrent committers into one fsync
-/// (the leader dwells up to `interval` collecting followers).
+/// The WAL group-commits: concurrent committers share one fsync (see
+/// [`crate::storage::wal`]).
 #[derive(Debug, Clone, Default)]
 pub struct DurabilityOptions {
-    /// WAL fsync batching policy.
-    pub sync: SyncPolicy,
+    /// How long a WAL flush leader waits for more committers to join its
+    /// fsync batch. Zero (the default) flushes at once; batching then comes
+    /// only from commits that arrive while an fsync is in flight.
+    pub group_commit_dwell: Duration,
     /// Crash-injection hooks (tests only; `FailPoints::default()` is inert
     /// and adds one relaxed atomic load per durable write).
     pub failpoints: FailPoints,
@@ -157,7 +158,7 @@ impl HtapSystem {
                 let db = Database::generate(config);
                 let wal_path = dir.join(persist::wal_file_name(1));
                 let wal_file = DurableFile::create_log(&wal_path, fp.clone(), "wal")?;
-                let wal = Wal::with_retry(wal_file, opts.sync, opts.retry.clone());
+                let wal = Wal::with_retry(wal_file, opts.group_commit_dwell, opts.retry.clone());
                 let m = seal(&dir, &db, 1, &opts.retry, &fp).map_err(|(_, e)| e)?;
                 persist::write_manifest(&dir, &m, &fp)?;
                 let report = RecoveryReport {
@@ -217,7 +218,7 @@ impl HtapSystem {
                 } else {
                     DurableFile::create_log(&active_path, fp.clone(), "wal")?
                 };
-                let wal = Wal::with_retry(wal_file, opts.sync, opts.retry.clone());
+                let wal = Wal::with_retry(wal_file, opts.group_commit_dwell, opts.retry.clone());
                 persist::clean_stale(&dir, &m);
                 let report = RecoveryReport {
                     created: false,

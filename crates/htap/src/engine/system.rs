@@ -52,21 +52,11 @@ pub struct HtapSystem {
     /// Parallelism knob for the AP batch executor (threads + morsel size).
     /// Defaults to the machine's available cores (`QPE_AP_THREADS` /
     /// `QPE_MORSEL_ROWS` override); `threads == 1` is the exact serial
-    /// executor. Execution results are bit-identical at any setting — only
-    /// wall-clock depends on it.
+    /// executor. Rows and counters are bit-identical at any setting, and the
+    /// latency model prices AP work serially, so only wall-clock depends on
+    /// it: simulated latencies, winner labels, router training data and
+    /// explanations never vary with the thread count.
     exec_cfg: ExecConfig,
-    /// Thread count the *latency simulation* prices AP work at. Stays 1 —
-    /// the host-independent serial model — unless parallelism is explicitly
-    /// requested (env var or setter): simulated latencies, winner labels,
-    /// router training data and explanations must not silently vary with
-    /// how many cores the current machine happens to have.
-    priced_threads: u64,
-    /// Whether AP plans push filter conjunctions into their scan nodes for
-    /// zone-map block pruning. On by default; turning it off restores the
-    /// read-every-block plans (results are identical either way — only the
-    /// work counters and latencies move), which is how benchmarks measure
-    /// the pruning win and differential tests pin the equivalence.
-    pruning: bool,
     /// Shared prepared-statement cache: parameterized bound statements and
     /// their physical plans, keyed by SQL fingerprint, LRU-evicted, with
     /// hit/miss stats.
@@ -93,28 +83,10 @@ impl HtapSystem {
             recovery: None,
             latency: LatencyModel::default(),
             exec_cfg: ExecConfig::global().clone(),
-            // Explicit env request ⇒ priced; available-cores default ⇒ the
-            // executor still uses the cores (results identical), but the
-            // simulation keeps the deterministic serial pricing.
-            priced_threads: ExecConfig::env_requested_threads().unwrap_or(1) as u64,
-            pruning: true,
             plan_cache: PlanCache::default(),
             health: Arc::new(HealthState::new()),
             limits: StatementLimits::default(),
         }
-    }
-
-    /// Enables/disables scan-predicate pushdown (zone-map pruning) for AP
-    /// plans built by this system. Clears the plan cache — cached plans were
-    /// built under the previous setting.
-    pub fn set_pruning(&mut self, enabled: bool) {
-        self.pruning = enabled;
-        self.plan_cache.clear();
-    }
-
-    /// Whether AP plans currently push scan predicates for zone-map pruning.
-    pub fn pruning(&self) -> bool {
-        self.pruning
     }
 
     /// Default limits applied to statements without per-call limits.
@@ -148,23 +120,15 @@ impl HtapSystem {
         &self.latency
     }
 
-    /// Replaces the AP executor's parallelism config. An explicit config
-    /// also opts the latency simulation into parallel pricing.
+    /// Replaces the AP executor's parallelism config (execution only).
     pub fn set_exec_config(&mut self, cfg: ExecConfig) {
-        self.priced_threads = cfg.threads as u64;
         self.exec_cfg = cfg;
     }
 
-    /// Sets the AP worker-thread count (execution *and* latency pricing),
-    /// keeping the morsel size.
+    /// Sets the AP worker-thread count (execution only), keeping the morsel
+    /// size.
     pub fn set_ap_threads(&mut self, threads: usize) {
         self.exec_cfg.threads = threads.max(1);
-        self.priced_threads = self.exec_cfg.threads as u64;
-    }
-
-    /// The thread count the latency simulation prices AP work at.
-    pub fn priced_threads(&self) -> u64 {
-        self.priced_threads
     }
 
     /// Binds a SQL string against the system catalog.
@@ -174,7 +138,7 @@ impl HtapSystem {
 
     /// Optimizes a bound query for one engine (EXPLAIN without execution).
     pub fn explain(&self, bound: &BoundQuery, engine: EngineKind) -> Result<PlanNode, HtapError> {
-        plan_on(&self.database(), bound, engine, self.pruning)
+        plan_on(&self.database(), bound, engine)
     }
 
     /// Executes an already-built physical plan on one engine (no re-bind,
@@ -224,8 +188,8 @@ impl HtapSystem {
         let db = self.database();
         let (kind, design_epochs) = match Binder::new(db.catalog()).bind_statement(sql)? {
             BoundStatement::Query(bound) => {
-                let tp = plan_on(&db, &bound, EngineKind::Tp, self.pruning)?;
-                let ap = plan_on(&db, &bound, EngineKind::Ap, self.pruning)?;
+                let tp = plan_on(&db, &bound, EngineKind::Tp)?;
+                let ap = plan_on(&db, &bound, EngineKind::Ap)?;
                 let epochs = design_epochs(&db, bound.tables.iter().map(|t| t.name.as_str()));
                 (CachedKind::Query { bound: Arc::new(bound), tp, ap }, epochs)
             }
@@ -316,14 +280,11 @@ impl HtapSystem {
     ) -> Result<EngineRun, HtapError> {
         let cfg = self.exec_cfg.with_guard(guard.clone());
         let (rows, counters) = exec::execute_with(&plan, bound, db, engine, &cfg)?;
-        // Counters are executor-invariant, so the serial and parallel AP
-        // latencies price the *same* work — the parallel model just walks
-        // the critical path instead of the full sum.
+        // Counters are executor-invariant, so the price is the same at any
+        // thread count.
         let latency_ns = match engine {
             EngineKind::Tp => self.latency.tp_latency_ns(&counters),
-            EngineKind::Ap => self
-                .latency
-                .ap_latency_ns_threads(&counters, self.priced_threads),
+            EngineKind::Ap => self.latency.ap_latency_ns(&counters),
         };
         Ok(EngineRun {
             engine,
@@ -418,7 +379,6 @@ impl HtapSystem {
         Snapshot {
             db: self.database().pin_snapshot(),
             exec_cfg: self.exec_cfg.clone(),
-            pruning: self.pruning,
         }
     }
 }

@@ -28,6 +28,8 @@
 //! [`parallel::ExecConfig`] (defaulting to the machine's cores;
 //! `QPE_AP_THREADS` / `QPE_MORSEL_ROWS` override it) — [`execute_with`]
 //! takes one explicitly, and `threads == 1` is the exact serial batch path.
+//! The thread count moves wall-clock only: the latency model prices AP work
+//! at one thread whatever the config.
 //!
 //! **Determinism contract:** every mode returns byte-identical rows *and*
 //! identical [`WorkCounters`] for the same plan — parallel merges are

@@ -25,8 +25,7 @@
 //!   buffer run serially (the buffer's order among tied keys depends on
 //!   insertion dynamics, which no parallel decomposition can reproduce
 //!   exactly), but the sort-key columns feeding them evaluate
-//!   morsel-parallel — matching the latency model, which prices
-//!   `topn_pushes` as serial work.
+//!   morsel-parallel.
 //!
 //! [`WorkCounters`](super::WorkCounters) are charged from input sizes by
 //! the same formulas as the serial executor, so counters — and therefore
@@ -143,21 +142,13 @@ impl ExecConfig {
         self.guard.as_ref().unwrap_or_else(|| ExecGuard::unlimited())
     }
 
-    /// The thread count explicitly requested via `QPE_AP_THREADS`, if any.
-    /// Callers that must stay host-independent (the latency simulation)
-    /// distinguish an explicit request from the available-cores default.
-    pub fn env_requested_threads() -> Option<usize> {
-        std::env::var("QPE_AP_THREADS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .map(|t| t.max(1))
-    }
-
     /// Reads `QPE_AP_THREADS` / `QPE_MORSEL_ROWS` from the environment,
     /// defaulting to the machine's available cores and
     /// [`DEFAULT_MORSEL_ROWS`].
     pub fn from_env() -> Self {
-        let threads = Self::env_requested_threads()
+        let threads = std::env::var("QPE_AP_THREADS")
+            .ok()
+            .and_then(|v| v.parse::<usize>().ok())
             .unwrap_or_else(|| {
                 std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
             })

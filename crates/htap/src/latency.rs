@@ -142,39 +142,6 @@ impl EngineCosts {
     }
 }
 
-/// Pricing constants for morsel-driven parallel AP execution.
-///
-/// The parallel latency is a **critical-path model** over the same counters
-/// serial execution reports (counters are identical across executors by
-/// contract): work that morsel-parallelizes divides by the worker count,
-/// the serial sections (startup, top-N buffer, output materialization) do
-/// not, and scheduling charges per-morsel dispatch plus a one-time pool
-/// spawn. Small queries therefore get *slower* with threads — the same
-/// realism the router and explainer need to not recommend parallelism for
-/// point lookups.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ParallelCosts {
-    /// Cost of standing up the scoped worker pool, charged once per query —
-    /// an abstraction: the implementation scopes a pool per kernel, so this
-    /// constant represents that startup amortized across a query's
-    /// operators.
-    pub pool_spawn_ns: u64,
-    /// Dispatch/merge overhead per morsel.
-    pub per_morsel_ns: u64,
-    /// Rows per morsel assumed by the pricing model.
-    pub morsel_rows: u64,
-}
-
-impl Default for ParallelCosts {
-    fn default() -> Self {
-        ParallelCosts {
-            pool_spawn_ns: 60_000, // thread spawn + join across the pool
-            per_morsel_ns: 2_000,  // queue pop, slice setup, result splice
-            morsel_rows: 4096,
-        }
-    }
-}
-
 /// The two-engine latency model.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct LatencyModel {
@@ -182,8 +149,6 @@ pub struct LatencyModel {
     pub tp: EngineCosts,
     /// AP constants.
     pub ap: EngineCosts,
-    /// Parallel-execution constants for the AP engine.
-    pub parallel: ParallelCosts,
     /// Display-time multiplier used when printing "paper-scale" latencies
     /// (e.g. in the Example 1 demo). Never affects winner decisions.
     pub display_scale: f64,
@@ -194,7 +159,6 @@ impl Default for LatencyModel {
         LatencyModel {
             tp: EngineCosts::tp(),
             ap: EngineCosts::ap(),
-            parallel: ParallelCosts::default(),
             display_scale: 1.0,
         }
     }
@@ -209,44 +173,6 @@ impl LatencyModel {
     /// AP latency (ns) for the given counters.
     pub fn ap_latency_ns(&self, c: &WorkCounters) -> u64 {
         self.ap.latency_ns(c)
-    }
-
-    /// AP latency (ns) when the batch executor runs with `threads` workers:
-    /// the critical-path model described on [`ParallelCosts`]. `threads <= 1`
-    /// is exactly [`LatencyModel::ap_latency_ns`] — the serial path.
-    pub fn ap_latency_ns_threads(&self, c: &WorkCounters, threads: u64) -> u64 {
-        let serial = self.ap.latency_ns(c);
-        if threads <= 1 {
-            return serial;
-        }
-        // Work that fans out morsel-wise (scans, filters, join build/probe,
-        // sort comparisons, grouped aggregation, gathers).
-        let par_ns = c.cells_scanned * self.ap.cell_scan_ns
-            + c.rows_scanned * self.ap.row_scan_ns
-            + c.filter_evals * self.ap.filter_ns
-            + c.nlj_pairs * self.ap.nlj_pair_ns
-            + c.hash_build_rows * self.ap.hash_build_ns
-            + c.hash_probe_rows * self.ap.hash_probe_ns
-            + c.sort_comparisons * self.ap.sort_cmp_ns
-            + c.agg_rows * self.ap.agg_row_ns;
-        // Everything else (pipeline startup, top-N buffer, output
-        // materialization, index/write work) stays on the critical path.
-        let serial_ns = serial - self.ap.fixed_ns - par_ns;
-        let par_units = c.cells_scanned
-            + c.rows_scanned
-            + c.filter_evals
-            + c.nlj_pairs
-            + c.hash_build_rows
-            + c.hash_probe_rows
-            + c.sort_comparisons
-            + c.agg_rows;
-        let morsels = par_units.div_ceil(self.parallel.morsel_rows.max(1));
-        let sched_ns = if morsels == 0 {
-            0 // nothing fanned out, no pool stood up
-        } else {
-            self.parallel.pool_spawn_ns + morsels * self.parallel.per_morsel_ns
-        };
-        self.ap.fixed_ns + serial_ns + par_ns / threads + sched_ns
     }
 
     /// Formats a nanosecond latency with the display scale applied.
@@ -322,30 +248,6 @@ mod tests {
         assert_eq!(format_latency(5_800_000_000), "5.80s");
         assert_eq!(format_latency(42_000), "42µs");
         assert_eq!(format_latency(999), "999ns");
-    }
-
-    #[test]
-    fn parallel_pricing_follows_the_critical_path() {
-        let m = LatencyModel::default();
-        // Big scan: parallel work dominates, 4 threads ≈ 4x on the work
-        // portion (well over 2x end to end despite fixed startup).
-        let big = counters(0, 10_000_000);
-        let t1 = m.ap_latency_ns_threads(&big, 1);
-        let t4 = m.ap_latency_ns_threads(&big, 4);
-        assert_eq!(t1, m.ap_latency_ns(&big), "1 thread is the serial model");
-        assert!(
-            t4 * 2 < t1,
-            "4 threads should at least halve a scan-dominated query: {t4} vs {t1}"
-        );
-        // More threads never slows the same workload down further.
-        assert!(m.ap_latency_ns_threads(&big, 8) <= t4);
-        // Tiny query: scheduling overhead dominates — parallelism must look
-        // *worse*, or the router would recommend threads for point lookups.
-        let tiny = counters(0, 100);
-        assert!(m.ap_latency_ns_threads(&tiny, 4) > m.ap_latency_ns(&tiny));
-        // No parallelizable work at all: no pool, no overhead.
-        let empty = WorkCounters::default();
-        assert_eq!(m.ap_latency_ns_threads(&empty, 4), m.ap_latency_ns(&empty));
     }
 
     #[test]

@@ -170,9 +170,8 @@
 //! * **Group-commit WAL** ([`storage::wal`]): every committed DML statement
 //!   appends length-prefixed, CRC32-checksummed records *under the write
 //!   lock* (log order ≡ apply order) and fsyncs *after releasing it* —
-//!   concurrent committers share one fsync via a leader/follower protocol
-//!   ([`storage::SyncPolicy::GroupCommit`]), so WAL throughput scales with
-//!   batch size, not fsync latency.
+//!   concurrent committers share one fsync via a leader/follower protocol,
+//!   so WAL throughput scales with batch size, not fsync latency.
 //! * **Sealed column segments** ([`storage::persist`]): checkpoints write
 //!   each table's column-store state — encoded base columns (dictionary,
 //!   RLE, null masks preserved exactly), delta region, tombstone bitmap —
@@ -281,11 +280,9 @@
 //! counter values for the same plan (asserted by
 //! `tests/engine_equivalence.rs`, `tests/dml_props.rs` and
 //! `tests/parallel_determinism.rs`), making execution mode a pure
-//! performance decision. Parallel *wall-clock* gains are then priced into
-//! the simulation separately: [`latency::ParallelCosts`] walks the critical
-//! path (parallelizable counters divided by threads, serial sections and
-//! per-morsel scheduling overhead added back), so the router and explainer
-//! see realistic parallel latencies without the counters ever diverging.
+//! performance decision. The simulation prices AP work at one thread, so no
+//! thread count, host core count or `QPE_AP_THREADS` setting changes a
+//! simulated latency, a winner label or an explanation.
 
 pub mod engine;
 pub mod eval;
@@ -306,6 +303,6 @@ pub use engine::{
 pub use exec::{CancelHandle, DmlKind, DmlResult, ExecConfig, GovernError, StatementLimits};
 pub use plan::{NodeType, PlanNode};
 pub use session::{PlanCacheStats, PreparedStatement, Session};
-pub use storage::{DurabilityError, FailPoints, SyncPolicy, TableFreshness, WalStats};
+pub use storage::{DurabilityError, FailPoints, TableFreshness, WalStats};
 pub use storage::durable_io::RetryPolicy;
 pub use tpch::TpchConfig;

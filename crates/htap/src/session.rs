@@ -231,13 +231,6 @@ impl PlanCache {
         inner.map.insert(fingerprint, CacheSlot { stmt, last_used: stamp });
     }
 
-    /// Drops every entry (prepared handles keep their `Arc`'d statements).
-    pub fn clear(&self) {
-        let mut inner = self.lock();
-        inner.map.clear();
-        inner.probation.clear();
-    }
-
     /// Counter snapshot.
     pub fn stats(&self) -> PlanCacheStats {
         PlanCacheStats {

@@ -1033,7 +1033,7 @@ pub struct ColumnTable {
     /// when disabled.
     blooms: Arc<Vec<Option<Vec<BlockBloom>>>>,
     /// Bloom filters enabled (default). Disabling drops them and stops
-    /// rebuilding — the `_nobloom` baseline benches and tests toggle this.
+    /// rebuilding — the bloom-on/off tests toggle this.
     blooms_enabled: bool,
     /// Base-segment encoding policy; `Auto` outside the forced-encoding
     /// test matrix. Compactions keep applying it.
@@ -1210,7 +1210,7 @@ impl ColumnTable {
 
     /// Enables/disables per-block bloom filters (rebuilding or dropping
     /// them). Pruning stays correct either way — blooms only refute more
-    /// blocks; the `_nobloom` baselines use this.
+    /// blocks.
     pub fn set_bloom_filters(&mut self, enabled: bool) {
         if self.blooms_enabled == enabled {
             return;

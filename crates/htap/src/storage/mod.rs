@@ -203,7 +203,7 @@ pub use col_store::{ColRef, ColumnData, ColumnTable, DictColumn, RleRuns};
 pub use durable_io::{crc32, DurabilityError, DurableFile, FailPoints};
 pub use index::{BTreeIndex, KeyVal};
 pub use row_store::RowTable;
-pub use wal::{SyncPolicy, Wal, WalRecord, WalStats};
+pub use wal::{Wal, WalRecord, WalStats};
 pub use zone::{BlockZone, PruneOutcome, ScanPruner, DEFAULT_BLOCK_ROWS};
 
 use crate::stats::TableStats;

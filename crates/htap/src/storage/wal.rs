@@ -10,16 +10,13 @@
 //!
 //! # Group commit
 //!
-//! Under [`SyncPolicy::GroupCommit`] committers use a leader/follower
-//! protocol: the first committer to find no flush in flight becomes the
-//! leader, optionally dwells for the configured interval (letting
-//! concurrent statements append into the batch), then writes and fsyncs
-//! everything appended so far in **one** syscall pair. Followers whose LSN
-//! the leader covered wake up already durable. One fsync thus amortizes
-//! over every statement that arrived during the previous fsync + dwell —
-//! the classic ≥5–20x throughput win over
-//! [`SyncPolicy::PerStatement`], which fsyncs inside every append (the
-//! naive contrast mode, kept for the benchmark).
+//! Committers use a leader/follower protocol: the first committer to find
+//! no flush in flight becomes the leader, optionally dwells for the
+//! configured interval (letting concurrent statements append into the
+//! batch), then writes and fsyncs everything appended so far in **one**
+//! syscall pair. Followers whose LSN the leader covered wake up already
+//! durable. One fsync thus amortizes over every statement that arrived
+//! during the previous fsync + dwell, instead of one fsync per statement.
 //!
 //! # Record format and torn tails
 //!
@@ -38,27 +35,6 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::Duration;
-
-/// When a commit acknowledgment requires the fsync.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SyncPolicy {
-    /// Leader/follower batched fsync. `interval` is the leader's dwell time
-    /// before collecting the batch (zero = flush immediately; batching then
-    /// comes only from fsync-in-progress overlap).
-    GroupCommit {
-        /// Leader dwell time before collecting the batch.
-        interval: Duration,
-    },
-    /// fsync inside every append, while the database write lock is still
-    /// held — the naive mode group commit is benchmarked against.
-    PerStatement,
-}
-
-impl Default for SyncPolicy {
-    fn default() -> Self {
-        SyncPolicy::GroupCommit { interval: Duration::ZERO }
-    }
-}
 
 /// One logical WAL record.
 #[derive(Debug, Clone, PartialEq)]
@@ -234,7 +210,10 @@ pub struct Wal {
     /// The active log file; only a flush leader (or a rotation holding the
     /// database lock) touches it, and never while holding `state`.
     file: Mutex<DurableFile>,
-    policy: SyncPolicy,
+    /// How long a prospective flush leader waits before collecting its
+    /// batch (zero = flush at once; batching then comes only from commits
+    /// that arrive while an fsync is in flight).
+    dwell: Duration,
     /// Bounded retry applied to every physical flush before the dead latch
     /// trips. The batch is written to the (in-memory) page cache once; only
     /// the failing fsync step retries, so no byte is ever duplicated.
@@ -245,13 +224,14 @@ pub struct Wal {
 }
 
 impl Wal {
-    /// Wraps an open log file with the default [`RetryPolicy`].
-    pub fn new(file: DurableFile, policy: SyncPolicy) -> Wal {
-        Wal::with_retry(file, policy, RetryPolicy::default())
+    /// Wraps an open log file with the given leader dwell and the default
+    /// [`RetryPolicy`].
+    pub fn new(file: DurableFile, dwell: Duration) -> Wal {
+        Wal::with_retry(file, dwell, RetryPolicy::default())
     }
 
     /// Wraps an open log file with an explicit flush retry policy.
-    pub fn with_retry(file: DurableFile, policy: SyncPolicy, retry: RetryPolicy) -> Wal {
+    pub fn with_retry(file: DurableFile, dwell: Duration, retry: RetryPolicy) -> Wal {
         Wal {
             state: Mutex::new(WalState {
                 buf: Vec::new(),
@@ -263,7 +243,7 @@ impl Wal {
             }),
             cv: Condvar::new(),
             file: Mutex::new(file),
-            policy,
+            dwell,
             retry,
             fsyncs: AtomicU64::new(0),
             records: AtomicU64::new(0),
@@ -277,8 +257,7 @@ impl Wal {
 
     /// Appends records (call with the database write lock held, so file
     /// order equals apply order). Returns the LSN to pass to
-    /// [`Wal::commit`] after the lock is released. Under
-    /// [`SyncPolicy::PerStatement`] the fsync happens here instead.
+    /// [`Wal::commit`] after the lock is released.
     pub fn append(&self, records: &[WalRecord]) -> Result<u64, DurabilityError> {
         let mut s = self.lock_state();
         if s.dead {
@@ -294,29 +273,23 @@ impl Wal {
         s.buf.extend_from_slice(&scratch);
         s.appended += records.len() as u64;
         self.records.fetch_add(records.len() as u64, Ordering::Relaxed);
-        let lsn = s.appended;
-        if self.policy == SyncPolicy::PerStatement {
-            self.flush_upto(s, lsn)?;
-        }
-        Ok(lsn)
+        Ok(s.appended)
     }
 
     /// Blocks until every record up to `lsn` is durable, participating in
     /// the leader/follower group-commit protocol.
     pub fn commit(&self, lsn: u64) -> Result<(), DurabilityError> {
-        if let SyncPolicy::GroupCommit { interval } = self.policy {
-            if !interval.is_zero() {
-                let s = self.lock_state();
-                if s.dead {
-                    return Err(s.dead_err());
-                }
-                // Prospective leader dwells (lock released) so concurrent
-                // statements append into the batch; followers skip straight
-                // to waiting on the in-flight flush.
-                if s.durable < lsn && !s.flushing {
-                    drop(s);
-                    std::thread::sleep(interval);
-                }
+        if !self.dwell.is_zero() {
+            let s = self.lock_state();
+            if s.dead {
+                return Err(s.dead_err());
+            }
+            // Prospective leader dwells (lock released) so concurrent
+            // statements append into the batch; followers skip straight to
+            // waiting on the in-flight flush.
+            if s.durable < lsn && !s.flushing {
+                drop(s);
+                std::thread::sleep(self.dwell);
             }
         }
         self.flush_upto(self.lock_state(), lsn)
@@ -565,7 +538,7 @@ mod tests {
         let fp = FailPoints::default();
         let wal = Wal::new(
             DurableFile::create(&path, fp, "wal").unwrap(),
-            SyncPolicy::default(),
+            Duration::ZERO,
         );
         let recs = sample_records();
         let lsn = wal.append(&recs).unwrap();
@@ -575,21 +548,6 @@ mod tests {
         assert_eq!(out.records, recs);
         assert_eq!(wal.stats().records, 5);
         assert_eq!(wal.stats().fsyncs, 1);
-    }
-
-    #[test]
-    fn per_statement_fsyncs_every_append() {
-        let path = tmp_path("ps");
-        let wal = Wal::new(
-            DurableFile::create(&path, FailPoints::default(), "wal").unwrap(),
-            SyncPolicy::PerStatement,
-        );
-        for rec in sample_records() {
-            let lsn = wal.append(std::slice::from_ref(&rec)).unwrap();
-            wal.commit(lsn).unwrap(); // already durable: no extra fsync
-        }
-        assert_eq!(wal.stats().fsyncs, 5);
-        assert_eq!(read_wal_file(&path).unwrap().records.len(), 5);
     }
 
     #[test]
@@ -656,7 +614,7 @@ mod tests {
         let path = tmp_path("gc");
         let wal = std::sync::Arc::new(Wal::new(
             DurableFile::create(&path, FailPoints::default(), "wal").unwrap(),
-            SyncPolicy::GroupCommit { interval: Duration::from_millis(2) },
+            Duration::from_millis(2),
         ));
         let mut handles = Vec::new();
         for t in 0..6 {
@@ -691,7 +649,7 @@ mod tests {
         fp.arm_errors("wal", 3);
         let wal = Wal::new(
             DurableFile::create(&path, fp, "wal").unwrap(),
-            SyncPolicy::default(),
+            Duration::ZERO,
         );
         let lsn = wal.append(&sample_records()).unwrap();
         // Default policy (5 attempts) absorbs the 3 injected errors.
@@ -707,7 +665,7 @@ mod tests {
         fp.arm_errors("wal", 100);
         let wal = Wal::with_retry(
             DurableFile::create(&path, fp.clone(), "wal").unwrap(),
-            SyncPolicy::default(),
+            Duration::ZERO,
             RetryPolicy {
                 max_attempts: 2,
                 base_backoff: Duration::ZERO,
@@ -737,7 +695,7 @@ mod tests {
         fp.arm("wal", 1);
         let wal = Wal::new(
             DurableFile::create(&path, fp, "wal").unwrap(),
-            SyncPolicy::default(),
+            Duration::ZERO,
         );
         let lsn = wal.append(&sample_records()).unwrap();
         assert_eq!(wal.commit(lsn), Err(DurabilityError::Crashed));

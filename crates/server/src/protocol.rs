@@ -252,7 +252,12 @@ impl Wire for bool {
         u8::from(*self).put(w);
     }
     fn get(r: &mut Reader) -> DecodeResult<Self> {
-        Ok(u8::get(r)? != 0)
+        // Only the two bytes `put` writes decode, so decode inverts encode.
+        match u8::get(r)? {
+            0 => Ok(false),
+            1 => Ok(true),
+            b => Err(malformed(format!("bool byte {b} is neither 0 nor 1"))),
+        }
     }
 }
 

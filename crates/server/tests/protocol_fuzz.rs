@@ -153,6 +153,22 @@ proptest! {
     }
 }
 
+/// A bool travels as exactly 0 or 1: any other byte is malformed rather
+/// than a `true` that would re-encode to different bytes.
+#[test]
+fn non_canonical_bool_is_rejected() {
+    assert!(matches!(
+        ServerFrame::decode(&[0x86, 0x01]),
+        Ok(ServerFrame::CancelOk { matched: true })
+    ));
+    for b in [0x02u8, 0x80, 0xff] {
+        match ServerFrame::decode(&[0x86, b]) {
+            Err(FrameError::Malformed(m)) => assert!(m.contains("bool"), "message: {m}"),
+            other => panic!("CancelOk carrying {b:02x}: expected Malformed, got {other:?}"),
+        }
+    }
+}
+
 /// An adversarial length prefix (4 GiB claim) is rejected *before* any
 /// allocation: the reply is a structured protocol error naming the cap,
 /// then a disconnect — and the process obviously hasn't tried to reserve

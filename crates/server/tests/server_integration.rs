@@ -7,7 +7,7 @@
 //! graceful shutdown draining in-flight statements.
 
 use qpe_htap::engine::DurabilityOptions;
-use qpe_htap::storage::{FailPoints, SyncPolicy};
+use qpe_htap::storage::FailPoints;
 use qpe_htap::tpch::TpchConfig;
 use qpe_htap::{EngineKind, HtapError, HtapSystem, RetryPolicy, Session};
 use qpe_server::client::{Client, ClientError, ConnectOptions};
@@ -316,7 +316,6 @@ fn degraded_mode_round_trips_and_shows_in_stats() {
             &dir.0,
             &cfg,
             DurabilityOptions {
-                sync: SyncPolicy::GroupCommit { interval: Duration::ZERO },
                 failpoints: fp.clone(),
                 retry: RetryPolicy {
                     max_attempts: 2,

@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
 # CI gate: release build, full test suite, equivalence/fault sweeps, lint,
 # rustdoc, and the repo benchmark's correctness gates. Leaves the tracked tree
-# untouched.
+# untouched, and fails at the end if `git status` moved while it ran.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+status_before=$(git status --porcelain)
 
 echo "==> cargo build --release"
 cargo build --release
@@ -108,5 +110,15 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 echo "==> cargo clippy -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "==> tree untouched (git status as at the start)"
+# A step that writes a tracked or unignored file (a stray result file, a
+# rewritten benchmark/Cargo.lock) shows up here.
+status_after=$(git status --porcelain)
+if [ "$status_before" != "$status_after" ]; then
+    echo "git status changed during CI:"
+    diff <(echo "$status_before") <(echo "$status_after") || true
+    exit 1
+fi
 
 echo "CI OK"

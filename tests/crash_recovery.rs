@@ -19,7 +19,7 @@
 use proptest::prelude::*;
 use qpe_htap::engine::{BackgroundCompaction, DurabilityOptions, HtapSystem};
 use qpe_htap::exec::{Row, WorkCounters};
-use qpe_htap::storage::{FailPoints, SyncPolicy};
+use qpe_htap::storage::FailPoints;
 use qpe_htap::tpch::TpchConfig;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -53,7 +53,6 @@ fn config() -> TpchConfig {
 
 fn opts(fp: FailPoints) -> DurabilityOptions {
     DurabilityOptions {
-        sync: SyncPolicy::GroupCommit { interval: Duration::ZERO },
         failpoints: fp,
         ..DurabilityOptions::default()
     }
@@ -350,7 +349,7 @@ fn group_commit_batches_fsyncs_and_loses_nothing() {
             &dir.0,
             &cfg,
             DurabilityOptions {
-                sync: SyncPolicy::GroupCommit { interval: Duration::from_millis(2) },
+                group_commit_dwell: Duration::from_millis(2),
                 ..DurabilityOptions::default()
             },
         )

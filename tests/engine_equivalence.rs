@@ -349,6 +349,37 @@ mod forced_encodings {
             }
         }
     }
+
+    /// Blooms are the only thing that refutes blocks for an equality on an
+    /// unclustered key: every 512-row block's min/max spans most of the
+    /// `o_custkey` domain, while the key itself sits in a handful of blocks.
+    /// With blooms on, the same rows come back with strictly more blocks
+    /// pruned and strictly fewer cells scanned.
+    #[test]
+    fn blooms_prune_an_unclustered_equality() {
+        let mut sys = HtapSystem::new(&TpchConfig::with_scale(0.01));
+        assert!(sys.database_mut().set_zone_block_rows("orders", 512));
+        let key = sys.run_sql("SELECT o_custkey FROM orders LIMIT 1").expect("runs").ap.rows[0][0]
+            .clone();
+        let sql = format!("SELECT o_totalprice FROM orders WHERE o_custkey = {key}");
+        let with = sys.run_sql(&sql).expect("runs with blooms").ap;
+        assert!(sys.database_mut().set_bloom_filters("orders", false));
+        let without = sys.run_sql(&sql).expect("runs without blooms").ap;
+        assert!(!with.rows.is_empty(), "the key is present: {sql}");
+        assert_eq!(with.rows, without.rows, "blooms changed rows for {sql}");
+        assert!(
+            with.counters.blocks_pruned > without.counters.blocks_pruned,
+            "blooms pruned no extra block: {} vs {}",
+            with.counters.blocks_pruned,
+            without.counters.blocks_pruned
+        );
+        assert!(
+            with.counters.cells_scanned < without.counters.cells_scanned,
+            "blooms saved no cell: {} vs {}",
+            with.counters.cells_scanned,
+            without.counters.cells_scanned
+        );
+    }
 }
 
 #[test]

@@ -25,7 +25,7 @@
 use proptest::prelude::*;
 use qpe_htap::engine::{BackgroundCompaction, DurabilityOptions, EngineKind, HtapSystem};
 use qpe_htap::exec::{ExecConfig, Row, StatementLimits, WorkCounters};
-use qpe_htap::storage::{FailPoints, SyncPolicy};
+use qpe_htap::storage::FailPoints;
 use qpe_htap::tpch::TpchConfig;
 use qpe_htap::{HtapError, RetryPolicy, Session};
 use std::path::PathBuf;
@@ -61,7 +61,6 @@ fn config() -> TpchConfig {
 
 fn opts(fp: FailPoints) -> DurabilityOptions {
     DurabilityOptions {
-        sync: SyncPolicy::GroupCommit { interval: Duration::ZERO },
         failpoints: fp,
         ..DurabilityOptions::default()
     }
@@ -469,7 +468,6 @@ fn exhausted_retries_enter_and_exit_degraded_mode() {
         &dir.0,
         &cfg,
         DurabilityOptions {
-            sync: SyncPolicy::GroupCommit { interval: Duration::ZERO },
             failpoints: fp.clone(),
             retry: eager_retry(2),
             ..DurabilityOptions::default()
@@ -542,13 +540,13 @@ fn compactor_backs_off_on_failures_and_recovers() {
         &dir.0,
         &cfg,
         DurabilityOptions {
-            sync: SyncPolicy::GroupCommit { interval: Duration::ZERO },
             failpoints: fp.clone(),
             retry: eager_retry(2),
             background: Some(BackgroundCompaction {
                 min_delta_rows: 4,
                 poll: Duration::from_millis(1),
             }),
+            ..DurabilityOptions::default()
         },
     )
     .expect("open");

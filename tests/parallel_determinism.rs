@@ -122,7 +122,9 @@ fn thread_count_and_morsel_size_are_invisible() {
 
 /// System-level determinism: a parallel-configured HtapSystem returns the
 /// same outcome (rows, counters, simulated latency) on every repetition,
-/// and the dual-engine agreement check stays green.
+/// and the dual-engine agreement check stays green. The simulated latency
+/// is also the serial system's: AP work is priced at one thread whatever
+/// the executor runs at, so winner labels never follow the thread count.
 #[test]
 fn parallel_system_runs_are_stable_end_to_end() {
     let mut sys = dirty_system();
@@ -136,4 +138,8 @@ fn parallel_system_runs_are_stable_end_to_end() {
         assert_eq!(first.ap.counters, again.ap.counters);
         assert_eq!(first.ap.latency_ns, again.ap.latency_ns);
     }
+    sys.set_exec_config(ExecConfig::serial());
+    let serial = sys.run_sql(sql).expect("runs");
+    assert_eq!(first.ap.rows, serial.ap.rows);
+    assert_eq!(first.ap.latency_ns, serial.ap.latency_ns, "AP priced by thread count");
 }
