@@ -1,11 +1,17 @@
 #!/usr/bin/env bash
 # CI gate: release build, full test suite, equivalence/fault sweeps, lint,
 # rustdoc, and the repo benchmark's correctness gates. Leaves the tracked tree
-# untouched, and fails at the end if `git status` moved while it ran.
+# untouched, and fails at the end if the tree moved while it ran.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-status_before=$(git status --porcelain)
+# Every path git reports (tracked changes and unignored new files), plus a
+# hash of the tracked diff so a rewrite of an already-edited file shows too.
+tree_state() {
+    git status --porcelain
+    git diff HEAD | git hash-object --stdin
+}
+state_before=$(tree_state)
 
 echo "==> cargo build --release"
 cargo build --release
@@ -111,13 +117,13 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 echo "==> cargo clippy -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> tree untouched (git status as at the start)"
+echo "==> tree untouched (git status and diff as at the start)"
 # A step that writes a tracked or unignored file (a stray result file, a
 # rewritten benchmark/Cargo.lock) shows up here.
-status_after=$(git status --porcelain)
-if [ "$status_before" != "$status_after" ]; then
-    echo "git status changed during CI:"
-    diff <(echo "$status_before") <(echo "$status_after") || true
+state_after=$(tree_state)
+if [ "$state_before" != "$state_after" ]; then
+    echo "the tree changed during CI (git status, then the tracked diff's hash):"
+    diff <(echo "$state_before") <(echo "$state_after") || true
     exit 1
 fi
 
