@@ -12,9 +12,8 @@
 //! (operator entry, every morsel a parallel worker pulls, every ~1k rows of
 //! a scalar loop). A poll is a pair of relaxed atomic loads on the happy
 //! path; when a deadline is set, the clock is only consulted on every 32nd
-//! poll (the first included, so a zero deadline trips before any work).
-//! Governed execution thereby stays within a ~2% overhead budget of
-//! ungoverned execution (measured by the `governed_ap_scan` bench case).
+//! poll (the first included, so a zero deadline trips before any work),
+//! which keeps governed execution within ~2% of ungoverned execution.
 //!
 //! Once any limit trips, the guard latches the *first* violation (cancel
 //! beats timeout beats memory if they race) and every subsequent poll

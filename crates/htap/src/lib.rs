@@ -214,8 +214,7 @@
 //!   All three executors poll it cooperatively at operator/morsel/1k-row
 //!   granularity and surface trips as
 //!   `HtapError::{Cancelled, Timeout, MemoryBudget}`. Guard polls are one
-//!   relaxed atomic load — the `governed_ap_scan` benchmark holds the
-//!   overhead under 2%.
+//!   relaxed atomic load, which keeps the overhead under 2%.
 //! * **Transient-fault retry** ([`storage::durable_io::RetryPolicy`]): WAL
 //!   fsyncs, segment seals and manifest swaps retry transiently-failing
 //!   I/O with exponential backoff + jitter under a bounded budget.

@@ -57,8 +57,8 @@ pub struct PlannerCtx<'a> {
     /// Catalog access (index metadata, column widths).
     pub catalog: &'a dyn Catalog,
     /// Whether the AP planner pushes filter conjunctions into scan nodes for
-    /// zone-map block pruning (on by default; benchmarks and differential
-    /// tests turn it off to measure/verify the unpruned path).
+    /// zone-map block pruning (on by default; differential tests turn it
+    /// off to check the unpruned path).
     pub pushdown: bool,
 }
 
