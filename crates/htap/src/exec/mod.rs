@@ -16,11 +16,12 @@
 //!   column-at-a-time over typed batches with selection vectors and late
 //!   materialization;
 //! * the **morsel-driven parallel executor** ([`parallel`]) is the batch
-//!   executor with its kernels fanned out over a scoped worker pool: scans
-//!   and filters split into fixed-size morsels (cut at base/delta chunk
-//!   boundaries), hash-join probes share one serially built table, aggregation
-//!   inputs evaluate per morsel ahead of one serial typed fold, and sorts
-//!   merge stable-sorted chunks.
+//!   executor with its kernels fanned out over the calling thread plus one
+//!   process-wide pool of parked workers (a call that finds the pool busy
+//!   runs on its own thread): scans and filters split into fixed-size
+//!   morsels (cut at base/delta chunk boundaries), hash-join probes share
+//!   one serially built table, aggregation inputs and sort keys evaluate per
+//!   morsel ahead of one serial fold or sort.
 //!
 //! [`execute`] dispatches: AP plans route to the batch executor (falling
 //! back to the interpreter for out-of-vocabulary operators), TP plans to

@@ -3,9 +3,10 @@
 //! The vectorized executor's kernels (filter selections, hash-join pair finding,
 //! gathers, expression evaluation) all iterate a dense range of
 //! selected rows. This module splits that range into fixed-size
-//! **morsels** and runs them on a [`std::thread::scope`]d worker pool, with
-//! every parallel strategy chosen so the output is **bit-identical** to the
-//! serial batch executor (and therefore to the row interpreter):
+//! **morsels** and runs them on one process-wide pool of parked worker
+//! threads, with every parallel strategy chosen so the output is
+//! **bit-identical** to the serial batch executor (and therefore to the row
+//! interpreter):
 //!
 //! * **order-preserving kernels** (filter, gather, expression eval,
 //!   projection): each morsel computes its slice independently; slices are
@@ -43,6 +44,15 @@
 //! Morsel *sizing* is zone-map-aware too (`zone_aware_step`): a selective
 //! pruned scan sizes its morsels from the surviving row count, not the raw
 //! table length, so thread fan-out sees post-pruning work.
+//!
+//! Scheduling follows Leis et al., "Morsel-Driven Parallelism" (SIGMOD
+//! 2014). Every kernel hands its morsels to `run_tasks`: the calling thread
+//! takes tasks from a shared counter itself, and a call at `threads = t`
+//! wakes `t − 1` parked workers to take them too, so a call costs a
+//! condvar wake-up, not a thread start. The workers start lazily and live
+//! as long as the process. One call owns the pool at a time; a call that
+//! finds it busy (another connection's statement, or a task that fans out
+//! again) runs its tasks on its own thread, with the same results.
 
 use super::guard::ExecGuard;
 use super::typed::each_block;
@@ -51,14 +61,16 @@ use crate::eval::{eval_batch, eval_predicate_sel, BatchView, EvalError, Rows, Sc
 use crate::storage::col_store::{ColRef, ColumnData};
 use qpe_sql::binder::BoundExpr;
 use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, OnceLock};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Rows per morsel when nothing overrides it.
 pub const DEFAULT_MORSEL_ROWS: usize = 4096;
 
-/// Smallest morsel [`zone_aware_step`] will shrink to: below this, per-task
-/// dispatch overhead outweighs the extra fan-out.
+/// Smallest morsel [`zone_aware_step`] will shrink to: below this, the
+/// fixed cost of a morsel — its own output buffer, its splice into the
+/// result, a block kernel's setup — outweighs the extra fan-out. (Claiming
+/// a task is one atomic increment; no thread starts per morsel or call.)
 pub(crate) const MIN_MORSEL_ROWS: usize = 512;
 
 /// Morsels per worker [`zone_aware_step`] aims for — enough slack that the
@@ -70,7 +82,7 @@ const MORSELS_PER_WORKER: usize = 4;
 /// surviving rows that fixed-size chunks collapse into one or two morsels
 /// and idle most workers. Shrink the step until the *surviving* row count
 /// `n` spreads to [`MORSELS_PER_WORKER`] morsels per worker (floored at
-/// [`MIN_MORSEL_ROWS`] to amortize dispatch overhead), then align it down
+/// [`MIN_MORSEL_ROWS`] to amortize per-morsel costs), then align it down
 /// to `align` (a frame-of-reference block size) so no morsel straddles a
 /// packed block. Sizing only changes the parallel decomposition — results
 /// and counters are invariant under any morsel split.
@@ -94,8 +106,10 @@ pub(crate) fn zone_aware_step(
 /// Parallelism knob for the AP batch executor.
 ///
 /// `threads == 1` is the exact serial executor. With more threads, any
-/// kernel whose input exceeds one morsel fans out over a scoped worker
-/// pool; results are deterministic either way (see the module docs).
+/// kernel whose input exceeds one morsel fans out: the calling thread and
+/// up to `threads − 1` parked workers of the process-wide pool take its
+/// morsels (a call that finds the pool busy runs them on its own thread).
+/// Results are deterministic either way (see the module docs).
 #[derive(Debug, Clone)]
 pub struct ExecConfig {
     /// Worker threads for AP batch kernels (1 ⇒ serial).
@@ -181,7 +195,7 @@ impl Default for ExecConfig {
 }
 
 // ---------------------------------------------------------------------------
-// Morsel splitting and the scoped worker pool
+// Morsel splitting and the persistent worker pool
 // ---------------------------------------------------------------------------
 
 /// Splits the dense range `0..n` into morsels of at most `morsel_rows`,
@@ -214,48 +228,196 @@ pub(crate) fn morsel_ranges(
     out
 }
 
-/// Runs `n_tasks` closures on up to `threads` scoped workers (work is pulled
-/// from a shared atomic counter, so long tasks don't serialize behind a
-/// static assignment) and returns the results **in task order** regardless
-/// of completion order.
+/// Runs `n_tasks` closures on the calling thread plus up to `threads − 1`
+/// workers of the process-wide [`Pool`], and returns the results **in task
+/// order** regardless of completion order. Every participant pulls task
+/// indices from one shared atomic counter, so long tasks don't serialize
+/// behind a static assignment. When the pool is already serving another
+/// call — another connection's statement, or a task of this very call that
+/// fans out again — this call runs its tasks on its own thread: same
+/// results, no waiting. A task's panic reaches the caller with its own
+/// payload, after every worker has left the call.
 pub(crate) fn run_tasks<T, F>(threads: usize, n_tasks: usize, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    if n_tasks == 0 {
-        return Vec::new();
-    }
-    let workers = threads.min(n_tasks);
-    if workers <= 1 {
+    let helpers = threads.min(n_tasks).saturating_sub(1);
+    if helpers == 0 {
         return (0..n_tasks).map(f).collect();
     }
-    let next = AtomicUsize::new(0);
-    let (tx, rx) = mpsc::channel::<(usize, T)>();
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            let tx = tx.clone();
-            let next = &next;
-            let f = &f;
-            s.spawn(move || loop {
+    POOL.run(helpers, n_tasks, &f)
+        .unwrap_or_else(|| (0..n_tasks).map(f).collect())
+}
+
+/// The process-wide pool behind [`run_tasks`].
+static POOL: Pool = Pool {
+    busy: AtomicBool::new(false),
+    state: Mutex::new(PoolState { job: None, wanted: 0, active: 0, started: 0 }),
+    wake: Condvar::new(),
+    left: Condvar::new(),
+};
+
+/// A job as parked workers see it: a call's share-taking loop, which
+/// contains its own panics. The `'static` is a lie [`Pool::broadcast`]
+/// keeps true (see the `SAFETY` note there).
+type Job = &'static (dyn Fn() + Sync);
+
+/// Parked worker threads on the morsel-driven model (Leis et al.,
+/// "Morsel-Driven Parallelism", SIGMOD 2014): one call at a time publishes
+/// its job, the caller takes tasks itself, and woken workers join it
+/// until the task counter runs dry. Workers start lazily — as many as the
+/// largest `threads − 1` any call asked for — sleep on a condvar between
+/// calls, never spin, and live as long as the process.
+struct Pool {
+    /// Set while one call owns the pool; a second caller runs serially.
+    busy: AtomicBool,
+    state: Mutex<PoolState>,
+    /// Workers park here for a job.
+    wake: Condvar,
+    /// The owning caller waits here for workers to leave its job.
+    left: Condvar,
+}
+
+struct PoolState {
+    /// The published job; `None` once its caller has withdrawn it.
+    job: Option<Job>,
+    /// How many more workers may join the published job.
+    wanted: usize,
+    /// Workers inside the published job right now.
+    active: usize,
+    /// Workers started so far.
+    started: usize,
+}
+
+impl Pool {
+    /// Runs tasks `0..n_tasks` of `f` on the calling thread and up to
+    /// `helpers` workers; `None` (nothing run) when another call owns the
+    /// pool. Results come back in task order; a task's panic is resumed
+    /// here with its own payload once no worker is left in the job.
+    fn run<T, F>(&'static self, helpers: usize, n_tasks: usize, f: &F) -> Option<Vec<T>>
+    where
+        T: Send,
+        F: Fn(usize) -> T + Sync,
+    {
+        let next = AtomicUsize::new(0);
+        let done = Mutex::new(Vec::with_capacity(n_tasks));
+        let panic = Mutex::new(None);
+        let share = || {
+            let mut mine = Vec::new();
+            let ran = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
                 if i >= n_tasks {
                     break;
                 }
-                if tx.send((i, f(i))).is_err() {
+                mine.push((i, f(i)));
+            }));
+            match ran {
+                Ok(()) => lock(&done).append(&mut mine),
+                Err(payload) => {
+                    // Stop handing out tasks; the first payload wins.
+                    next.store(n_tasks, Ordering::Relaxed);
+                    lock(&panic).get_or_insert(payload);
+                }
+            }
+        };
+        if !self.broadcast(helpers, &share) {
+            return None;
+        }
+        if let Some(payload) = panic.into_inner().unwrap_or_else(PoisonError::into_inner) {
+            std::panic::resume_unwind(payload);
+        }
+        let mut done = done.into_inner().unwrap_or_else(PoisonError::into_inner);
+        debug_assert_eq!(done.len(), n_tasks, "every task ran once");
+        done.sort_unstable_by_key(|&(i, _)| i);
+        Some(done.into_iter().map(|(_, t)| t).collect())
+    }
+
+    /// Claims the pool and runs `job` on the calling thread while up to
+    /// `helpers` workers run it too; returns only once the job is
+    /// withdrawn and every worker that took it has left it — the join
+    /// barrier of [`std::thread::scope`], without a thread start per call.
+    /// `false` (and `job` not run) when another call owns the pool.
+    fn broadcast(&'static self, helpers: usize, job: &(dyn Fn() + Sync)) -> bool {
+        if self.busy.compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed).is_err() {
+            return false;
+        }
+        // SAFETY: the erased borrow is stored only in `state.job`, and a
+        // worker copies it out only under the lock while counting itself
+        // into `active`. `Withdraw`'s drop — reached on return and on any
+        // unwind alike — clears `state.job` and then blocks until `active`
+        // is zero, so no worker holds the reference once this function
+        // has left, and `job`'s borrow outlives every use of it.
+        let erased: Job = unsafe { std::mem::transmute::<&(dyn Fn() + Sync), Job>(job) };
+        let _withdraw = Withdraw(self);
+        let wanted = {
+            let mut st = lock(&self.state);
+            while st.started < helpers {
+                let spawned = std::thread::Builder::new()
+                    .name("qpe-morsel".into())
+                    .spawn(move || self.work());
+                if spawned.is_err() {
+                    // Run with the workers there are; none is fine too.
                     break;
                 }
-            });
+                st.started += 1;
+            }
+            st.job = Some(erased);
+            st.wanted = helpers.min(st.started);
+            st.wanted
+        };
+        for _ in 0..wanted {
+            self.wake.notify_one();
         }
-        drop(tx);
-        let mut out: Vec<Option<T>> = (0..n_tasks).map(|_| None).collect();
-        for (i, r) in rx {
-            out[i] = Some(r);
+        job();
+        true
+    }
+
+    /// A worker's life: park until a job wants a hand, run it, repeat.
+    fn work(&self) {
+        let mut st = lock(&self.state);
+        loop {
+            match st.job {
+                Some(job) if st.wanted > 0 => {
+                    st.wanted -= 1;
+                    st.active += 1;
+                    drop(st);
+                    job();
+                    st = lock(&self.state);
+                    st.active -= 1;
+                    if st.active == 0 {
+                        self.left.notify_one();
+                    }
+                }
+                _ => st = self.wake.wait(st).unwrap_or_else(PoisonError::into_inner),
+            }
         }
-        out.into_iter()
-            .map(|o| o.expect("every task slot filled"))
-            .collect()
-    })
+    }
+}
+
+/// Ends a call's ownership of the pool on drop: withdraws its job, waits
+/// for the job's workers to leave, then frees the pool for the next call.
+struct Withdraw(&'static Pool);
+
+impl Drop for Withdraw {
+    fn drop(&mut self) {
+        let pool = self.0;
+        let mut st = lock(&pool.state);
+        st.job = None;
+        st.wanted = 0;
+        while st.active > 0 {
+            st = pool.left.wait(st).unwrap_or_else(PoisonError::into_inner);
+        }
+        drop(st);
+        pool.busy.store(false, Ordering::Release);
+    }
+}
+
+/// Locks `m`, recovering it if poisoned: no code panics while holding
+/// the pool's locks (tasks run outside them), and every update under
+/// them is a single assignment, so the data is whole either way.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Splices per-morsel columns in morsel order.
@@ -494,6 +656,92 @@ mod tests {
             let out = run_tasks(threads, 13, |i| i * i);
             assert_eq!(out, (0..13).map(|i| i * i).collect::<Vec<_>>());
         }
+    }
+
+    /// Retries `attempt` until it owns the pool (`Some`): other tests in
+    /// this process share the pool, and a call that finds it busy runs
+    /// serially instead.
+    fn owning_the_pool<T>(attempt: impl Fn() -> Option<T>) -> T {
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+        loop {
+            if let Some(out) = attempt() {
+                return out;
+            }
+            assert!(std::time::Instant::now() < deadline, "the pool stayed busy for a minute");
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+    }
+
+    /// Two tasks that each wait (up to 5 s) until both have started, then
+    /// report whether they met: only two threads at once can meet.
+    fn meet_then<T>(last: impl Fn(usize, bool) -> T + Sync) -> impl Fn(usize) -> T + Sync {
+        let arrived = AtomicUsize::new(0);
+        move |i| {
+            arrived.fetch_add(1, Ordering::SeqCst);
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+            while arrived.load(Ordering::SeqCst) < 2 && std::time::Instant::now() < deadline {
+                std::thread::yield_now();
+            }
+            last(i, arrived.load(Ordering::SeqCst) >= 2)
+        }
+    }
+
+    #[test]
+    fn pool_hands_a_task_panic_to_the_caller() {
+        for threads in [2, 4] {
+            let caught = std::panic::catch_unwind(|| {
+                run_tasks(threads, 8, |i| if i == 5 { panic!("task {i} failed") } else { i })
+            });
+            let payload = caught.expect_err("the task's panic propagates");
+            assert_eq!(crate::session::panic_message(&*payload), "task 5 failed");
+            for threads in [1, 2, 4] {
+                assert_eq!(run_tasks(threads, 13, |i| i * i), (0..13).map(|i| i * i).collect::<Vec<_>>());
+            }
+        }
+    }
+
+    /// A worker that panicked inside a job is back in the pool, and the
+    /// pool's locks still fan a later call out to it.
+    #[test]
+    fn pool_still_fans_out_after_a_panic() {
+        let payload = owning_the_pool(|| {
+            let both_panic = meet_then(|i, _| -> usize { panic!("task {i} failed") });
+            match std::panic::catch_unwind(|| POOL.run(1, 2, &both_panic)) {
+                Ok(None) => None,
+                Ok(Some(_)) => panic!("every task panics"),
+                Err(payload) => Some(payload),
+            }
+        });
+        let message = crate::session::panic_message(&*payload);
+        assert!(["task 0 failed", "task 1 failed"].contains(&message.as_str()), "{message}");
+        let met = owning_the_pool(|| POOL.run(1, 2, &meet_then(|_, met| met)));
+        assert_eq!(met, [true, true], "a parked worker took the second task");
+    }
+
+    /// Four callers contend for the pool, and one task of each call fans
+    /// out again: every call returns its results in task order, whether it
+    /// owned the pool or ran serially, and none waits on another.
+    #[test]
+    fn pool_serves_concurrent_and_nested_callers_in_task_order() {
+        let nested = |threads: usize, i: usize| -> usize {
+            if i == 3 {
+                run_tasks(threads, 5, |j| 10 * i + j).into_iter().sum()
+            } else {
+                i * i
+            }
+        };
+        let want: Vec<usize> = (0..9).map(|i| nested(1, i)).collect();
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| {
+                    for _ in 0..50 {
+                        for threads in [2, 4] {
+                            assert_eq!(run_tasks(threads, 9, |i| nested(threads, i)), want);
+                        }
+                    }
+                });
+            }
+        });
     }
 
     /// The morsel splice keeps a dictionary column's encoding (its consumers

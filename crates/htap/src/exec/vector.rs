@@ -25,11 +25,11 @@
 //! operators outside the AP vocabulary fall back to the row interpreter.
 //!
 //! With an [`ExecConfig`] of more than one thread, the hot kernels (filter
-//! selections, join pair-finding, gathers, expression evaluation, sorts) fan out
-//! morsel-wise over a scoped worker pool ([`super::parallel`])
-//! using strategies chosen to keep rows *and* counters bit-identical to the
-//! serial path — `threads == 1` (the default on a single-core host) is the
-//! exact serial executor.
+//! selections, join pair-finding, gathers, expression evaluation, sort keys)
+//! fan out morsel-wise over the calling thread plus the process-wide pool of
+//! parked workers ([`super::parallel`]), using strategies chosen to keep rows
+//! *and* counters bit-identical to the serial path — `threads == 1` (the
+//! default on a single-core host) is the exact serial executor.
 
 use super::parallel::{self, ExecConfig, JoinPairs};
 use super::typed::{self, Cursor, ExprCol};

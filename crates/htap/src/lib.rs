@@ -146,18 +146,19 @@
 //!   asymmetry the paper's explanations cite ("scan only relevant columns
 //!   and apply filters before joining") is now how the code actually runs.
 //! * **Morsel-driven parallel executor** ([`exec::parallel`]) — the batch
-//!   executor with its kernels fanned out over a scoped worker pool, knobbed
-//!   by [`exec::ExecConfig`] (default: available cores; 1 thread is the
-//!   exact serial path). Dense kernel ranges split into fixed-size morsels
-//!   (cut at base/delta chunk boundaries); a hash join's build fills one
-//!   table that its probe morsels share; aggregation evaluates its key and
-//!   argument expressions per morsel, then folds them in one serial
-//!   block-at-a-time pass over dense group ids in global row order (float
-//!   sums keep the serial association order);
-//!   sorts stable-sort chunks and merge with ties to the lower chunk. Every
-//!   merge is order-restoring, so parallel output is **bit-identical** to
-//!   serial — rows and counters alike, at any thread count, on clean and
-//!   dirty tables.
+//!   executor with its kernels fanned out over the calling thread plus one
+//!   process-wide pool of parked workers (a call that finds the pool busy
+//!   runs on its own thread), knobbed by [`exec::ExecConfig`] (default:
+//!   available cores; 1 thread is the exact serial path). Dense kernel
+//!   ranges split into fixed-size morsels (cut at base/delta chunk
+//!   boundaries); a hash join's build fills one table that its probe
+//!   morsels share; aggregation evaluates its key and argument expressions
+//!   per morsel, then folds them in one serial block-at-a-time pass over
+//!   dense group ids in global row order (float sums keep the serial
+//!   association order); sorts and top-N evaluate their key columns per
+//!   morsel and order serially. Every merge is order-restoring, so
+//!   parallel output is **bit-identical** to serial — rows and counters
+//!   alike, at any thread count, on clean and dirty tables.
 //!
 //! # Durability & crash recovery
 //!

@@ -48,6 +48,7 @@ use crate::protocol::{
 };
 use crate::stats::{ServerStats, SessionStats};
 use qpe_htap::exec::{CancelHandle, StatementLimits, WorkCounters};
+use qpe_htap::session::panic_message;
 use qpe_htap::{EngineKind, HtapSystem, PreparedStatement, Session, StatementOutcome};
 use qpe_sql::value::Value;
 use std::collections::hash_map::RandomState;
@@ -55,8 +56,9 @@ use std::collections::HashMap;
 use std::hash::{BuildHasher, Hasher};
 use std::io::{self, Read};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -161,18 +163,7 @@ impl Server {
     ) -> io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
-        let shared = Arc::new(Shared {
-            system,
-            config,
-            stats: ServerStats::default(),
-            stop: AtomicBool::new(false),
-            inflight: AtomicU32::new(0),
-            next_conn_id: AtomicU64::new(1),
-            registry: Mutex::new(HashMap::new()),
-            handlers: Mutex::new(Vec::new()),
-            sockets: Mutex::new(HashMap::new()),
-            next_sock_token: AtomicU64::new(1),
-        });
+        let shared = Arc::new(Shared::new(system, config));
         let accept_shared = Arc::clone(&shared);
         let accept_thread = std::thread::Builder::new()
             .name("qpe-server-accept".into())
@@ -283,47 +274,16 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
             continue;
         }
         ServerStats::bump(&shared.stats.connections_accepted);
-        ServerStats::bump(&shared.stats.connections_active);
-        // Register a socket clone so shutdown can force the stream shut
-        // under a handler blocked on I/O (`Shutdown` acts on the shared
-        // underlying socket, not the clone).
-        let sock_token = shared.next_sock_token.fetch_add(1, Ordering::SeqCst);
-        if let Ok(clone) = stream.try_clone() {
-            let mut sockets = shared.sockets.lock().expect("sockets lock");
-            sockets.insert(sock_token, clone);
-        }
-        let conn_shared = Arc::clone(&shared);
+        let mut conn = Connection::admit(stream, Arc::clone(&shared));
         let handle = std::thread::Builder::new()
             .name("qpe-server-conn".into())
-            .spawn(move || {
-                Connection::run(stream, Arc::clone(&conn_shared));
-                conn_shared
-                    .sockets
-                    .lock()
-                    .expect("sockets lock")
-                    .remove(&sock_token);
-                conn_shared
-                    .stats
-                    .connections_active
-                    .fetch_sub(1, Ordering::Relaxed);
-            });
-        match handle {
-            Ok(h) => {
-                let mut handlers = shared.handlers.lock().expect("handlers lock");
-                handlers.retain(|t| !t.is_finished());
-                handlers.push(h);
-            }
-            Err(_) => {
-                shared
-                    .sockets
-                    .lock()
-                    .expect("sockets lock")
-                    .remove(&sock_token);
-                shared
-                    .stats
-                    .connections_active
-                    .fetch_sub(1, Ordering::Relaxed);
-            }
+            .spawn(move || conn.serve());
+        // A thread that failed to start dropped its `Connection`, whose
+        // `Drop` already released everything the admission took.
+        if let Ok(h) = handle {
+            let mut handlers = shared.handlers.lock().expect("handlers lock");
+            handlers.retain(|t| !t.is_finished());
+            handlers.push(h);
         }
     }
 }
@@ -509,10 +469,15 @@ fn oversized_row_error(bytes: usize) -> WireError {
     ))
 }
 
-/// One connection's server-side state.
+/// One connection's server-side state. It holds the connection's share
+/// of the server — its `connections_active` count, its socket clone, its
+/// registry entry — from [`Connection::admit`] until it drops, however the
+/// handler ends.
 struct Connection {
     stream: TcpStream,
     shared: Arc<Shared>,
+    /// The socket clone's key in `Shared::sockets`.
+    sock_token: u64,
     session_stats: SessionStats,
     session: Option<Session>,
     limits: StatementLimits,
@@ -523,12 +488,23 @@ struct Connection {
 }
 
 impl Connection {
-    fn run(stream: TcpStream, shared: Arc<Shared>) {
+    /// Counts an accepted stream as active and registers a socket clone,
+    /// so shutdown can force the stream shut under a handler blocked on
+    /// I/O (`Shutdown` acts on the shared underlying socket, not the
+    /// clone).
+    fn admit(stream: TcpStream, shared: Arc<Shared>) -> Connection {
         let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
         let _ = stream.set_nodelay(true);
-        let mut conn = Connection {
+        ServerStats::bump(&shared.stats.connections_active);
+        let sock_token = shared.next_sock_token.fetch_add(1, Ordering::SeqCst);
+        if let Ok(clone) = stream.try_clone() {
+            let mut sockets = shared.sockets.lock().expect("sockets lock");
+            sockets.insert(sock_token, clone);
+        }
+        Connection {
             stream,
             shared,
+            sock_token,
             session_stats: SessionStats::default(),
             session: None,
             limits: StatementLimits::unlimited(),
@@ -536,12 +512,6 @@ impl Connection {
             statements: HashMap::new(),
             next_stmt_id: 1,
             cursor: None,
-        };
-        conn.serve();
-        // Deregister (no-op when the handshake never completed).
-        if conn.conn_id != 0 {
-            let mut registry = conn.shared.registry.lock().expect("registry lock");
-            registry.remove(&conn.conn_id);
         }
     }
 
@@ -567,8 +537,25 @@ impl Connection {
                     continue;
                 }
             };
-            if !self.dispatch(frame) {
+            if !self.contain(|conn| conn.dispatch(frame)) {
                 return;
+            }
+        }
+    }
+
+    /// Runs one frame's handler, containing a panic in it: the client gets
+    /// [`WireError::Internal`] with the panic's message and the connection
+    /// closes, so no client waits on a reply that will never come.
+    /// `AssertUnwindSafe` holds because a connection whose handler
+    /// panicked is never read again, and the engine repairs its own shared
+    /// state (see `qpe_htap::Session`).
+    fn contain(&mut self, handler: impl FnOnce(&mut Self) -> bool) -> bool {
+        match std::panic::catch_unwind(AssertUnwindSafe(|| handler(self))) {
+            Ok(keep) => keep,
+            Err(payload) => {
+                let message = panic_message(&*payload);
+                let _ = self.send(ServerFrame::Error(WireError::Internal(message)));
+                false
             }
         }
     }
@@ -887,7 +874,35 @@ impl Connection {
     }
 }
 
+impl Drop for Connection {
+    /// Gives back what [`Connection::admit`] and `Hello` took. Locks are
+    /// recovered, not unwrapped: a drop must not panic.
+    fn drop(&mut self) {
+        let shared = &self.shared;
+        if self.conn_id != 0 {
+            shared.registry.lock().unwrap_or_else(PoisonError::into_inner).remove(&self.conn_id);
+        }
+        shared.sockets.lock().unwrap_or_else(PoisonError::into_inner).remove(&self.sock_token);
+        shared.stats.connections_active.fetch_sub(1, Ordering::Relaxed);
+    }
+}
+
 impl Shared {
+    fn new(system: Arc<HtapSystem>, config: ServerConfig) -> Shared {
+        Shared {
+            system,
+            config,
+            stats: ServerStats::default(),
+            stop: AtomicBool::new(false),
+            inflight: AtomicU32::new(0),
+            next_conn_id: AtomicU64::new(1),
+            registry: Mutex::new(HashMap::new()),
+            handlers: Mutex::new(Vec::new()),
+            sockets: Mutex::new(HashMap::new()),
+            next_sock_token: AtomicU64::new(1),
+        }
+    }
+
     /// Raises the cancel flag of the connection matching the credentials.
     fn cancel_conn(&self, conn_id: u64, secret: u64) -> bool {
         let registry = self.registry.lock().expect("registry lock");
@@ -908,4 +923,46 @@ fn fresh_secret(conn_id: u64) -> u64 {
     let mut h = RandomState::new().build_hasher();
     h.write_u64(conn_id);
     h.finish()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::protocol::read_frame;
+    use qpe_htap::TpchConfig;
+
+    /// A handler that panics: the client reads `Internal` with the panic's
+    /// message and then end of stream, and the connection's registry
+    /// entry, socket clone and active count are all given back.
+    #[test]
+    fn a_panicking_handler_replies_internal_and_cleans_up() {
+        let system = Arc::new(HtapSystem::new(&TpchConfig::with_scale(0.0005)));
+        let shared = Arc::new(Shared::new(system, ServerConfig::default()));
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let mut client = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        let (stream, _) = listener.accept().expect("accept");
+        let mut conn = Connection::admit(stream, Arc::clone(&shared));
+        let hello = ClientFrame::Hello {
+            version: PROTOCOL_VERSION,
+            timeout_ns: 0,
+            memory_budget: 0,
+            engine: EnginePref::Default,
+        };
+        assert!(conn.contain(|conn| conn.dispatch(hello)));
+        assert_eq!(shared.registry.lock().expect("registry lock").len(), 1);
+        assert_eq!(shared.sockets.lock().expect("sockets lock").len(), 1);
+        assert_eq!(ServerStats::get(&shared.stats.connections_active), 1);
+
+        assert!(!conn.contain(|_| panic!("handler bug")), "a panic closes the connection");
+        drop(conn);
+        let mut reply = || {
+            ServerFrame::decode(&read_frame(&mut client).expect("a frame")).expect("decodes")
+        };
+        assert!(matches!(reply(), ServerFrame::HelloOk { .. }));
+        assert_eq!(reply(), ServerFrame::Error(WireError::Internal("handler bug".into())));
+        assert!(read_frame(&mut client).is_err(), "the server closed the stream");
+        assert!(shared.registry.lock().expect("registry lock").is_empty());
+        assert!(shared.sockets.lock().expect("sockets lock").is_empty());
+        assert_eq!(ServerStats::get(&shared.stats.connections_active), 0);
+    }
 }

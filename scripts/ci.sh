@@ -36,6 +36,13 @@ for i in 1 2 3; do
     cargo test -q --test parallel_determinism
 done
 
+echo "==> morsel pool repeat loop (task panics, concurrent and nested callers)"
+# The pool's tests race callers and workers against each other, so they
+# repeat with fresh scheduling like the determinism loop.
+for i in 1 2 3; do
+    cargo test -q -p qpe_htap --lib exec::parallel::tests::pool_
+done
+
 echo "==> prepared-statement equivalence sweep (prepared ≡ inlined, clean + dirty, 3 executors)"
 # prepare+execute(params) must return byte-identical rows AND WorkCounters
 # (blocks_pruned included) to the literal-inlined SQL, plus the concurrent
