@@ -1,229 +1,611 @@
-//! Panic-free binary codec shared by the WAL and the segment files.
+//! The workspace's one binary codec. Every binary byte the system writes to
+//! disk (the manifest alone is JSON) or puts on a socket is laid out by a
+//! [`Wire`] impl: `put` appends a value to a `Vec<u8>`, `get` reads it back
+//! through a bounds-checked [`Reader`].
 //!
-//! Writers append to a `Vec<u8>`; the [`Reader`] is a bounds-checked cursor
-//! whose every accessor returns [`DurabilityError::Corrupt`] instead of
-//! panicking, because recovery feeds it *deliberately torn* bytes — the
-//! crash harness cuts files mid-record and recovery must classify that as a
-//! discardable tail, never as a crash of its own.
+//! # The three formats
 //!
-//! All integers are little-endian. Strings are `u32` length + UTF-8 bytes.
+//! - **WAL records**, declared in [`super::wal`] (`WalRecord`): each
+//!   record is framed `[len: u32][crc: u32][payload]`, and replay stops at
+//!   the first frame that does not check.
+//! - **Segment files**, declared in [`super::persist`] (`Segment`): one
+//!   table per file, framed `magic "QPESEG2\0" + payload + crc: u32`.
+//! - **Wire frames**, declared in `qpe_server::protocol` (`ClientFrame`,
+//!   `ServerFrame`): each message is framed `[len: u32][crc: u32][payload]`,
+//!   with `len` capped before the payload is allocated.
+//!
+//! `len` is the payload's length and `crc` is IEEE CRC-32
+//! ([`super::crc32`]) over the payload; [`put_framed`] writes that
+//! envelope for both the WAL and the wire, and [`get_framed`] reads it back
+//! from a buffer (the server reads it off the socket itself, to cap `len`
+//! before allocating). The payload inside each envelope is one value of
+//! the type named above.
+//!
+//! # Layouts
+//!
+//! Each layout is stated once, and both `put` and `get` derive from it:
+//!
+//! - integers are little-endian, fixed width; a `usize` travels as a `u64`;
+//!   an `f64` as its IEEE bits; a `bool` as one byte, 0 or 1;
+//! - a `String` is a `u32` byte length, then UTF-8;
+//! - a [`Value`] is a tag (`0`=NULL, `1`=Int `i64`, `2`=Float `f64`,
+//!   `3`=Str, `4`=Date `i32`), then its payload; a row is a `Vec<Value>`;
+//! - a `Vec<T>` or `Arc<[T]>` is a `u32` count, then the items; a `Box<T>`
+//!   or `Arc<T>` is its `T`; a pair is its two halves in order;
+//! - a [`WorkCounters`] is a `u8` field count, then the fields in a fixed,
+//!   append-only order; a `Duration` is `u64` nanoseconds; an
+//!   `Option<DataType>` is the type's code, or 255 for none.
+//!
+//! Composite layouts are declared with macros. [`crate::wire_enum!`]
+//! declares an enum whose variants each start with a tag byte;
+//! [`crate::wire_struct!`] a struct laid out as its fields in order;
+//! [`crate::wire_impl!`] gives a layout to a type declared elsewhere, one
+//! shape per tag; [`crate::code_tables!`] maps
+//! fieldless enums to one-byte codes. A list field may write its count in
+//! another width (`params: Vec<Value> [u16]`), or share the count of an
+//! earlier list and write none (`vals: Vec<i64> [= ends]`).
+//!
+//! # Decoding untrusted bytes
+//!
+//! Recovery feeds the decoder torn files and the server feeds it whatever a
+//! peer sends, so `get` is total: malformed input is a [`DecodeError`],
+//! never a panic. Reads are bounds-checked; a count larger than the bytes
+//! that remain is refused before anything is allocated, and no list
+//! reserves more memory than the bytes that remain; boxes nest at most
+//! [`MAX_DEPTH`] deep; [`decode`] refuses trailing bytes; unknown tags and
+//! non-canonical `bool`s are errors. Invariants a layout cannot state
+//! (dictionary codes in range, ascending run ends) are checked by the
+//! format's owner in one validation step after the decode.
 
 use super::durable_io::DurabilityError;
+use crate::engine::EngineKind;
+use crate::exec::WorkCounters;
+use qpe_sql::catalog::DataType;
 use qpe_sql::value::Value;
+use std::sync::Arc;
+use std::time::Duration;
 
-pub(crate) fn put_u8(buf: &mut Vec<u8>, v: u8) {
-    buf.push(v);
+/// Why bytes did not decode: truncated input, an unknown tag, a bad count,
+/// invalid UTF-8, trailing bytes, or a broken structural invariant.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct DecodeError(pub String);
+
+impl DecodeError {
+    /// An error with this message.
+    #[cold]
+    pub fn new(msg: impl Into<String>) -> DecodeError {
+        DecodeError(msg.into())
+    }
+
+    /// A tag byte that names no variant of `what`.
+    #[cold]
+    pub fn unknown(what: &str, tag: u8) -> DecodeError {
+        DecodeError(format!("unknown {what} {tag}"))
+    }
 }
 
-pub(crate) fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
+impl std::fmt::Display for DecodeError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(&self.0)
+    }
 }
 
-pub(crate) fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
+impl std::error::Error for DecodeError {}
+
+impl From<DecodeError> for DurabilityError {
+    fn from(e: DecodeError) -> Self {
+        DurabilityError::Corrupt(e.0)
+    }
 }
 
-pub(crate) fn put_i64(buf: &mut Vec<u8>, v: i64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-pub(crate) fn put_i32(buf: &mut Vec<u8>, v: i32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-pub(crate) fn put_f64(buf: &mut Vec<u8>, v: f64) {
-    buf.extend_from_slice(&v.to_bits().to_le_bytes());
-}
-
-pub(crate) fn put_str(buf: &mut Vec<u8>, s: &str) {
-    put_u32(buf, s.len() as u32);
-    buf.extend_from_slice(s.as_bytes());
-}
+/// How deep boxes may nest, so that crafted input cannot recurse the
+/// decoder off its stack. No layout nests more than twice.
+pub const MAX_DEPTH: u8 = 8;
 
 /// Bounds-checked read cursor over untrusted bytes.
-pub(crate) struct Reader<'a> {
+pub struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
+    depth: u8,
 }
 
 impl<'a> Reader<'a> {
-    pub(crate) fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
+    /// A cursor at the start of `buf`.
+    #[inline]
+    pub fn new(buf: &'a [u8]) -> Reader<'a> {
+        Reader { buf, pos: 0, depth: 0 }
     }
 
-    pub(crate) fn remaining(&self) -> usize {
+    /// Bytes not yet read.
+    #[inline]
+    pub fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
 
-    pub(crate) fn is_done(&self) -> bool {
-        self.remaining() == 0
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], DurabilityError> {
-        if self.remaining() < n {
-            return Err(DurabilityError::Corrupt(format!(
-                "need {n} bytes at offset {}, {} remain",
-                self.pos,
-                self.remaining()
-            )));
+    /// The next `n` bytes, or an error when fewer remain.
+    #[inline]
+    pub fn take(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
+        if n > self.remaining() {
+            return Err(self.truncated(n));
         }
-        let out = &self.buf[self.pos..self.pos + n];
+        let bytes = &self.buf[self.pos..self.pos + n];
         self.pos += n;
-        Ok(out)
+        Ok(bytes)
     }
 
-    pub(crate) fn u8(&mut self) -> Result<u8, DurabilityError> {
-        Ok(self.take(1)?[0])
+    #[cold]
+    fn truncated(&self, n: usize) -> DecodeError {
+        DecodeError(format!(
+            "truncated: need {n} bytes at offset {}, {} remain",
+            self.pos,
+            self.remaining()
+        ))
     }
 
-    pub(crate) fn u32(&mut self) -> Result<u32, DurabilityError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
-    }
-
-    pub(crate) fn u64(&mut self) -> Result<u64, DurabilityError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
-    }
-
-    pub(crate) fn i64(&mut self) -> Result<i64, DurabilityError> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
-    }
-
-    pub(crate) fn i32(&mut self) -> Result<i32, DurabilityError> {
-        Ok(i32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
-    }
-
-    pub(crate) fn f64(&mut self) -> Result<f64, DurabilityError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    /// A length-prefixed count that must still be plausible given the bytes
-    /// that remain (`min_bytes_each` per element), so a torn length prefix
-    /// can't drive a multi-gigabyte allocation.
-    pub(crate) fn count(&mut self, min_bytes_each: usize) -> Result<usize, DurabilityError> {
-        let n = self.u32()? as usize;
-        if n.saturating_mul(min_bytes_each.max(1)) > self.remaining() {
-            return Err(DurabilityError::Corrupt(format!(
-                "count {n} implausible with {} bytes remaining",
-                self.remaining()
-            )));
+    /// Decodes a value one box deeper.
+    fn nested<T: Wire>(&mut self) -> Result<T, DecodeError> {
+        if self.depth == MAX_DEPTH {
+            return Err(DecodeError::new(format!("boxes nest deeper than {MAX_DEPTH}")));
         }
-        Ok(n)
-    }
-
-    pub(crate) fn str_(&mut self) -> Result<String, DurabilityError> {
-        let n = self.count(1)?;
-        let bytes = self.take(n)?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|_| DurabilityError::Corrupt("invalid UTF-8 string".into()))
+        self.depth += 1;
+        let value = T::get(self);
+        self.depth -= 1;
+        value
     }
 }
 
-/// Value tags: 0=Null 1=Int 2=Float 3=Str 4=Date.
-pub(crate) fn put_value(buf: &mut Vec<u8>, v: &Value) {
-    match v {
-        Value::Null => put_u8(buf, 0),
-        Value::Int(x) => {
-            put_u8(buf, 1);
-            put_i64(buf, *x);
+/// A type with one binary layout: `put` writes it, `get` reads it back.
+pub trait Wire: Sized {
+    /// Appends the value's bytes.
+    fn put(&self, w: &mut Vec<u8>);
+    /// Reads one value, or says why the bytes are not one.
+    fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError>;
+}
+
+/// The bytes of one value.
+pub fn encode(value: &impl Wire) -> Vec<u8> {
+    let mut w = Vec::new();
+    value.put(&mut w);
+    w
+}
+
+/// Decodes a whole buffer: one value, and nothing after it.
+pub fn decode<T: Wire>(bytes: &[u8]) -> Result<T, DecodeError> {
+    let mut r = Reader::new(bytes);
+    let value = T::get(&mut r)?;
+    if r.remaining() != 0 {
+        return Err(DecodeError::new(format!(
+            "{} trailing byte(s) after a complete value",
+            r.remaining()
+        )));
+    }
+    Ok(value)
+}
+
+/// Appends `payload` in the `[len: u32][crc: u32][payload]` envelope that
+/// WAL records and wire frames share. Callers keep `payload` within `u32`.
+pub fn put_framed(w: &mut Vec<u8>, payload: &[u8]) {
+    (payload.len() as u32).put(w);
+    super::crc32(payload).put(w);
+    w.extend_from_slice(payload);
+}
+
+/// Reads one envelope written by [`put_framed`]: its payload, if the
+/// length is at most `max` and the CRC checks.
+pub fn get_framed<'a>(r: &mut Reader<'a>, max: u32) -> Result<&'a [u8], DecodeError> {
+    let (len, crc) = (u32::get(r)?, u32::get(r)?);
+    if len > max {
+        return Err(DecodeError::new(format!("frame length {len} exceeds the {max}-byte cap")));
+    }
+    let payload = r.take(len as usize)?;
+    if super::crc32(payload) != crc {
+        return Err(DecodeError::new("frame payload failed its CRC check"));
+    }
+    Ok(payload)
+}
+
+macro_rules! little_endian {
+    ($($t:ty),*) => {$(
+        impl Wire for $t {
+            #[inline]
+            fn put(&self, w: &mut Vec<u8>) {
+                w.extend_from_slice(&self.to_le_bytes());
+            }
+            #[inline]
+            fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+                let bytes = r.take(std::mem::size_of::<$t>())?;
+                Ok(<$t>::from_le_bytes(bytes.try_into().expect("sized take")))
+            }
         }
-        Value::Float(x) => {
-            put_u8(buf, 2);
-            put_f64(buf, *x);
-        }
-        Value::Str(s) => {
-            put_u8(buf, 3);
-            put_str(buf, s);
-        }
-        Value::Date(d) => {
-            put_u8(buf, 4);
-            put_i32(buf, *d);
+    )*};
+}
+
+// `f64` travels as its IEEE bits.
+little_endian!(u8, u16, u32, u64, i32, i64, f64);
+
+impl Wire for usize {
+    #[inline]
+    fn put(&self, w: &mut Vec<u8>) {
+        (*self as u64).put(w);
+    }
+    #[inline]
+    fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        usize::try_from(u64::get(r)?).map_err(|_| DecodeError::new("length overflows usize"))
+    }
+}
+
+impl Wire for bool {
+    #[inline]
+    fn put(&self, w: &mut Vec<u8>) {
+        w.push(u8::from(*self));
+    }
+    #[inline]
+    fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        // Only the two bytes `put` writes decode, so decode inverts encode.
+        match u8::get(r)? {
+            0 => Ok(false),
+            1 => Ok(true),
+            b => Err(DecodeError::new(format!("bool byte {b} is neither 0 nor 1"))),
         }
     }
 }
 
-pub(crate) fn read_value(r: &mut Reader<'_>) -> Result<Value, DurabilityError> {
-    Ok(match r.u8()? {
-        0 => Value::Null,
-        1 => Value::Int(r.i64()?),
-        2 => Value::Float(r.f64()?),
-        3 => Value::Str(r.str_()?),
-        4 => Value::Date(r.i32()?),
-        t => return Err(DurabilityError::Corrupt(format!("unknown value tag {t}"))),
-    })
-}
-
-pub(crate) fn put_row(buf: &mut Vec<u8>, row: &[Value]) {
-    put_u32(buf, row.len() as u32);
-    for v in row {
-        put_value(buf, v);
+impl Wire for String {
+    #[inline]
+    fn put(&self, w: &mut Vec<u8>) {
+        // A string too long for its prefix is too long for any frame or
+        // record, and the envelope refuses the payload.
+        (self.len() as u32).put(w);
+        w.extend_from_slice(self.as_bytes());
+    }
+    #[inline]
+    fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        let n = u32::get(r)? as usize;
+        // `take` bounds n by the bytes that remain before anything is
+        // allocated.
+        let bytes = r.take(n)?;
+        String::from_utf8(bytes.to_vec()).map_err(|_| DecodeError::new("string is not UTF-8"))
     }
 }
 
-pub(crate) fn read_row(r: &mut Reader<'_>) -> Result<Vec<Value>, DurabilityError> {
-    let n = r.count(1)?;
-    (0..n).map(|_| read_value(r)).collect()
+/// Nanoseconds, saturating at `u64::MAX`.
+impl Wire for Duration {
+    fn put(&self, w: &mut Vec<u8>) {
+        u64::try_from(self.as_nanos()).unwrap_or(u64::MAX).put(w);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        Ok(Duration::from_nanos(u64::get(r)?))
+    }
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
+// A box is its value, one nesting level down.
+macro_rules! boxed {
+    ($($b:ident),*) => {$(
+        impl<T: Wire> Wire for $b<T> {
+            fn put(&self, w: &mut Vec<u8>) {
+                (**self).put(w);
+            }
+            fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+                r.nested().map($b::new)
+            }
+        }
+    )*};
+}
 
-    #[test]
-    fn primitives_round_trip() {
-        let mut buf = Vec::new();
-        put_u8(&mut buf, 7);
-        put_u32(&mut buf, 0xDEAD_BEEF);
-        put_u64(&mut buf, u64::MAX - 1);
-        put_i64(&mut buf, -42);
-        put_i32(&mut buf, -7);
-        put_f64(&mut buf, 2.5);
-        put_str(&mut buf, "héllo");
-        let mut r = Reader::new(&buf);
-        assert_eq!(r.u8().unwrap(), 7);
-        assert_eq!(r.u32().unwrap(), 0xDEAD_BEEF);
-        assert_eq!(r.u64().unwrap(), u64::MAX - 1);
-        assert_eq!(r.i64().unwrap(), -42);
-        assert_eq!(r.i32().unwrap(), -7);
-        assert_eq!(r.f64().unwrap(), 2.5);
-        assert_eq!(r.str_().unwrap(), "héllo");
-        assert!(r.is_done());
+boxed!(Box, Arc);
+
+impl<A: Wire, B: Wire> Wire for (A, B) {
+    fn put(&self, w: &mut Vec<u8>) {
+        self.0.put(w);
+        self.1.put(w);
     }
+    fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        Ok((A::get(r)?, B::get(r)?))
+    }
+}
 
-    #[test]
-    fn values_round_trip() {
-        let vals = [
-            Value::Null,
-            Value::Int(i64::MIN),
-            Value::Float(-0.0),
-            Value::Str("x'y\"z".into()),
-            Value::Date(-1),
-        ];
-        let mut buf = Vec::new();
-        put_row(&mut buf, &vals);
-        let mut r = Reader::new(&buf);
-        let back = read_row(&mut r).unwrap();
-        assert_eq!(back.len(), 5);
-        for (a, b) in vals.iter().zip(&back) {
-            assert_eq!(a.total_cmp(b), std::cmp::Ordering::Equal);
+// A list is a `u32` count, then the items.
+macro_rules! list {
+    ($($l:ty),*) => {$(
+        impl<T: Wire> Wire for $l {
+            fn put(&self, w: &mut Vec<u8>) {
+                put_list::<u32, T>(w, self);
+            }
+            fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+                get_list::<u32, T>(r).map(Into::into)
+            }
+        }
+    )*};
+}
+
+list!(Vec<T>, Arc<[T]>);
+
+/// A list: its count as an `N`, then the items. Panics when the list does
+/// not fit its count: senders keep lists within their counts (the WAL
+/// refuses an over-long batch before encoding it).
+pub fn put_list<N: Wire + TryFrom<usize>, T: Wire>(w: &mut Vec<u8>, items: &[T]) {
+    let n = N::try_from(items.len())
+        .unwrap_or_else(|_| panic!("{} items overflow their list count", items.len()));
+    n.put(w);
+    put_items(w, items);
+}
+
+/// Reads a list written by [`put_list`] with the same `N`.
+pub fn get_list<N: Wire + Into<u64>, T: Wire>(r: &mut Reader<'_>) -> Result<Vec<T>, DecodeError> {
+    let n = N::get(r)?.into();
+    get_items(r, usize::try_from(n).unwrap_or(usize::MAX))
+}
+
+/// The items of a list whose count is written elsewhere.
+pub fn put_items<T: Wire>(w: &mut Vec<u8>, items: &[T]) {
+    for item in items {
+        item.put(w);
+    }
+}
+
+/// Reads `n` items written by [`put_items`]. Every item takes at least one
+/// byte, so a count past the bytes that remain is refused up front, and the
+/// reservation is capped by what those bytes could hold.
+pub fn get_items<T: Wire, C: From<Vec<T>>>(r: &mut Reader<'_>, n: usize) -> Result<C, DecodeError> {
+    if n > r.remaining() {
+        return Err(DecodeError::new(format!(
+            "count {n} exceeds the {} bytes that remain",
+            r.remaining()
+        )));
+    }
+    let mut items = Vec::with_capacity(n.min(r.remaining() / std::mem::size_of::<T>().max(1)));
+    for _ in 0..n {
+        items.push(T::get(r)?);
+    }
+    Ok(items.into())
+}
+
+/// Gives a layout to a type declared elsewhere. Each arm is a tag byte, a
+/// shape in parentheses and the shape's fields in wire order; the shape is
+/// matched to encode and built to decode, so it must bind every field by
+/// name:
+///
+/// ```ignore
+/// wire_impl! {
+///     Option<usize>: "flag" {
+///         0 => (None) {},
+///         1 => (Some(n)) { n: usize },
+///     }
+/// }
+/// ```
+///
+/// A list field may name its count's width after its type (`[u16]`), or
+/// share the count of an earlier list field (`[= other]`) and write none.
+/// `what` names the tag in the unknown-tag error.
+#[macro_export]
+macro_rules! wire_impl {
+    (@put $w:ident $($f:ident: $ft:ty $([$($n:tt)+])?),*) => {
+        $($crate::wire_impl!(@put_field $w $f $([$($n)+])?);)*
+    };
+    (@put_field $w:ident $f:ident) => {
+        $crate::storage::codec::Wire::put($f, $w)
+    };
+    (@put_field $w:ident $f:ident [= $g:ident]) => {{
+        assert_eq!($f.len(), $g.len(), "lists sharing a count differ in length");
+        $crate::storage::codec::put_items($w, &$f[..])
+    }};
+    (@put_field $w:ident $f:ident [$n:ty]) => {
+        $crate::storage::codec::put_list::<$n, _>($w, &$f[..])
+    };
+    (@get $r:ident $($f:ident: $ft:ty $([$($n:tt)+])?),*) => {
+        $(let $f: $ft = $crate::wire_impl!(@get_field $r $([$($n)+])?);)*
+    };
+    (@get_field $r:ident) => {
+        $crate::storage::codec::Wire::get($r)?
+    };
+    (@get_field $r:ident [= $g:ident]) => {
+        $crate::storage::codec::get_items($r, $g.len())?
+    };
+    (@get_field $r:ident [$n:ty]) => {
+        $crate::storage::codec::get_list::<$n, _>($r)?
+    };
+    // One shape and no tag: a struct.
+    (@struct $ty:ty = ($($shape:tt)*) { $($fields:tt)* }) => {
+        impl $crate::storage::codec::Wire for $ty {
+            fn put(&self, w: &mut Vec<u8>) {
+                let $($shape)* = self;
+                $crate::wire_impl!(@put w $($fields)*);
+            }
+            fn get(
+                r: &mut $crate::storage::codec::Reader<'_>,
+            ) -> Result<Self, $crate::storage::codec::DecodeError> {
+                $crate::wire_impl!(@get r $($fields)*);
+                Ok($($shape)*)
+            }
+        }
+    };
+    ($ty:ty: $what:literal {
+        $($tag:literal => ($($shape:tt)*) { $($fields:tt)* }),* $(,)?
+    }) => {
+        impl $crate::storage::codec::Wire for $ty {
+            #[inline]
+            fn put(&self, w: &mut Vec<u8>) {
+                match self {
+                    $($($shape)* => {
+                        w.push($tag);
+                        $crate::wire_impl!(@put w $($fields)*);
+                    })*
+                }
+            }
+            #[inline]
+            fn get(
+                r: &mut $crate::storage::codec::Reader<'_>,
+            ) -> Result<Self, $crate::storage::codec::DecodeError> {
+                Ok(match <u8 as $crate::storage::codec::Wire>::get(r)? {
+                    $($tag => {
+                        $crate::wire_impl!(@get r $($fields)*);
+                        $($shape)*
+                    })*
+                    t => return Err($crate::storage::codec::DecodeError::unknown($what, t)),
+                })
+            }
+        }
+    };
+}
+
+/// Declares an enum in which each variant is one layout: its tag byte, then
+/// its fields in declaration order — a list field's count in the width
+/// written after it (`params: Vec<Value> [u16]`). Variants are unit,
+/// one-field tuple, or struct variants; `what` names the tag in the
+/// unknown-tag error.
+#[macro_export]
+macro_rules! wire_enum {
+    // Names a tuple variant's one field.
+    (@field $x:ident $t:ty) => { $x };
+    (
+        $(#[$meta:meta])*
+        $vis:vis enum $name:ident($what:literal) {
+            $(
+                $(#[$vmeta:meta])*
+                $tag:literal => $v:ident
+                $(($t:ty))?
+                $({ $($(#[$fmeta:meta])* $f:ident: $ft:ty $([$($n:tt)+])?),* $(,)? })?
+            ),* $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        $vis enum $name {
+            $($(#[$vmeta])* $v $(($t))? $({ $($(#[$fmeta])* $f: $ft),* })?,)*
+        }
+
+        $crate::wire_impl! {
+            $name: $what {
+                $($tag => ($name::$v $(($crate::wire_enum!(@field x $t)))? $({ $($f),* })?) {
+                    $(x: $t)? $($($f: $ft $([$($n)+])?),*)?
+                }),*
+            }
+        }
+    };
+}
+
+/// Declares a struct whose layout is its fields in declaration order; a
+/// list field may share the count of an earlier one (`[= other]`).
+#[macro_export]
+macro_rules! wire_struct {
+    (
+        $(#[$meta:meta])*
+        $vis:vis struct $name:ident {
+            $($(#[$fmeta:meta])* $fvis:vis $f:ident: $ft:ty $([$($n:tt)+])?),* $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        $vis struct $name {
+            $($(#[$fmeta])* $fvis $f: $ft),*
+        }
+
+        $crate::wire_impl! {
+            @struct $name = ($name { $($f),* }) { $($f: $ft $([$($n)+])?),* }
+        }
+    };
+}
+
+/// One-byte code tables, one line per fieldless enum:
+/// `Type("what") { Variant = code }`.
+#[macro_export]
+macro_rules! code_tables {
+    ($($ty:ident($what:literal) { $($v:ident = $code:literal),* })*) => {$(
+        $crate::wire_impl! { $ty: $what { $($code => ($ty::$v) {}),* } }
+    )*};
+}
+
+wire_impl! {
+    Value: "value tag" {
+        0 => (Value::Null) {},
+        1 => (Value::Int(x)) { x: i64 },
+        2 => (Value::Float(x)) { x: f64 },
+        3 => (Value::Str(s)) { s: String },
+        4 => (Value::Date(d)) { d: i32 },
+    }
+}
+
+/// Exact encoded size of one row (a `Vec<Value>`), matching its layout.
+#[inline]
+pub fn encoded_row_len(row: &[Value]) -> usize {
+    let cell = |v: &Value| match v {
+        Value::Null => 0,
+        Value::Int(_) | Value::Float(_) => 8,
+        Value::Str(s) => 4 + s.len(),
+        Value::Date(_) => 4,
+    };
+    4 + row.iter().map(|v| 1 + cell(v)).sum::<usize>()
+}
+
+/// The order of [`WorkCounters`] fields (append-only: new counters go at the
+/// end so old readers keep decoding the prefix they know).
+fn counter_fields(c: &mut WorkCounters) -> [&mut u64; 18] {
+    [
+        &mut c.rows_scanned,
+        &mut c.cells_scanned,
+        &mut c.index_probes,
+        &mut c.index_fetches,
+        &mut c.filter_evals,
+        &mut c.nlj_pairs,
+        &mut c.hash_build_rows,
+        &mut c.hash_probe_rows,
+        &mut c.sort_comparisons,
+        &mut c.topn_pushes,
+        &mut c.agg_rows,
+        &mut c.output_rows,
+        &mut c.rows_inserted,
+        &mut c.rows_updated,
+        &mut c.rows_deleted,
+        &mut c.index_updates,
+        &mut c.blocks_checked,
+        &mut c.blocks_pruned,
+    ]
+}
+
+/// A `u8` field count, then the fields in `counter_fields` order.
+impl Wire for WorkCounters {
+    fn put(&self, w: &mut Vec<u8>) {
+        let mut c = *self;
+        let fields = counter_fields(&mut c);
+        (fields.len() as u8).put(w);
+        for f in fields {
+            f.put(w);
         }
     }
+    fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        let mut c = WorkCounters::default();
+        let mut fields = counter_fields(&mut c);
+        // A longer list than we know (a newer peer) decodes its known
+        // prefix; the surplus is consumed and dropped.
+        for i in 0..u8::get(r)? as usize {
+            let v = u64::get(r)?;
+            if let Some(slot) = fields.get_mut(i) {
+                **slot = v;
+            }
+        }
+        Ok(c)
+    }
+}
 
-    #[test]
-    fn truncated_and_garbage_inputs_error_instead_of_panicking() {
-        // Truncated string.
-        let mut buf = Vec::new();
-        put_str(&mut buf, "hello");
-        buf.truncate(6);
-        assert!(Reader::new(&buf).str_().is_err());
-        // Implausible count (would allocate gigabytes from 4 bytes).
-        let huge = u32::MAX.to_le_bytes();
-        assert!(Reader::new(&huge).count(8).is_err());
-        // Unknown value tag.
-        assert!(read_value(&mut Reader::new(&[9u8])).is_err());
-        // Invalid UTF-8.
-        let mut buf = Vec::new();
-        put_u32(&mut buf, 2);
-        buf.extend_from_slice(&[0xFF, 0xFE]);
-        assert!(Reader::new(&buf).str_().is_err());
+code_tables! {
+    EngineKind("engine kind") { Tp = 1, Ap = 2 }
+    DataType("data type tag") { Int = 0, Float = 1, Str = 2, Date = 3 }
+}
+
+/// The tag of an unconstrained parameter type, beside `DataType`'s codes.
+const NO_DATA_TYPE: u8 = 255;
+
+impl Wire for Option<DataType> {
+    #[inline]
+    fn put(&self, w: &mut Vec<u8>) {
+        match self {
+            Some(t) => t.put(w),
+            None => NO_DATA_TYPE.put(w),
+        }
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        if r.buf.get(r.pos) == Some(&NO_DATA_TYPE) {
+            r.pos += 1;
+            return Ok(None);
+        }
+        DataType::get(r).map(Some)
     }
 }

@@ -77,7 +77,7 @@ pub const FOR_BLOCK_ROWS: usize = 1024;
 /// with the deltas) without materializing values.
 #[derive(Debug, Clone)]
 pub struct ForInt {
-    n_rows: usize,
+    pub(super) n_rows: usize,
     /// Per-block reference value (the block minimum).
     pub refs: Vec<i64>,
     /// Per-block exact maximum (for packed-domain range answers).
@@ -215,42 +215,35 @@ impl ForInt {
         Some(ForInt { n_rows: v.len(), refs, maxs, widths, offsets, packed })
     }
 
-    /// Reassembles a persisted FOR column, checking every structural
-    /// invariant `get`/`decode_block_into` index by (block counts, widths,
-    /// word offsets, packed length including the pad word) so corrupt bytes
+    /// Checks a persisted FOR column's structural invariants — every one
+    /// `get`/`decode_block_into` index by (block counts, widths, word
+    /// offsets, packed length including the pad word) — so corrupt bytes
     /// surface as an error instead of a panic in a scan.
-    pub(crate) fn from_parts(
-        n_rows: usize,
-        refs: Vec<i64>,
-        maxs: Vec<i64>,
-        widths: Vec<u8>,
-        offsets: Vec<u32>,
-        packed: Vec<u64>,
-    ) -> Result<ForInt, &'static str> {
-        let n_blocks = n_rows.div_ceil(FOR_BLOCK_ROWS);
-        if refs.len() != n_blocks
-            || maxs.len() != n_blocks
-            || widths.len() != n_blocks
-            || offsets.len() != n_blocks
+    pub(crate) fn check(&self) -> Result<(), &'static str> {
+        let n_blocks = self.n_rows.div_ceil(FOR_BLOCK_ROWS);
+        if self.refs.len() != n_blocks
+            || self.maxs.len() != n_blocks
+            || self.widths.len() != n_blocks
+            || self.offsets.len() != n_blocks
         {
             return Err("FOR block vector lengths disagree with row count");
         }
         let mut word = 0usize;
         for b in 0..n_blocks {
-            let w = widths[b] as usize;
+            let w = self.widths[b] as usize;
             if w > 64 {
                 return Err("FOR delta width exceeds 64 bits");
             }
-            if offsets[b] as usize != word {
+            if self.offsets[b] as usize != word {
                 return Err("FOR block word offsets inconsistent");
             }
-            let rows = (n_rows - b * FOR_BLOCK_ROWS).min(FOR_BLOCK_ROWS);
+            let rows = (self.n_rows - b * FOR_BLOCK_ROWS).min(FOR_BLOCK_ROWS);
             word += (rows * w).div_ceil(64);
         }
-        if packed.len() != word + 1 {
+        if self.packed.len() != word + 1 {
             return Err("FOR packed word count inconsistent");
         }
-        Ok(ForInt { n_rows, refs, maxs, widths, offsets, packed })
+        Ok(())
     }
 }
 
@@ -1000,12 +993,12 @@ pub struct ColumnTable {
     /// Per-row begin version over the combined `base + delta` rid space:
     /// the version stamp at which the row became visible. Within the delta
     /// region begin stamps are nondecreasing in rid order (inserts append).
-    row_begin: Arc<Vec<u64>>,
+    pub(super) row_begin: Arc<Vec<u64>>,
     /// Per-row end version: `u64::MAX` while the row is live; a delete
     /// marks the rid with the deleting version instead of mutating a
     /// shared bitmap. A row is visible at epoch `e` iff
     /// `begin <= e && e < end`.
-    row_end: Arc<Vec<u64>>,
+    pub(super) row_end: Arc<Vec<u64>>,
     /// Rids *invisible* at this table's own `version` (for a live table:
     /// tombstones; for a pinned view: tombstones plus rows born later).
     n_deleted: usize,
@@ -1404,10 +1397,10 @@ impl ColumnTable {
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn from_parts(
         name: String,
-        base: Vec<ColumnData>,
-        delta: Vec<ColumnData>,
-        row_begin: Vec<u64>,
-        row_end: Vec<u64>,
+        base: Arc<Vec<ColumnData>>,
+        delta: Arc<Vec<ColumnData>>,
+        row_begin: Arc<Vec<u64>>,
+        row_end: Arc<Vec<u64>>,
         version: u64,
         history_floor: u64,
         block_rows_override: Option<usize>,
@@ -1416,18 +1409,18 @@ impl ColumnTable {
         let delta_rows = delta.first().map(|c| c.len()).unwrap_or(0);
         let n_deleted = row_begin
             .iter()
-            .zip(&row_end)
+            .zip(row_end.iter())
             .filter(|&(&b, &e)| !(b <= version && version < e))
             .count();
         let block_rows = block_rows_override.unwrap_or_else(|| zone::default_block_rows(base_rows));
         let mut t = ColumnTable {
             name,
-            base: Arc::new(base),
-            delta: Arc::new(delta),
+            base,
+            delta,
             base_rows,
             delta_rows,
-            row_begin: Arc::new(row_begin),
-            row_end: Arc::new(row_end),
+            row_begin,
+            row_end,
             n_deleted,
             version,
             history_floor,

@@ -100,7 +100,10 @@
 //! # Durability lifecycle: WAL → segments → manifest → checkpoint
 //!
 //! Nothing above survives a process kill by itself; the durability layer
-//! arranges that recovery rebuilds the *identical* physical state:
+//! arranges that recovery rebuilds the *identical* physical state. The WAL
+//! records and the segment files are binary; their layouts and envelopes
+//! are stated once, in [`codec`], which also lays out the wire protocol's
+//! frames:
 //!
 //! 1. **WAL** ([`wal`]): every DML statement appends its logical operations
 //!    ([`TableOp`] batches, plus [`wal::WalRecord::Compact`] markers) to a
@@ -191,7 +194,7 @@
 //! explicit `resume_writes()` decision before any further write.
 
 pub mod col_store;
-pub(crate) mod codec;
+pub mod codec;
 pub mod durable_io;
 pub mod index;
 pub mod persist;

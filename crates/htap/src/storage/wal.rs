@@ -20,7 +20,9 @@
 //!
 //! # Record format and torn tails
 //!
-//! `[len: u32][crc32(payload): u32][payload]`, little-endian. Replay
+//! Each record is framed `[len: u32][crc32(payload): u32][payload]`; the
+//! payload is one [`WalRecord`] in the layout declared below (see
+//! [`super::codec`] for the envelope and how each field travels). Replay
 //! ([`read_wal_file`]) walks records until the bytes stop checksumming —
 //! a short frame, bad CRC or undecodable payload marks the *torn tail* a
 //! mid-flush crash leaves behind; the tail is physically truncated and
@@ -29,8 +31,10 @@
 //! torn one.
 
 use super::codec::{self, Reader};
-use super::durable_io::{crc32, DurabilityError, DurableFile, RetryPolicy};
+use super::durable_io::{DurabilityError, DurableFile, RetryPolicy};
 use super::TableOp;
+use crate::wire_impl;
+use qpe_sql::value::Value;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard};
@@ -60,11 +64,24 @@ pub enum WalRecord {
     },
 }
 
-const KIND_INSERT: u8 = 1;
-const KIND_DELETE: u8 = 2;
-const KIND_UPDATE: u8 = 3;
-const KIND_COMPACT: u8 = 4;
-const KIND_CHECKPOINT: u8 = 5;
+wire_impl! {
+    WalRecord: "WAL record kind" {
+        1 => (WalRecord::Op { table, op: TableOp::Insert { rows } }) {
+            table: String,
+            rows: Vec<Vec<Value>>
+        },
+        2 => (WalRecord::Op { table, op: TableOp::Delete { rids } }) {
+            table: String,
+            rids: Vec<u32>
+        },
+        3 => (WalRecord::Op { table, op: TableOp::Update { changes } }) {
+            table: String,
+            changes: Vec<(u32, Vec<Value>)>
+        },
+        4 => (WalRecord::Compact { table }) { table: String },
+        5 => (WalRecord::Checkpoint { version }) { version: u64 },
+    }
+}
 
 /// Upper bound on one record's payload — a torn length prefix larger than
 /// this is classified as tail garbage without attempting allocation.
@@ -81,90 +98,21 @@ fn checked_len(what: &str, n: usize) -> Result<u32, DurabilityError> {
 }
 
 impl WalRecord {
-    fn encode_payload(&self, buf: &mut Vec<u8>) -> Result<(), DurabilityError> {
-        match self {
-            WalRecord::Op { table, op } => match op {
-                TableOp::Insert { rows } => {
-                    codec::put_u8(buf, KIND_INSERT);
-                    codec::put_str(buf, table);
-                    codec::put_u32(buf, checked_len("insert row count", rows.len())?);
-                    for row in rows {
-                        codec::put_row(buf, row);
-                    }
-                }
-                TableOp::Delete { rids } => {
-                    codec::put_u8(buf, KIND_DELETE);
-                    codec::put_str(buf, table);
-                    codec::put_u32(buf, checked_len("delete rid count", rids.len())?);
-                    for rid in rids {
-                        codec::put_u32(buf, *rid);
-                    }
-                }
-                TableOp::Update { changes } => {
-                    codec::put_u8(buf, KIND_UPDATE);
-                    codec::put_str(buf, table);
-                    codec::put_u32(buf, checked_len("update change count", changes.len())?);
-                    for (rid, row) in changes {
-                        codec::put_u32(buf, *rid);
-                        codec::put_row(buf, row);
-                    }
-                }
-            },
-            WalRecord::Compact { table } => {
-                codec::put_u8(buf, KIND_COMPACT);
-                codec::put_str(buf, table);
-            }
-            WalRecord::Checkpoint { version } => {
-                codec::put_u8(buf, KIND_CHECKPOINT);
-                codec::put_u64(buf, *version);
-            }
-        }
-        Ok(())
-    }
-
     /// Appends the framed record (`len + crc + payload`) to `buf`.
     /// Errors (and leaves `buf` untouched) if any length field overflows
     /// the u32 frame format.
     pub fn encode(&self, buf: &mut Vec<u8>) -> Result<(), DurabilityError> {
-        let mut payload = Vec::new();
-        self.encode_payload(&mut payload)?;
-        codec::put_u32(buf, checked_len("payload", payload.len())?);
-        codec::put_u32(buf, crc32(&payload));
-        buf.extend_from_slice(&payload);
-        Ok(())
-    }
-
-    fn decode_payload(payload: &[u8]) -> Result<WalRecord, DurabilityError> {
-        let mut r = Reader::new(payload);
-        let rec = match r.u8()? {
-            KIND_INSERT => {
-                let table = r.str_()?;
-                let n = r.count(4)?;
-                let rows = (0..n).map(|_| codec::read_row(&mut r)).collect::<Result<_, _>>()?;
-                WalRecord::Op { table, op: TableOp::Insert { rows } }
-            }
-            KIND_DELETE => {
-                let table = r.str_()?;
-                let n = r.count(4)?;
-                let rids = (0..n).map(|_| r.u32()).collect::<Result<_, _>>()?;
-                WalRecord::Op { table, op: TableOp::Delete { rids } }
-            }
-            KIND_UPDATE => {
-                let table = r.str_()?;
-                let n = r.count(8)?;
-                let changes = (0..n)
-                    .map(|_| Ok((r.u32()?, codec::read_row(&mut r)?)))
-                    .collect::<Result<_, DurabilityError>>()?;
-                WalRecord::Op { table, op: TableOp::Update { changes } }
-            }
-            KIND_COMPACT => WalRecord::Compact { table: r.str_()? },
-            KIND_CHECKPOINT => WalRecord::Checkpoint { version: r.u64()? },
-            k => return Err(DurabilityError::Corrupt(format!("unknown WAL record kind {k}"))),
-        };
-        if !r.is_done() {
-            return Err(DurabilityError::Corrupt("trailing bytes in WAL payload".into()));
+        if let WalRecord::Op { op, .. } = self {
+            match op {
+                TableOp::Insert { rows } => checked_len("insert row count", rows.len())?,
+                TableOp::Delete { rids } => checked_len("delete rid count", rids.len())?,
+                TableOp::Update { changes } => checked_len("update change count", changes.len())?,
+            };
         }
-        Ok(rec)
+        let payload = codec::encode(self);
+        checked_len("payload", payload.len())?;
+        codec::put_framed(buf, &payload);
+        Ok(())
     }
 }
 
@@ -461,28 +409,12 @@ pub struct WalReadOutcome {
 /// last good record.
 pub fn read_wal_file(path: &Path) -> Result<WalReadOutcome, DurabilityError> {
     let bytes = std::fs::read(path)?;
+    let mut r = Reader::new(&bytes);
     let mut records = Vec::new();
     let mut good = 0usize;
-    let mut pos = 0usize;
-    loop {
-        if bytes.len() - pos < 8 {
-            break;
-        }
-        let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().expect("4 bytes"));
-        let crc = u32::from_le_bytes(bytes[pos + 4..pos + 8].try_into().expect("4 bytes"));
-        if len > MAX_RECORD_LEN || (len as usize) > bytes.len() - pos - 8 {
-            break;
-        }
-        let payload = &bytes[pos + 8..pos + 8 + len as usize];
-        if crc32(payload) != crc {
-            break;
-        }
-        let Ok(rec) = WalRecord::decode_payload(payload) else {
-            break;
-        };
+    while let Ok(rec) = codec::get_framed(&mut r, MAX_RECORD_LEN).and_then(codec::decode) {
         records.push(rec);
-        pos += 8 + len as usize;
-        good = pos;
+        good = bytes.len() - r.remaining();
     }
     let tail = &bytes[good..];
     // Flushes write prefixes of the append order into a zero-filled
@@ -501,7 +433,6 @@ pub fn read_wal_file(path: &Path) -> Result<WalReadOutcome, DurabilityError> {
 mod tests {
     use super::*;
     use crate::storage::durable_io::FailPoints;
-    use qpe_sql::value::Value;
     use std::sync::atomic::AtomicU32;
 
     fn tmp_path(tag: &str) -> std::path::PathBuf {

@@ -163,7 +163,10 @@ pub(crate) fn column_blooms(col: &ColumnData, block_rows: usize) -> Option<Vec<B
     };
     for b in 0..n_blocks {
         let range = b * step..((b + 1) * step).min(n);
-        let mut bloom = BlockBloom::new(step);
+        // No block holds more rows than the column, so no filter is sized
+        // for more: a block size far past the rows (a pinned override on a
+        // small table, or a damaged segment's) must not size the filter.
+        let mut bloom = BlockBloom::new(step.min(n));
         match col {
             ColumnData::Int(v) => {
                 for &x in &v[range] {

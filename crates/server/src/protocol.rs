@@ -18,27 +18,13 @@
 //!
 //! # Body encoding
 //!
-//! Each layout is stated once, and both directions of the codec derive
-//! from it. The frames ([`ClientFrame`], [`ServerFrame`]) and the error
-//! frame's body ([`WireError`]) are declared by `wire_enum!`: every variant
-//! with its opcode or error code and its fields in wire order, a list field
-//! with the width of its count. [`StatsSnapshot`] is declared by
-//! `wire_struct!`, and the one-byte codes of [`EnginePref`], `EngineKind`,
-//! `DataType`, [`SqlStage`] and [`BusyWhat`] by `code_tables!`. Fields
-//! travel by their type's `Wire` impl:
-//!
-//! - integers are little-endian, fixed width; `bool` is one byte;
-//! - strings are `u32`-length-prefixed UTF-8; since they are sliced out of
-//!   an already-length-capped payload, decoding allocates at most one
-//!   frame's worth of memory;
-//! - [`Value`]s are tagged (`0`=NULL, `1`=Int, `2`=Float as IEEE bits,
-//!   `3`=Str, `4`=Date), so every parameter and result cell — NULL
-//!   included — round-trips typed; a row is a `u32` cell count, then cells;
-//! - [`WorkCounters`] are a `u8` field count, then the fields in a fixed,
-//!   append-only order;
-//! - a `Duration` is `u64` nanoseconds.
-//!
-//! Decoding rejects unknown tags, truncated bodies and trailing bytes.
+//! The frames ([`ClientFrame`], [`ServerFrame`]) and the error frame's body
+//! ([`WireError`]) are declared here with `wire_enum!`: every variant with
+//! its opcode or error code and its fields in wire order. [`StatsSnapshot`]
+//! is declared with `wire_struct!`, and the codes of [`EnginePref`],
+//! [`SqlStage`] and [`BusyWhat`] with `code_tables!`. How each field type
+//! travels, and what decoding refuses, is stated once in
+//! [`qpe_htap::storage::codec`].
 //!
 //! Errors travel as first-class frames: every [`qpe_htap::HtapError`]
 //! variant has a wire form ([`WireError`]) that preserves its structure —
@@ -47,7 +33,8 @@
 //! never as opaque strings.
 
 use qpe_htap::exec::WorkCounters;
-use qpe_htap::{EngineKind, HtapError};
+use qpe_htap::storage::codec::{self, DecodeError};
+use qpe_htap::{code_tables, wire_enum, wire_struct, EngineKind, HtapError};
 use qpe_sql::catalog::DataType;
 use qpe_sql::value::Value;
 use qpe_sql::SqlError;
@@ -127,15 +114,11 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<u64> {
             ),
         ));
     }
-    let len = payload.len() as u32;
-    let crc = qpe_htap::storage::crc32(payload);
     // Envelope and payload go out in ONE write: sockets here run with
     // TCP_NODELAY, so three small writes would emit three segments and
     // wake the peer's read loop three times per frame.
     let mut wire = Vec::with_capacity(8 + payload.len());
-    wire.extend_from_slice(&len.to_le_bytes());
-    wire.extend_from_slice(&crc.to_le_bytes());
-    wire.extend_from_slice(payload);
+    codec::put_framed(&mut wire, payload);
     w.write_all(&wire)?;
     w.flush()?;
     Ok(wire.len() as u64)
@@ -159,398 +142,16 @@ pub fn read_frame(r: &mut impl Read) -> Result<Vec<u8>, FrameError> {
     Ok(payload)
 }
 
-// ---------------------------------------------------------------------------
-// Body codec
-// ---------------------------------------------------------------------------
-
-/// Cursor over a payload; every read is bounds-checked against the frame.
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-type DecodeResult<T> = Result<T, FrameError>;
-
-fn malformed(msg: impl Into<String>) -> FrameError {
-    FrameError::Malformed(msg.into())
-}
-
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Reader<'a> {
-        Reader { buf, pos: 0 }
+impl From<DecodeError> for FrameError {
+    fn from(e: DecodeError) -> Self {
+        FrameError::Malformed(e.0)
     }
-
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    fn take(&mut self, n: usize) -> DecodeResult<&'a [u8]> {
-        if self.remaining() < n {
-            return Err(malformed(format!(
-                "body truncated: wanted {n} bytes at offset {}, frame has {}",
-                self.pos,
-                self.buf.len()
-            )));
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    /// Fails unless the whole payload was consumed — trailing garbage after
-    /// a valid body means the peer and we disagree on the format.
-    fn expect_end(&self) -> DecodeResult<()> {
-        if self.pos != self.buf.len() {
-            return Err(malformed(format!(
-                "{} trailing byte(s) after a complete body",
-                self.remaining()
-            )));
-        }
-        Ok(())
-    }
-}
-
-/// A type with one wire layout: `put` writes it, `get` reads it back.
-trait Wire: Sized {
-    fn put(&self, w: &mut Vec<u8>);
-    fn get(r: &mut Reader) -> DecodeResult<Self>;
-}
-
-/// A whole payload: the value, and nothing after it.
-fn decode<T: Wire>(payload: &[u8]) -> DecodeResult<T> {
-    let mut r = Reader::new(payload);
-    let value = T::get(&mut r)?;
-    r.expect_end()?;
-    Ok(value)
-}
-
-fn encode(value: &impl Wire) -> Vec<u8> {
-    let mut w = Vec::new();
-    value.put(&mut w);
-    w
-}
-
-macro_rules! wire_le {
-    ($($t:ty),*) => {$(
-        impl Wire for $t {
-            fn put(&self, w: &mut Vec<u8>) {
-                w.extend_from_slice(&self.to_le_bytes());
-            }
-            fn get(r: &mut Reader) -> DecodeResult<Self> {
-                let bytes = r.take(std::mem::size_of::<$t>())?;
-                Ok(<$t>::from_le_bytes(bytes.try_into().expect("sized take")))
-            }
-        }
-    )*};
-}
-
-// `f64` travels as its IEEE bits.
-wire_le!(u8, u16, u32, u64, i32, i64, f64);
-
-impl Wire for bool {
-    fn put(&self, w: &mut Vec<u8>) {
-        u8::from(*self).put(w);
-    }
-    fn get(r: &mut Reader) -> DecodeResult<Self> {
-        // Only the two bytes `put` writes decode, so decode inverts encode.
-        match u8::get(r)? {
-            0 => Ok(false),
-            1 => Ok(true),
-            b => Err(malformed(format!("bool byte {b} is neither 0 nor 1"))),
-        }
-    }
-}
-
-impl Wire for String {
-    fn put(&self, w: &mut Vec<u8>) {
-        // A string too long for its prefix is too long for any frame, and
-        // `write_frame` refuses the payload.
-        (self.len() as u32).put(w);
-        w.extend_from_slice(self.as_bytes());
-    }
-    fn get(r: &mut Reader) -> DecodeResult<Self> {
-        let n = u32::get(r)? as usize;
-        // `take` bounds n against the remaining frame, so the allocation
-        // below is capped by the (already capped) frame length.
-        let bytes = r.take(n)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| malformed("string is not UTF-8"))
-    }
-}
-
-/// Nanoseconds, saturating at `u64::MAX`.
-impl Wire for Duration {
-    fn put(&self, w: &mut Vec<u8>) {
-        u64::try_from(self.as_nanos()).unwrap_or(u64::MAX).put(w);
-    }
-    fn get(r: &mut Reader) -> DecodeResult<Self> {
-        Ok(Duration::from_nanos(u64::get(r)?))
-    }
-}
-
-impl<T: Wire> Wire for Box<T> {
-    fn put(&self, w: &mut Vec<u8>) {
-        (**self).put(w);
-    }
-    fn get(r: &mut Reader) -> DecodeResult<Self> {
-        T::get(r).map(Box::new)
-    }
-}
-
-impl Wire for Value {
-    fn put(&self, w: &mut Vec<u8>) {
-        match self {
-            Value::Null => 0u8.put(w),
-            Value::Int(i) => {
-                1u8.put(w);
-                i.put(w);
-            }
-            Value::Float(f) => {
-                2u8.put(w);
-                f.put(w);
-            }
-            Value::Str(s) => {
-                3u8.put(w);
-                s.put(w);
-            }
-            Value::Date(d) => {
-                4u8.put(w);
-                d.put(w);
-            }
-        }
-    }
-    fn get(r: &mut Reader) -> DecodeResult<Self> {
-        Ok(match u8::get(r)? {
-            0 => Value::Null,
-            1 => Value::Int(i64::get(r)?),
-            2 => Value::Float(f64::get(r)?),
-            3 => Value::Str(String::get(r)?),
-            4 => Value::Date(i32::get(r)?),
-            t => return Err(malformed(format!("unknown value tag {t}"))),
-        })
-    }
-}
-
-/// A list: its count as an `N`, then the items. Senders keep a list within
-/// its count (see [`MAX_PARAMS`]): a longer one is a bug, not a frame.
-fn put_list<N: Wire + TryFrom<usize>, T: Wire>(w: &mut Vec<u8>, items: &[T]) {
-    let n = N::try_from(items.len())
-        .unwrap_or_else(|_| panic!("{} items overflow their list count", items.len()));
-    n.put(w);
-    for item in items {
-        item.put(w);
-    }
-}
-
-fn get_list<N: Wire + Into<u64>, T: Wire>(r: &mut Reader) -> DecodeResult<Vec<T>> {
-    let n = N::get(r)?.into() as usize;
-    // Each item is ≥1 byte, so a list longer than the rest of the frame
-    // cannot decode; cap the pre-allocation the same way.
-    let mut items = Vec::with_capacity(n.min(r.remaining()));
-    for _ in 0..n {
-        items.push(T::get(r)?);
-    }
-    Ok(items)
-}
-
-/// A row: a `u32` cell count, then the cells.
-impl Wire for Vec<Value> {
-    fn put(&self, w: &mut Vec<u8>) {
-        put_list::<u32, _>(w, self);
-    }
-    fn get(r: &mut Reader) -> DecodeResult<Self> {
-        get_list::<u32, _>(r)
-    }
-}
-
-/// Exact encoded size of one row, matching its `Wire` impl (checked by
-/// `encoded_row_len_matches_the_writer`).
-pub(crate) fn encoded_row_len(row: &[Value]) -> usize {
-    let cell = |v: &Value| match v {
-        Value::Null => 0,
-        Value::Int(_) | Value::Float(_) => 8,
-        Value::Str(s) => 4 + s.len(),
-        Value::Date(_) => 4,
-    };
-    4 + row.iter().map(|v| 1 + cell(v)).sum::<usize>()
-}
-
-/// The wire order of [`WorkCounters`] fields (append-only: new counters go
-/// at the end so old readers keep decoding the prefix they know).
-fn counter_fields(c: &mut WorkCounters) -> [&mut u64; 18] {
-    [
-        &mut c.rows_scanned,
-        &mut c.cells_scanned,
-        &mut c.index_probes,
-        &mut c.index_fetches,
-        &mut c.filter_evals,
-        &mut c.nlj_pairs,
-        &mut c.hash_build_rows,
-        &mut c.hash_probe_rows,
-        &mut c.sort_comparisons,
-        &mut c.topn_pushes,
-        &mut c.agg_rows,
-        &mut c.output_rows,
-        &mut c.rows_inserted,
-        &mut c.rows_updated,
-        &mut c.rows_deleted,
-        &mut c.index_updates,
-        &mut c.blocks_checked,
-        &mut c.blocks_pruned,
-    ]
-}
-
-/// A `u8` field count, then the fields in [`counter_fields`] order.
-impl Wire for WorkCounters {
-    fn put(&self, w: &mut Vec<u8>) {
-        let mut c = *self;
-        let fields = counter_fields(&mut c);
-        (fields.len() as u8).put(w);
-        for f in fields {
-            f.put(w);
-        }
-    }
-    fn get(r: &mut Reader) -> DecodeResult<Self> {
-        let mut c = WorkCounters::default();
-        let mut fields = counter_fields(&mut c);
-        // A longer list than we know (a newer peer) decodes its known
-        // prefix; the surplus is consumed and dropped.
-        for i in 0..u8::get(r)? as usize {
-            let v = u64::get(r)?;
-            if let Some(slot) = fields.get_mut(i) {
-                **slot = v;
-            }
-        }
-        Ok(c)
-    }
-}
-
-/// One-byte code tables, one line per type: `Type("what") { Variant = code }`.
-macro_rules! code_tables {
-    ($($ty:ident($what:literal) { $($v:ident = $code:literal),* })*) => {$(
-        impl Wire for $ty {
-            fn put(&self, w: &mut Vec<u8>) {
-                u8::put(&match self { $($ty::$v => $code),* }, w);
-            }
-            fn get(r: &mut Reader) -> DecodeResult<Self> {
-                Ok(match u8::get(r)? {
-                    $($code => $ty::$v,)*
-                    t => return Err(malformed(format!(concat!("unknown ", $what, " {}"), t))),
-                })
-            }
-        }
-    )*};
 }
 
 code_tables! {
     EnginePref("engine preference") { Default = 0, Tp = 1, Ap = 2, Dual = 3 }
-    EngineKind("engine kind") { Tp = 1, Ap = 2 }
-    DataType("data type tag") { Int = 0, Float = 1, Str = 2, Date = 3 }
     SqlStage("sql stage") { Lex = 0, Parse = 1, Bind = 2, Unsupported = 3, ParamNotSupported = 4 }
     BusyWhat("busy kind") { Connections = 0, Statements = 1, PreparedStatements = 2 }
-}
-
-/// The tag of an unconstrained parameter type, beside `DataType`'s codes.
-const NO_DATA_TYPE: u8 = 255;
-
-impl Wire for Option<DataType> {
-    fn put(&self, w: &mut Vec<u8>) {
-        match self {
-            Some(t) => t.put(w),
-            None => NO_DATA_TYPE.put(w),
-        }
-    }
-    fn get(r: &mut Reader) -> DecodeResult<Self> {
-        if r.buf.get(r.pos) == Some(&NO_DATA_TYPE) {
-            r.pos += 1;
-            return Ok(None);
-        }
-        DataType::get(r).map(Some)
-    }
-}
-
-/// Declares an enum in which each variant is one wire layout: its tag
-/// byte, then its fields in declaration order, each by its `Wire` impl — a
-/// list field's count in the width written after it
-/// (`params: Vec<Value> [u16]`). Variants are unit, one-field tuple, or
-/// struct variants; `what` names the tag in the unknown-tag error.
-macro_rules! wire_enum {
-    // The pattern binding a variant's fields (`$x`: a tuple variant's one).
-    (@pat $x:ident $e:ident::$v:ident) => { $e::$v };
-    (@pat $x:ident $e:ident::$v:ident ($t:ty)) => { $e::$v($x) };
-    (@pat $x:ident $e:ident::$v:ident { $($f:ident $([$n:ty])?),* }) => { $e::$v { $($f),* } };
-    // Writes the bound fields.
-    (@put $w:ident $x:ident) => {};
-    (@put $w:ident $x:ident ($t:ty)) => { $x.put($w) };
-    (@put $w:ident $x:ident { $($f:ident $([$n:ty])?),* }) => {
-        $(wire_enum!(@put_field $w $f $([$n])?);)*
-    };
-    (@put_field $w:ident $f:ident) => { $f.put($w) };
-    (@put_field $w:ident $f:ident [$n:ty]) => { put_list::<$n, _>($w, $f) };
-    // Reads the fields, in order, into the variant.
-    (@get $r:ident $e:ident::$v:ident) => { $e::$v };
-    (@get $r:ident $e:ident::$v:ident ($t:ty)) => { $e::$v(Wire::get($r)?) };
-    (@get $r:ident $e:ident::$v:ident { $($f:ident $([$n:ty])?),* }) => {
-        $e::$v { $($f: wire_enum!(@get_field $r $([$n])?)),* }
-    };
-    (@get_field $r:ident) => { Wire::get($r)? };
-    (@get_field $r:ident [$n:ty]) => { get_list::<$n, _>($r)? };
-    (
-        $(#[$meta:meta])*
-        $vis:vis enum $name:ident($what:literal) {
-            $(
-                $(#[$vmeta:meta])*
-                $tag:literal => $v:ident
-                $(($t:ty))?
-                $({ $($(#[$fmeta:meta])* $f:ident: $ft:ty $([$n:ty])?),* $(,)? })?
-            ),* $(,)?
-        }
-    ) => {
-        $(#[$meta])*
-        $vis enum $name {
-            $($(#[$vmeta])* $v $(($t))? $({ $($(#[$fmeta])* $f: $ft),* })?,)*
-        }
-
-        impl Wire for $name {
-            fn put(&self, w: &mut Vec<u8>) {
-                match self {
-                    $(wire_enum!(@pat x $name::$v $(($t))? $({ $($f $([$n])?),* })?) => {
-                        u8::put(&$tag, w);
-                        wire_enum!(@put w x $(($t))? $({ $($f $([$n])?),* })?);
-                    })*
-                }
-            }
-            fn get(r: &mut Reader) -> DecodeResult<Self> {
-                Ok(match u8::get(r)? {
-                    $($tag => wire_enum!(@get r $name::$v $(($t))? $({ $($f $([$n])?),* })?),)*
-                    t => return Err(malformed(format!(concat!("unknown ", $what, " {}"), t))),
-                })
-            }
-        }
-    };
-}
-
-/// Declares a struct whose layout is its fields in declaration order.
-macro_rules! wire_struct {
-    (
-        $(#[$meta:meta])*
-        $vis:vis struct $name:ident {
-            $($(#[$fmeta:meta])* $fvis:vis $f:ident: $ft:ty),* $(,)?
-        }
-    ) => {
-        $(#[$meta])*
-        $vis struct $name {
-            $($(#[$fmeta])* $fvis $f: $ft),*
-        }
-
-        impl Wire for $name {
-            fn put(&self, w: &mut Vec<u8>) {
-                $(self.$f.put(w);)*
-            }
-            fn get(r: &mut Reader) -> DecodeResult<Self> {
-                Ok($name { $($f: Wire::get(r)?),* })
-            }
-        }
-    };
 }
 
 // ---------------------------------------------------------------------------
@@ -1012,26 +613,26 @@ wire_struct! {
 impl ClientFrame {
     /// Serializes into a frame payload.
     pub fn encode(&self) -> Vec<u8> {
-        encode(self)
+        codec::encode(self)
     }
 
     /// Decodes a frame payload; rejects unknown opcodes, truncated bodies
     /// and trailing bytes.
-    pub fn decode(payload: &[u8]) -> DecodeResult<ClientFrame> {
-        decode(payload)
+    pub fn decode(payload: &[u8]) -> Result<ClientFrame, FrameError> {
+        Ok(codec::decode(payload)?)
     }
 }
 
 impl ServerFrame {
     /// Serializes into a frame payload.
     pub fn encode(&self) -> Vec<u8> {
-        encode(self)
+        codec::encode(self)
     }
 
     /// Decodes a frame payload; rejects unknown opcodes, truncated bodies
     /// and trailing bytes.
-    pub fn decode(payload: &[u8]) -> DecodeResult<ServerFrame> {
-        decode(payload)
+    pub fn decode(payload: &[u8]) -> Result<ServerFrame, FrameError> {
+        Ok(codec::decode(payload)?)
     }
 }
 
@@ -1234,18 +835,6 @@ mod tests {
     }
 
     #[test]
-    fn encoded_row_len_matches_the_writer() {
-        let row = vec![
-            Value::Null,
-            Value::Int(7),
-            Value::Float(1.5),
-            Value::Str("naïve".into()),
-            Value::Date(9501),
-        ];
-        assert_eq!(encoded_row_len(&row), encode(&row).len());
-    }
-
-    #[test]
     fn trailing_bytes_are_rejected() {
         let mut payload = ClientFrame::Goodbye.encode();
         payload.push(0);
@@ -1253,30 +842,5 @@ mod tests {
             ClientFrame::decode(&payload),
             Err(FrameError::Malformed(_))
         ));
-    }
-
-    #[test]
-    fn counters_survive_the_wire() {
-        let c = WorkCounters {
-            rows_scanned: 1,
-            cells_scanned: 2,
-            index_probes: 3,
-            index_fetches: 4,
-            filter_evals: 5,
-            nlj_pairs: 6,
-            hash_build_rows: 7,
-            hash_probe_rows: 8,
-            sort_comparisons: 9,
-            topn_pushes: 10,
-            agg_rows: 11,
-            output_rows: 12,
-            rows_inserted: 13,
-            rows_updated: 14,
-            rows_deleted: 15,
-            index_updates: 16,
-            blocks_checked: 17,
-            blocks_pruned: 18,
-        };
-        assert_eq!(decode::<WorkCounters>(&encode(&c)).unwrap(), c);
     }
 }

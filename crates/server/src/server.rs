@@ -42,12 +42,13 @@
 //! connection is being torn down.
 
 use crate::protocol::{
-    encoded_row_len, write_frame, BusyWhat, ClientFrame, EnginePref, FrameError, ServerFrame,
+    write_frame, BusyWhat, ClientFrame, EnginePref, FrameError, ServerFrame,
     SqlStage, StatsSnapshot, WireError, DEFAULT_FETCH_ROWS, MAX_FRAME_LEN, MAX_PARAMS,
     PROTOCOL_VERSION,
 };
 use crate::stats::{ServerStats, SessionStats};
 use qpe_htap::exec::{CancelHandle, StatementLimits, WorkCounters};
+use qpe_htap::storage::codec;
 use qpe_htap::session::panic_message;
 use qpe_htap::{EngineKind, HtapSystem, PreparedStatement, Session, StatementOutcome};
 use qpe_sql::value::Value;
@@ -446,7 +447,7 @@ impl Cursor {
         let mut bytes = 0usize;
         let mut end = self.pos;
         while end < self.rows.len() && end - self.pos < max {
-            let row_bytes = encoded_row_len(&self.rows[end]);
+            let row_bytes = codec::encoded_row_len(&self.rows[end]);
             if bytes + row_bytes > CHUNK_BYTE_BUDGET {
                 if end == self.pos {
                     return Err(row_bytes);

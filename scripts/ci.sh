@@ -66,6 +66,12 @@ echo "==> crash-injection sweep (WAL/segment/manifest/checkpoint fail points)"
 # during replay), group-commit loss-lessness under concurrent clients, and
 # the full open -> write -> crash -> recover -> verify cycle in a tempdir.
 cargo test -q --test crash_recovery
+# The disk formats themselves: golden segment and WAL bytes captured from an
+# earlier build decode and re-encode byte for byte, and truncated,
+# bit-flipped or spliced copies (CRC recomputed) read back or fail as
+# Corrupt, never panic.
+cargo test -q --test disk_golden
+cargo test -q --test disk_fuzz
 
 echo "==> fault-tolerance sweep (transient retry, governance, panic containment, degraded mode)"
 # Transient faults under the retry budget must be invisible (proptest sweep
@@ -123,6 +129,9 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 echo "==> cargo clippy -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "==> line counts (scripts/loc.sh)"
+bash scripts/loc.sh
 
 echo "==> tree untouched (git status and diff as at the start)"
 # A step that writes a tracked or unignored file (a stray result file, a
