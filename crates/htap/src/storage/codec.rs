@@ -17,8 +17,9 @@
 //! `len` is the payload's length and `crc` is IEEE CRC-32
 //! ([`super::crc32`]) over the payload; [`put_framed`] writes that
 //! envelope for both the WAL and the wire, and [`get_framed`] reads it back
-//! from a buffer (the server reads it off the socket itself, to cap `len`
-//! before allocating). The payload inside each envelope is one value of
+//! from a buffer. The server reads a frame off the socket instead: it
+//! decodes the 8-byte header with this codec and caps `len` before it
+//! allocates the payload. The payload inside each envelope is one value of
 //! the type named above.
 //!
 //! # Layouts

@@ -387,36 +387,6 @@ mod tests {
         dir
     }
 
-    #[test]
-    fn torn_or_tampered_segment_reads_as_corrupt_not_panic() {
-        let dir = tempdir("torn");
-        let ints: Vec<Value> = (0..128).map(Value::Int).collect();
-        let t = ColumnTable::from_columns("t", &[ints]);
-        let path = dir.join("t.v1.seg");
-        // Torn write via the crash layer: only a prefix reaches disk.
-        let fp = FailPoints::default();
-        fp.arm_partial("seg", 1, 0.5);
-        assert!(matches!(
-            write_segment(&path, &t, fp),
-            Err(DurabilityError::Crashed)
-        ));
-        assert!(matches!(
-            read_segment(&path),
-            Err(DurabilityError::Corrupt(_))
-        ));
-        // A full write with one flipped byte fails the checksum.
-        write_segment(&path, &t, FailPoints::default()).expect("write");
-        let mut bytes = fs::read(&path).expect("read bytes");
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0xFF;
-        fs::write(&path, &bytes).expect("tamper");
-        assert!(matches!(
-            read_segment(&path),
-            Err(DurabilityError::Corrupt(_))
-        ));
-        let _ = fs::remove_dir_all(&dir);
-    }
-
     fn manifest_fixture() -> Manifest {
         Manifest {
             format: MANIFEST_FORMAT,

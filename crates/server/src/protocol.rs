@@ -33,7 +33,7 @@
 //! never as opaque strings.
 
 use qpe_htap::exec::WorkCounters;
-use qpe_htap::storage::codec::{self, DecodeError};
+use qpe_htap::storage::codec::{self, DecodeError, Reader, Wire};
 use qpe_htap::{code_tables, wire_enum, wire_struct, EngineKind, HtapError};
 use qpe_sql::catalog::DataType;
 use qpe_sql::value::Value;
@@ -129,17 +129,24 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<u64> {
 pub fn read_frame(r: &mut impl Read) -> Result<Vec<u8>, FrameError> {
     let mut header = [0u8; 8];
     r.read_exact(&mut header)?;
-    let len = u32::from_le_bytes(header[0..4].try_into().expect("4 bytes"));
-    let crc = u32::from_le_bytes(header[4..8].try_into().expect("4 bytes"));
-    if len > MAX_FRAME_LEN {
-        return Err(FrameError::Oversized { len });
-    }
+    let (len, crc) = frame_header(&header)?;
     let mut payload = vec![0u8; len as usize];
     r.read_exact(&mut payload)?;
     if qpe_htap::storage::crc32(&payload) != crc {
         return Err(FrameError::BadCrc);
     }
     Ok(payload)
+}
+
+/// A frame header's payload length and CRC. The length is refused past
+/// [`MAX_FRAME_LEN`] here, before anything is allocated for the payload.
+pub(crate) fn frame_header(header: &[u8; 8]) -> Result<(u32, u32), FrameError> {
+    let mut h = Reader::new(header);
+    let (len, crc) = (u32::get(&mut h)?, u32::get(&mut h)?);
+    if len > MAX_FRAME_LEN {
+        return Err(FrameError::Oversized { len });
+    }
+    Ok((len, crc))
 }
 
 impl From<DecodeError> for FrameError {

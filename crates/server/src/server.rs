@@ -42,7 +42,7 @@
 //! connection is being torn down.
 
 use crate::protocol::{
-    write_frame, BusyWhat, ClientFrame, EnginePref, FrameError, ServerFrame,
+    frame_header, write_frame, BusyWhat, ClientFrame, EnginePref, FrameError, ServerFrame,
     SqlStage, StatsSnapshot, WireError, DEFAULT_FETCH_ROWS, MAX_FRAME_LEN, MAX_PARAMS,
     PROTOCOL_VERSION,
 };
@@ -372,11 +372,10 @@ fn read_frame_polling(
         Ok(false) => return PolledFrame::Stopped,
         Err(_) => return PolledFrame::Disconnected,
     }
-    let len = u32::from_le_bytes(header[0..4].try_into().expect("4 bytes"));
-    let crc = u32::from_le_bytes(header[4..8].try_into().expect("4 bytes"));
-    if len > MAX_FRAME_LEN {
-        return PolledFrame::Broken(FrameError::Oversized { len });
-    }
+    let (len, crc) = match frame_header(&header) {
+        Ok(h) => h,
+        Err(e) => return PolledFrame::Broken(e),
+    };
     let mut payload = vec![0u8; len as usize];
     let mut filled = 0;
     // Mid-frame, stop abandons the read after a bounded drain window —

@@ -12,7 +12,7 @@ use qpe_htap::storage::col_store::{ColRef, ColumnData, ColumnTable};
 use qpe_htap::storage::durable_io::FailPoints;
 use qpe_htap::storage::persist::{read_segment, write_segment};
 use qpe_htap::storage::wal::{read_wal_file, WalRecord};
-use qpe_htap::storage::TableOp;
+use qpe_htap::storage::{DurabilityError, TableOp};
 use qpe_sql::value::Value;
 use std::path::PathBuf;
 
@@ -201,11 +201,34 @@ fn golden_segment_decodes_and_reencodes_byte_for_byte() {
     let table = read_segment(&segment_path()).expect("golden segment decodes");
     assert_tables_identical(&table, &golden_table());
     assert_eq!(tags(&table), (0..=9).collect::<Vec<u8>>());
-    let again = scratch("disk.seg");
-    write_segment(&again, &table, FailPoints::default()).expect("re-encode segment");
-    let bytes = std::fs::read(&again).expect("read re-encoded segment");
-    let _ = std::fs::remove_file(&again);
-    assert!(bytes == golden, "the re-encoded segment differs from the golden bytes");
+    // Both the decoded table and one built fresh in memory, delta builders
+    // and all, must write the golden bytes.
+    for (what, t) in [("re-encoded", table), ("freshly written", golden_table())] {
+        let again = scratch("disk.seg");
+        write_segment(&again, &t, FailPoints::default()).expect("write segment");
+        let bytes = std::fs::read(&again).expect("read written segment");
+        let _ = std::fs::remove_file(&again);
+        assert!(bytes == golden, "the {what} segment differs from the golden bytes");
+    }
+}
+
+#[test]
+fn torn_or_tampered_segment_reads_as_corrupt_not_panic() {
+    let path = scratch("torn.seg");
+    let t = golden_table();
+    // Torn write via the crash layer: only a prefix reaches disk.
+    let fp = FailPoints::default();
+    fp.arm_partial("seg", 1, 0.5);
+    assert!(matches!(write_segment(&path, &t, fp), Err(DurabilityError::Crashed)));
+    assert!(matches!(read_segment(&path), Err(DurabilityError::Corrupt(_))));
+    // A full write with one flipped byte fails the checksum.
+    write_segment(&path, &t, FailPoints::default()).expect("write");
+    let mut bytes = std::fs::read(&path).expect("read bytes");
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0xFF;
+    std::fs::write(&path, &bytes).expect("tamper");
+    assert!(matches!(read_segment(&path), Err(DurabilityError::Corrupt(_))));
+    let _ = std::fs::remove_file(&path);
 }
 
 #[test]
@@ -221,6 +244,10 @@ fn golden_wal_decodes_and_reencodes_byte_for_byte() {
     assert!(
         encode_records(&out.records) == golden,
         "the re-encoded WAL differs from the golden bytes"
+    );
+    assert!(
+        encode_records(&golden_records()) == golden,
+        "the freshly encoded WAL differs from the golden bytes"
     );
 }
 
