@@ -246,7 +246,7 @@ pub fn write_segment(
     let mut f = DurableFile::create(path, fp, "seg")?;
     f.write(SEGMENT_MAGIC)?;
     f.write(&payload)?;
-    f.write(&crc32(&payload).to_le_bytes())?;
+    f.write(&codec::encode(&crc32(&payload)))?;
     f.flush()
 }
 
@@ -260,7 +260,7 @@ pub fn read_segment(path: &Path) -> Result<ColumnTable, DurabilityError> {
         return Err(corrupt("bad segment magic or truncated file"));
     }
     let payload = &bytes[SEGMENT_MAGIC.len()..bytes.len() - 4];
-    let stored = u32::from_le_bytes(bytes[bytes.len() - 4..].try_into().expect("4 bytes"));
+    let stored: u32 = codec::decode(&bytes[bytes.len() - 4..])?;
     if crc32(payload) != stored {
         return Err(corrupt("segment checksum mismatch"));
     }
