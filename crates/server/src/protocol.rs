@@ -647,133 +647,6 @@ impl ServerFrame {
 mod tests {
     use super::*;
 
-    fn round_trip_client(f: ClientFrame) {
-        let payload = f.encode();
-        assert_eq!(ClientFrame::decode(&payload).unwrap(), f);
-    }
-
-    fn round_trip_server(f: ServerFrame) {
-        let payload = f.encode();
-        assert_eq!(ServerFrame::decode(&payload).unwrap(), f);
-    }
-
-    #[test]
-    fn client_frames_round_trip() {
-        round_trip_client(ClientFrame::Hello {
-            version: PROTOCOL_VERSION,
-            timeout_ns: 5_000_000,
-            memory_budget: 1 << 20,
-            engine: EnginePref::Tp,
-        });
-        round_trip_client(ClientFrame::Prepare {
-            sql: "SELECT * FROM customer WHERE c_custkey = ?".into(),
-        });
-        round_trip_client(ClientFrame::Execute {
-            stmt_id: 7,
-            engine: EnginePref::Dual,
-            max_rows: 100,
-            params: vec![
-                Value::Null,
-                Value::Int(-42),
-                Value::Float(2.5),
-                Value::Str("naïve ünïcode".into()),
-                Value::Date(9501),
-            ],
-        });
-        round_trip_client(ClientFrame::Fetch { max_rows: 0 });
-        round_trip_client(ClientFrame::CloseStmt { stmt_id: 3 });
-        round_trip_client(ClientFrame::Cancel { conn_id: 11, secret: u64::MAX });
-        round_trip_client(ClientFrame::Stats);
-        round_trip_client(ClientFrame::Goodbye);
-    }
-
-    #[test]
-    fn server_frames_round_trip() {
-        round_trip_server(ServerFrame::HelloOk {
-            conn_id: 3,
-            secret: 0xDEAD_BEEF,
-            version: PROTOCOL_VERSION,
-        });
-        round_trip_server(ServerFrame::Prepared {
-            stmt_id: 1,
-            param_types: vec![Some(DataType::Int), None, Some(DataType::Str)],
-        });
-        round_trip_server(ServerFrame::Rows {
-            engine: EngineKind::Ap,
-            dual: true,
-            tp_latency_ns: 123,
-            ap_latency_ns: 456,
-            counters: WorkCounters {
-                rows_scanned: 10,
-                blocks_pruned: 3,
-                ..WorkCounters::default()
-            },
-            total_rows: 2,
-            rows: vec![
-                vec![Value::Int(1), Value::Null],
-                vec![Value::Int(2), Value::Str("x".into())],
-            ],
-            more: false,
-        });
-        round_trip_server(ServerFrame::DmlOk {
-            rows_affected: 5,
-            latency_ns: 999,
-            counters: WorkCounters { rows_inserted: 5, ..WorkCounters::default() },
-        });
-        round_trip_server(ServerFrame::RowsChunk {
-            rows: vec![vec![Value::Float(0.5)]],
-            more: true,
-        });
-        round_trip_server(ServerFrame::Closed { stmt_id: 9 });
-        round_trip_server(ServerFrame::CancelOk { matched: true });
-        round_trip_server(ServerFrame::StatsReply(Box::new(StatsSnapshot {
-            connections_accepted: 4,
-            degraded: true,
-            degraded_cause: "wal".into(),
-            ..StatsSnapshot::default()
-        })));
-        round_trip_server(ServerFrame::GoodbyeOk);
-    }
-
-    #[test]
-    fn every_wire_error_round_trips() {
-        for e in [
-            WireError::Sql {
-                stage: SqlStage::Parse,
-                pos: 17,
-                message: "expected FROM".into(),
-            },
-            WireError::Sql {
-                stage: SqlStage::ParamNotSupported,
-                pos: 0,
-                message: "LIMIT".into(),
-            },
-            WireError::Opt("no plan".into()),
-            WireError::Exec("bad plan".into()),
-            WireError::EngineMismatch { sql: "SELECT 1".into(), tp_rows: 1, ap_rows: 2 },
-            WireError::ParamCountMismatch { expected: 2, got: 0 },
-            WireError::ParamTypeMismatch {
-                idx: 1,
-                expected: DataType::Int,
-                got: Value::Str("x".into()),
-            },
-            WireError::Durability("fsync failed".into()),
-            WireError::Cancelled,
-            WireError::Timeout { limit: Duration::from_millis(250) },
-            WireError::MemoryBudget { budget_bytes: 64, attempted_bytes: 128 },
-            WireError::ReadOnly { cause: "wal append failed".into() },
-            WireError::Internal("panicked at ...".into()),
-            WireError::Busy { what: BusyWhat::Connections, limit: 64 },
-            WireError::Busy { what: BusyWhat::Statements, limit: 32 },
-            WireError::Busy { what: BusyWhat::PreparedStatements, limit: 256 },
-            WireError::Protocol("unknown opcode 99".into()),
-            WireError::UnknownStatement { stmt_id: 12 },
-            WireError::NoCursor,
-        ] {
-            round_trip_server(ServerFrame::Error(e));
-        }
-    }
-
     #[test]
     fn htap_errors_map_typed() {
         // The governance/degraded variants the server must round-trip as
