@@ -395,38 +395,25 @@ fn check_results_match(
     Ok(())
 }
 
-/// Result-agreement check: rows compare as multisets (ordered queries may
-/// permute ties), and floats compare with a relative tolerance because the
-/// two engines aggregate in different orders (float addition is not
+/// Result-agreement check. An ordered query's rows compare row by row:
+/// both engines break `ORDER BY` ties by input order, so they return one
+/// sequence. Other results compare as multisets, each side sorted by every
+/// column. Floats compare with a relative tolerance because the two
+/// engines aggregate in different orders (float addition is not
 /// associative).
 fn results_match(bound: &BoundQuery, tp: &[Row], ap: &[Row]) -> bool {
-    let _ = bound;
-    if tp.len() != ap.len() {
+    let width = tp.first().map_or(0, Vec::len);
+    if tp.len() != ap.len() || tp.iter().chain(ap).any(|r| r.len() != width) {
         return false;
     }
-    let cmp = |x: &Row, y: &Row| {
-        for (u, v) in x.iter().zip(y.iter()) {
-            let o = u.total_cmp(v);
-            if o != std::cmp::Ordering::Equal {
-                return o;
-            }
-        }
-        std::cmp::Ordering::Equal
-    };
-    // Single-row results (point lookups, scalar aggregates — the serving
-    // hot path) need no sort or copy.
-    if tp.len() <= 1 {
-        return tp.iter().zip(ap.iter()).all(|(ra, rb)| {
-            ra.len() == rb.len() && ra.iter().zip(rb.iter()).all(|(u, v)| value_approx_eq(u, v))
-        });
+    let row_eq = |a: &Row, b: &Row| a.iter().zip(b).all(|(u, v)| value_approx_eq(u, v));
+    // Ordered results, and single-row ones (point lookups, scalar
+    // aggregates — the serving hot path), compare in place.
+    if !bound.order_by.is_empty() || tp.len() <= 1 {
+        return tp.iter().zip(ap).all(|(a, b)| row_eq(a, b));
     }
-    let mut a: Vec<&Row> = tp.iter().collect();
-    let mut b: Vec<&Row> = ap.iter().collect();
-    a.sort_by(|x, y| cmp(x, y));
-    b.sort_by(|x, y| cmp(x, y));
-    a.iter().zip(b.iter()).all(|(ra, rb)| {
-        ra.len() == rb.len() && ra.iter().zip(rb.iter()).all(|(u, v)| value_approx_eq(u, v))
-    })
+    let (a, b) = (exec::result_order(tp, width), exec::result_order(ap, width));
+    a.into_iter().zip(b).all(|(i, j)| row_eq(&tp[i], &ap[j]))
 }
 
 /// Structural equality with relative tolerance on floats.

@@ -11,6 +11,7 @@ use super::{ExecError, Row, Rows, WorkCounters, GUARD_CHECK_ROWS};
 use crate::eval::{cell_total_cmp, eval, truthy, Cell, EvalError, RowExpr, Schema};
 use crate::plan::AggSpec;
 use crate::storage::col_store::ColumnData;
+use crate::storage::KeyVal;
 use qpe_sql::ast::AggFunc;
 use qpe_sql::binder::BoundExpr;
 use qpe_sql::value::Value;
@@ -266,7 +267,7 @@ pub(super) fn aggregate(
     // Group rows. BTreeMap keys give deterministic (key-sorted) output for
     // both strategies; the sort-vs-hash distinction is carried by the work
     // counters, which is what the latency model consumes.
-    let mut groups: BTreeMap<Vec<KeyWrap>, Vec<AggState>> = BTreeMap::new();
+    let mut groups: BTreeMap<Vec<KeyVal>, Vec<AggState>> = BTreeMap::new();
     let mut key: Vec<Cell> = Vec::with_capacity(keys.len());
     input.try_for_each(|i, row| {
         if i % GUARD_CHECK_ROWS == 0 {
@@ -284,7 +285,7 @@ pub(super) fn aggregate(
         let states = match groups.get_mut(&key as &dyn GroupKey) {
             Some(states) => states,
             None => groups
-                .entry(key.iter().map(|c| KeyWrap(c.to_value())).collect())
+                .entry(key.iter().map(|c| KeyVal(c.to_value())).collect())
                 .or_insert_with(|| leaves.iter().map(|_| AggState::new()).collect()),
         };
         for ((leaf, state), arg) in leaves.iter().zip(states).zip(&args) {
@@ -372,7 +373,7 @@ fn fold_blocks(
 
 /// Assigns a block of rows' group ids into a buffer, recording each new
 /// id's key.
-type Assign<'a> = Box<dyn FnMut(Range<usize>, &mut Vec<u32>, &mut Vec<Vec<KeyWrap>>) + 'a>;
+type Assign<'a> = Box<dyn FnMut(Range<usize>, &mut Vec<u32>, &mut Vec<Vec<KeyVal>>) + 'a>;
 
 /// Where each row's group id comes from, chosen once per aggregation.
 enum GroupIds<'a> {
@@ -383,8 +384,8 @@ enum GroupIds<'a> {
     Codes { codes: &'a [u32], sel: Option<&'a [u32]>, values: &'a [String], seen: Vec<bool> },
     /// Ids handed out in first-appearance order: a single numeric key
     /// hashes its raw `i64`; multi-column, string and mixed keys go through
-    /// the ordered [`KeyWrap`] map.
-    Assigned { assign: Assign<'a>, keys: Vec<Vec<KeyWrap>> },
+    /// the ordered [`KeyVal`] map.
+    Assigned { assign: Assign<'a>, keys: Vec<Vec<KeyVal>> },
 }
 
 impl<'a> GroupIds<'a> {
@@ -437,13 +438,13 @@ impl<'a> GroupIds<'a> {
 
     /// The key of each group id (`None` for a dictionary code no row
     /// carried).
-    fn finish(self) -> Vec<Option<Vec<KeyWrap>>> {
+    fn finish(self) -> Vec<Option<Vec<KeyVal>>> {
         match self {
             GroupIds::One => vec![Some(Vec::new())],
             GroupIds::Codes { values, seen, .. } => seen
                 .iter()
                 .zip(values)
-                .map(|(s, v)| s.then(|| vec![KeyWrap(Value::Str(v.clone()))]))
+                .map(|(s, v)| s.then(|| vec![KeyVal(Value::Str(v.clone()))]))
                 .collect(),
             GroupIds::Assigned { keys, .. } => keys.into_iter().map(Some).collect(),
         }
@@ -460,7 +461,7 @@ fn hashed_ids<'a, T: Num + 'a>(
         let mut id_of = |i: usize| {
             let x = read(i);
             *map.entry(x.map(Num::raw)).or_insert_with(|| {
-                keys.push(vec![KeyWrap(x.map_or(Value::Null, Num::value))]);
+                keys.push(vec![KeyVal(x.map_or(Value::Null, Num::value))]);
                 keys.len() as u32 - 1
             })
         };
@@ -471,12 +472,13 @@ fn hashed_ids<'a, T: Num + 'a>(
     })
 }
 
-/// Group ids of any key tuple, through an ordered map of [`KeyWrap`]s.
+/// Group ids of any key tuple, through an ordered map of [`KeyVal`]s.
 fn ordered_ids<'a>(key_cols: &'a [ExprCol<'a>], sel: Option<&'a [u32]>) -> Assign<'a> {
-    let mut map: BTreeMap<Vec<KeyWrap>, u32> = BTreeMap::new();
+    let mut map: BTreeMap<Vec<KeyVal>, u32> = BTreeMap::new();
     Box::new(move |rows, ids, keys| {
         for j in rows {
-            let key: Vec<KeyWrap> = key_cols.iter().map(|c| KeyWrap(c.value(sel, j))).collect();
+            let key: Vec<KeyVal> =
+                key_cols.iter().map(|c| KeyVal(c.data().get(c.index(sel, j)))).collect();
             let next = keys.len() as u32;
             ids.push(*map.entry(key).or_insert_with_key(|k| {
                 keys.push(k.clone());
@@ -726,7 +728,7 @@ pub fn collect_all_leaves(outputs: &[AggSpec], having: Option<&BoundExpr>) -> Ve
 /// row and columnar paths, so HAVING and output-expression semantics cannot
 /// diverge between executors).
 fn finish_groups(
-    mut groups: BTreeMap<Vec<KeyWrap>, Vec<AggState>>,
+    mut groups: BTreeMap<Vec<KeyVal>, Vec<AggState>>,
     leaves: &[AggLeaf],
     group_by: &[BoundExpr],
     outputs: &[AggSpec],
@@ -760,13 +762,7 @@ fn finish_groups(
     Ok(out)
 }
 
-/// Ord wrapper over [`Value`] for BTreeMap grouping keys. Equality is the
-/// ordering's (`-0.0` and `0.0` are two groups, `NaN` is one) — `Value`'s own
-/// `==` is SQL equality, and a map built from an iterator dedups with `==`.
-#[derive(Debug, Clone)]
-struct KeyWrap(Value);
-
-/// A group key as the map is probed with it: the stored [`KeyWrap`]s, or a
+/// A group key as the map is probed with it: the stored [`KeyVal`]s, or a
 /// row's cells read in place. Both order as the stored keys do, so a row
 /// finds its group without copying its key.
 trait GroupKey {
@@ -774,7 +770,7 @@ trait GroupKey {
     fn cell(&self, i: usize) -> Cell<'_>;
 }
 
-impl GroupKey for Vec<KeyWrap> {
+impl GroupKey for Vec<KeyVal> {
     fn width(&self) -> usize {
         self.len()
     }
@@ -794,13 +790,13 @@ impl GroupKey for Vec<Cell<'_>> {
     }
 }
 
-impl<'a> Borrow<dyn GroupKey + 'a> for Vec<KeyWrap> {
+impl<'a> Borrow<dyn GroupKey + 'a> for Vec<KeyVal> {
     fn borrow(&self) -> &(dyn GroupKey + 'a) {
         self
     }
 }
 
-/// `Vec<KeyWrap>`'s order: cell by cell, then the shorter first.
+/// `Vec<KeyVal>`'s order: cell by cell, then the shorter first.
 impl Ord for dyn GroupKey + '_ {
     fn cmp(&self, other: &Self) -> Ordering {
         let common = self.width().min(other.width());
@@ -824,26 +820,6 @@ impl PartialEq for dyn GroupKey + '_ {
 }
 
 impl Eq for dyn GroupKey + '_ {}
-
-impl PartialEq for KeyWrap {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-
-impl Eq for KeyWrap {}
-
-impl PartialOrd for KeyWrap {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for KeyWrap {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.0.total_cmp(&other.0)
-    }
-}
 
 #[cfg(test)]
 mod tests {

@@ -37,9 +37,12 @@
 //! order-restoring (morsel order = serial order), aggregates fold every
 //! group in dense row order so even float accumulation keeps the serial
 //! association order, and counters are charged from input sizes by shared
-//! formulas. The latency model, optimizer, router and explainer consume
-//! counters, not wall-clock, so execution mode and thread count are
-//! invisible to them (`tests/engine_equivalence.rs` and
+//! formulas. `ORDER BY` is stated once, in `sort`: every mode sorts with
+//! one stable sort and cuts a top-N with one bounded buffer that inserts
+//! after equal keys, so rows with equal keys keep their input order whether
+//! a LIMIT bounds the sort or not. The latency model, optimizer, router and
+//! explainer consume counters, not wall-clock, so execution mode and thread
+//! count are invisible to them (`tests/engine_equivalence.rs` and
 //! `tests/parallel_determinism.rs` enforce this).
 
 mod agg;
@@ -54,6 +57,7 @@ pub mod vector;
 pub use agg::AggLeaf;
 pub use guard::{CancelHandle, ExecGuard, GovernError, StatementLimits};
 pub use parallel::ExecConfig;
+pub(crate) use sort::result_order;
 
 use crate::engine::{Database, EngineKind};
 use crate::eval::{EvalError, Layout, RowExpr, Schema, Slot};
@@ -802,27 +806,9 @@ impl<'a> Executor<'a> {
                     self.guard,
                 )?)
             }
-            PlanOp::Sort { keys } => {
-                let child = &node.children[0];
-                let schema = child.output_schema();
-                let input = self.run(child)?;
-                let order = sort::full_sort(&mut self.counters, &input, &schema, keys, self.guard)?;
-                input.select(order)
-            }
+            PlanOp::Sort { keys } => self.sort(node, keys, None)?,
             PlanOp::TopNSort { keys, limit, offset } => {
-                let child = &node.children[0];
-                let schema = child.output_schema();
-                let input = self.run(child)?;
-                let top = sort::top_n(
-                    &mut self.counters,
-                    &input,
-                    &schema,
-                    keys,
-                    *limit,
-                    *offset,
-                    self.guard,
-                )?;
-                input.select(top)
+                self.sort(node, keys, Some((*limit, *offset)))?
             }
             PlanOp::Limit { limit, offset } => self.limit(node, *limit, *offset)?,
             PlanOp::Projection { exprs, .. } => {
@@ -925,6 +911,21 @@ impl<'a> Executor<'a> {
         let rids = index_access(&mut self.counters, index, lookup)?;
         let tuples = rids.iter().map(|&rid| table.row(rid as usize));
         Ok(Rows::stored(tuples, columns, table.width()))
+    }
+
+    /// The child's rows in key order: all of them, or with `top` =
+    /// `(limit, offset)` those a top-N keeps.
+    fn sort(
+        &mut self,
+        node: &PlanNode,
+        keys: &[(BoundExpr, bool)],
+        top: Option<(u64, u64)>,
+    ) -> Result<Rows<'a>, ExecError> {
+        let child = &node.children[0];
+        let input = self.run(child)?;
+        let schema = child.output_schema();
+        let order = sort::sort(&mut self.counters, &input, &schema, keys, top, self.guard)?;
+        Ok(input.select(order))
     }
 
     /// Limit with a streaming fast path for index-ordered top-N: when the

@@ -43,11 +43,6 @@ impl ExprCol<'_> {
         }
     }
 
-    /// Cell at dense position `j`.
-    pub(crate) fn value(&self, sel: Option<&[u32]>, j: usize) -> Value {
-        self.data().get(self.index(sel, j))
-    }
-
     /// The selection [`ExprCol::data`] is read through: the batch's for a
     /// stored column, none (dense positions) for a computed one.
     pub(crate) fn sel<'s>(&self, sel: Option<&'s [u32]>) -> Option<&'s [u32]> {

@@ -1,12 +1,11 @@
 //! Property tests holding the batch executor's typed kernels to the row
 //! interpreter: [`par_filter_sel`] must select the rows [`eval_predicate`]
 //! accepts, [`aggregate_cols`] must return the rows **and** counters of
-//! [`aggregate`], [`top_n_indices`] / [`full_sort_indices`] the row
-//! order of [`top_n`] / [`full_sort`], and [`join_pairs`] the rows and
-//! counters of `hash_join_pairs`, over every column shape the kernels
-//! dispatch on — each encoding policy, nullable and mixed columns, clean
-//! (one segment) and dirty (base + delta) views, dense and selected
-//! batches, one to four threads. The morsel splice behind `par_eval_batch`
+//! [`aggregate`], [`sort_indices`] the row order of [`sort`] (full and
+//! top-N), and [`join_pairs`] the rows and counters of `hash_join_pairs`,
+//! over every column shape the kernels dispatch on — each encoding policy,
+//! nullable and mixed columns, clean (one segment) and dirty (base + delta)
+//! views, dense and selected batches, one to four threads. The morsel splice behind `par_eval_batch`
 //! and `par_gather` must also keep each column's storage variant, which
 //! the typed kernels dispatch on.
 //!
@@ -16,7 +15,7 @@
 
 use super::agg::{aggregate, aggregate_cols, collect_all_leaves};
 use super::parallel::{par_eval_batch, par_filter_sel, par_gather};
-use super::sort::{full_sort, full_sort_indices, top_n, top_n_indices};
+use super::sort::{sort, sort_indices};
 use super::typed::{eval_col, ExprCol};
 use super::vector::{classify_join, join_pairs, JoinKeys, JoinSide};
 use super::{hash_join_pairs, ExecConfig, ExecGuard, Row, Rows, WorkCounters};
@@ -488,50 +487,76 @@ proptest! {
         }
     }
 
-    /// Heavy ties (four or five distinct key values) with OFFSET: the row id
-    /// column shows which of the tied rows each side kept, in which order.
+    /// Both executors' sorts and top-N equal a stable full sort of the
+    /// rows, with `Value::total_cmp` per key, then `skip(offset)
+    /// .take(limit)`: rows with equal keys keep their input order, so the
+    /// answer does not depend on which rows a bounded buffer happened to
+    /// keep. Keys tie heavily, NULLs among them; the row id column shows
+    /// which tied rows each side kept. Single numeric keys take the batch
+    /// executor's `i128` arm, the rest its tuple arm. `limit` is 0, 1, n/2,
+    /// n or n+3, and the counters match the row interpreter's.
     #[test]
-    fn typed_top_n_and_index_sort_equal_the_row_sorts(
+    fn top_n_equals_the_stable_full_sort(
         seed in any::<u64>(),
         n in prop_oneof![Just(0usize), 1usize..40, 64usize..300],
         policy in 0usize..POLICIES.len(),
         dirty in any::<bool>(),
         selected in any::<bool>(),
         desc in any::<bool>(),
-        limit in 0u64..9,
-        offset in 0u64..6,
+        k in 0usize..5,
+        offset in 0u64..8,
     ) {
         let fx = Fixture::new(seed, n, POLICIES[policy], dirty, selected);
+        let rows = fx.rows.len();
+        let limit = [0, 1, rows / 2, rows, rows + 3][k] as u64;
         let guard = ExecGuard::unlimited();
-        let sel: Vec<u32> = fx.sel.clone().unwrap_or_else(|| (0..n as u32).collect());
         let rids = |idxs: &[u32]| idxs.iter().map(|&i| Value::Int(i as i64)).collect::<Vec<_>>();
         let rid_col =
             |idxs: &[usize]| idxs.iter().map(|&i| fx.rows[i][RID].clone()).collect::<Vec<_>>();
         let key_sets = [
-            vec![K_INT], vec![K_DATE], vec![K_FLOAT], vec![K_NINT], vec![K_STR], vec![K_MIXED],
-            vec![K_FLOAT, K_INT],
+            // The `i128` arm.
+            vec![K_INT], vec![K_NINT], vec![K_FLOAT], vec![K_DATE],
+            // The tuple arm.
+            vec![K_STR], vec![K_MIXED], vec![K_NINT, K_INT], vec![K_FLOAT, K_STR],
         ];
         for key_set in key_sets {
             let keys: Vec<(BoundExpr, bool)> =
                 key_set.iter().enumerate().map(|(i, &k)| (col(k), desc ^ (i == 1))).collect();
             let descs: Vec<bool> = keys.iter().map(|(_, d)| *d).collect();
+            let mut stable: Vec<usize> = (0..rows).collect();
+            stable.sort_by(|&a, &b| {
+                key_set
+                    .iter()
+                    .zip(&descs)
+                    .map(|(&k, &d)| {
+                        let o = fx.rows[a][k].total_cmp(&fx.rows[b][k]);
+                        if d { o.reverse() } else { o }
+                    })
+                    .find(|o| o.is_ne())
+                    .unwrap_or(std::cmp::Ordering::Equal)
+            });
+            let want_sorted = rid_col(&stable);
+            let want_top: Vec<Value> =
+                want_sorted.iter().skip(offset as usize).take(limit as usize).cloned().collect();
+
             let mut want_c = WorkCounters::default();
-            let rows = Rows::Owned(fx.rows.clone());
-            let want_top = top_n(&mut want_c, &rows, &fx.schema, &keys, limit, offset, guard)
+            let rows_in = Rows::Owned(fx.rows.clone());
+            let top = sort(&mut want_c, &rows_in, &fx.schema, &keys, Some((limit, offset)), guard)
                 .expect("row top-N");
-            let want_sorted = full_sort(&mut want_c, &rows, &fx.schema, &keys, guard)
+            let sorted = sort(&mut want_c, &rows_in, &fx.schema, &keys, None, guard)
                 .expect("row sort");
+            prop_assert_eq!(rid_col(&top), want_top.clone(), "row top-N, keys {:?}", key_set);
+            prop_assert_eq!(rid_col(&sorted), want_sorted.clone(), "row sort, keys {:?}", key_set);
             for threads in [1, 2, 4] {
                 let cfg = cfg(threads);
                 let key_cols = fx.eval(&cfg, &keys.iter().map(|(k, _)| k).collect::<Vec<_>>());
-                let mut got_c = WorkCounters::default();
-                let top = top_n_indices(
-                    &mut got_c, &key_cols, &descs, fx.sel.as_deref(), sel.len(), limit, offset, guard,
-                );
-                let sorted = full_sort_indices(&mut got_c, &key_cols, &descs, sel.clone(), guard);
-                prop_assert_eq!(rids(&top), rid_col(&want_top), "top-N, keys {:?}", key_set);
-                prop_assert_eq!(rids(&sorted), rid_col(&want_sorted), "sort, keys {:?}", key_set);
-                prop_assert_eq!(got_c, want_c, "counters, keys {:?}", key_set);
+                let mut c = WorkCounters::default();
+                let sel = fx.sel.as_deref();
+                let top = sort_indices(&mut c, &key_cols, &descs, sel, rows, Some((limit, offset)), guard);
+                let sorted = sort_indices(&mut c, &key_cols, &descs, sel, rows, None, guard);
+                prop_assert_eq!(rids(&top), want_top.clone(), "batch top-N, keys {:?}", key_set);
+                prop_assert_eq!(rids(&sorted), want_sorted.clone(), "batch sort, keys {:?}", key_set);
+                prop_assert_eq!(c, want_c, "counters, keys {:?}", key_set);
             }
         }
     }

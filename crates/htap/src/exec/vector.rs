@@ -284,9 +284,9 @@ impl<'a> VecExecutor<'a> {
             PlanOp::Aggregate { group_by, outputs, having, hash } => {
                 self.aggregate(node, group_by, outputs, having.as_ref(), *hash)
             }
-            PlanOp::Sort { keys } => self.sort(node, keys, needs),
+            PlanOp::Sort { keys } => self.sort(node, keys, None, needs),
             PlanOp::TopNSort { keys, limit, offset } => {
-                self.top_n(node, keys, *limit, *offset, needs)
+                self.sort(node, keys, Some((*limit, *offset)), needs)
             }
             PlanOp::Limit { limit, offset } => {
                 let out = self.run(&node.children[0], needs)?;
@@ -505,73 +505,34 @@ impl<'a> VecExecutor<'a> {
         Ok(VOut::Rows(rows))
     }
 
+    /// The child's batch under a selection in key order: all its rows, or
+    /// with `top` = `(limit, offset)` those a top-N keeps. Rows are never
+    /// materialized here.
     fn sort(
         &mut self,
         node: &PlanNode,
         keys: &[(BoundExpr, bool)],
-        needs: &Needs,
-    ) -> Result<VOut<'a>, ExecError> {
-        let child = &node.children[0];
-        let child_needs = needs.with_exprs(keys.iter().map(|(k, _)| k));
-        let mut batch = self.run_batch(child, &child_needs)?;
-        let sel = batch.take_selection();
-        let (key_cols, descs) = self.sort_keys(keys, &child.output_schema(), &batch, Some(&sel))?;
-        let sorted =
-            sort::full_sort_indices(&mut self.counters, &key_cols, &descs, sel, self.cfg.guard());
-        drop(key_cols);
-        Ok(VOut::Batch(Batch::plain(batch.cols, Some(sorted), batch.rows)))
-    }
-
-    fn top_n(
-        &mut self,
-        node: &PlanNode,
-        keys: &[(BoundExpr, bool)],
-        limit: u64,
-        offset: u64,
+        top: Option<(u64, u64)>,
         needs: &Needs,
     ) -> Result<VOut<'a>, ExecError> {
         let child = &node.children[0];
         let child_needs = needs.with_exprs(keys.iter().map(|(k, _)| k));
         let batch = self.run_batch(child, &child_needs)?;
-        let sel = batch.sel.as_deref();
-        let (key_cols, descs) = self.sort_keys(keys, &child.output_schema(), &batch, sel)?;
-        let top = sort::top_n_indices(
-            &mut self.counters,
-            &key_cols,
-            &descs,
-            sel,
-            batch.selected_len(),
-            limit,
-            offset,
-            self.cfg.guard(),
-        );
-        drop(key_cols);
-        Ok(VOut::Batch(Batch::plain(batch.cols, Some(top), batch.rows)))
-    }
-
-    /// The sort-key columns of `batch` read through `sel` (its selection,
-    /// or one already taken from it), plus each key's direction.
-    fn sort_keys<'b>(
-        &mut self,
-        keys: &[(BoundExpr, bool)],
-        schema: &Schema,
-        batch: &'b Batch<'_>,
-        sel: Option<&[u32]>,
-    ) -> Result<(Vec<ExprCol<'b>>, Vec<bool>), ExecError> {
-        let cols: Vec<Option<ColRef<'b>>> = batch.cols.iter().map(BatchCol::as_ref).collect();
-        let n = sel.map_or(batch.rows, <[u32]>::len);
-        self.cfg
-            .guard()
-            .charge_cells(n as u64 * keys.len().max(1) as u64)?;
-        let key_cols: Vec<ExprCol<'b>> = keys
+        let (schema, sel, n) = (child.output_schema(), batch.sel.as_deref(), batch.selected_len());
+        let guard = self.cfg.guard();
+        guard.charge_cells(n as u64 * keys.len().max(1) as u64)?;
+        let cols: Vec<Option<ColRef>> = batch.cols.iter().map(BatchCol::as_ref).collect();
+        let key_cols: Vec<ExprCol> = keys
             .iter()
-            .map(|(k, _)| typed::eval_col(self.cfg, k, schema, &cols, sel, batch.rows))
+            .map(|(k, _)| typed::eval_col(self.cfg, k, &schema, &cols, sel, batch.rows))
             .collect::<Result<_, _>>()?;
-        // Discard truncated key columns before the sort kernels index them
-        // against the full selection.
-        self.cfg.guard().check()?;
+        // Discard truncated key columns before the sort indexes them against
+        // the full selection.
+        guard.check()?;
         let descs: Vec<bool> = keys.iter().map(|(_, d)| *d).collect();
-        Ok((key_cols, descs))
+        let kept = sort::sort_indices(&mut self.counters, &key_cols, &descs, sel, n, top, guard);
+        drop((key_cols, cols));
+        Ok(VOut::Batch(Batch::plain(batch.cols, Some(kept), batch.rows)))
     }
 
     fn projection(&mut self, node: &PlanNode, exprs: &[BoundExpr]) -> Result<VOut<'a>, ExecError> {

@@ -12,9 +12,18 @@ use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::ops::Bound;
 
-/// A total-order wrapper so [`Value`] can key a `BTreeMap`.
-#[derive(Debug, Clone, PartialEq)]
+/// A total-order wrapper so [`Value`] can key a `BTreeMap` (an index, or
+/// the executors' group keys). Equality is the ordering's: `-0.0` and
+/// `0.0` are two keys and `NaN` is one, where `Value`'s own `==` is SQL
+/// equality.
+#[derive(Debug, Clone)]
 pub struct KeyVal(pub Value);
+
+impl PartialEq for KeyVal {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
 
 impl Eq for KeyVal {}
 
@@ -184,6 +193,19 @@ mod tests {
             Value::Int(1),
             Value::Int(4),
         ])
+    }
+
+    /// `KeyVal`'s `==` is its ordering's, not `Value`'s SQL equality: the
+    /// two zeros are two keys and NaN equals itself, as in a `BTreeMap`.
+    #[test]
+    fn key_equality_agrees_with_key_order() {
+        let k = |x: f64| KeyVal(Value::Float(x));
+        for (a, b) in [(0.0, -0.0), (-0.0, 0.0), (f64::NAN, f64::NAN), (0.0, 0.0), (1.0, f64::NAN)] {
+            assert_eq!(k(a) == k(b), k(a).cmp(&k(b)) == Ordering::Equal, "{a} vs {b}");
+        }
+        assert_ne!(k(0.0), k(-0.0));
+        assert_eq!(k(f64::NAN), k(f64::NAN));
+        assert!(Value::Float(0.0) == Value::Float(-0.0), "SQL equality stays on `Value`");
     }
 
     #[test]

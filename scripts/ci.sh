@@ -31,6 +31,13 @@ for t in 1 2 4; do
     QPE_AP_THREADS="$t" QPE_MORSEL_ROWS=64 cargo test -q --test engine_equivalence
 done
 
+echo "==> ORDER BY tie sweep (4 000 generator top-N queries through the dual run, release)"
+# Rows with equal ORDER BY keys keep input order on both engines, so a
+# LIMIT/OFFSET that cuts through a run of ties keeps the same rows on both
+# and no query may end in EngineMismatch. Ignored in the debug suite for its
+# length (about 40 s in release).
+cargo test -q --release --test engine_equivalence top_n_tie_sweep -- --ignored
+
 echo "==> parallel determinism repeat loop (fixed queries, fresh scheduling each run)"
 for i in 1 2 3; do
     cargo test -q --test parallel_determinism

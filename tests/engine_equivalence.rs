@@ -398,6 +398,70 @@ fn order_by_is_respected_by_both_engines() {
 }
 
 // ---------------------------------------------------------------------------
+// ORDER BY ties keep input order on both engines
+// ---------------------------------------------------------------------------
+//
+// Rows with equal ORDER BY keys come out in the order their input arrived,
+// on both engines and whether a LIMIT bounds the sort or not. Where both
+// engines read the input in one order, as their table scans do, a top-N
+// whose LIMIT or OFFSET cuts through a run of equal keys keeps the same rows
+// on both sides, and ordered results compare row by row.
+
+mod order_ties {
+    use qpe_core::workload::{WorkloadConfig, WorkloadGenerator};
+    use qpe_htap::engine::HtapSystem;
+    use qpe_htap::tpch::TpchConfig;
+
+    /// The 5 rows after the 417th cut through a run of equal
+    /// `l_extendedprice` values.
+    #[test]
+    fn a_top_n_cut_through_tied_keys_keeps_the_same_rows() {
+        let sys = HtapSystem::new(&TpchConfig::with_scale(0.01));
+        let sql = "SELECT l_orderkey, l_extendedprice FROM lineitem WHERE l_quantity >= 7 \
+                   ORDER BY l_extendedprice DESC LIMIT 5 OFFSET 417";
+        let out = sys.run_sql(sql).unwrap_or_else(|e| panic!("{sql}: {e}"));
+        assert_eq!(out.tp.rows.len(), 5);
+        assert_eq!(out.tp.rows, out.ap.rows, "{sql}");
+    }
+
+    /// A top-N buffer reserves no more than its input can fill, so a LIMIT
+    /// of 10^14 returns every row rather than asking for petabytes up front
+    /// (an allocation failure aborts the process).
+    #[test]
+    fn a_limit_far_past_the_input_returns_every_row() {
+        let sys = super::system();
+        let all = sys.run_sql("SELECT o_orderkey FROM orders").expect("runs").tp.rows.len();
+        let sql = "SELECT o_orderkey, o_totalprice FROM orders \
+                   ORDER BY o_totalprice DESC LIMIT 100000000000000 OFFSET 1";
+        let out = sys.run_sql(sql).unwrap_or_else(|e| panic!("{sql}: {e}"));
+        assert_eq!(out.ap.rows.len(), all - 1);
+    }
+
+    /// 4 000 generator top-N queries, all four families, through the dual
+    /// run at scale 0.01: none may end in `EngineMismatch`. Run with
+    /// `cargo test --release --test engine_equivalence -- --ignored`.
+    #[test]
+    #[ignore = "a sweep of 4 000 queries; run in release"]
+    fn top_n_tie_sweep() {
+        let sys = HtapSystem::new(&TpchConfig::with_scale(0.01));
+        let mut gen = WorkloadGenerator::new(WorkloadConfig { seed: 777, top_n_fraction: 1.0 });
+        let families = ["FROM orders ORDER BY", "o_orderstatus", "c_acctbal", "l_extendedprice"];
+        let mut per_family = [0usize; 4];
+        let mut failed = Vec::new();
+        for _ in 0..4_000 {
+            let sql = gen.top_n_query();
+            let family = families.iter().position(|f| sql.contains(f)).expect("a top-N family");
+            per_family[family] += 1;
+            if let Err(e) = sys.run_sql(&sql) {
+                failed.push(format!("{sql}: {e}"));
+            }
+        }
+        assert!(per_family.iter().all(|&n| n > 0), "families drawn: {per_family:?}");
+        assert!(failed.is_empty(), "{} of 4 000 failed:\n{}", failed.len(), failed.join("\n"));
+    }
+}
+
+// ---------------------------------------------------------------------------
 // One join-key equality on every executor
 // ---------------------------------------------------------------------------
 //
