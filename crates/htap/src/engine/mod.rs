@@ -385,7 +385,7 @@ fn check_results_match(
     tp: &EngineRun,
     ap: &EngineRun,
 ) -> Result<(), HtapError> {
-    if !results_match(bound, &tp.rows, &ap.rows) {
+    if !results_match(&tp.rows, &ap.rows) {
         return Err(HtapError::EngineMismatch {
             sql: bound.sql.clone(),
             tp_rows: tp.rows.len(),
@@ -395,21 +395,22 @@ fn check_results_match(
     Ok(())
 }
 
-/// Result-agreement check. An ordered query's rows compare row by row:
-/// both engines break `ORDER BY` ties by input order, so they return one
-/// sequence. Other results compare as multisets, each side sorted by every
-/// column. Floats compare with a relative tolerance because the two
-/// engines aggregate in different orders (float addition is not
-/// associative).
-fn results_match(bound: &BoundQuery, tp: &[Row], ap: &[Row]) -> bool {
+/// Result-agreement check: rows compare as multisets, each side sorted by
+/// every column, because two engines may feed an `ORDER BY` in different
+/// orders (TP's index range scan yields rows in index-key order, and tied
+/// rows after a join follow each engine's join order), so rows with equal
+/// keys may come out permuted. Floats compare with a relative tolerance
+/// because the two engines aggregate in different orders (float addition
+/// is not associative).
+fn results_match(tp: &[Row], ap: &[Row]) -> bool {
     let width = tp.first().map_or(0, Vec::len);
     if tp.len() != ap.len() || tp.iter().chain(ap).any(|r| r.len() != width) {
         return false;
     }
     let row_eq = |a: &Row, b: &Row| a.iter().zip(b).all(|(u, v)| value_approx_eq(u, v));
-    // Ordered results, and single-row ones (point lookups, scalar
-    // aggregates — the serving hot path), compare in place.
-    if !bound.order_by.is_empty() || tp.len() <= 1 {
+    // Single-row results (point lookups, scalar aggregates — the serving
+    // hot path) need no sort.
+    if tp.len() <= 1 {
         return tp.iter().zip(ap).all(|(a, b)| row_eq(a, b));
     }
     let (a, b) = (exec::result_order(tp, width), exec::result_order(ap, width));

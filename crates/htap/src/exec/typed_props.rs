@@ -517,7 +517,8 @@ proptest! {
             // The `i128` arm.
             vec![K_INT], vec![K_NINT], vec![K_FLOAT], vec![K_DATE],
             // The tuple arm.
-            vec![K_STR], vec![K_MIXED], vec![K_NINT, K_INT], vec![K_FLOAT, K_STR],
+            vec![K_STR], vec![K_MIXED], vec![K_NINT, K_INT], vec![K_FLOAT, K_INT],
+            vec![K_FLOAT, K_STR],
         ];
         for key_set in key_sets {
             let keys: Vec<(BoundExpr, bool)> =

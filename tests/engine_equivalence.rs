@@ -405,7 +405,9 @@ fn order_by_is_respected_by_both_engines() {
 // on both engines and whether a LIMIT bounds the sort or not. Where both
 // engines read the input in one order, as their table scans do, a top-N
 // whose LIMIT or OFFSET cuts through a run of equal keys keeps the same rows
-// on both sides, and ordered results compare row by row.
+// on both sides. Where they read it in different orders, as TP's index range
+// scan (key order) and AP's column scan (row order) do, tied rows come out
+// permuted, and the dual run still agrees: it compares results as multisets.
 
 mod order_ties {
     use qpe_core::workload::{WorkloadConfig, WorkloadGenerator};
@@ -422,6 +424,21 @@ mod order_ties {
         let out = sys.run_sql(sql).unwrap_or_else(|e| panic!("{sql}: {e}"));
         assert_eq!(out.tp.rows.len(), 5);
         assert_eq!(out.tp.rows, out.ap.rows, "{sql}");
+    }
+
+    /// TP reads `c_phone < '12'` through the `c_phone` index, in phone
+    /// order; AP scans in row order. Both sort by `c_nationkey` correctly,
+    /// with the tied customers of one nation in their own input order.
+    #[test]
+    fn a_sort_over_an_index_range_scan_agrees_with_a_column_scan() {
+        let sys = HtapSystem::new(&TpchConfig::with_scale(0.01));
+        let sql = "SELECT c_custkey, c_nationkey FROM customer WHERE c_phone < '12' \
+                   ORDER BY c_nationkey";
+        let out = sys.run_sql(sql).unwrap_or_else(|e| panic!("{sql}: {e}"));
+        assert!(out.tp.rows.len() > 1, "{sql}");
+        for rows in [&out.tp.rows, &out.ap.rows] {
+            assert!(rows.windows(2).all(|w| w[0][1].total_cmp(&w[1][1]).is_le()), "{sql}");
+        }
     }
 
     /// A top-N buffer reserves no more than its input can fill, so a LIMIT
