@@ -38,12 +38,13 @@
 //! group in dense row order so even float accumulation keeps the serial
 //! association order, and counters are charged from input sizes by shared
 //! formulas. `ORDER BY` is stated once, in `sort`: every mode sorts with
-//! one stable sort and cuts a top-N with one bounded buffer that inserts
-//! after equal keys, so rows with equal keys keep their input order whether
-//! a LIMIT bounds the sort or not. The latency model, optimizer, router and
-//! explainer consume counters, not wall-clock, so execution mode and thread
-//! count are invisible to them (`tests/engine_equivalence.rs` and
-//! `tests/parallel_determinism.rs` enforce this).
+//! one stable sort and cuts a top-N with one bounded selection buffer
+//! ordered by key, then input position, so rows with equal keys keep their
+//! input order whether a LIMIT bounds the sort or not. The latency model,
+//! optimizer, router and explainer consume counters, not wall-clock, so
+//! execution mode and thread count are invisible to them
+//! (`tests/engine_equivalence.rs` and `tests/parallel_determinism.rs`
+//! enforce this).
 
 mod agg;
 pub mod guard;

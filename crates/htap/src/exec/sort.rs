@@ -3,15 +3,19 @@
 //!
 //! Rows order by their key cells alone, compared by [`cmp_keys`]. Rows with
 //! equal keys keep their input order everywhere: [`sort_positions`] is a
-//! stable sort, and the bounded buffer [`top_n_by`] inserts a row after
-//! every buffered row it ties with, so a top-N keeps exactly the rows the
-//! stable full sort puts first. Both executors lay their keys out as one
-//! vector of cells, row after row — the row interpreter reads them in
-//! place through compiled expressions ([`sort`]), the vectorized executor
-//! from key columns through its selection ([`sort_indices`]) — and return
-//! positions; rows are materialized by the consumer. [`output_sort`] and
-//! the engines' result check ([`result_order`]) sort materialized rows the
-//! same way.
+//! stable sort, and a top-N ([`top_n_by`]) selects and sorts under (key,
+//! position) — positions are unique and arrive in input order, so that
+//! total order is the stable sort's and a top-N keeps exactly the rows the
+//! stable full sort puts first. Its buffer stays unsorted and compacts with
+//! `select_nth_unstable_by` when it fills, so a deep `OFFSET` over rows
+//! that each beat the rest costs amortized O(n + k·log k) comparisons, not
+//! an insertion per row into k sorted slots. Both executors lay their keys
+//! out as one vector of cells, row after row — the row interpreter reads
+//! them in place through compiled expressions ([`sort`]), the vectorized
+//! executor from key columns through its selection ([`sort_indices`]) — and
+//! return positions; rows are materialized by the consumer.
+//! [`output_sort`] and the engines' result check ([`result_order`]) sort
+//! materialized rows the same way.
 
 use super::guard::ExecGuard;
 use super::typed::{each_block, each_row, with_numeric, ExprCol, Num};
@@ -44,12 +48,23 @@ fn sort_positions(n: usize, cells: &[Cell], descs: &[bool]) -> Vec<usize> {
     order
 }
 
+/// The fewest rows [`top_n_by`] admits between two compactions: a small
+/// top-N over rows that each win would otherwise select every few rows.
+const MIN_ROOM: usize = 64;
+
 /// The one bounded buffer: the positions of the best `limit + offset` of
-/// `n` rows under `cmp`, best first, less the first `offset`. A row goes
-/// in after every buffered row it ties with, and a full buffer takes only a
-/// row that beats its worst key, held in a local; so the buffer always
-/// holds the first rows of the stable sort of the rows seen. Each row
-/// charges one push.
+/// `n` rows under `cmp`, best first, less the first `offset` — exactly the
+/// first rows of the stable full sort. With `need = min(limit + offset, n)`
+/// the buffer holds up to `need + max(need, MIN_ROOM)` unsorted `(key,
+/// position)` pairs, and never more than `n`. A row goes in only if its key
+/// is below the threshold; when the buffer fills,
+/// `select_nth_unstable_by` keeps the best `need` under the order (key by
+/// `cmp`, then position) and the threshold becomes the `need`-th key. At the
+/// end one more selection and one sort of the `need` survivors. Positions
+/// arrive ascending and unique, so (key, position) is the stable sort's
+/// order, and a row whose key only ties the threshold would sort after the
+/// `need` rows kept: it can never enter. Each row charges one push; the
+/// cost is amortized O(n + need·log need) comparisons.
 fn top_n_by<K: Clone>(
     counters: &mut WorkCounters,
     n: usize,
@@ -58,24 +73,32 @@ fn top_n_by<K: Clone>(
     mut key_at: impl FnMut(usize) -> K,
     cmp: impl Fn(&K, &K) -> Ordering,
 ) -> Vec<usize> {
-    let need = limit.saturating_add(offset) as usize;
+    // A LIMIT far past the input reserves only what the input can fill.
+    let need = limit.saturating_add(offset).min(n as u64) as usize;
     if need == 0 {
         return Vec::new();
     }
-    // A LIMIT far past the input reserves only what the input can fill.
-    let mut buf: Vec<(K, usize)> = Vec::with_capacity(need.min(n) + 1);
-    // The worst buffered key, once the buffer is full.
-    let mut worst: Option<K> = None;
+    let order = |a: &(K, usize), b: &(K, usize)| cmp(&a.0, &b.0).then(a.1.cmp(&b.1));
+    // Keeps the best `need` pairs of `buf`, unsorted.
+    let compact = |buf: &mut Vec<(K, usize)>| {
+        buf.select_nth_unstable_by(need - 1, order);
+        buf.truncate(need);
+    };
+    // Room for `need` more rows, and at least `MIN_ROOM`, before the next
+    // compaction; each row goes in at most once, so never more than `n`.
+    let cap = (need + need.max(MIN_ROOM)).min(n);
+    let mut buf: Vec<(K, usize)> = Vec::with_capacity(cap);
+    // The `need`-th best key seen, once the buffer has first filled.
+    let mut threshold: Option<K> = None;
     let done = each_block(n, guard, |rows| {
         counters.topn_pushes += rows.len() as u64;
         for j in rows {
             let k = key_at(j);
-            if worst.as_ref().is_none_or(|w| cmp(&k, w) == Ordering::Less) {
-                let pos = buf.partition_point(|(b, _)| cmp(b, &k) != Ordering::Greater);
-                buf.insert(pos, (k, j));
-                buf.truncate(need);
-                if buf.len() == need {
-                    worst = Some(buf[need - 1].0.clone());
+            if threshold.as_ref().is_none_or(|t| cmp(&k, t) == Ordering::Less) {
+                buf.push((k, j));
+                if buf.len() == cap {
+                    compact(&mut buf);
+                    threshold = Some(buf[need - 1].0.clone());
                 }
             }
         }
@@ -84,6 +107,10 @@ fn top_n_by<K: Clone>(
         // Abandon on trip; the caller's next check discards this.
         return Vec::new();
     }
+    if buf.len() > need {
+        compact(&mut buf);
+    }
+    buf.sort_unstable_by(order);
     buf.into_iter().skip(offset as usize).map(|(_, j)| j).collect()
 }
 
@@ -146,10 +173,11 @@ pub(super) fn sort(
 
 /// The vectorized executor's `ORDER BY` over key columns and the batch's
 /// `n` rows (`sel`: its selection, `None`: dense): the physical rows in key
-/// order, all of them or, with `top`, those a top-N keeps. A top-N on one
-/// numeric key compares an order-preserving integer ([`top_n_ordered`]),
-/// read as the buffer asks for it; every other sort lays out all `n` key
-/// cells first. Sending those top-Ns through the cells too made the
+/// order, all of them or, with `top`, those a top-N keeps. Every top-N goes
+/// through the one selection buffer [`top_n_by`]; on one numeric key it
+/// compares an order-preserving integer ([`top_n_ordered`]), read as the
+/// buffer asks for it, and every other sort lays out all `n` key cells
+/// first. Laying out cells for the single-key top-Ns too made the
 /// `analytic` workload's `agg_p50_us` 2.4× slower (2-core host).
 pub(crate) fn sort_indices(
     counters: &mut WorkCounters,
@@ -321,6 +349,77 @@ mod tests {
         let top = top_n_by(&mut c, 600_000, (20, 0), &guard, key_at, |a, b| b.cmp(a));
         assert!(top.is_empty());
         assert!((5_001..=5_000 + GUARD_CHECK_ROWS as u64).contains(&c.topn_pushes));
+    }
+
+    /// The same when every row is a new winner (DESC over ascending keys),
+    /// for a buffer that fills only at the end (`need` = n/2) and for one
+    /// that compacts every thousand rows before the cancel.
+    #[test]
+    fn a_compacting_top_n_stops_within_a_block_of_a_cancel() {
+        let n = 600_000;
+        for need in [n as u64 / 2, 1_000] {
+            let guard = ExecGuard::new(&super::super::StatementLimits::unlimited());
+            let handle = guard.cancel_handle();
+            let mut c = WorkCounters::default();
+            let key_at = |j: usize| {
+                if j == 5_000 {
+                    handle.cancel();
+                }
+                j as i64
+            };
+            let top = top_n_by(&mut c, n, (need, 0), &guard, key_at, |a, b| b.cmp(a));
+            assert!(top.is_empty(), "need {need}");
+            assert!((5_001..=5_000 + GUARD_CHECK_ROWS as u64).contains(&c.topn_pushes));
+        }
+    }
+
+    /// A top-N keeps exactly the first rows of the stable full sort (a
+    /// reference kept here), through both arms of `sort_indices`' top-N —
+    /// the lazily read `i128` key and the cells — on inputs where every row
+    /// is a new winner, none is, every key ties, or runs repeat; `n` spans
+    /// more than two guard blocks and `limit + offset` runs past it.
+    #[test]
+    fn top_n_equals_a_stable_sort_reference() {
+        let key = |shape, j: usize, n: usize| match shape {
+            "ascending" => j as i64,
+            "descending" => (n - j) as i64,
+            "all equal" => 7,
+            _ => (j % 13) as i64, // sawtooth
+        };
+        let guard = ExecGuard::unlimited();
+        for n in [0, 1, 7, 2 * GUARD_CHECK_ROWS + 37] {
+            for shape in ["ascending", "descending", "all equal", "sawtooth"] {
+                let keys: Vec<i64> = (0..n).map(|j| key(shape, j, n)).collect();
+                let col = [ExprCol::Dense(ColumnData::Int(keys.clone()))];
+                let cells: Vec<Cell> = keys.iter().map(|&k| Cell::Int(k)).collect();
+                for desc in [false, true] {
+                    let mut sorted: Vec<usize> = (0..n).collect();
+                    sorted.sort_by_key(|&j| if desc { -keys[j] } else { keys[j] });
+                    for need in [1, 2, n / 2, n.saturating_sub(1), n, n + 3] {
+                        for offset in [0, 1, need / 2, need].into_iter().filter(|&o| o <= need) {
+                            let top = ((need - offset) as u64, offset as u64);
+                            let want: Vec<usize> =
+                                sorted.iter().copied().skip(offset).take(need - offset).collect();
+                            // A LIMIT 0 with no offset reads no row.
+                            let pushes = if need == 0 { 0 } else { n as u64 };
+                            let case = format!("n {n}, {shape} keys, desc {desc}, top {top:?}");
+                            let mut c = WorkCounters::default();
+                            let got =
+                                sort_indices(&mut c, &col, &[desc], None, n, Some(top), guard)
+                                    .into_iter()
+                                    .map(|j| j as usize)
+                                    .collect::<Vec<_>>();
+                            assert_eq!(got, want, "i128 arm, {case}");
+                            assert_eq!(c.topn_pushes, pushes, "i128 arm, {case}");
+                            let mut c = WorkCounters::default();
+                            let got = order_cells(&mut c, n, &cells, &[desc], Some(top), guard);
+                            assert_eq!(got, want, "cell arm, {case}");
+                            assert_eq!(c.topn_pushes, pushes, "cell arm, {case}");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # Lines of tracked Rust and shell outside benchmark/, as a total and split
 # into test code and the rest. Test code is every file under a tests/
-# directory, plus each in-file `#[cfg(test)] mod tests { ... }` block: from
-# the attribute to the `}` at column 0 that closes the module.
+# directory, each file declared as a test-only module (`#[cfg(test)]` on the
+# line before, or the line of, `mod name;`), plus each in-file
+# `#[cfg(test)] mod tests { ... }` block: from the attribute to the `}` at
+# column 0 that closes the module.
 #
 #   bash scripts/loc.sh            # tracked files as they are in the working tree
 #   bash scripts/loc.sh <commit>   # the files of a commit
@@ -16,9 +18,22 @@ git grep -I --no-color -e '' ${rev:+"$rev"} -- '*.rs' '*.sh' ':!benchmark/' |
         { if (skip) $0 = substr($0, skip + 2)
           f = substr($0, 1, index($0, ":") - 1); line = substr($0, length(f) + 2) }
         f != file { file = f; in_mod = 0; prev = "" }
-        { total++ }
-        f ~ /(^|\/)tests\// { tests++; next }
-        in_mod { tests++; if (line == "}") in_mod = 0; next }
-        line ~ /^mod tests \{/ && prev == "#[cfg(test)]" { in_mod = 1; tests += 2 }
+        { lines[f]++ }
+        in_mod { tests[f]++; if (line == "}") in_mod = 0; next }
+        line ~ /^mod tests \{/ && prev == "#[cfg(test)]" { in_mod = 1; tests[f] += 2 }
+        # A test-only module in its own file: name.rs (or name/mod.rs) beside
+        # a mod.rs, lib.rs or main.rs, else in the directory named after f.
+        (prev == "#[cfg(test)]" && line ~ /^mod [a-z0-9_]+;/) || line ~ /^#\[cfg\(test\)\] mod [a-z0-9_]+;/ {
+            name = line; sub(/^.*mod /, "", name); sub(/;.*/, "", name)
+            dir = f; sub(/[^\/]*$/, "", dir)
+            if (f !~ /(^|\/)(mod|lib|main)\.rs$/) { stem = f; sub(/\.rs$/, "", stem); dir = stem "/" }
+            test_file[dir name ".rs"] = 1; test_file[dir name "/mod.rs"] = 1
+        }
         { prev = line }
-        END { printf "total    %d\ntests    %d\nnon-test %d\n", total, tests, total - tests }'
+        END {
+            for (f in lines) {
+                total += lines[f]
+                n += (f ~ /(^|\/)tests\// || f in test_file) ? lines[f] : tests[f]
+            }
+            printf "total    %d\ntests    %d\nnon-test %d\n", total, n, total - n
+        }'

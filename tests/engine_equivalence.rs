@@ -411,8 +411,81 @@ fn order_by_is_respected_by_both_engines() {
 
 mod order_ties {
     use qpe_core::workload::{WorkloadConfig, WorkloadGenerator};
-    use qpe_htap::engine::HtapSystem;
+    use qpe_htap::engine::{EngineKind, HtapError, HtapSystem};
+    use qpe_htap::exec::Row;
     use qpe_htap::tpch::TpchConfig;
+    use std::sync::OnceLock;
+
+    /// One scale-0.01 system shared by the tests below that only read.
+    fn tpch_001() -> &'static HtapSystem {
+        static SYS: OnceLock<HtapSystem> = OnceLock::new();
+        SYS.get_or_init(|| HtapSystem::new(&TpchConfig::with_scale(0.01)))
+    }
+
+    /// The stable sort of `rows` on column `key`, descending or not, cut to
+    /// `limit` rows after `offset`: what a top-N over input in that order
+    /// returns.
+    fn stable_top_n(mut rows: Vec<Row>, key: usize, desc: bool, top: (usize, usize)) -> Vec<Row> {
+        rows.sort_by(|a, b| {
+            let o = a[key].total_cmp(&b[key]);
+            if desc { o.reverse() } else { o }
+        });
+        let (limit, offset) = top;
+        rows.into_iter().skip(offset).take(limit).collect()
+    }
+
+    /// Top-Ns in which every row beats the ones before it (`o_orderkey
+    /// DESC` over rows stored in ascending key order), one whose window
+    /// runs past the table's last row, and one over tied prices: TP and AP
+    /// return the same rows in the same order, and both equal the stable
+    /// sort of the table scan.
+    #[test]
+    fn a_deep_offset_over_new_winners_keeps_the_stable_sort_rows() {
+        let sys = tpch_001();
+        let all = sys.run_sql("SELECT o_orderkey, o_totalprice FROM orders").expect("scan").tp.rows;
+        assert_eq!(all.len(), 15_000);
+        for (key, order_by, limit, offset) in [
+            (0, "o_orderkey", 10, 3_000),
+            (0, "o_orderkey", 50, 14_990),
+            (1, "o_totalprice", 50, 4_000),
+        ] {
+            let sql = format!(
+                "SELECT o_orderkey, o_totalprice FROM orders \
+                 ORDER BY {order_by} DESC LIMIT {limit} OFFSET {offset}"
+            );
+            let out = sys.run_sql(&sql).unwrap_or_else(|e| panic!("{sql}: {e}"));
+            let want = stable_top_n(all.clone(), key, true, (limit, offset));
+            assert_eq!(want.len(), limit.min(all.len() - offset), "{sql}");
+            assert_eq!(out.tp.rows, want, "TP {sql}");
+            assert_eq!(out.ap.rows, want, "AP {sql}");
+        }
+    }
+
+    /// A known disagreement, pinned: TP reads `c_phone >= '30'` through
+    /// the `c_phone` index, in phone order, and AP scans in row order, so
+    /// each engine's top-N — correct over its own input — keeps other
+    /// customers among the tied nations at rows 20..30, and the dual run
+    /// ends in `EngineMismatch`. Feeding TP's sort in row order (or
+    /// breaking ties on every output column) makes both engines agree;
+    /// that fix flips the last assertion of this test.
+    #[test]
+    fn a_top_n_over_an_index_range_scan_keeps_other_tied_rows() {
+        let sys = tpch_001();
+        let input = "SELECT c_custkey, c_nationkey FROM customer WHERE c_phone >= '30'";
+        let sql = format!("{input} ORDER BY c_nationkey LIMIT 10 OFFSET 20");
+        let all = sys.run_sql(input).expect("scan").tp.rows;
+        let want: Vec<_> =
+            stable_top_n(all, 1, false, (10, 20)).into_iter().map(|r| r[1].clone()).collect();
+        let bound = sys.bind(&sql).expect("binds");
+        for engine in [EngineKind::Tp, EngineKind::Ap] {
+            let plan = sys.explain(&bound, engine).expect("plans");
+            let run = sys.run_engine_with_plan(plan, &bound, engine).expect("runs");
+            let keys: Vec<_> = run.rows.iter().map(|r| r[1].clone()).collect();
+            assert_eq!(keys, want, "{engine:?} {sql}");
+        }
+        let err = sys.run_sql(&sql).expect_err("the engines disagree");
+        assert!(matches!(err, HtapError::EngineMismatch { .. }), "{sql}: {err}");
+    }
 
     /// The 5 rows after the 417th cut through a run of equal
     /// `l_extendedprice` values.
